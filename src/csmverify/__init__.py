@@ -6,8 +6,8 @@ intersections, and exhaustive verification sweeps over small-rank groups.
 """
 
 from .boxproduct import BoxCalculator
-from .cohomology import CohomologyClass, EquivariantClass, FlagCohomology, StructureTable
-from .csm import CsmCalculator, CsmTable, calibrated_dl_convention
+from .cohomology import CohomologyClass, EquivariantClass, FlagCohomology
+from .csm import CsmCalculator, calibrated_dl_convention
 from .errors import (
     CacheCorrupt,
     CalibrationFailure,
@@ -45,14 +45,12 @@ __all__ = [
     "CohomologyClass",
     "CsmBasisCoefficients",
     "CsmCalculator",
-    "CsmTable",
     "EquivariantClass",
     "FlagCohomology",
     "IntPolynomial",
     "RichardsonCalculator",
     "RichardsonCoefficients",
     "RootVector",
-    "StructureTable",
     "WeylElement",
     "WeylGroup",
     "build_root_system",

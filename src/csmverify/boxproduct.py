@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .cohomology import CohomologyClass
 from .errors import PathDisagreement
 from .richardson import RichardsonCalculator
-from .rootdata import WeylElement
+from .rootdata import WeylElement, parity_sign
 
 #: groups up to this order always cross-validate all three formulas
 FULL_CROSS_VALIDATION_MAX_ORDER = 48
@@ -73,7 +73,7 @@ class BoxCalculator:
             by_len_w.setdefault(w1.length, []).append((w1, c))
         total = 0
         for u1, cu in a_u.coeffs.items():
-            sign = 1 if (u.length - u1.length) % 2 == 0 else -1
+            sign = parity_sign(u.length - u1.length)
             for v1, cv in a_v.coeffs.items():
                 rest = top - u1.length - v1.length
                 if rest < 0:
@@ -82,8 +82,7 @@ class BoxCalculator:
                     integral = coh.triple_integral(u1, v1, w1)
                     if integral:
                         total += sign * cu * cv * cw * integral
-        dim = w.length - u.length - v.length
-        return total if dim % 2 == 0 else -total
+        return parity_sign(w.length - u.length - v.length) * total
 
     def chi_via_pairing(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
         """Integral of the Richardson class of (w0 u, v) against the Segre
@@ -189,36 +188,3 @@ class BoxCalculator:
                     if lhs != rhs:
                         failures += 1
         return failures, total
-
-    def load_box_payload(self, payload: dict) -> None:
-        """Seed the chi cache from a cached table (provenance re-checked
-        only on fresh computation)."""
-        group = self.group
-        idx = {".".join(map(str, group._words[i])): i for i in range(group.order)}
-        for key, values in payload["entries"].items():
-            ukey, vkey, wkey = key.split("|")
-            self._chi[(idx[ukey], idx[vkey], idx[wkey])] = int(values[0])
-
-    def box_payload(self, max_length: int | None = None) -> dict:
-        """JSON-safe dump of chi with full provenance for filtered triples."""
-        group = self.group
-        words = group._words
-        key = lambda i: ".".join(map(str, words[i]))
-        entries = {}
-        for u in group:
-            if max_length is not None and u.length > max_length:
-                continue
-            for v in group:
-                if max_length is not None and v.length > max_length:
-                    continue
-                for w in group:
-                    prov = self.chi_provenance(u, v, w)
-                    if not prov.agree:
-                        raise PathDisagreement(
-                            f"chi({u}, {v}, {w}) provenance disagrees"
-                        )
-                    if prov.value:
-                        entries[f"{key(u.index)}|{key(v.index)}|{key(w.index)}"] = [
-                            prov.value, prov.triple_sum, prov.pairing, prov.expansion,
-                        ]
-        return {"entries": entries, "max_length": max_length}

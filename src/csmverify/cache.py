@@ -5,7 +5,9 @@ envelope carrying the format version and a sha256 checksum.  Files under
 the size threshold are stored as plain JSON; larger ones switch to a
 length-prefixed binary container with a zlib-compressed JSON body.  A
 version mismatch silently forces a recompute; a checksum mismatch raises
-CacheCorrupt so the caller can warn and recompute.
+CacheCorrupt so the caller can warn and recompute.  Files are written to a
+temporary name in the same directory and renamed into place, so a writer
+that dies midway leaves the previous file intact.
 """
 
 from __future__ import annotations
@@ -66,17 +68,21 @@ class TableCache:
         json_path = base.with_suffix(".json")
         bin_path = base.with_suffix(".bin")
         if len(data) <= PLAIN_JSON_LIMIT:
-            json_path.write_bytes(data)
-            bin_path.unlink(missing_ok=True)
-            return json_path
-        body = zlib.compress(data, 6)
-        with open(bin_path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", FORMAT_VERSION))
-            fh.write(struct.pack("<Q", len(body)))
-            fh.write(body)
-        json_path.unlink(missing_ok=True)
-        return bin_path
+            path, other, parts = json_path, bin_path, (data,)
+        else:
+            path, other, parts = bin_path, json_path, _container(zlib.compress(data, 6))
+        # one temporary name per process: concurrent writers never share one
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                for part in parts:
+                    fh.write(part)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        other.unlink(missing_ok=True)
+        return path
 
     def load(self, series: str, rank: int, kind: str) -> dict | None:
         """Payload, or None when absent or written by another format
@@ -115,9 +121,10 @@ class TableCache:
             raise CacheCorrupt(f"{base}: checksum mismatch")
         return payload
 
-    def checksum(self, series: str, rank: int, kind: str) -> str | None:
-        try:
-            payload = self.load(series, rank, kind)
-        except CacheCorrupt:
-            return None
-        return payload_checksum(payload) if payload is not None else None
+
+def _container(body: bytes):
+    """The binary container, piece by piece: magic, version, length, body."""
+    yield _MAGIC
+    yield struct.pack("<I", FORMAT_VERSION)
+    yield struct.pack("<Q", len(body))
+    yield body

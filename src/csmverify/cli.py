@@ -8,7 +8,7 @@ show     print a single class (csm / richardson / box) in both bases
 
 Exit codes: 0 all checks pass; 1 a conjecture violation was found (with
 witnesses in the report); 2 a proved identity failed (implementation bug);
-3 usage error.
+3 usage error, which includes --jobs below 1 and a negative --max-length.
 
 The cache directory is taken from --cache-dir, else the CSMVERIFY_CACHE
 environment variable, else a per-user default.  Weyl group elements are
@@ -99,14 +99,11 @@ def _cache_from_args(args) -> TableCache:
     return TableCache(root)
 
 
-def _engines_from_args(args, need_products: bool):
+def _engines_from_args(args):
     cache = _cache_from_args(args)
-    events: list = []
     engines = build_engines(args.type.upper(), args.rank, cache=cache,
-                            max_order=args.max_order, cache_events=events)
-    if need_products:
-        materialize_tables(engines, cache=cache, cache_events=events)
-    return engines, cache, events
+                            max_order=args.max_order)
+    return engines, cache
 
 
 def cmd_verify(args) -> int:
@@ -137,22 +134,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    cache = _cache_from_args(args)
-    events: list = []
-    engines = build_engines(args.type.upper(), args.rank, cache=cache,
-                            cache_events=events, max_order=args.max_order)
-    hits = {e["kind"] for e in events if e["event"] == "hit"}
-    checksums = materialize_tables(engines, cache=cache, cache_events=events)
+    engines, cache = _engines_from_args(args)
+    checksums = materialize_tables(engines, cache=cache)
     for kind in sorted(checksums):
-        source = "cache hit" if kind in hits else "computed"
+        source = "cache hit" if kind in engines.adopted else "computed"
         print(f"{kind} table for {args.type.upper()}{args.rank}: {source}, "
               f"checksum {checksums[kind]}")
     return EXIT_PASS
 
 
 def cmd_show(args) -> int:
-    need_products = args.kind in ("richardson", "box")
-    engines, _, _ = _engines_from_args(args, need_products=need_products)
+    engines, cache = _engines_from_args(args)
+    if args.kind in ("richardson", "box"):
+        materialize_tables(engines, cache=cache)
     group = engines.group
     try:
         u = group.parse(args.u)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import GroupMismatch, InexactDivision, InternalInvariantError
 from .polynomial import IntPolynomial
-from .rootdata import WeylElement, WeylGroup
+from .rootdata import WeylElement, WeylGroup, parity_sign
 
 
 class CohomologyClass:
@@ -39,9 +39,6 @@ class CohomologyClass:
     def coefficient(self, w: WeylElement) -> int:
         return self.coeffs.get(w, 0)
 
-    def support(self) -> list[WeylElement]:
-        return sorted(self.coeffs, key=lambda w: w.index)
-
     def items(self):
         return self.coeffs.items()
 
@@ -50,9 +47,6 @@ class CohomologyClass:
         return CohomologyClass(
             self.group, {w: c for w, c in self.coeffs.items() if w.length == d}
         )
-
-    def degrees(self) -> list[int]:
-        return sorted({w.length for w in self.coeffs})
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         self._check(other)
@@ -159,16 +153,38 @@ class EquivariantClass:
         return True
 
 
-@dataclass
-class StructureTable:
-    """All cup structure constants of a group, keyed by basis index pairs."""
+class WordKeys:
+    """The table payload codec.
 
-    group: WeylGroup
-    entries: dict[tuple[int, int], dict[int, int]]
+    An element is keyed by its canonical reduced word with the letters
+    joined by dots (the identity is ``""``); a table row is keyed by the
+    ``|``-joined keys of the elements that index it.
+    """
 
-    def constants(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
-        key = (u.index, v.index) if u.index <= v.index else (v.index, u.index)
-        return self.entries.get(key, {})
+    def __init__(self, group: WeylGroup):
+        self.keys = [".".join(map(str, word)) for word in group._words]
+
+    def encode(self, rows: dict[tuple[int, ...], dict[int, int]]) -> dict:
+        keys = self.keys
+        return {
+            "|".join(keys[i] for i in row_key): {keys[w]: c for w, c in sorted(row.items())}
+            for row_key, row in sorted(rows.items())
+        }
+
+    def decode(self, payload: dict, field: str, arity: int) -> dict[tuple[int, ...], dict[int, int]]:
+        """Inverse of encode for ``payload[field]``, whose row keys name
+        ``arity`` elements; anything malformed is an internal failure."""
+        index = {k: i for i, k in enumerate(self.keys)}
+        try:
+            rows = {}
+            for row_key, row in payload[field].items():
+                parts = row_key.split("|")
+                if len(parts) != arity:
+                    raise ValueError(f"row key {row_key!r} does not name {arity} elements")
+                rows[tuple(index[k] for k in parts)] = {index[w]: int(c) for w, c in row.items()}
+        except (KeyError, ValueError) as exc:
+            raise InternalInvariantError(f"malformed {field!r} payload: {exc}") from exc
+        return rows
 
 
 class FlagCohomology:
@@ -247,7 +263,7 @@ class FlagCohomology:
                 ups[w].add(x)
         self._upsets = [frozenset(s) for s in ups]
         n_pos = group.num_positive
-        self._signs = [1 if (n_pos + l) % 2 == 0 else -1 for l in group._lengths]
+        self._signs = [parity_sign(n_pos + l) for l in group._lengths]
         prod = 1
         for coords in group._root_coords:
             prod *= self._root_value(coords)
@@ -343,10 +359,6 @@ class FlagCohomology:
             if coef:
                 out[t] = out.get(t, 0) + coef
         return CohomologyClass(group, out)
-
-    def degree_two_class(self, lam, basis: str = "root") -> CohomologyClass:
-        """c1(L_lam) itself, i.e. the Chevalley product against the unit."""
-        return self.chevalley_multiply(lam, self.group.identity, basis=basis)
 
     # -- polynomial (expansion) route ----------------------------------------------
 
@@ -451,7 +463,7 @@ class FlagCohomology:
 
     # -- full table ------------------------------------------------------------------
 
-    def build_structure_table(self) -> StructureTable:
+    def build_structure_table(self) -> None:
         """Materialize every structure constant, with self-checks.
 
         Verifies the unit row and that localization agrees with the
@@ -481,43 +493,20 @@ class FlagCohomology:
                             f"degree-2 products disagree at (s{i}, {v})"
                         )
             self._table_complete = True
-        entries = {k: dict(v) for k, v in self._struct.items() if v}
-        return StructureTable(self.group, entries)
 
     # -- cache integration ----------------------------------------------------------
 
     def structure_payload(self) -> dict:
         """JSON-safe dump of the (complete) structure table."""
         self.build_structure_table()
-        words = self.group._words
-        key = lambda i: ".".join(map(str, words[i]))
-        entries = {}
-        for (ui, vi), row in sorted(self._struct.items()):
-            if not row:
-                continue
-            entries[f"{key(ui)}|{key(vi)}"] = {
-                key(wi): c for wi, c in sorted(row.items())
-            }
-        return {"entries": entries}
+        rows = {pair: row for pair, row in self._struct.items() if row}
+        return {"entries": WordKeys(self.group).encode(rows)}
 
     def load_structure_payload(self, payload: dict) -> None:
-        group = self.group
-        idx = {".".join(map(str, group._words[i])): i for i in range(group.order)}
-        try:
-            for pair_key, row in payload["entries"].items():
-                ukey, vkey = pair_key.split("|")
-                ui, vi = idx[ukey], idx[vkey]
-                self._struct[(ui, vi)] = {idx[wkey]: int(c) for wkey, c in row.items()}
-        except (KeyError, ValueError) as exc:
-            raise InternalInvariantError(f"malformed structure payload: {exc}") from exc
+        order = self.group.order
+        self._struct.update(WordKeys(self.group).decode(payload, "entries", arity=2))
         # pairs with an empty product are not stored; restore them
-        for ui in range(group.order):
-            lu = group._lengths[ui]
-            for vi in range(ui, group.order):
-                key = (ui, vi)
-                if key not in self._struct:
-                    if lu + group._lengths[vi] <= group.num_positive:
-                        self._struct[key] = self._struct.get(key, {})
-                    else:
-                        self._struct[key] = {}
+        for ui in range(order):
+            for vi in range(ui, order):
+                self._struct.setdefault((ui, vi), {})
         self._table_complete = True

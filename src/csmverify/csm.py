@@ -17,9 +17,9 @@ element.
 
 from __future__ import annotations
 
-from .cohomology import CohomologyClass, FlagCohomology
+from .cohomology import CohomologyClass, FlagCohomology, WordKeys
 from .errors import CalibrationFailure, InternalInvariantError
-from .rootdata import CartanDatum, WeylElement, WeylGroup
+from .rootdata import CartanDatum, WeylElement, WeylGroup, parity_sign
 
 #: letters of a reduced word applied first-to-last while building the
 #: element by right multiplication
@@ -186,8 +186,7 @@ class CsmCalculator:
         seg = self.segre_sm(cls)
         base = self.group.w0_times(u).length
         twisted = CohomologyClass(self.group, {
-            w: (c if (w.length - base) % 2 == 0 else -c)
-            for w, c in cls.coeffs.items()
+            w: parity_sign(w.length - base) * c for w, c in cls.coeffs.items()
         })
         if seg != twisted:
             raise InternalInvariantError(
@@ -202,7 +201,7 @@ class CsmCalculator:
     def phi_involution(self, a: CohomologyClass) -> CohomologyClass:
         """Sign involution: (-1)^degree on each graded piece; a ring map."""
         return CohomologyClass(self.group, {
-            w: (c if w.length % 2 == 0 else -c) for w, c in a.coeffs.items()
+            w: parity_sign(w.length) * c for w, c in a.coeffs.items()
         })
 
     def completeness_check(self) -> bool:
@@ -214,58 +213,29 @@ class CsmCalculator:
 
     # -- table + cache ------------------------------------------------------------------
 
-    def build_table(self) -> "CsmTable":
+    def build_table(self) -> None:
+        """Compute and invariant-check the cell class of every element."""
         for u in self.group:
             self.csm_schubert_cell(u)
-        return CsmTable(self)
 
     def table_payload(self) -> dict:
         self.build_table()
-        words = self.group._words
-        key = lambda i: ".".join(map(str, words[i]))
-        rows = {}
-        for ui in range(self.group.order):
-            cls = self._cells[ui]
-            rows[key(ui)] = {key(w.index): c for w, c in sorted(
-                cls.coeffs.items(), key=lambda wc: wc[0].index)}
-        return {"convention": self.convention, "rows": rows}
+        rows = {(ui,): {w.index: c for w, c in self._cells[ui].coeffs.items()}
+                for ui in range(self.group.order)}
+        return {"convention": self.convention, "rows": WordKeys(self.group).encode(rows)}
 
     def load_table_payload(self, payload: dict) -> bool:
         """Adopt cached cell classes; refuses on convention mismatch."""
         if payload.get("convention") != self.convention:
             return False
         group = self.group
-        idx = {".".join(map(str, group._words[i])): i for i in range(group.order)}
-        try:
-            cells = {}
-            for ukey, row in payload["rows"].items():
-                cells[idx[ukey]] = CohomologyClass(group, {
-                    group.elements[idx[wkey]]: int(c) for wkey, c in row.items()
-                })
-        except (KeyError, ValueError) as exc:
-            raise InternalInvariantError(f"malformed CSM payload: {exc}") from exc
+        els = group.elements
+        cells = {ui: CohomologyClass(group, {els[wi]: c for wi, c in row.items()})
+                 for (ui,), row in WordKeys(group).decode(payload, "rows", arity=1).items()}
         if len(cells) != group.order:
             raise InternalInvariantError("CSM payload does not cover the group")
         self._cells.update(cells)
         return True
-
-
-class CsmTable:
-    """Matrix view a(u, w) of all cell classes, plus the derived views."""
-
-    def __init__(self, calc: CsmCalculator):
-        self.calc = calc
-        self.group = calc.group
-
-    def a(self, u: WeylElement, w: WeylElement) -> int:
-        return self.calc.csm_schubert_cell(u).coefficient(w)
-
-    def abar(self, u: WeylElement, theta: WeylElement) -> int:
-        """Coefficient against the Schubert-variety label w0*theta."""
-        return self.a(u, self.group.w0_times(theta))
-
-    def opposite(self, v: WeylElement, w: WeylElement) -> int:
-        return self.a(self.group.w0_times(v), w)
 
 
 def _try_convention(convention: str) -> bool:

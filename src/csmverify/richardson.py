@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .cohomology import CohomologyClass
 from .csm import CsmCalculator
 from .errors import LemmaViolation, MirrorMismatch, ParityViolation, SingularSystem
-from .rootdata import WeylElement
+from .rootdata import WeylElement, parity_sign
 
 
 @dataclass
@@ -148,10 +148,7 @@ class RichardsonCalculator:
         verdict (-1)^(l(w)-l(u)-l(v)) d_w >= 0 filled in."""
         d = self._expansion(u, v)
         base = u.length + v.length
-        sign_ok = all(
-            (val if (w.length - base) % 2 == 0 else -val) >= 0
-            for w, val in d.items()
-        )
+        sign_ok = all(parity_sign(w.length - base) * val >= 0 for w, val in d.items())
         return CsmBasisCoefficients(dict(d), sign_ok)
 
     def _expansion(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
@@ -174,7 +171,7 @@ class RichardsonCalculator:
             self.csm.segre_schubert_cell(u), self.csm.segre_opposite_cell(v)
         )
         twisted = self.csm.phi_involution(seg)
-        sign = 1 if (self.group.w0_times(u).length + v.length) % 2 == 0 else -1
+        sign = parity_sign(self.group.w0_times(u).length + v.length)
         e = dict(twisted.coeffs)
         for w, val in e.items():
             if sign * val < 0:

@@ -38,6 +38,11 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 _MAX_RANK = {"E": 8, "F": 4, "G": 2}
 
 
+def parity_sign(k: int) -> int:
+    """(-1)^k, the one sign convention shared by every layer."""
+    return -1 if k & 1 else 1
+
+
 def invariant_degrees(series: str, rank: int) -> tuple[int, ...]:
     """Degrees of the fundamental invariants of the Weyl group.
 
@@ -225,9 +230,6 @@ class RootVector:
     def __add__(self, other: "RootVector") -> "RootVector":
         return RootVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def height(self) -> int:
-        return sum(self.coords)
-
     def __str__(self):
         parts = []
         for i, c in enumerate(self.coords):
@@ -266,9 +268,6 @@ class WeylElement:
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return self.group.multiply(self, other)
-
-    def inverse(self) -> "WeylElement":
-        return self.group.inverse(self)
 
     def bruhat_leq(self, other: "WeylElement") -> bool:
         return self.group.bruhat_leq(self, other)
@@ -513,9 +512,6 @@ class WeylGroup:
                     f"element of W({x.group.datum}) used with W({self.datum})"
                 )
 
-    def element(self, index: int) -> WeylElement:
-        return self.elements[index]
-
     def simple_reflection(self, i: int) -> WeylElement:
         if not 1 <= i <= self.rank:
             raise GroupMismatch(f"simple index {i} out of range 1..{self.rank}")
@@ -555,9 +551,6 @@ class WeylGroup:
         for i in reversed(x.word):
             idx = self._right[idx][i - 1]
         return self.elements[idx]
-
-    def length(self, x: WeylElement) -> int:
-        return x.length
 
     def indices_of_length(self, l: int) -> list[int]:
         return self._by_length.get(l, [])
@@ -664,13 +657,18 @@ class WeylGroup:
         self._bruhat_cache[key] = out
         return out
 
-    def bruhat_leq_subword(self, v: WeylElement, w: WeylElement) -> bool:
-        """Brute-force oracle: v is a product of a subword of w's word."""
-        self._check_same(v, w)
+    def subword_products(self, w: WeylElement) -> set[int]:
+        """Indices of all products of subwords of w's canonical word."""
+        self._check_same(w)
         reachable = {0}
         for i in w.word:
             reachable |= {self._right[x][i - 1] for x in reachable}
-        return v.index in reachable
+        return reachable
+
+    def bruhat_leq_subword(self, v: WeylElement, w: WeylElement) -> bool:
+        """Brute-force oracle: v is a product of a subword of w's word."""
+        self._check_same(v)
+        return v.index in self.subword_products(w)
 
     def poincare_polynomial(self) -> list[int]:
         """Coefficient list of sum(t^length) over the group."""
@@ -701,15 +699,3 @@ def build_root_system(datum: CartanDatum, max_order: int = DEFAULT_MAX_ORDER):
     group = WeylGroup(datum, max_order=max_order)
     reflections = {beta: group.reflection(beta) for beta in group.positive_roots}
     return group.positive_roots, reflections
-
-
-def multiply(x: WeylElement, y: WeylElement) -> WeylElement:
-    return x.group.multiply(x, y)
-
-
-def inverse(x: WeylElement) -> WeylElement:
-    return x.group.inverse(x)
-
-
-def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
-    return v.group.bruhat_leq(v, w)

@@ -25,18 +25,19 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import time
 import warnings
 from dataclasses import dataclass, field
 
 from . import __version__
 from .boxproduct import BoxCalculator
-from .cache import FORMAT_VERSION, TableCache
+from .cache import FORMAT_VERSION, TableCache, payload_checksum
 from .cohomology import FlagCohomology
 from .csm import CsmCalculator
-from .errors import CacheCorrupt, InternalInvariantError
+from .errors import CacheCorrupt, InternalInvariantError, UsageError
 from .richardson import RichardsonCalculator
-from .rootdata import CartanDatum, WeylGroup, DEFAULT_MAX_ORDER
+from .rootdata import CartanDatum, WeylGroup, DEFAULT_MAX_ORDER, parity_sign
 
 SCHEMA_VERSION = 1
 SUITE_NAMES = ("theorem-invariants", "conjB", "conjC", "conjD", "cross-paths")
@@ -52,6 +53,8 @@ class Engines:
     csm: CsmCalculator
     rich: RichardsonCalculator
     box: BoxCalculator
+    #: table kinds adopted from the cache instead of computed
+    adopted: set = field(default_factory=set)
 
     @property
     def series(self) -> str:
@@ -75,6 +78,8 @@ def build_engines(
     coh = FlagCohomology(group)
     csm = CsmCalculator(coh)
 
+    adopted = set()
+
     def note(event):
         if cache_events is not None:
             cache_events.append(event)
@@ -90,29 +95,29 @@ def build_engines(
                 continue
             if payload is None:
                 note({"kind": kind, "event": "miss"})
+            elif loader(payload) is False:
+                note({"kind": kind, "event": "stale"})
             else:
-                adopted = loader(payload)
-                note({"kind": kind, "event": "hit" if adopted is not False else "stale"})
+                adopted.add(kind)
+                note({"kind": kind, "event": "hit"})
     rich = RichardsonCalculator(csm)
-    box = BoxCalculator(rich)
-    return Engines(group, coh, csm, rich, box)
+    return Engines(group, coh, csm, rich, BoxCalculator(rich), adopted)
 
 
 def materialize_tables(engines: Engines, cache: TableCache | None = None,
                        cache_events: list | None = None) -> dict[str, str]:
-    """Build the full structure and CSM tables; store them when caching.
+    """Build the full structure and CSM tables; when caching, store each
+    one that was not adopted from the cache.
 
     Returns the payload checksums by kind.
     """
-    from .cache import payload_checksum
-
     checksums = {}
     engines.coh.build_structure_table()
     engines.csm.build_table()
     for kind, payload in (("structure", engines.coh.structure_payload()),
                           ("csm", engines.csm.table_payload())):
         checksums[kind] = payload_checksum(payload)
-        if cache is not None:
+        if cache is not None and kind not in engines.adopted:
             path = cache.store(engines.series, engines.rank, kind, payload)
             if cache_events is not None:
                 cache_events.append({"kind": kind, "event": "store", "path": str(path)})
@@ -146,16 +151,40 @@ class SuiteResult:
         }
 
 
+def _new_chunk() -> dict:
+    """An empty chunk result; its keys are the tallied SuiteResult fields."""
+    return {"instances": 0, "violations": [], "hard_failures": [], "hard_failure_count": 0}
+
+
 def _record_hard(result_dict: dict, entry: dict) -> None:
     result_dict["hard_failure_count"] += 1
     if len(result_dict["hard_failures"]) < HARD_FAILURE_LIST_CAP:
         result_dict["hard_failures"].append(entry)
 
 
+def _merge_chunk(into: dict, part: dict) -> None:
+    """Append one chunk result to another, keeping the hard-failure cap."""
+    into["instances"] += part["instances"]
+    into["violations"].extend(part["violations"])
+    into["hard_failure_count"] += part["hard_failure_count"]
+    room = HARD_FAILURE_LIST_CAP - len(into["hard_failures"])
+    into["hard_failures"].extend(part["hard_failures"][:room])
+
+
 def _filtered_indices(group: WeylGroup, max_length: int | None) -> list[int]:
     if max_length is None:
         return list(range(group.order))
     return [i for i in range(group.order) if group._lengths[i] <= max_length]
+
+
+def pool_size(jobs: int, chunks: int) -> int:
+    """Worker processes for a sweep: no more than requested, than CPUs this
+    process may run on, or than chunks of work."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, cpus, chunks))
 
 
 def _chunks(items: list, n: int) -> list[list]:
@@ -180,7 +209,7 @@ def _pairs_of(chunk, group):
 
 
 def _chunk_conjb(engines: Engines, chunk) -> dict:
-    out = {"instances": 0, "violations": [], "hard_failures": [], "hard_failure_count": 0}
+    out = _new_chunk()
     for u, v in _pairs_of(chunk, engines.group):
         out["instances"] += 1
         try:
@@ -197,7 +226,7 @@ def _chunk_conjb(engines: Engines, chunk) -> dict:
 
 
 def _chunk_conjc(engines: Engines, chunk) -> dict:
-    out = {"instances": 0, "violations": [], "hard_failures": [], "hard_failure_count": 0}
+    out = _new_chunk()
     for u, v in _pairs_of(chunk, engines.group):
         out["instances"] += 1
         try:
@@ -211,7 +240,7 @@ def _chunk_conjc(engines: Engines, chunk) -> dict:
         base = u.length + v.length
         for w in sorted(coeffs.d, key=lambda w: w.index):
             val = coeffs.d[w]
-            if (val if (w.length - base) % 2 == 0 else -val) < 0:
+            if parity_sign(w.length - base) * val < 0:
                 out["violations"].append({
                     "check": "conjC", "u": str(u), "v": str(v), "w": str(w), "value": val,
                 })
@@ -220,7 +249,7 @@ def _chunk_conjc(engines: Engines, chunk) -> dict:
 
 def _chunk_conjd(engines: Engines, chunk) -> dict:
     group, box, rich = engines.group, engines.box, engines.rich
-    out = {"instances": 0, "violations": [], "hard_failures": [], "hard_failure_count": 0}
+    out = _new_chunk()
     for u, v in _pairs_of(chunk, group):
         floor = u.length + v.length
         pair_sign_ok = True
@@ -248,8 +277,7 @@ def _chunk_conjd(engines: Engines, chunk) -> dict:
                         "check": "graded-vs-cup", "u": str(u), "v": str(v),
                         "w": str(w), "value": chi, "expected": cup_c,
                     })
-            signed = chi if (w.length - floor) % 2 == 0 else -chi
-            if signed < 0:
+            if parity_sign(w.length - floor) * chi < 0:
                 pair_sign_ok = False
                 out["violations"].append({
                     "check": "conjD", "u": str(u), "v": str(v), "w": str(w), "value": chi,
@@ -271,7 +299,7 @@ def _chunk_conjd(engines: Engines, chunk) -> dict:
 
 def _chunk_crosspaths(engines: Engines, chunk) -> dict:
     group, box = engines.group, engines.box
-    out = {"instances": 0, "violations": [], "hard_failures": [], "hard_failure_count": 0}
+    out = _new_chunk()
     for u, v in _pairs_of(chunk, group):
         for w in group.elements:
             out["instances"] += 1
@@ -293,7 +321,7 @@ def _chunk_crosspaths(engines: Engines, chunk) -> dict:
 def _chunk_theorem_pairs(engines: Engines, chunk) -> dict:
     group, rich, coh = engines.group, engines.rich, engines.coh
     top = coh.schubert_class(group.longest)
-    out = {"instances": 0, "violations": [], "hard_failures": [], "hard_failure_count": 0}
+    out = _new_chunk()
     for u, v in _pairs_of(chunk, group):
         out["instances"] += 1
         try:
@@ -319,6 +347,8 @@ _CHUNK_WORKERS = {
     "cross-paths": _chunk_crosspaths,
     "theorem-pairs": _chunk_theorem_pairs,
 }
+#: suites that check every w for each (u, v) pair
+_TRIPLE_SUITES = frozenset({"conjD", "cross-paths"})
 
 
 def _mp_entry(args):
@@ -332,7 +362,8 @@ def _run_chunked(engines: Engines, worker_name: str, items: list, jobs: int) -> 
     The merge is in chunk order, so parallel output equals serial output.
     """
     worker = _CHUNK_WORKERS[worker_name]
-    if jobs <= 1 or len(items) <= 1:
+    workers = pool_size(jobs, len(items))
+    if workers == 1:
         parts = [worker(engines, items)]
     else:
         global _WORKER_ENGINES
@@ -342,17 +373,12 @@ def _run_chunked(engines: Engines, worker_name: str, items: list, jobs: int) -> 
         except ValueError:
             parts = [worker(engines, items)]
         else:
-            with ctx.Pool(min(jobs, len(items))) as pool:
-                parts = pool.map(_mp_entry, [(worker_name, c) for c in _chunks(items, jobs)])
+            with ctx.Pool(workers) as pool:
+                parts = pool.map(_mp_entry, [(worker_name, c) for c in _chunks(items, workers)])
         _WORKER_ENGINES = None
-    merged = {"instances": 0, "violations": [], "hard_failures": [], "hard_failure_count": 0}
-    for p in parts:
-        merged["instances"] += p["instances"]
-        merged["violations"].extend(p["violations"])
-        merged["hard_failure_count"] += p["hard_failure_count"]
-        room = HARD_FAILURE_LIST_CAP - len(merged["hard_failures"])
-        if room > 0:
-            merged["hard_failures"].extend(p["hard_failures"][:room])
+    merged = _new_chunk()
+    for part in parts:
+        _merge_chunk(merged, part)
     return merged
 
 
@@ -366,42 +392,23 @@ def _pair_index_list(group: WeylGroup, max_length: int | None) -> list[tuple[int
 
 def run_suite(engines: Engines, name: str, max_length: int | None = None,
               jobs: int = 1) -> SuiteResult:
-    group = engines.group
-    pairs = _pair_index_list(group, max_length)
+    pairs = _pair_index_list(engines.group, max_length)
     start = time.perf_counter()
-
     if name == "theorem-invariants":
-        merged = _theorem_invariants(engines, pairs, max_length, jobs)
-        predicted = merged.pop("predicted")
-    elif name in ("conjB", "conjC"):
-        worker = "conjB" if name == "conjB" else "conjC"
-        merged = _run_chunked(engines, worker, pairs, jobs)
-        predicted = len(pairs)
-    elif name == "conjD":
-        merged = _run_chunked(engines, "conjD", pairs, jobs)
-        predicted = len(pairs) * group.order
-    elif name == "cross-paths":
-        merged = _run_chunked(engines, "cross-paths", pairs, jobs)
-        predicted = len(pairs) * group.order
+        merged, predicted = _theorem_invariants(engines, pairs, max_length, jobs)
+    elif name in SUITE_NAMES:
+        merged = _run_chunked(engines, name, pairs, jobs)
+        predicted = len(pairs) * (engines.group.order if name in _TRIPLE_SUITES else 1)
     else:
         raise ValueError(f"unknown suite {name!r}")
-
-    result = SuiteResult(
-        name=name,
-        instances=merged["instances"],
-        predicted_instances=predicted,
-        violations=merged["violations"],
-        hard_failures=merged["hard_failures"],
-        hard_failure_count=merged["hard_failure_count"],
-        elapsed=time.perf_counter() - start,
-    )
-    return result
+    return SuiteResult(name=name, predicted_instances=predicted,
+                       elapsed=time.perf_counter() - start, **merged)
 
 
-def _theorem_invariants(engines: Engines, pairs, max_length, jobs) -> dict:
-    """Proved-identity sweep; see the module docstring for the blocks."""
+def _theorem_invariants(engines: Engines, pairs, max_length, jobs) -> tuple[dict, int]:
+    """Proved-identity sweep; returns the tally and the predicted count."""
     group, coh, csm, rich = engines.group, engines.coh, engines.csm, engines.rich
-    out = {"instances": 0, "violations": [], "hard_failures": [], "hard_failure_count": 0}
+    out = _new_chunk()
     filtered = _filtered_indices(group, max_length)
 
     # per-element block
@@ -411,8 +418,7 @@ def _theorem_invariants(engines: Engines, pairs, max_length, jobs) -> dict:
         try:
             cell = csm.csm_schubert_cell(u)       # positivity/support/normalization
             seg = csm.segre_schubert_cell(u)      # sign twist
-            twist_sign = 1 if group.w0_times(u).length % 2 == 0 else -1
-            if seg != twist_sign * csm.phi_involution(cell):
+            if seg != parity_sign(group.w0_times(u).length) * csm.phi_involution(cell):
                 _record_hard(out, {"check": "segre-phi-twist", "u": str(u),
                                    "error": "sign involution identity fails"})
             expansion = rich.expand_in_csm_basis(cell)
@@ -426,13 +432,7 @@ def _theorem_invariants(engines: Engines, pairs, max_length, jobs) -> dict:
             _record_hard(out, {"check": "cell-invariants", "u": str(u), "error": str(exc)})
 
     # pair block (parallelizable)
-    pair_part = _run_chunked(engines, "theorem-pairs", pairs, jobs)
-    out["instances"] += pair_part["instances"]
-    out["violations"].extend(pair_part["violations"])
-    out["hard_failure_count"] += pair_part["hard_failure_count"]
-    room = HARD_FAILURE_LIST_CAP - len(out["hard_failures"])
-    if room > 0:
-        out["hard_failures"].extend(pair_part["hard_failures"][:room])
+    _merge_chunk(out, _run_chunked(engines, "theorem-pairs", pairs, jobs))
 
     # global block
     global_count = 0
@@ -505,17 +505,12 @@ def _theorem_invariants(engines: Engines, pairs, max_length, jobs) -> dict:
 
     # Bruhat recursion vs the subword oracle
     for w in group.elements:
-        reachable = {0}
-        for letter in w.word:
-            reachable |= {group._right[x][letter - 1] for x in reachable}
+        reachable = group.subword_products(w)
         for v in group.elements:
             check(group.bruhat_leq(v, w) == (v.index in reachable),
                   "bruhat-subword", f"order disagrees at ({v}, {w})")
 
-    out["predicted"] = (
-        len(filtered) + len(pairs) + global_count
-    )
-    return out
+    return out, len(filtered) + len(pairs) + global_count
 
 
 # -- reports ---------------------------------------------------------------------
@@ -531,7 +526,6 @@ class VerificationReport:
     dl_convention: str
     options: dict
     timings: dict
-    cache_info: dict
 
     @property
     def exit_code(self) -> int:
@@ -549,8 +543,7 @@ class VerificationReport:
             "tool": {"name": "csmverify", "version": __version__},
             "group": {"series": self.series, "rank": self.rank, "order": self.order},
             "cache": {"format_version": FORMAT_VERSION,
-                      "dl_convention": self.dl_convention,
-                      **self.cache_info},
+                      "dl_convention": self.dl_convention},
             "options": self.options,
             "suites": {name: self.suites[name].to_dict()
                        for name in SUITE_NAMES if name in self.suites},
@@ -623,7 +616,15 @@ def run_verification(
     cache: TableCache | None = None,
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> VerificationReport:
-    """Run the requested suites on one group and assemble the report."""
+    """Run the requested suites on one group and assemble the report.
+
+    Raises UsageError for ``jobs`` below 1 or a negative ``max_length``
+    (which would filter out every element and pass on zero instances).
+    """
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
+    if max_length is not None and max_length < 0:
+        raise UsageError(f"--max-length must be nonnegative, got {max_length}")
     suite_names = resolve_suites(suites)
     cache_events: list = []
     t0 = time.perf_counter()
@@ -637,22 +638,14 @@ def run_verification(
         results[name] = run_suite(engines, name, max_length=max_length, jobs=jobs)
 
     meta: dict[str, str] = {}
-    def suite_clean(n):
-        return n in results and results[n].status == "PASS"
-    if "conjB" in results and "conjC" in results:
-        if suite_clean("conjB") and results["conjC"].violations:
-            meta["b-implies-c"] = "FAIL"
+    for implied in ("conjC", "conjD"):
+        key = "b-implies-" + implied[-1].lower()
+        if "conjB" not in results or implied not in results:
+            meta[key] = "SKIPPED"
+        elif results["conjB"].status == "PASS" and results[implied].violations:
+            meta[key] = "FAIL"
         else:
-            meta["b-implies-c"] = "PASS"
-    else:
-        meta["b-implies-c"] = "SKIPPED"
-    if "conjB" in results and "conjD" in results:
-        if suite_clean("conjB") and results["conjD"].violations:
-            meta["b-implies-d"] = "FAIL"
-        else:
-            meta["b-implies-d"] = "PASS"
-    else:
-        meta["b-implies-d"] = "SKIPPED"
+            meta[key] = "PASS"
     if "conjD" in results:
         # observed, never asserted; does not touch the exit code
         status = engines.box.associativity_status(max_length=max_length)
@@ -665,7 +658,7 @@ def run_verification(
                 else f"fails on {failures}/{total} filtered triples"
             )
 
-    report = VerificationReport(
+    return VerificationReport(
         series=series,
         rank=rank,
         order=engines.group.order,
@@ -685,6 +678,4 @@ def run_verification(
             "total_s": round(time.perf_counter() - t0, 6),
             "cache_events": cache_events,
         },
-        cache_info={},
     )
-    return report

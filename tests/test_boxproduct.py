@@ -29,6 +29,8 @@ def test_a1_chi_table(engines):
                 assert box.chi_via_triple_sum(u, v, w) == want
                 assert box.chi_via_pairing(u, v, w) == want
                 assert box.chi_via_richardson(u, v, w) == want
+                assert box.chi_provenance(u, v, w) == ChiProvenance(want, want, want)
+                assert box.chi(u, v, w) == want
 
 
 def test_box_product_examples_a1(engines):
@@ -114,32 +116,3 @@ def test_path_disagreement_raises(engines, monkeypatch):
         box.chi(e, e, e, cross_validate=True)
     monkeypatch.undo()
     box._chi.clear()
-
-
-def test_box_payload(engines):
-    box = _box(engines, "A", 1)
-    payload = box.box_payload()
-    assert payload["entries"] == {
-        "||": [1, 1, 1, 1],
-        "||1": [-1, -1, -1, -1],
-        "|1|1": [1, 1, 1, 1],
-        "1||1": [1, 1, 1, 1],
-    }
-
-
-def test_box_payload_cache_roundtrip(engines, tmp_path):
-    from csmverify.cache import TableCache
-    from csmverify.boxproduct import BoxCalculator
-
-    box = _box(engines, "A", 2)
-    payload = box.box_payload()
-    cache = TableCache(tmp_path)
-    cache.store("A", 2, "box", payload)
-    loaded = cache.load("A", 2, "box")
-    assert loaded == payload
-    fresh = BoxCalculator(box.rich)
-    fresh.load_box_payload(loaded)
-    g = box.group
-    for u in g:
-        for v in g:
-            assert fresh.box_product(u, v) == box.box_product(u, v)

@@ -38,7 +38,6 @@ def test_checksum_mismatch_raises(tmp_path):
     path.write_text(json.dumps(envelope))
     with pytest.raises(CacheCorrupt):
         cache.load("A", 1, "structure")
-    assert cache.checksum("A", 1, "structure") is None
 
 
 def test_version_mismatch_forces_recompute(tmp_path):
@@ -85,3 +84,27 @@ def test_default_cache_dir_env(monkeypatch, tmp_path):
     assert default_cache_dir() == tmp_path / "override"
     monkeypatch.delenv("CSMVERIFY_CACHE")
     assert default_cache_dir().name == "csmverify"
+
+
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch):
+    import csmverify.cache as cache_mod
+
+    cache = TableCache(tmp_path)
+    old = {"entries": {"old": 1}}
+    path = cache.store("A", 2, "structure", old)
+    before = path.read_bytes()
+
+    class DiskFull:
+        @staticmethod
+        def pack(fmt, value):
+            raise OSError("no space left on device")
+
+    # the binary container is written piece by piece; fail after the magic
+    monkeypatch.setattr(cache_mod, "PLAIN_JSON_LIMIT", 10)
+    monkeypatch.setattr(cache_mod, "struct", DiskFull)
+    with pytest.raises(OSError, match="no space"):
+        cache.store("A", 2, "structure", {"entries": {f"k{i}": i for i in range(50)}})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+    assert cache.load("A", 2, "structure") == old

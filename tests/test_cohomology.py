@@ -140,9 +140,10 @@ def test_cup_degree_overflow_vanishes(engines):
 def test_cup_structure_constants_nonnegative(engines):
     for key in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
         coh = _coh(engines, *key)
-        table = coh.build_structure_table()
-        for row in table.entries.values():
-            assert all(c > 0 for c in row.values())
+        coh.build_structure_table()
+        for u in coh.group:
+            for v in coh.group:
+                assert all(c > 0 for c in coh.structure_constants(u, v).values())
 
 
 def test_cup_unit_row(engines):

@@ -5,7 +5,6 @@ from csmverify.csm import (
     CONVENTION_LTR,
     CONVENTION_RTL,
     CsmCalculator,
-    CsmTable,
     _try_convention,
     calibrated_dl_convention,
 )
@@ -258,20 +257,7 @@ def test_opposite_cell_examples(engines):
     assert g2.w0_times(s2) == g2.from_word([2, 1])
 
 
-# -- table views ---------------------------------------------------------------------------------
-
-def test_csm_table_views(engines):
-    csm = _csm(engines, "A", 2)
-    g = csm.group
-    table = csm.build_table()
-    assert isinstance(table, CsmTable)
-    for u in g:
-        assert table.a(u, g.w0_times(u)) == 1
-        assert table.a(u, g.longest) == 1
-        for theta in g:
-            assert table.abar(u, theta) == table.a(u, g.w0_times(theta))
-            assert table.opposite(theta, g.longest) == 1
-
+# -- table payload -------------------------------------------------------------------------------
 
 def test_table_payload_roundtrip(engines):
     csm = _csm(engines, "A", 2)

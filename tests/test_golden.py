@@ -1,0 +1,52 @@
+"""Golden digests of full reports: refactors must keep reports byte-identical.
+
+Each case runs ``table`` on an empty cache, then ``verify --suite all`` on
+the tables it wrote, exactly as a user would.  The digest is the sha256 of
+the canonical JSON of the report without its ``timings`` block, which is
+the part of a report the determinism contract covers.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from csmverify import cli
+from csmverify.cache import canonical_json_bytes
+
+GOLDEN = {
+    ("A", 2): ("b9bbe3563e10b4b377c799abf683c4592896716ec4f39668aa912391d14931ca",
+               "c35ebd5eb14e5ec431d45b31e7f2e1e9eda854b2343aa0760db359c0b1260469",
+               "193fb77620c27b403a458f9a0f953c8e4433112d0785b339bb13a437487e01f8"),
+    ("A", 3): ("2d83c658a64cdc73a6ad0248061fe6c5b854522616c5ca7c3118c5fddcdbc740",
+               "0312a596544e65537fc2c1c684e7dcfc82a50957339c393f69f4c9d6516e8d87",
+               "6b8860bb0aba3e351a8c628b8fa0f3199d3d00bdd3bc54d47888eef735b3d281"),
+    ("B", 2): ("32659de7214f92b508edc54d3d10019f141241e3abfeb32ef82730bbd8ac04c7",
+               "d8ab748ada18fb85c0cb2aeefbeee8e1c85f5f98e32530be11ccb74a49d45524",
+               "052bb01337ed33a4e40fcd0f597d81df2e55a919350902dc3856c5c23ad3a8fe"),
+    ("C", 2): ("d0c6e81e024a3f28382ac76da13bda321ceb25965a8fda419a29dab39add953e",
+               "d115625aa3f0e37baf92a06fa74cb0f74c283b3b0ebd5dcbb75901e635932776",
+               "ebace55a614cc6416ba3e8cab7184f618e99b525f407753426782a360c75ae6c"),
+    ("G", 2): ("4fae9e2d93ff2514c5d7f30b74828730dbb25e8b04b2078257788b3ad3ce6a2f",
+               "5a6a541d417178352d8b5c8f6d696c8143b44698417c7c24bd91e068bb28c973",
+               "2d4386b3fa9dc397c02771b636a903f963699e7b7f331d3db13b4729d074b7ef"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_report_and_table_digests(key, tmp_path, capsys):
+    series, rank = key
+    report_digest, csm_sum, structure_sum = GOLDEN[key]
+    group_args = ["--type", series, "--rank", str(rank), "--cache-dir", str(tmp_path / "cache")]
+
+    assert cli.main(["table", *group_args]) == 0
+    printed = {line.split()[0]: line.rsplit("checksum ", 1)[1]
+               for line in capsys.readouterr().out.splitlines() if "checksum" in line}
+    assert printed == {"csm": csm_sum, "structure": structure_sum}
+
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", *group_args, "--suite", "all", "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    report.pop("timings")
+    assert report["options"]["table_checksums"] == {"csm": csm_sum, "structure": structure_sum}
+    assert hashlib.sha256(canonical_json_bytes(report)).hexdigest() == report_digest

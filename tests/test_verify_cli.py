@@ -8,7 +8,13 @@ from csmverify import cli
 from csmverify.cache import TableCache
 from csmverify.errors import ParityViolation
 from csmverify.richardson import RichardsonCalculator
-from csmverify.verify import SUITE_NAMES, resolve_suites, run_suite, run_verification
+from csmverify.verify import (
+    SUITE_NAMES,
+    pool_size,
+    resolve_suites,
+    run_suite,
+    run_verification,
+)
 
 
 def _strip_timings(report_json: str) -> dict:
@@ -69,6 +75,17 @@ def test_report_determinism():
     assert _strip_timings(a) == _strip_timings(b)
     assert json.dumps(_strip_timings(a), sort_keys=True) == \
         json.dumps(_strip_timings(b), sort_keys=True)
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    import csmverify.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert pool_size(1, 100) == 1
+    assert pool_size(3, 100) == 3
+    assert pool_size(10**6, 10**9) == 4      # never more than the usable CPUs
+    assert pool_size(8, 2) == 2              # nor more than the chunks of work
+    assert pool_size(8, 0) == 1
 
 
 def test_parallel_equals_serial():
@@ -140,6 +157,8 @@ def test_cache_events_recorded(tmp_path):
     events2 = second.timings["cache_events"]
     assert {"kind": "structure", "event": "hit"} in events2
     assert {"kind": "csm", "event": "hit"} in events2
+    # adopted tables are not written back
+    assert not [e for e in events2 if e["event"] == "store"]
     assert _strip_timings(first.to_json()) == _strip_timings(second.to_json())
 
 
@@ -153,6 +172,10 @@ def test_corrupt_cache_recovers(tmp_path):
     with pytest.warns(UserWarning, match="cache corrupt"):
         report = run_verification("A", 1, suites=["conjB"], cache=cache)
     assert report.exit_code == 0
+    # only the corrupt table is rewritten, and the rewrite loads cleanly
+    stores = [e["kind"] for e in report.timings["cache_events"] if e["event"] == "store"]
+    assert stores == ["structure"]
+    assert cache.load("A", 1, "structure") is not None
 
 
 # -- CLI ----------------------------------------------------------------------------------
@@ -202,6 +225,12 @@ def test_cli_usage_errors(tmp_path, capsys):
                      "--cache-dir", str(tmp_path)]) == 3
     assert cli.main(["verify", "--type", "E", "--rank", "6",
                      "--cache-dir", str(tmp_path)]) == 3  # capacity
+    # a negative length filter would pass vacuously on zero instances
+    assert cli.main(["verify", "--type", "A", "--rank", "2", "--max-length", "-1",
+                     "--cache-dir", str(tmp_path)]) == 3
+    assert cli.main(["verify", "--type", "A", "--rank", "2", "--jobs", "0",
+                     "--cache-dir", str(tmp_path)]) == 3
+    assert "--jobs must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_show_box_golden(tmp_path, capsys):
