@@ -3,13 +3,17 @@
 The structure constant chi(u, v, w) of the deformed product is the Euler
 characteristic of the intersection of two opposite cells with a general
 translate of a third.  No general translate is ever materialized: chi is
-computed by three independent proved identities,
+computed by three proved identities,
 
 * a triple sum over the CSM coefficient matrix against triple integrals,
 * the pairing of a Richardson class against a Segre cell class,
 * a single coefficient of the CSM-basis expansion of a Richardson class,
 
 and the three results must agree.  Disagreement is an internal failure.
+Only two are independent: given the enforced Segre-twist identity and that
+the sign involution phi is a ring map, the pairing and the triple sum are
+one formula, so agreement with the expansion is the substantive check.
+All three stay hard checks.
 The canonical stored value is the expansion-coefficient path (cheapest once
 the tables exist); cross-validation is exhaustive for groups of order at
 most 48 and deterministically sampled above that.
@@ -64,22 +68,20 @@ class BoxCalculator:
         by the intersection dimension l(w) - l(u) - l(v)."""
         self.coh._check(u, v, w)
         group, coh, csm = self.group, self.coh, self.csm
+        els, lengths = group.elements, group._lengths
         top = group.num_positive
-        a_u = csm.csm_schubert_cell(group.w0_times(u))
-        a_v = csm.csm_schubert_cell(group.w0_times(v))
-        a_w = csm.csm_schubert_cell(w)
+        a_u = csm.csm_schubert_cell(group.w0_times(u)).coeffs
+        a_v = csm.csm_schubert_cell(group.w0_times(v)).coeffs
+        a_w = csm.csm_schubert_cell(w).coeffs
         by_len_w: dict[int, list[tuple[WeylElement, int]]] = {}
-        for w1, c in a_w.coeffs.items():
-            by_len_w.setdefault(w1.length, []).append((w1, c))
+        for w1, c in a_w.items():
+            by_len_w.setdefault(lengths[w1], []).append((els[w1], c))
         total = 0
-        for u1, cu in a_u.coeffs.items():
-            sign = parity_sign(u.length - u1.length)
-            for v1, cv in a_v.coeffs.items():
-                rest = top - u1.length - v1.length
-                if rest < 0:
-                    continue
-                for w1, cw in by_len_w.get(rest, ()):
-                    integral = coh.triple_integral(u1, v1, w1)
+        for u1, cu in a_u.items():
+            sign = parity_sign(u.length - lengths[u1])
+            for v1, cv in a_v.items():
+                for w1, cw in by_len_w.get(top - lengths[u1] - lengths[v1], ()):
+                    integral = coh.triple_integral(els[u1], els[v1], w1)
                     if integral:
                         total += sign * cu * cv * cw * integral
         return parity_sign(w.length - u.length - v.length) * total
@@ -96,7 +98,7 @@ class BoxCalculator:
         class of (w0 u, v)."""
         self.coh._check(u, v, w)
         d = self.rich._expansion(self.group.w0_times(u), v)
-        return d.get(self.group.w0_times(w), 0)
+        return d.get(self.group._w0[w.index], 0)
 
     # -- canonical value -----------------------------------------------------------
 
@@ -144,22 +146,18 @@ class BoxCalculator:
         its lowest-degree part is the cup product.
         """
         self.coh._check(u, v)
-        out: dict[WeylElement, int] = {}
         floor = u.length + v.length
-        for w in self.group:
-            if w.length < floor:
-                continue
-            c = self.chi(u, v, w)
-            if c:
-                out[w] = c
-        return CohomologyClass(self.group, out)
+        return CohomologyClass(self.group, {
+            w.index: self.chi(u, v, w) for w in self.group if w.length >= floor
+        })
 
     def box_product_class(self, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
         """Bilinear extension of the deformed product to arbitrary classes."""
+        els = self.group.elements
         out = self.coh.zero()
         for u, cu in a.coeffs.items():
             for v, cv in b.coeffs.items():
-                out = out + (cu * cv) * self.box_product(u, v)
+                out = out + (cu * cv) * self.box_product(els[u], els[v])
         return out
 
     def associativity_status(self, max_length: int | None = None,

@@ -20,32 +20,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GroupMismatch, InexactDivision, InternalInvariantError
+from .errors import CacheCorrupt, InexactDivision, InternalInvariantError
 from .polynomial import IntPolynomial
 from .rootdata import WeylElement, WeylGroup, parity_sign
 
 
 class CohomologyClass:
-    """A finite integer combination of basis classes eps^w (sparse, graded)."""
+    """A finite integer combination of basis classes eps^w (sparse, graded),
+    keyed by element index; the accessors speak in group elements."""
 
     __slots__ = ("group", "coeffs")
 
     def __init__(self, group: WeylGroup, coeffs=None):
         self.group = group
-        self.coeffs: dict[WeylElement, int] = {} if coeffs is None else {
+        self.coeffs: dict[int, int] = {} if coeffs is None else {
             w: c for w, c in coeffs.items() if c != 0
         }
 
     def coefficient(self, w: WeylElement) -> int:
-        return self.coeffs.get(w, 0)
+        self._check(w)
+        return self.coeffs.get(w.index, 0)
 
     def items(self):
-        return self.coeffs.items()
+        els = self.group.elements
+        return ((els[w], c) for w, c in self.coeffs.items())
 
     def degree_part(self, d: int) -> "CohomologyClass":
         """Terms of cohomological degree 2*d (i.e. index length d)."""
         return CohomologyClass(
-            self.group, {w: c for w, c in self.coeffs.items() if w.length == d}
+            self.group, {w: c for w, c in self.coeffs.items() if self.group._lengths[w] == d}
         )
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
@@ -78,12 +81,8 @@ class CohomologyClass:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def _check(self, other):
-        if self.group.datum != other.group.datum:
-            raise GroupMismatch("classes live on different flag manifolds")
-
-    def _sorted_terms(self):
-        return sorted(self.coeffs.items(), key=lambda wc: wc[0].index)
+    def _check(self, *others):
+        self.group._check_same(*others)
 
     def epsilon_string(self) -> str:
         """Render in the eps basis, e.g. ``eps^e - eps^{s1}``."""
@@ -91,14 +90,14 @@ class CohomologyClass:
 
     def schubert_variety_string(self) -> str:
         """Render in the [X_w] basis; the eps^w term is [X_{w0 w}]."""
-        return self._render(lambda w: self.group.w0_times(w), bracket=True)
+        return self._render(self.group._w0.__getitem__, bracket=True)
 
     def _render(self, relabel, bracket: bool = False) -> str:
         if not self.coeffs:
             return "0"
         parts = []
-        for w, c in self._sorted_terms():
-            label = str(relabel(w))
+        for w, c in sorted(self.coeffs.items()):
+            label = str(self.group.elements[relabel(w)])
             if bracket:
                 body = f"[X_{{{label}}}]" if " " in label else f"[X_{label}]"
             else:
@@ -173,7 +172,8 @@ class WordKeys:
 
     def decode(self, payload: dict, field: str, arity: int) -> dict[tuple[int, ...], dict[int, int]]:
         """Inverse of encode for ``payload[field]``, whose row keys name
-        ``arity`` elements; anything malformed is an internal failure."""
+        ``arity`` elements; anything malformed raises CacheCorrupt, so the
+        caller recomputes the table."""
         index = {k: i for i, k in enumerate(self.keys)}
         try:
             rows = {}
@@ -182,8 +182,8 @@ class WordKeys:
                 if len(parts) != arity:
                     raise ValueError(f"row key {row_key!r} does not name {arity} elements")
                 rows[tuple(index[k] for k in parts)] = {index[w]: int(c) for w, c in row.items()}
-        except (KeyError, ValueError) as exc:
-            raise InternalInvariantError(f"malformed {field!r} payload: {exc}") from exc
+        except (KeyError, ValueError, AttributeError, TypeError) as exc:
+            raise CacheCorrupt(f"malformed {field!r} payload: {exc}") from exc
         return rows
 
 
@@ -207,7 +207,6 @@ class FlagCohomology:
         self._pos_product: int | None = None
         self._struct: dict[tuple[int, int], dict[int, int]] = {}
         self._triple_cache: dict[tuple[int, int, int], int] = {}
-        self._dual: list[int] | None = None
         self._billey_poly: dict[int, dict[int, IntPolynomial]] = {}
         self._table_complete = False
 
@@ -217,19 +216,18 @@ class FlagCohomology:
         return CohomologyClass(self.group)
 
     def unit(self) -> CohomologyClass:
-        return CohomologyClass(self.group, {self.group.identity: 1})
+        return CohomologyClass(self.group, {0: 1})
 
     def schubert_class(self, w: WeylElement) -> CohomologyClass:
         self._check(w)
-        return CohomologyClass(self.group, {w: 1})
+        return CohomologyClass(self.group, {w.index: 1})
 
     def from_dict(self, coeffs) -> CohomologyClass:
-        return CohomologyClass(self.group, dict(coeffs))
+        self._check(*coeffs)
+        return CohomologyClass(self.group, {w.index: c for w, c in coeffs.items()})
 
-    def _check(self, *ws):
-        for w in ws:
-            if w.group.datum != self.group.datum:
-                raise GroupMismatch("element from a different group")
+    def _check(self, *xs):
+        self.group._check_same(*xs)
 
     # -- localization data -------------------------------------------------------
 
@@ -268,7 +266,6 @@ class FlagCohomology:
         for coords in group._root_coords:
             prod *= self._root_value(coords)
         self._pos_product = prod
-        self._dual = [group.w0_times(w).index for w in group.elements]
 
     def _triple_raw(self, i: int, j: int, k: int) -> int:
         """Integral of a triple product of basis classes, exact."""
@@ -292,7 +289,7 @@ class FlagCohomology:
 
     def integrate(self, a: CohomologyClass) -> int:
         """Coefficient of the top class (degree = dimension)."""
-        return a.coefficient(self.group.longest)
+        return a.coeffs.get(self.group.longest.index, 0)
 
     def triple_integral(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
         self._check(u, v, w)
@@ -315,7 +312,7 @@ class FlagCohomology:
             for wi in group.indices_of_length(target):
                 if wi not in up_u or wi not in up_v:
                     continue
-                c = self._triple_raw(ui, vi, self._dual[wi])
+                c = self._triple_raw(ui, vi, group._w0[wi])
                 if c < 0:
                     raise InternalInvariantError(
                         f"negative cup structure constant at ({ui},{vi},{wi})"
@@ -331,16 +328,14 @@ class FlagCohomology:
         return {els[w]: c for w, c in self.structure_constants_idx(u.index, v.index).items()}
 
     def cup(self, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-        a._check(b)
-        self._check(*a.coeffs)
-        els = self.group.elements
+        self._check(a, b)
         out: dict[int, int] = {}
         for u, cu in a.coeffs.items():
             for v, cv in b.coeffs.items():
                 prod = cu * cv
-                for wi, c in self.structure_constants_idx(u.index, v.index).items():
+                for wi, c in self.structure_constants_idx(u, v).items():
                     out[wi] = out.get(wi, 0) + prod * c
-        return CohomologyClass(self.group, {els[w]: c for w, c in out.items() if c})
+        return CohomologyClass(self.group, out)
 
     def chevalley_multiply(self, lam, v: WeylElement, basis: str = "root") -> CohomologyClass:
         """Degree-2 product rule: c1(L_lam) . eps^v, independent of localization.
@@ -349,16 +344,20 @@ class FlagCohomology:
         coefficient the pairing of lam against the coroot of beta.
         """
         self._check(v)
+        return CohomologyClass(self.group, self._chevalley_idx(lam, v.index, basis))
+
+    def _chevalley_idx(self, lam, vi: int, basis: str = "root") -> dict[int, int]:
+        """chevalley_multiply on element indices."""
         group = self.group
-        out: dict[WeylElement, int] = {}
+        out: dict[int, int] = {}
         for b_idx, beta in enumerate(group.positive_roots):
-            t = group.elements[group.right_reflection_index(v.index, b_idx)]
-            if t.length != v.length + 1:
+            t = group.right_reflection_index(vi, b_idx)
+            if group._lengths[t] != group._lengths[vi] + 1:
                 continue
             coef = group.pair(lam, beta, basis=basis)
             if coef:
                 out[t] = out.get(t, 0) + coef
-        return CohomologyClass(group, out)
+        return out
 
     # -- polynomial (expansion) route ----------------------------------------------
 
@@ -464,11 +463,7 @@ class FlagCohomology:
     # -- full table ------------------------------------------------------------------
 
     def build_structure_table(self) -> None:
-        """Materialize every structure constant, with self-checks.
-
-        Verifies the unit row and that localization agrees with the
-        degree-2 product rule on every pair (simple index, element).
-        """
+        """Materialize every structure constant, then self-check the table."""
         group = self.group
         if not self._table_complete:
             order = group.order
@@ -478,21 +473,26 @@ class FlagCohomology:
                     if lu + group._lengths[vi] > group.num_positive:
                         continue
                     self.structure_constants_idx(ui, vi)
-            for v in group.elements:
-                unit_row = self.structure_constants_idx(0, v.index)
-                if unit_row != {v.index: 1}:
-                    raise InternalInvariantError("unit row of the cup table is wrong")
-            for i in range(1, group.rank + 1):
-                omega = tuple(1 if k == i - 1 else 0 for k in range(group.rank))
-                si = group.simple_reflection(i)
-                for v in group.elements:
-                    got = self.cup(self.schubert_class(si), self.schubert_class(v))
-                    want = self.chevalley_multiply(omega, v, basis="weight")
-                    if got != want:
-                        raise InternalInvariantError(
-                            f"degree-2 products disagree at (s{i}, {v})"
-                        )
+            self._check_table()
             self._table_complete = True
+
+    def _check_table(self) -> None:
+        """The unit row, and the degree-2 product rule on every pair (simple
+        reflection, element): rank * |W| single-term cups."""
+        group = self.group
+        for vi in range(group.order):
+            if self.structure_constants_idx(0, vi) != {vi: 1}:
+                raise InternalInvariantError("unit row of the cup table is wrong")
+        for i in range(1, group.rank + 1):
+            omega = tuple(1 if k == i - 1 else 0 for k in range(group.rank))
+            si = group.simple_reflection(i)
+            for v in group.elements:
+                got = self.cup(self.schubert_class(si), self.schubert_class(v))
+                want = self.chevalley_multiply(omega, v, basis="weight")
+                if got != want:
+                    raise InternalInvariantError(
+                        f"degree-2 products disagree at (s{i}, {v})"
+                    )
 
     # -- cache integration ----------------------------------------------------------
 
@@ -503,10 +503,17 @@ class FlagCohomology:
         return {"entries": WordKeys(self.group).encode(rows)}
 
     def load_structure_payload(self, payload: dict) -> None:
+        """Adopt a cached table after the build's self-check; raises
+        CacheCorrupt, adopting nothing, if it does not decode or fails."""
         order = self.group.order
         self._struct.update(WordKeys(self.group).decode(payload, "entries", arity=2))
         # pairs with an empty product are not stored; restore them
         for ui in range(order):
             for vi in range(ui, order):
                 self._struct.setdefault((ui, vi), {})
+        try:
+            self._check_table()
+        except InternalInvariantError as exc:
+            self._struct.clear()
+            raise CacheCorrupt(f"cached structure table fails its check: {exc}") from exc
         self._table_complete = True

@@ -18,7 +18,7 @@ element.
 from __future__ import annotations
 
 from .cohomology import CohomologyClass, FlagCohomology, WordKeys
-from .errors import CalibrationFailure, InternalInvariantError
+from .errors import CacheCorrupt, CalibrationFailure, InternalInvariantError
 from .rootdata import CartanDatum, WeylElement, WeylGroup, parity_sign
 
 #: letters of a reduced word applied first-to-last while building the
@@ -47,24 +47,24 @@ class CsmCalculator:
 
     def bgg_A(self, i: int, a: CohomologyClass) -> CohomologyClass:
         """Homological BGG operator: kills ascents, steps down descents."""
-        group = self.group
-        out: dict[WeylElement, int] = {}
+        right, lengths = self.group._right, self.group._lengths
+        out: dict[int, int] = {}
         for w, c in a.coeffs.items():
-            t = group.elements[group._right[w.index][i - 1]]
-            if t.length < w.length:
-                out[t] = out.get(t, 0) + c
-        return CohomologyClass(group, out)
+            t = right[w][i - 1]
+            if lengths[t] < lengths[w]:
+                out[t] = c
+        return CohomologyClass(self.group, out)
 
     def weyl_action(self, i: int, a: CohomologyClass) -> CohomologyClass:
         """Coinvariant action of the i-th simple reflection (an involution)."""
         group = self.group
         alpha = tuple(1 if k == i - 1 else 0 for k in range(group.rank))
-        out: dict[WeylElement, int] = {}
+        out: dict[int, int] = {}
         for w, c in a.coeffs.items():
             out[w] = out.get(w, 0) + c
-            t = group.elements[group._right[w.index][i - 1]]
-            if t.length < w.length:
-                for z, m in self.coh.chevalley_multiply(alpha, t).coeffs.items():
+            t = group._right[w][i - 1]
+            if group._lengths[t] < group._lengths[w]:
+                for z, m in self.coh._chevalley_idx(alpha, t).items():
                     out[z] = out.get(z, 0) - c * m
         return CohomologyClass(group, out)
 
@@ -97,12 +97,11 @@ class CsmCalculator:
             out = self.coh.schubert_class(group.longest)
         else:
             word = group._words[idx]
-            if self.convention == CONVENTION_LTR:
-                prefix = group.from_word(word[:-1])
-                out = self.dl_operator(word[-1], self._cell_idx(prefix.index))
-            else:
-                suffix = group.from_word(word[1:])
-                out = self.dl_operator(word[0], self._cell_idx(suffix.index))
+            if self.convention == CONVENTION_LTR:  # idx = prefix * s_i
+                i, rest = word[-1], group._right[idx][word[-1] - 1]
+            else:  # idx = s_i * suffix
+                i, rest = word[0], group._left[idx][word[0] - 1]
+            out = self.dl_operator(i, self._cell_idx(rest))
         self._cells[idx] = out
         return out
 
@@ -116,17 +115,17 @@ class CsmCalculator:
         return out
 
     def _check_cell_invariants(self, u: WeylElement, cls: CohomologyClass) -> None:
-        group = self.group
-        dual = group.w0_times(u)
-        if cls.coefficient(dual) != 1:
+        group, els = self.group, self.group.elements
+        dual = group._w0[u.index]
+        if cls.coeffs.get(dual) != 1:
             raise CalibrationFailure(f"cell class of {u}: leading coefficient != 1")
-        if cls.coefficient(group.longest) != 1:
+        if cls.coeffs.get(group.longest.index) != 1:
             raise CalibrationFailure(f"cell class of {u}: top coefficient != 1")
         for w, c in cls.coeffs.items():
             if c < 0:
-                raise CalibrationFailure(f"cell class of {u}: negative coefficient at {w}")
-            if not group.bruhat_leq(dual, w):
-                raise CalibrationFailure(f"cell class of {u}: support below {dual}")
+                raise CalibrationFailure(f"cell class of {u}: negative coefficient at {els[w]}")
+            if not group._bruhat_leq_idx(dual, w):
+                raise CalibrationFailure(f"cell class of {u}: support below {els[dual]}")
 
     def csm_opposite_cell(self, v: WeylElement) -> CohomologyClass:
         """Opposite-cell class; translation by w0 is homotopic to the
@@ -143,9 +142,9 @@ class CsmCalculator:
             coh = self.coh
             cls = coh.unit()
             for beta in self.group.positive_roots:
-                add: dict[WeylElement, int] = {}
+                add: dict[int, int] = {}
                 for w, c in cls.coeffs.items():
-                    for t, m in coh.chevalley_multiply(beta.coords, w).coeffs.items():
+                    for t, m in coh._chevalley_idx(beta.coords, w).items():
                         add[t] = add.get(t, 0) + c * m
                 cls = cls + CohomologyClass(self.group, add)
             if coh.integrate(cls) != self.group.order:
@@ -186,7 +185,7 @@ class CsmCalculator:
         seg = self.segre_sm(cls)
         base = self.group.w0_times(u).length
         twisted = CohomologyClass(self.group, {
-            w: parity_sign(w.length - base) * c for w, c in cls.coeffs.items()
+            w: parity_sign(self.group._lengths[w] - base) * c for w, c in cls.coeffs.items()
         })
         if seg != twisted:
             raise InternalInvariantError(
@@ -201,7 +200,7 @@ class CsmCalculator:
     def phi_involution(self, a: CohomologyClass) -> CohomologyClass:
         """Sign involution: (-1)^degree on each graded piece; a ring map."""
         return CohomologyClass(self.group, {
-            w: parity_sign(w.length) * c for w, c in a.coeffs.items()
+            w: parity_sign(self.group._lengths[w]) * c for w, c in a.coeffs.items()
         })
 
     def completeness_check(self) -> bool:
@@ -220,20 +219,19 @@ class CsmCalculator:
 
     def table_payload(self) -> dict:
         self.build_table()
-        rows = {(ui,): {w.index: c for w, c in self._cells[ui].coeffs.items()}
-                for ui in range(self.group.order)}
+        rows = {(ui,): self._cells[ui].coeffs for ui in range(self.group.order)}
         return {"convention": self.convention, "rows": WordKeys(self.group).encode(rows)}
 
     def load_table_payload(self, payload: dict) -> bool:
-        """Adopt cached cell classes; refuses on convention mismatch."""
+        """Adopt cached cell classes; refuses on convention mismatch, raises
+        CacheCorrupt if the payload does not decode or cover the group."""
         if payload.get("convention") != self.convention:
             return False
         group = self.group
-        els = group.elements
-        cells = {ui: CohomologyClass(group, {els[wi]: c for wi, c in row.items()})
+        cells = {ui: CohomologyClass(group, row)
                  for (ui,), row in WordKeys(group).decode(payload, "rows", arity=1).items()}
         if len(cells) != group.order:
-            raise InternalInvariantError("CSM payload does not cover the group")
+            raise CacheCorrupt("CSM payload does not cover the group")
         self._cells.update(cells)
         return True
 

@@ -15,12 +15,12 @@ statements: they are recorded on the result objects, never raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cohomology import CohomologyClass
 from .csm import CsmCalculator
 from .errors import LemmaViolation, MirrorMismatch, ParityViolation, SingularSystem
-from .rootdata import WeylElement, parity_sign
+from .rootdata import WeylElement, WeylGroup, parity_sign
 
 
 @dataclass
@@ -45,12 +45,21 @@ class RichardsonCoefficients:
 class CsmBasisCoefficients:
     """Coefficients d_w of a class against the CSM cell-class basis.
 
+    ``coeffs`` holds them by element index and ``d`` by element.
     ``sign_ok`` is the alternating-sign verdict relative to a Richardson
-    pair (u, v); it is None for expansions without that context.
+    pair (u, v), and ``violations`` lists the (w, d_w) that break it in
+    canonical order; both are unset for expansions without that context.
     """
 
-    d: dict[WeylElement, int]
+    group: WeylGroup
+    coeffs: dict[int, int]
     sign_ok: bool | None = None
+    violations: list[tuple[WeylElement, int]] = field(default_factory=list)
+
+    @property
+    def d(self) -> dict[WeylElement, int]:
+        els = self.group.elements
+        return {els[w]: c for w, c in self.coeffs.items()}
 
 
 class RichardsonCalculator:
@@ -61,7 +70,7 @@ class RichardsonCalculator:
         self.coh = csm.coh
         self.group = csm.group
         self._cells: dict[tuple[int, int], CohomologyClass] = {}
-        self._expansions: dict[tuple[int, int], dict[WeylElement, int]] = {}
+        self._expansions: dict[tuple[int, int], dict[int, int]] = {}
 
     def csm_richardson(self, u: WeylElement, v: WeylElement) -> CohomologyClass:
         """CSM class of the Richardson cell of (u, v).
@@ -98,9 +107,9 @@ class RichardsonCalculator:
         c: dict[WeylElement, int] = {}
         parity_ok = True
         for eps_label, val in cls.coeffs.items():
-            w = group.w0_times(eps_label)
-            c[w] = val
-            if (w.length + u.length + v.length) % 2 != 0:
+            w = group._w0[eps_label]
+            c[group.elements[w]] = val
+            if (group._lengths[w] + u.length + v.length) % 2 != 0:
                 parity_ok = False
         nonneg_ok = all(val >= 0 for val in c.values())
         result = RichardsonCoefficients(u, v, c, parity_ok, nonneg_ok)
@@ -118,18 +127,19 @@ class RichardsonCalculator:
         integer solve; the residual is re-checked to be zero.
         """
         group = self.group
+        els = group.elements
         rem = dict(a.coeffs)
-        d: dict[WeylElement, int] = {}
+        d: dict[int, int] = {}
         steps = 0
         while rem:
             steps += 1
             if steps > group.order:
                 raise SingularSystem("CSM-basis expansion did not terminate")
-            theta = min(rem, key=lambda w: w.index)
-            u = group.w0_times(theta)
+            theta = min(rem)
+            u = group._w0[theta]
             coeff = rem[theta]
             d[u] = coeff
-            for w, c in self.csm.csm_schubert_cell(u).coeffs.items():
+            for w, c in self.csm.csm_schubert_cell(els[u]).coeffs.items():
                 val = rem.get(w, 0) - coeff * c
                 if val:
                     rem[w] = val
@@ -138,24 +148,26 @@ class RichardsonCalculator:
         # back-substitution residual must vanish
         total = self.coh.zero()
         for u, coeff in d.items():
-            total = total + coeff * self.csm.csm_schubert_cell(u)
+            total = total + coeff * self.csm.csm_schubert_cell(els[u])
         if total != a:
             raise SingularSystem("CSM-basis expansion residual is nonzero")
-        return CsmBasisCoefficients(d)
+        return CsmBasisCoefficients(group, d)
 
     def csm_basis_coeffs(self, u: WeylElement, v: WeylElement) -> CsmBasisCoefficients:
         """Expansion of a Richardson class, with the alternating-sign
-        verdict (-1)^(l(w)-l(u)-l(v)) d_w >= 0 filled in."""
+        verdict (-1)^(l(w)-l(u)-l(v)) d_w >= 0 and its violations filled in."""
         d = self._expansion(u, v)
+        group = self.group
         base = u.length + v.length
-        sign_ok = all(parity_sign(w.length - base) * val >= 0 for w, val in d.items())
-        return CsmBasisCoefficients(dict(d), sign_ok)
+        violations = [(group.elements[w], val) for w, val in sorted(d.items())
+                      if parity_sign(group._lengths[w] - base) * val < 0]
+        return CsmBasisCoefficients(group, dict(d), not violations, violations)
 
-    def _expansion(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
+    def _expansion(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
         key = (u.index, v.index)
         cached = self._expansions.get(key)
         if cached is None:
-            cached = self.expand_in_csm_basis(self.csm_richardson(u, v)).d
+            cached = self.expand_in_csm_basis(self.csm_richardson(u, v)).coeffs
             self._expansions[key] = cached
         return cached
 
@@ -172,10 +184,10 @@ class RichardsonCalculator:
         )
         twisted = self.csm.phi_involution(seg)
         sign = parity_sign(self.group.w0_times(u).length + v.length)
-        e = dict(twisted.coeffs)
-        for w, val in e.items():
+        for w, val in twisted.coeffs.items():
             if sign * val < 0:
                 raise LemmaViolation(
-                    f"twisted Segre sign condition fails at ({u}, {v}), term {w}"
+                    f"twisted Segre sign condition fails at ({u}, {v}), "
+                    f"term {self.group.elements[w]}"
                 )
-        return e
+        return dict(twisted.items())

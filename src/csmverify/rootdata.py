@@ -326,9 +326,16 @@ class WeylGroup:
         if self.longest.length != self.num_positive:
             raise NotFiniteType("longest element length != number of positive roots")
 
+        # index of w0 * x for every index x
+        self._w0: list[int] = []
+        for word in self._words:
+            cur = self.longest.index
+            for i in word:
+                cur = self._right[cur][i - 1]
+            self._w0.append(cur)
+
         self._bruhat_cache: dict[tuple[int, int], bool] = {}
         self._refl_right: list[list[int]] | None = None
-        self._w0_times: list[int] | None = None
 
     # -- root system -------------------------------------------------------
 
@@ -505,11 +512,12 @@ class WeylGroup:
 
     # -- group operations ----------------------------------------------------
 
-    def _check_same(self, *xs: WeylElement):
+    def _check_same(self, *xs):
+        """Operands must share this datum; another enumeration of it has the same indices."""
         for x in xs:
-            if x.group.datum != self.datum:
+            if x.group is not self and x.group.datum != self.datum:
                 raise GroupMismatch(
-                    f"element of W({x.group.datum}) used with W({self.datum})"
+                    f"operand of W({x.group.datum}) used with W({self.datum})"
                 )
 
     def simple_reflection(self, i: int) -> WeylElement:
@@ -607,17 +615,9 @@ class WeylGroup:
         return self._refl_right[idx][root_idx]
 
     def w0_times(self, x: WeylElement) -> WeylElement:
-        """Left multiplication by the longest element (cached)."""
+        """Left multiplication by the longest element."""
         self._check_same(x)
-        if self._w0_times is None:
-            table = []
-            for idx in range(self.order):
-                cur = self.longest.index
-                for i in self._words[idx]:
-                    cur = self._right[cur][i - 1]
-                table.append(cur)
-            self._w0_times = table
-        return self.elements[self._w0_times[x.index]]
+        return self.elements[self._w0[x.index]]
 
     def descents_left(self, x: WeylElement) -> list[int]:
         return [i + 1 for i in range(self.rank)

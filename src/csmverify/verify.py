@@ -4,7 +4,8 @@ Suite semantics
 ---------------
 * ``theorem-invariants``: proved identities only.  Any failure here is an
   implementation bug; it is recorded as a hard failure and maps to exit
-  code 2.
+  code 2.  Given the Segre twist and the ring map phi, the mirror check on
+  each Richardson class is equivalent to the parity check; both stay.
 * ``conjB``: nonnegativity of the Richardson coefficients against the
   Schubert-variety basis.  All |W|^2 pairs; negatives are findings.
 * ``conjC``: alternating signs of the CSM-basis expansions of Richardson
@@ -13,8 +14,8 @@ Suite semantics
   intersection dimension, over all filtered triples, plus the graded
   comparison with the cup product (hard) and the per-pair equivalence with
   the conjC verdict (hard).
-* ``cross-paths``: the three independent Euler-characteristic formulas
-  agree on every filtered triple (hard).
+* ``cross-paths``: the three Euler-characteristic formulas agree on every
+  filtered triple (hard); only two are independent (see ``boxproduct``).
 
 Findings carry full witnesses (reduced words, never internal indices).
 Reports are byte-deterministic apart from the ``timings`` block, which is
@@ -79,27 +80,23 @@ def build_engines(
     csm = CsmCalculator(coh)
 
     adopted = set()
-
-    def note(event):
-        if cache_events is not None:
-            cache_events.append(event)
-
     if cache is not None:
         for kind, loader in (("structure", coh.load_structure_payload),
                              ("csm", csm.load_table_payload)):
+            # failed checksum, decode or table check: recompute and replace
             try:
                 payload = cache.load(datum.series, rank, kind)
+                if payload is None:
+                    event = "miss"
+                else:
+                    event = "stale" if loader(payload) is False else "hit"
             except CacheCorrupt as exc:
                 warnings.warn(f"cache corrupt, recomputing: {exc}")
-                note({"kind": kind, "event": "corrupt"})
-                continue
-            if payload is None:
-                note({"kind": kind, "event": "miss"})
-            elif loader(payload) is False:
-                note({"kind": kind, "event": "stale"})
-            else:
+                event = "corrupt"
+            if event == "hit":
                 adopted.add(kind)
-                note({"kind": kind, "event": "hit"})
+            if cache_events is not None:
+                cache_events.append({"kind": kind, "event": event})
     rich = RichardsonCalculator(csm)
     return Engines(group, coh, csm, rich, BoxCalculator(rich), adopted)
 
@@ -235,15 +232,10 @@ def _chunk_conjc(engines: Engines, chunk) -> dict:
             _record_hard(out, {"check": "csm-basis-expansion", "u": str(u), "v": str(v),
                                "error": str(exc)})
             continue
-        if coeffs.sign_ok:
-            continue
-        base = u.length + v.length
-        for w in sorted(coeffs.d, key=lambda w: w.index):
-            val = coeffs.d[w]
-            if parity_sign(w.length - base) * val < 0:
-                out["violations"].append({
-                    "check": "conjC", "u": str(u), "v": str(v), "w": str(w), "value": val,
-                })
+        for w, val in coeffs.violations:
+            out["violations"].append({
+                "check": "conjC", "u": str(u), "v": str(v), "w": str(w), "value": val,
+            })
     return out
 
 
@@ -422,7 +414,7 @@ def _theorem_invariants(engines: Engines, pairs, max_length, jobs) -> tuple[dict
                 _record_hard(out, {"check": "segre-phi-twist", "u": str(u),
                                    "error": "sign involution identity fails"})
             expansion = rich.expand_in_csm_basis(cell)
-            if expansion.d != {u: 1}:
+            if expansion.coeffs != {ui: 1}:
                 _record_hard(out, {"check": "csm-basis-unitriangular", "u": str(u),
                                    "error": "cell class does not expand to itself"})
             if csm.csm_opposite_cell(u) != csm.csm_schubert_cell(group.w0_times(u)):

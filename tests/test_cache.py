@@ -108,3 +108,32 @@ def test_failed_write_keeps_old_file(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert [p.name for p in path.parent.iterdir()] == [path.name]
     assert cache.load("A", 2, "structure") == old
+
+
+def _store_after_barrier(root, barrier, payload, times):
+    cache = TableCache(root)
+    barrier.wait()
+    for _ in range(times):
+        cache.store("A", 3, "structure", payload)
+
+
+def test_concurrent_store(tmp_path):
+    """Two processes storing the same table into one directory at once
+    leave one complete file and no temporary file."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    payload = {"entries": {f"{i}|{i + 1}": {str(i): i} for i in range(2000)}}
+    barrier = ctx.Barrier(2)
+    writers = [ctx.Process(target=_store_after_barrier, args=(tmp_path, barrier, payload, 20))
+               for _ in range(2)]
+    for p in writers:
+        p.start()
+    for p in writers:
+        p.join(timeout=60)
+    assert [p.exitcode for p in writers] == [0, 0]
+    folder = tmp_path / "A3"
+    assert not [p.name for p in folder.iterdir() if p.name.endswith(".tmp")]
+    path = TableCache(tmp_path)._path("A", 3, "structure").with_suffix(".json")
+    assert json.loads(path.read_text())["checksum"] == payload_checksum(payload)
+    assert TableCache(tmp_path).load("A", 3, "structure") == payload

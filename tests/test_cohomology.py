@@ -5,6 +5,7 @@ import pytest
 from csmverify.cohomology import FlagCohomology
 from csmverify.errors import GroupMismatch
 from csmverify.polynomial import IntPolynomial
+from csmverify.rootdata import WeylGroup
 
 
 def _coh(engines, series, rank):
@@ -170,6 +171,12 @@ def test_cup_group_mismatch(engines):
     b = _coh(engines, "B", 2)
     with pytest.raises(GroupMismatch):
         a.cup(a.unit(), b.unit())
+    # a second enumeration of the same datum is the same group
+    twin = FlagCohomology(WeylGroup(a.group.datum))
+    s1 = twin.schubert_class(twin.group.simple_reflection(1))
+    assert a.cup(a.unit(), s1) == a.schubert_class(a.group.simple_reflection(1))
+    assert a.cup(s1, s1) == twin.cup(s1, s1)
+    assert a.schubert_class(twin.group.longest) == a.schubert_class(a.group.longest)
 
 
 # -- Chevalley rule --------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from csmverify import cli
-from csmverify.cache import TableCache
+from csmverify.cache import TableCache, payload_checksum
 from csmverify.errors import ParityViolation
 from csmverify.richardson import RichardsonCalculator
 from csmverify.verify import (
@@ -163,19 +163,35 @@ def test_cache_events_recorded(tmp_path):
 
 
 def test_corrupt_cache_recovers(tmp_path):
-    cache = TableCache(tmp_path)
-    run_verification("A", 1, suites=["conjB"], cache=cache)
-    path = cache._path("A", 1, "structure").with_suffix(".json")
-    envelope = json.loads(path.read_text())
-    envelope["payload"]["entries"]["tampered|x"] = {}
-    path.write_text(json.dumps(envelope))
-    with pytest.warns(UserWarning, match="cache corrupt"):
-        report = run_verification("A", 1, suites=["conjB"], cache=cache)
-    assert report.exit_code == 0
-    # only the corrupt table is rewritten, and the rewrite loads cleanly
-    stores = [e["kind"] for e in report.timings["cache_events"] if e["event"] == "store"]
-    assert stores == ["structure"]
-    assert cache.load("A", 1, "structure") is not None
+    """A structure file that fails its checksum, that passes it but does not
+    decode, or that decodes but fails the table check is recomputed and
+    replaced; the replacement is adopted by the next run."""
+
+    def double_row(entries):
+        entries["1|2"] = {w: 2 * c for w, c in entries["1|2"].items()}
+
+    cases = (
+        ("checksum", lambda entries: entries.update({"tampered|x": {}}), False),
+        ("undecodable", lambda entries: entries.update({"9.9|1": {"": 1}}), True),
+        ("wrong-constants", double_row, True),
+    )
+    for name, edit, rechecksum in cases:
+        cache = TableCache(tmp_path / name)
+        run_verification("A", 2, suites=["conjB"], cache=cache)
+        path = cache._path("A", 2, "structure").with_suffix(".json")
+        envelope = json.loads(path.read_text())
+        edit(envelope["payload"]["entries"])
+        if rechecksum:
+            envelope["checksum"] = payload_checksum(envelope["payload"])
+        path.write_text(json.dumps(envelope))
+        with pytest.warns(UserWarning, match="cache corrupt"):
+            report = run_verification("A", 2, suites=["conjB"], cache=cache)
+        assert report.exit_code == 0, name
+        events = [(e["kind"], e["event"]) for e in report.timings["cache_events"]]
+        assert events == [("structure", "corrupt"), ("csm", "hit"),
+                          ("structure", "store")], name
+        again = run_verification("A", 2, suites=["conjB"], cache=cache)
+        assert [e["event"] for e in again.timings["cache_events"]] == ["hit", "hit"], name
 
 
 # -- CLI ----------------------------------------------------------------------------------
