@@ -13,10 +13,12 @@ and the three results must agree.  Disagreement is an internal failure.
 Only two are independent: given the enforced Segre-twist identity and that
 the sign involution phi is a ring map, the pairing and the triple sum are
 one formula, so agreement with the expansion is the substantive check.
-All three stay hard checks.
-The canonical stored value is the expansion-coefficient path (cheapest once
-the tables exist); cross-validation is exhaustive for groups of order at
-most 48 and deterministically sampled above that.
+All three stay hard checks.  The triple sum reads raw localization
+integrals, never the cached structure table.  Each path builds one object
+per pair (u, v) and reads every w off it: the triple-sum row, the
+Richardson class, its expansion; ``box_product`` is cached per pair.
+Every ``chi`` call cross-validates its value (the expansion coefficient)
+unless the caller opts out; only conjD does.
 """
 
 from __future__ import annotations
@@ -28,10 +30,8 @@ from .errors import PathDisagreement
 from .richardson import RichardsonCalculator
 from .rootdata import WeylElement, parity_sign
 
-#: groups up to this order always cross-validate all three formulas
-FULL_CROSS_VALIDATION_MAX_ORDER = 48
-#: above the threshold, one triple in this many is cross-validated
-SAMPLED_CROSS_VALIDATION_STRIDE = 23
+#: associativity is not computed when the filtered cube exceeds this
+ASSOCIATIVITY_TRIPLE_BUDGET = 250_000
 
 
 @dataclass
@@ -59,31 +59,40 @@ class BoxCalculator:
         self.csm = rich.csm
         self.coh = rich.coh
         self.group = rich.group
-        self._chi: dict[tuple[int, int, int], int] = {}
+        self._triple_rows: dict[tuple[int, int], dict[int, int]] = {}
+        self._box: dict[tuple[int, int], CohomologyClass] = {}
 
     # -- the three formulas ------------------------------------------------------
+
+    def _triple_row(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
+        """row[w1] = sum over (u1, v1) of +-c_u1 c_v1 int(eps^u1 eps^v1 eps^w1), c the
+        coefficients of csm(w0 u) and csm(w0 v); raw localization, once per pair."""
+        key = (u.index, v.index)
+        row = self._triple_rows.get(key)
+        if row is not None:
+            return row
+        group, csm, lengths = self.group, self.csm, self.group._lengths
+        a_u, a_v = (csm.csm_schubert_cell(group.w0_times(x)).coeffs for x in (u, v))
+        self.coh._ensure_rows()
+        triple = self.coh._triple_raw
+        row = {}
+        for u1, cu in a_u.items():
+            su = parity_sign(u.length - lengths[u1]) * cu
+            for v1, cv in a_v.items():
+                for w1 in group.indices_of_length(group.num_positive - lengths[u1] - lengths[v1]):
+                    integral = triple(u1, v1, w1)
+                    if integral:
+                        row[w1] = row.get(w1, 0) + su * cv * integral
+        self._triple_rows[key] = row
+        return row
 
     def chi_via_triple_sum(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
         """Triple sum of CSM coefficients against triple integrals, signed
         by the intersection dimension l(w) - l(u) - l(v)."""
         self.coh._check(u, v, w)
-        group, coh, csm = self.group, self.coh, self.csm
-        els, lengths = group.elements, group._lengths
-        top = group.num_positive
-        a_u = csm.csm_schubert_cell(group.w0_times(u)).coeffs
-        a_v = csm.csm_schubert_cell(group.w0_times(v)).coeffs
-        a_w = csm.csm_schubert_cell(w).coeffs
-        by_len_w: dict[int, list[tuple[WeylElement, int]]] = {}
-        for w1, c in a_w.items():
-            by_len_w.setdefault(lengths[w1], []).append((els[w1], c))
-        total = 0
-        for u1, cu in a_u.items():
-            sign = parity_sign(u.length - lengths[u1])
-            for v1, cv in a_v.items():
-                for w1, cw in by_len_w.get(top - lengths[u1] - lengths[v1], ()):
-                    integral = coh.triple_integral(els[u1], els[v1], w1)
-                    if integral:
-                        total += sign * cu * cv * cw * integral
+        row = self._triple_row(u, v)
+        total = sum(c * row.get(w1, 0)
+                    for w1, c in self.csm.csm_schubert_cell(w).coeffs.items())
         return parity_sign(w.length - u.length - v.length) * total
 
     def chi_via_pairing(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
@@ -91,7 +100,7 @@ class BoxCalculator:
         class of the cell of w."""
         self.coh._check(u, v, w)
         cls = self.rich.csm_richardson(self.group.w0_times(u), v)
-        return self.coh.integrate(self.coh.cup(cls, self.csm.segre_schubert_cell(w)))
+        return self.coh.pairing(cls, self.csm.segre_schubert_cell(w))
 
     def chi_via_richardson(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
         """Coefficient at w0*w of the CSM-basis expansion of the Richardson
@@ -102,34 +111,19 @@ class BoxCalculator:
 
     # -- canonical value -----------------------------------------------------------
 
-    def _should_cross_validate(self, ui: int, vi: int, wi: int) -> bool:
-        if self.group.order <= FULL_CROSS_VALIDATION_MAX_ORDER:
-            return True
-        return (ui * 31 + vi * 17 + wi) % SAMPLED_CROSS_VALIDATION_STRIDE == 0
-
     def chi(self, u: WeylElement, v: WeylElement, w: WeylElement,
-            cross_validate: bool | None = None) -> int:
-        """The stored chi value (expansion path), cross-validated per policy."""
-        key = (u.index, v.index, w.index)
-        cached = self._chi.get(key)
-        if cached is not None:
-            return cached
-        value = self.chi_via_richardson(u, v, w)
-        if cross_validate is None:
-            cross_validate = self._should_cross_validate(*key)
-        if cross_validate:
-            prov = ChiProvenance(
-                self.chi_via_triple_sum(u, v, w),
-                self.chi_via_pairing(u, v, w),
-                value,
+            cross_validate: bool = True) -> int:
+        """The stored chi value (expansion path); unless the caller opts
+        out, all three paths must agree or PathDisagreement is raised."""
+        if not cross_validate:
+            return self.chi_via_richardson(u, v, w)
+        prov = self.chi_provenance(u, v, w)
+        if not prov.agree:
+            raise PathDisagreement(
+                f"chi({u}, {v}, {w}): triple-sum {prov.triple_sum}, "
+                f"pairing {prov.pairing}, expansion {prov.expansion}"
             )
-            if not prov.agree:
-                raise PathDisagreement(
-                    f"chi({u}, {v}, {w}): triple-sum {prov.triple_sum}, "
-                    f"pairing {prov.pairing}, expansion {prov.expansion}"
-                )
-        self._chi[key] = value
-        return value
+        return prov.value
 
     def chi_provenance(self, u: WeylElement, v: WeylElement, w: WeylElement) -> ChiProvenance:
         """All three path values, unconditionally."""
@@ -146,34 +140,38 @@ class BoxCalculator:
         its lowest-degree part is the cup product.
         """
         self.coh._check(u, v)
-        floor = u.length + v.length
-        return CohomologyClass(self.group, {
-            w.index: self.chi(u, v, w) for w in self.group if w.length >= floor
-        })
+        key = (u.index, v.index)
+        cls = self._box.get(key)
+        if cls is None:
+            floor = u.length + v.length
+            cls = self._box[key] = CohomologyClass(self.group, {
+                w.index: self.chi(u, v, w) for w in self.group if w.length >= floor
+            })
+        return cls
 
     def box_product_class(self, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
         """Bilinear extension of the deformed product to arbitrary classes."""
+        self.coh._check(a, b)
         els = self.group.elements
-        out = self.coh.zero()
+        out: dict[int, int] = {}
         for u, cu in a.coeffs.items():
             for v, cv in b.coeffs.items():
-                out = out + (cu * cv) * self.box_product(els[u], els[v])
-        return out
+                prod = cu * cv
+                for w, c in self.box_product(els[u], els[v]).coeffs.items():
+                    out[w] = out.get(w, 0) + prod * c
+        return CohomologyClass(self.group, out)
 
-    def associativity_status(self, max_length: int | None = None,
-                             triple_budget: int = 250_000) -> tuple[int, int] | None:
+    def associativity_status(self, max_length: int | None = None) -> tuple[int, int] | None:
         """Empirical associativity of the deformed product.
 
         Returns (failures, triples checked) over basis triples with all
         three lengths within the filter, or None when the filtered cube
-        exceeds the budget.  Associativity is not asserted anywhere: it is
-        observed and reported only.
+        exceeds ASSOCIATIVITY_TRIPLE_BUDGET.  Associativity is not asserted
+        anywhere: it is observed and reported only.
         """
-        group = self.group
-        els = [w for w in group
-               if max_length is None or w.length <= max_length]
+        els = [w for w in self.group if max_length is None or w.length <= max_length]
         total = len(els) ** 3
-        if total > triple_budget:
+        if total > ASSOCIATIVITY_TRIPLE_BUDGET:
             return None
         failures = 0
         for u in els:
@@ -181,8 +179,6 @@ class BoxCalculator:
                 left_uv = self.box_product(u, v)
                 for w in els:
                     lhs = self.box_product_class(left_uv, self.coh.schubert_class(w))
-                    rhs = self.box_product_class(self.coh.schubert_class(u),
-                                                 self.box_product(v, w))
-                    if lhs != rhs:
-                        failures += 1
+                    rhs = self.box_product_class(self.coh.schubert_class(u), self.box_product(v, w))
+                    failures += lhs != rhs
         return failures, total

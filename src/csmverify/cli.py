@@ -23,7 +23,6 @@ import io
 import sys
 from pathlib import Path
 
-from .boxproduct import FULL_CROSS_VALIDATION_MAX_ORDER
 from .cache import TableCache, default_cache_dir
 from .errors import (
     CapacityExceeded,
@@ -164,9 +163,6 @@ def cmd_show(args) -> int:
     else:
         if v is None:
             raise UsageError("box requires --v")
-        if group.order > FULL_CROSS_VALIDATION_MAX_ORDER:
-            print(f"note: group order {group.order} above "
-                  f"{FULL_CROSS_VALIDATION_MAX_ORDER}; chi cross-validation sampled")
         cls = engines.box.box_product(u, v)
         label = f"box product eps^{{{u}}} [] eps^{{{v}}}"
     print(label)

@@ -291,6 +291,12 @@ class FlagCohomology:
         """Coefficient of the top class (degree = dimension)."""
         return a.coeffs.get(self.group.longest.index, 0)
 
+    def pairing(self, a: CohomologyClass, b: CohomologyClass) -> int:
+        """int a . b = sum of a[x] b[w0 x] by Poincare duality; no product formed."""
+        self._check(a, b)
+        w0, bc = self.group._w0, b.coeffs
+        return sum(c * bc.get(w0[x], 0) for x, c in a.coeffs.items())
+
     def triple_integral(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
         self._check(u, v, w)
         if u.length + v.length + w.length != self.group.num_positive:

@@ -223,8 +223,9 @@ class CsmCalculator:
         return {"convention": self.convention, "rows": WordKeys(self.group).encode(rows)}
 
     def load_table_payload(self, payload: dict) -> bool:
-        """Adopt cached cell classes; refuses on convention mismatch, raises
-        CacheCorrupt if the payload does not decode or cover the group."""
+        """Adopt cached cell classes after the build's invariant check;
+        refuses on convention mismatch, raises CacheCorrupt, adopting
+        nothing, if the payload does not decode, cover the group or pass."""
         if payload.get("convention") != self.convention:
             return False
         group = self.group
@@ -232,7 +233,13 @@ class CsmCalculator:
                  for (ui,), row in WordKeys(group).decode(payload, "rows", arity=1).items()}
         if len(cells) != group.order:
             raise CacheCorrupt("CSM payload does not cover the group")
+        try:
+            for ui, cls in cells.items():
+                self._check_cell_invariants(group.elements[ui], cls)
+        except CalibrationFailure as exc:
+            raise CacheCorrupt(f"cached CSM table fails its check: {exc}") from exc
         self._cells.update(cells)
+        self._checked.update(cells)
         return True
 
 

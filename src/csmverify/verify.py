@@ -629,6 +629,7 @@ def run_verification(
     for name in suite_names:
         results[name] = run_suite(engines, name, max_length=max_length, jobs=jobs)
 
+    meta_start = time.perf_counter()
     meta: dict[str, str] = {}
     for implied in ("conjC", "conjD"):
         key = "b-implies-" + implied[-1].lower()
@@ -649,6 +650,7 @@ def run_verification(
                 f"holds on {total}/{total} filtered triples" if failures == 0
                 else f"fails on {failures}/{total} filtered triples"
             )
+    meta_elapsed = time.perf_counter() - meta_start
 
     return VerificationReport(
         series=series,
@@ -667,6 +669,7 @@ def run_verification(
         timings={
             "table_build_s": round(build_elapsed, 6),
             "per_suite_s": {n: round(results[n].elapsed, 6) for n in results},
+            "meta_s": round(meta_elapsed, 6),
             "total_s": round(time.perf_counter() - t0, 6),
             "cache_events": cache_events,
         },

@@ -107,12 +107,32 @@ def test_chi_provenance_object():
 
 
 def test_path_disagreement_raises(engines, monkeypatch):
+    """An earlier call that skipped validation cannot hide a later one."""
     box = _box(engines, "A", 1)
-    g = box.group
-    e = g.identity
-    box._chi.clear()
+    e = box.group.identity
+    assert box.chi(e, e, e, cross_validate=False) == 1
     monkeypatch.setattr(box, "chi_via_triple_sum", lambda u, v, w: 999)
     with pytest.raises(PathDisagreement):
-        box.chi(e, e, e, cross_validate=True)
-    monkeypatch.undo()
-    box._chi.clear()
+        box.chi(e, e, e)
+
+
+def test_box_product_validates_every_w_above_order_48(engines, monkeypatch):
+    """On A4 (|W| = 120) box_product cross-validates each w of length at
+    least l(u) + l(v) exactly once, from one triple-sum row for the pair."""
+    stack = engines("A", 4)
+    box = BoxCalculator(stack.rich)
+    g = box.group
+    u, v = g.parse("s1"), g.parse("s2 s3")
+    calls = []
+    real = box.chi_via_triple_sum
+
+    def counted(x, y, w):
+        calls.append(w.index)
+        return real(x, y, w)
+
+    monkeypatch.setattr(box, "chi_via_triple_sum", counted)
+    box.box_product(u, v)
+    box.box_product(u, v)
+    floor = u.length + v.length
+    assert sorted(calls) == [w.index for w in g if w.length >= floor]
+    assert list(box._triple_rows) == [(u.index, v.index)]

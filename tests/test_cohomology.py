@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from csmverify.cohomology import FlagCohomology
+from csmverify.cohomology import CohomologyClass, FlagCohomology
 from csmverify.errors import GroupMismatch
 from csmverify.polynomial import IntPolynomial
 from csmverify.rootdata import WeylGroup
@@ -248,6 +248,25 @@ def test_poincare_duality(engines):
             for v in g.elements_of_length(g.num_positive - u.length):
                 got = coh.integrate(coh.cup(coh.schubert_class(u), coh.schubert_class(v)))
                 assert got == (1 if v == g.w0_times(u) else 0)
+    # the duality pairing is the integral of the cup product, in mixed degree
+    for key in [("A", 2), ("B", 2)]:
+        stack = engines(*key)
+        coh = stack.coh
+        cells = [stack.csm.csm_schubert_cell(u) for u in coh.group]
+        for a in cells:
+            for b in cells:
+                assert coh.pairing(a, b) == coh.integrate(coh.cup(a, b))
+    coh = _coh(engines, "A", 3)
+    order = coh.group.order
+    rng = random.Random(11)
+
+    def random_class():
+        return CohomologyClass(coh.group, {rng.randrange(order): rng.randint(-5, 5)
+                                           for _ in range(rng.randint(1, 12))})
+
+    for _ in range(50):
+        a, b = random_class(), random_class()
+        assert coh.pairing(a, b) == coh.integrate(coh.cup(a, b))
 
 
 # -- engine cross-validation ----------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Golden digests of full reports: refactors must keep reports byte-identical.
 
-Each case runs ``table`` on an empty cache, then ``verify --suite all`` on
-the tables it wrote, exactly as a user would.  The digest is the sha256 of
-the canonical JSON of the report without its ``timings`` block, which is
-the part of a report the determinism contract covers.
+Each case runs ``table`` on an empty cache, then ``verify --suite all`` (or
+the arguments a long case lists) on the tables it wrote, exactly as a user
+would.  The digest is the sha256 of the canonical JSON of the report
+without its ``timings`` block, which is the part of a report the
+determinism contract covers.
 """
 
 import hashlib
@@ -33,10 +34,18 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN))
-def test_report_and_table_digests(key, tmp_path, capsys):
-    series, rank = key
-    report_digest, csm_sum, structure_sum = GOLDEN[key]
+#: reports on a group above order 48, where chi cross-validation used to be
+#: sampled: (verify arguments, report digest, csm checksum, structure checksum)
+LONG_GOLDEN = {
+    ("A", 4): (["--suite", "conjD", "--suite", "cross-paths", "--max-length", "1"],
+               "12c3bca0d9dd59655f52a2594b7e240f975f88ee77922454d3dfff45cef96e37",
+               "ee96cf01017a141af1e780e5af3edd1210db030d7a00daf35400e780ac69ed40",
+               "10a7932bbbb30d8393063fbc6d575b0bd6ccb537e6fabe6d433c638eff354ec1"),
+}
+
+
+def _check_digests(series, rank, verify_args, digests, tmp_path, capsys):
+    report_digest, csm_sum, structure_sum = digests
     group_args = ["--type", series, "--rank", str(rank), "--cache-dir", str(tmp_path / "cache")]
 
     assert cli.main(["table", *group_args]) == 0
@@ -45,8 +54,20 @@ def test_report_and_table_digests(key, tmp_path, capsys):
     assert printed == {"csm": csm_sum, "structure": structure_sum}
 
     out = tmp_path / "report.json"
-    assert cli.main(["verify", *group_args, "--suite", "all", "--output", str(out)]) == 0
+    assert cli.main(["verify", *group_args, *verify_args, "--output", str(out)]) == 0
     report = json.loads(out.read_text())
     report.pop("timings")
     assert report["options"]["table_checksums"] == {"csm": csm_sum, "structure": structure_sum}
     assert hashlib.sha256(canonical_json_bytes(report)).hexdigest() == report_digest
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_report_and_table_digests(key, tmp_path, capsys):
+    _check_digests(*key, ["--suite", "all"], GOLDEN[key], tmp_path, capsys)
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("key", sorted(LONG_GOLDEN))
+def test_long_report_and_table_digests(key, tmp_path, capsys):
+    verify_args, *digests = LONG_GOLDEN[key]
+    _check_digests(*key, verify_args, digests, tmp_path, capsys)

@@ -60,6 +60,7 @@ def test_full_verification_a1_passes(tmp_path):
     assert report.meta_checks["b-implies-c"] == "PASS"
     assert report.meta_checks["b-implies-d"] == "PASS"
     assert report.meta_checks["box-associativity"] == "holds on 8/8 filtered triples"
+    assert report.timings["meta_s"] >= 0
 
 
 def test_verification_a2_conjb():
@@ -163,24 +164,27 @@ def test_cache_events_recorded(tmp_path):
 
 
 def test_corrupt_cache_recovers(tmp_path):
-    """A structure file that fails its checksum, that passes it but does not
+    """A table file that fails its checksum, that passes it but does not
     decode, or that decodes but fails the table check is recomputed and
     replaced; the replacement is adopted by the next run."""
 
-    def double_row(entries):
-        entries["1|2"] = {w: 2 * c for w, c in entries["1|2"].items()}
+    def double_row(key):
+        def edit(rows):
+            rows[key] = {w: 2 * c for w, c in rows[key].items()}
+        return edit
 
     cases = (
-        ("checksum", lambda entries: entries.update({"tampered|x": {}}), False),
-        ("undecodable", lambda entries: entries.update({"9.9|1": {"": 1}}), True),
-        ("wrong-constants", double_row, True),
+        ("checksum", "structure", lambda rows: rows.update({"tampered|x": {}}), False),
+        ("undecodable", "structure", lambda rows: rows.update({"9.9|1": {"": 1}}), True),
+        ("wrong-constants", "structure", double_row("1|2"), True),
+        ("wrong-cell-class", "csm", double_row("1"), True),
     )
-    for name, edit, rechecksum in cases:
+    for name, kind, edit, rechecksum in cases:
         cache = TableCache(tmp_path / name)
         run_verification("A", 2, suites=["conjB"], cache=cache)
-        path = cache._path("A", 2, "structure").with_suffix(".json")
+        path = cache._path("A", 2, kind).with_suffix(".json")
         envelope = json.loads(path.read_text())
-        edit(envelope["payload"]["entries"])
+        edit(envelope["payload"]["entries" if kind == "structure" else "rows"])
         if rechecksum:
             envelope["checksum"] = payload_checksum(envelope["payload"])
         path.write_text(json.dumps(envelope))
@@ -188,8 +192,10 @@ def test_corrupt_cache_recovers(tmp_path):
             report = run_verification("A", 2, suites=["conjB"], cache=cache)
         assert report.exit_code == 0, name
         events = [(e["kind"], e["event"]) for e in report.timings["cache_events"]]
-        assert events == [("structure", "corrupt"), ("csm", "hit"),
-                          ("structure", "store")], name
+        other = "csm" if kind == "structure" else "structure"
+        expected = {kind: "corrupt", other: "hit"}
+        assert events == [("structure", expected["structure"]), ("csm", expected["csm"]),
+                          (kind, "store")], name
         again = run_verification("A", 2, suites=["conjB"], cache=cache)
         assert [e["event"] for e in again.timings["cache_events"]] == ["hit", "hit"], name
 
