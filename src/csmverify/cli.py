@@ -61,7 +61,8 @@ def _add_group_args(p):
     p.add_argument("--cache-dir", default=None,
                    help="table cache directory (default: $CSMVERIFY_CACHE or user cache)")
     p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
-                   help="refuse groups larger than this (default %(default)s)")
+                   help="refuse groups larger than this (default %(default)s); "
+                        "structure tables stay refused above the default")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,15 +14,19 @@ final division by P must be exact and is checked.  Two independent oracles
 are kept alongside: the degree-2 product rule (chevalley_multiply) and the
 polynomial expansion route (expand_equivariant), which re-derives structure
 constants by exact division instead of evaluation.
+
+The cup-product structure constants form one complete table, built from the
+triple integrals or adopted from the cache, and checked, before the first
+product; products read it by element index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CacheCorrupt, InexactDivision, InternalInvariantError
+from .errors import CacheCorrupt, CapacityExceeded, InexactDivision, InternalInvariantError
 from .polynomial import IntPolynomial
-from .rootdata import WeylElement, WeylGroup, parity_sign
+from .rootdata import DEFAULT_MAX_ORDER, WeylElement, WeylGroup, parity_sign
 
 
 class CohomologyClass:
@@ -190,8 +194,10 @@ class WordKeys:
 class FlagCohomology:
     """Localization-backed multiplication engine for one flag manifold.
 
-    All tables are immutable once filled and may be read concurrently; the
-    fill itself is single-threaded per instance.
+    The structure table ``_table`` is None or complete and checked: built,
+    or adopted from the cache, before the first product, and read by index
+    as ``_table[u][v]``.  All tables are immutable once filled and may be
+    read concurrently; the fill itself is single-threaded per instance.
     """
 
     def __init__(self, group: WeylGroup, eval_point=None):
@@ -205,10 +211,9 @@ class FlagCohomology:
         self._upsets: list[frozenset[int]] | None = None
         self._signs: list[int] | None = None
         self._pos_product: int | None = None
-        self._struct: dict[tuple[int, int], dict[int, int]] = {}
+        self._table: list[list[dict[int, int]]] | None = None
         self._triple_cache: dict[tuple[int, int, int], int] = {}
         self._billey_poly: dict[int, dict[int, IntPolynomial]] = {}
-        self._table_complete = False
 
     # -- basic class constructors ---------------------------------------------
 
@@ -234,27 +239,26 @@ class FlagCohomology:
     def _root_value(self, coords) -> int:
         return sum(c * v for c, v in zip(coords, self.eval_point))
 
+    def _subword_row(self, x: int, root, one) -> dict:
+        """Restrictions of every basis class at the fixed point x: the subword
+        sum over x's canonical word, each root taken as root(coords)."""
+        group = self.group
+        row, pref = {0: one}, 0
+        for i in group._words[x]:
+            # the reflection-ordering root of this letter
+            beta = root(group._actions[pref][i - 1])
+            pref = group._right[pref][i - 1]
+            for y, val in list(row.items()):
+                z = group._right[y][i - 1]
+                if group._lengths[z] > group._lengths[y]:
+                    row[z] = row[z] + val * beta if z in row else val * beta
+        return row
+
     def _ensure_rows(self):
         if self._rows is not None:
             return
         group = self.group
-        rows: list[dict[int, int]] = []
-        for x in range(group.order):
-            word = group._words[x]
-            # evaluated reflection-ordering roots along the canonical word
-            betas = []
-            pref = 0
-            for i in word:
-                betas.append(self._root_value(group._actions[pref][i - 1]))
-                pref = group._right[pref][i - 1]
-            row = {0: 1}
-            for i, bval in zip(word, betas):
-                for y, val in list(row.items()):
-                    z = group._right[y][i - 1]
-                    if group._lengths[z] > group._lengths[y]:
-                        row[z] = row.get(z, 0) + val * bval
-            rows.append(row)
-        self._rows = rows
+        self._rows = rows = [self._subword_row(x, self._root_value, 1) for x in range(group.order)]
         ups: list[set[int]] = [set() for _ in range(group.order)]
         for x, row in enumerate(rows):
             for w in row:
@@ -305,28 +309,10 @@ class FlagCohomology:
         return self._triple_raw(u.index, v.index, w.index)
 
     def structure_constants_idx(self, ui: int, vi: int) -> dict[int, int]:
-        key = (ui, vi) if ui <= vi else (vi, ui)
-        cached = self._struct.get(key)
-        if cached is not None:
-            return cached
-        group = self.group
-        target = group._lengths[ui] + group._lengths[vi]
-        out: dict[int, int] = {}
-        if target <= group.num_positive:
-            self._ensure_rows()
-            up_u, up_v = self._upsets[ui], self._upsets[vi]
-            for wi in group.indices_of_length(target):
-                if wi not in up_u or wi not in up_v:
-                    continue
-                c = self._triple_raw(ui, vi, group._w0[wi])
-                if c < 0:
-                    raise InternalInvariantError(
-                        f"negative cup structure constant at ({ui},{vi},{wi})"
-                    )
-                if c:
-                    out[wi] = c
-        self._struct[key] = out
-        return out
+        """Nonzero constants of eps^u . eps^v by element index (read-only)."""
+        if self._table is None:
+            self.build_structure_table()
+        return self._table[ui][vi]
 
     def structure_constants(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
         self._check(u, v)
@@ -335,11 +321,15 @@ class FlagCohomology:
 
     def cup(self, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
         self._check(a, b)
+        if self._table is None:
+            self.build_structure_table()
+        table = self._table
         out: dict[int, int] = {}
         for u, cu in a.coeffs.items():
+            row = table[u]
             for v, cv in b.coeffs.items():
                 prod = cu * cv
-                for wi, c in self.structure_constants_idx(u, v).items():
+                for wi, c in row[v].items():
                     out[wi] = out.get(wi, 0) + prod * c
         return CohomologyClass(self.group, out)
 
@@ -351,6 +341,17 @@ class FlagCohomology:
         """
         self._check(v)
         return CohomologyClass(self.group, self._chevalley_idx(lam, v.index, basis))
+
+    def chevalley_agreement(self):
+        """Yield (i, v, agree) for every simple reflection s_i and element v:
+        whether cup(eps^{s_i}, eps^v) equals the degree-2 rule's product."""
+        group = self.group
+        for i in range(1, group.rank + 1):
+            omega = tuple(1 if k == i - 1 else 0 for k in range(group.rank))
+            si = self.schubert_class(group.simple_reflection(i))
+            for v in group.elements:
+                yield i, v, (self.cup(si, self.schubert_class(v))
+                             == self.chevalley_multiply(omega, v, basis="weight"))
 
     def _chevalley_idx(self, lam, vi: int, basis: str = "root") -> dict[int, int]:
         """chevalley_multiply on element indices."""
@@ -370,25 +371,9 @@ class FlagCohomology:
     def _billey_poly_row(self, x_idx: int) -> dict[int, IntPolynomial]:
         """Restrictions of every basis class at one fixed point, as polynomials."""
         row = self._billey_poly.get(x_idx)
-        if row is not None:
-            return row
-        group = self.group
-        n = group.rank
-        word = group._words[x_idx]
-        betas = []
-        pref = 0
-        for i in word:
-            betas.append(IntPolynomial.linear(group._actions[pref][i - 1]))
-            pref = group._right[pref][i - 1]
-        row = {0: IntPolynomial.constant(n, 1)}
-        for i, bpoly in zip(word, betas):
-            for y, val in list(row.items()):
-                z = group._right[y][i - 1]
-                if group._lengths[z] > group._lengths[y]:
-                    prev = row.get(z)
-                    add = val * bpoly
-                    row[z] = add if prev is None else prev + add
-        self._billey_poly[x_idx] = row
+        if row is None:
+            row = self._billey_poly[x_idx] = self._subword_row(
+                x_idx, IntPolynomial.linear, IntPolynomial.constant(self.group.rank, 1))
         return row
 
     def billey_restriction(self, w: WeylElement, v: WeylElement) -> IntPolynomial:
@@ -469,57 +454,76 @@ class FlagCohomology:
     # -- full table ------------------------------------------------------------------
 
     def build_structure_table(self) -> None:
-        """Materialize every structure constant, then self-check the table."""
-        group = self.group
-        if not self._table_complete:
-            order = group.order
-            for ui in range(order):
-                lu = group._lengths[ui]
-                for vi in range(ui, order):
-                    if lu + group._lengths[vi] > group.num_positive:
+        """Compute every structure constant, then self-check the table."""
+        if self._table is None:
+            self._set_table(self._computed_rows())
+
+    def _computed_rows(self):
+        """Yield ((u, v), constants) for each pair u <= v with a nonzero product."""
+        self._ensure_rows()
+        group, upsets, lengths = self.group, self._upsets, self.group._lengths
+        for ui in range(group.order):
+            up_u = upsets[ui]
+            for vi in range(ui, group.order):
+                target = lengths[ui] + lengths[vi]
+                if target > group.num_positive:
+                    continue
+                out: dict[int, int] = {}
+                for wi in group.indices_of_length(target):
+                    if wi not in up_u or wi not in upsets[vi]:
                         continue
-                    self.structure_constants_idx(ui, vi)
+                    c = self._triple_raw(ui, vi, group._w0[wi])
+                    if c < 0:
+                        raise InternalInvariantError(
+                            f"negative cup structure constant at ({ui},{vi},{wi})")
+                    if c:
+                        out[wi] = c
+                if out:
+                    yield (ui, vi), out
+
+    def _set_table(self, rows) -> None:
+        """Fill a fresh table from ((u, v), constants) rows, where (u, v) and
+        (v, u) share one dict and every empty pair shares one empty dict;
+        the table becomes readable only if it passes its check."""
+        order = self.group.order
+        if order > DEFAULT_MAX_ORDER:
+            raise CapacityExceeded(f"|W| = {order} exceeds the table cap {DEFAULT_MAX_ORDER}")
+        empty: dict[int, int] = {}
+        table = [[empty] * order for _ in range(order)]
+        for (ui, vi), row in rows:
+            table[ui][vi] = table[vi][ui] = row
+        self._table = table
+        try:
             self._check_table()
-            self._table_complete = True
+        except BaseException:
+            self._table = None
+            raise
 
     def _check_table(self) -> None:
         """The unit row, and the degree-2 product rule on every pair (simple
         reflection, element): rank * |W| single-term cups."""
-        group = self.group
-        for vi in range(group.order):
-            if self.structure_constants_idx(0, vi) != {vi: 1}:
-                raise InternalInvariantError("unit row of the cup table is wrong")
-        for i in range(1, group.rank + 1):
-            omega = tuple(1 if k == i - 1 else 0 for k in range(group.rank))
-            si = group.simple_reflection(i)
-            for v in group.elements:
-                got = self.cup(self.schubert_class(si), self.schubert_class(v))
-                want = self.chevalley_multiply(omega, v, basis="weight")
-                if got != want:
-                    raise InternalInvariantError(
-                        f"degree-2 products disagree at (s{i}, {v})"
-                    )
+        unit_row = self._table[0]
+        if any(unit_row[vi] != {vi: 1} for vi in range(self.group.order)):
+            raise InternalInvariantError("unit row of the cup table is wrong")
+        for i, v, agree in self.chevalley_agreement():
+            if not agree:
+                raise InternalInvariantError(f"degree-2 products disagree at (s{i}, {v})")
 
     # -- cache integration ----------------------------------------------------------
 
     def structure_payload(self) -> dict:
-        """JSON-safe dump of the (complete) structure table."""
+        """JSON-safe dump of the structure table: nonempty rows with u <= v."""
         self.build_structure_table()
-        rows = {pair: row for pair, row in self._struct.items() if row}
+        table, order = self._table, self.group.order
+        rows = {(ui, vi): table[ui][vi]
+                for ui in range(order) for vi in range(ui, order) if table[ui][vi]}
         return {"entries": WordKeys(self.group).encode(rows)}
 
     def load_structure_payload(self, payload: dict) -> None:
         """Adopt a cached table after the build's self-check; raises
         CacheCorrupt, adopting nothing, if it does not decode or fails."""
-        order = self.group.order
-        self._struct.update(WordKeys(self.group).decode(payload, "entries", arity=2))
-        # pairs with an empty product are not stored; restore them
-        for ui in range(order):
-            for vi in range(ui, order):
-                self._struct.setdefault((ui, vi), {})
+        rows = WordKeys(self.group).decode(payload, "entries", arity=2)
         try:
-            self._check_table()
+            self._set_table(rows.items())
         except InternalInvariantError as exc:
-            self._struct.clear()
             raise CacheCorrupt(f"cached structure table fails its check: {exc}") from exc
-        self._table_complete = True

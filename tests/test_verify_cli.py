@@ -255,6 +255,20 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert "--jobs must be at least 1" in capsys.readouterr().err
 
 
+def test_table_refused_above_default_cap(tmp_path, monkeypatch, capsys):
+    # --max-order lets a group through, never a structure table above the
+    # default cap; a command that takes no product still runs
+    from csmverify import cohomology
+
+    monkeypatch.setattr(cohomology, "DEFAULT_MAX_ORDER", 10)
+    group = ["--type", "A", "--rank", "3", "--cache-dir", str(tmp_path)]
+    assert cli.main(["table"] + group) == 3
+    assert cli.main(["verify", "--suite", "conjB"] + group) == 3
+    assert "|W| = 24 exceeds the table cap 10" in capsys.readouterr().err
+    assert cli.main(["show", "csm", "--u", "s1"] + group) == 0
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
 def test_cli_show_box_golden(tmp_path, capsys):
     rc = cli.main(["show", "box", "--type", "A", "--rank", "1", "--u", "e", "--v", "e",
                    "--cache-dir", str(tmp_path)])
