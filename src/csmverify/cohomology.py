@@ -11,9 +11,11 @@ where N is the number of positive roots and P the product of all positive
 roots.  Evaluating the restrictions at a fixed positive integer point turns
 this identity of rational functions into exact integer arithmetic; the
 final division by P must be exact and is checked.  Two independent oracles
-are kept alongside: the degree-2 product rule (chevalley_multiply) and the
+are kept alongside: the degree-2 product rule (chevalley_multiply), which
+checks every table and runs in the theorem-invariants sweep, and the
 polynomial expansion route (expand_equivariant), which re-derives structure
-constants by exact division instead of evaluation.
+constants by exact division instead of evaluation and is compared only in
+the tests.
 
 The cup-product structure constants form one complete table, built from the
 triple integrals or adopted from the cache, and checked, before the first

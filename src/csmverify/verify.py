@@ -17,6 +17,14 @@ Suite semantics
 * ``cross-paths``: the three Euler-characteristic formulas agree on every
   filtered triple (hard); only two are independent (see ``boxproduct``).
 
+Each pair-level check is a record step on one pair (u, v).  One sweep per
+run calls the steps of every requested suite, in units of the row pair
+{u, w0*u} (conjD and cross-paths on row u read the classes of (w0*u, v));
+with jobs above 1 the units go to one fork pool.  Tallies merge in row
+order, so the report does not depend on jobs.  ``timings.per_suite_s`` is
+each suite's record-step time summed over units (worker time in a pool),
+plus theorem-invariants' element and global blocks.
+
 Findings carry full witnesses (reduced words, never internal indices).
 Reports are byte-deterministic apart from the ``timings`` block, which is
 also where cache events are recorded.
@@ -104,10 +112,7 @@ def build_engines(
 def materialize_tables(engines: Engines, cache: TableCache | None = None,
                        cache_events: list | None = None) -> dict[str, str]:
     """Build the full structure and CSM tables; when caching, store each
-    one that was not adopted from the cache.
-
-    Returns the payload checksums by kind.
-    """
+    one not adopted from the cache.  Returns the payload checksums by kind."""
     checksums = {}
     engines.coh.build_structure_table()
     engines.csm.build_table()
@@ -138,19 +143,15 @@ class SuiteResult:
         return "VIOLATIONS" if self.violations else "PASS"
 
     def to_dict(self) -> dict:
-        return {
-            "instances": self.instances,
-            "predicted_instances": self.predicted_instances,
-            "violations": self.violations,
-            "hard_failures": self.hard_failures,
-            "hard_failure_count": self.hard_failure_count,
-            "status": self.status,
-        }
+        keys = ("instances", "predicted_instances", "violations", "hard_failures",
+                "hard_failure_count")
+        return {**{k: getattr(self, k) for k in keys}, "status": self.status}
 
 
-def _new_chunk() -> dict:
-    """An empty chunk result; its keys are the tallied SuiteResult fields."""
-    return {"instances": 0, "violations": [], "hard_failures": [], "hard_failure_count": 0}
+def _new_tally() -> dict:
+    """An empty tally; its keys are the tallied SuiteResult fields."""
+    return {"instances": 0, "violations": [], "hard_failures": [], "hard_failure_count": 0,
+            "elapsed": 0.0}
 
 
 def _record_hard(result_dict: dict, entry: dict) -> None:
@@ -159,251 +160,239 @@ def _record_hard(result_dict: dict, entry: dict) -> None:
         result_dict["hard_failures"].append(entry)
 
 
-def _merge_chunk(into: dict, part: dict) -> None:
-    """Append one chunk result to another, keeping the hard-failure cap."""
+def _merge_tally(into: dict, part: dict) -> None:
+    """Append one tally to another, keeping the hard-failure cap."""
     into["instances"] += part["instances"]
+    into["elapsed"] += part["elapsed"]
     into["violations"].extend(part["violations"])
     into["hard_failure_count"] += part["hard_failure_count"]
     room = HARD_FAILURE_LIST_CAP - len(into["hard_failures"])
     into["hard_failures"].extend(part["hard_failures"][:room])
 
 
+def _entry(check: str, *elements, **detail) -> dict:
+    """A violation or hard-failure record; the elements it names, (u, v, w)
+    or a prefix, are written as reduced words."""
+    return {"check": check, **{k: str(x) for k, x in zip("uvw", elements)}, **detail}
+
+
 def _filtered_indices(group: WeylGroup, max_length: int | None) -> list[int]:
-    if max_length is None:
-        return list(range(group.order))
-    return [i for i in range(group.order) if group._lengths[i] <= max_length]
+    return [i for i in range(group.order) if max_length is None or group._lengths[i] <= max_length]
 
 
-def pool_size(jobs: int, chunks: int) -> int:
+def pool_size(jobs: int, units: int) -> int:
     """Worker processes for a sweep: no more than requested, than CPUs this
-    process may run on, or than chunks of work."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(jobs, cpus, chunks))
+    process may run on, or than units of work."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(jobs, cpus or 1, units))
 
 
-def _chunks(items: list, n: int) -> list[list]:
-    n = max(1, min(n, len(items)))
-    size, extra = divmod(len(items), n)
-    out, start = [], 0
-    for k in range(n):
-        end = start + size + (1 if k < extra else 0)
-        out.append(items[start:end])
-        start = end
-    return out
+# -- record steps: one (u, v) pair of one suite into the tally of row u ---------
 
 
-# -- chunk workers (parallelizable units; module-level for fork+pickle) -------
+def _record_theorem_pair(engines: Engines, out: dict, u, v) -> None:
+    group, rich = engines.group, engines.rich
+    out["instances"] += 1
+    try:
+        cls = rich.csm_richardson(u, v)           # mirror agreement inside
+        rich.richardson_coeffs(u, v)              # parity inside
+        rich.verify_lemma_e(u, v)                 # sign condition inside
+        if not group.bruhat_leq(v, u) and cls:
+            _record_hard(out, _entry("empty-cell", u, v,
+                                     error="empty Richardson cell has nonzero class"))
+        if u == v and cls != engines.coh.schubert_class(group.longest):
+            _record_hard(out, _entry("diagonal-point", u, v,
+                                     error="diagonal cell class is not the point class"))
+    except InternalInvariantError as exc:
+        _record_hard(out, _entry("richardson-pair", u, v, error=str(exc)))
 
-_WORKER_ENGINES: Engines | None = None
+
+def _record_conjb(engines: Engines, out: dict, u, v) -> None:
+    out["instances"] += 1
+    try:
+        coeffs = engines.rich.richardson_coeffs(u, v)
+    except InternalInvariantError as exc:
+        _record_hard(out, _entry("richardson", u, v, error=str(exc)))
+        return
+    for w, val in coeffs.witnesses():
+        out["violations"].append(_entry("conjB", u, v, w, value=val))
 
 
-def _pairs_of(chunk, group):
-    els = group.elements
-    return [(els[ui], els[vi]) for ui, vi in chunk]
+def _record_conjc(engines: Engines, out: dict, u, v) -> None:
+    out["instances"] += 1
+    try:
+        coeffs = engines.rich.csm_basis_coeffs(u, v)
+    except InternalInvariantError as exc:
+        _record_hard(out, _entry("csm-basis-expansion", u, v, error=str(exc)))
+        return
+    for w, val in coeffs.violations:
+        out["violations"].append(_entry("conjC", u, v, w, value=val))
 
 
-def _chunk_conjb(engines: Engines, chunk) -> dict:
-    out = _new_chunk()
-    for u, v in _pairs_of(chunk, engines.group):
+def _record_conjd(engines: Engines, out: dict, u, v) -> None:
+    group = engines.group
+    floor = u.length + v.length
+    pair_sign_ok = True
+    for w in group.elements:
         out["instances"] += 1
         try:
-            coeffs = engines.rich.richardson_coeffs(u, v)
+            chi = engines.box.chi(u, v, w, cross_validate=False)
         except InternalInvariantError as exc:
-            _record_hard(out, {"check": "richardson", "u": str(u), "v": str(v),
-                               "error": str(exc)})
+            _record_hard(out, _entry("chi", u, v, w, error=str(exc)))
             continue
-        for w, val in coeffs.witnesses():
-            out["violations"].append({
-                "check": "conjB", "u": str(u), "v": str(v), "w": str(w), "value": val,
-            })
-    return out
-
-
-def _chunk_conjc(engines: Engines, chunk) -> dict:
-    out = _new_chunk()
-    for u, v in _pairs_of(chunk, engines.group):
-        out["instances"] += 1
-        try:
-            coeffs = engines.rich.csm_basis_coeffs(u, v)
-        except InternalInvariantError as exc:
-            _record_hard(out, {"check": "csm-basis-expansion", "u": str(u), "v": str(v),
-                               "error": str(exc)})
+        if w.length < floor:
+            if chi:
+                # below the dimension threshold: reported, not fatal
+                out["violations"].append(_entry("below-threshold", u, v, w, value=chi))
             continue
-        for w, val in coeffs.violations:
-            out["violations"].append({
-                "check": "conjC", "u": str(u), "v": str(v), "w": str(w), "value": val,
-            })
-    return out
+        if w.length == floor:
+            cup_c = engines.coh.structure_constants_idx(u.index, v.index).get(w.index, 0)
+            if chi != cup_c:
+                _record_hard(out, _entry("graded-vs-cup", u, v, w, value=chi, expected=cup_c))
+        if parity_sign(w.length - floor) * chi < 0:
+            pair_sign_ok = False
+            out["violations"].append(_entry("conjD", u, v, w, value=chi))
+    # the per-pair verdict must match the CSM-basis sign verdict for the
+    # mirrored Richardson pair
+    try:
+        c_ok = engines.rich.csm_basis_coeffs(group.w0_times(u), v).sign_ok
+        if bool(c_ok) != pair_sign_ok:
+            _record_hard(out, _entry(
+                "pairwise-equivalence", u, v,
+                error=f"sign verdicts disagree: chi {pair_sign_ok}, expansion {c_ok}"))
+    except InternalInvariantError as exc:
+        _record_hard(out, _entry("pairwise-equivalence", u, v, error=str(exc)))
 
 
-def _chunk_conjd(engines: Engines, chunk) -> dict:
-    group, box, rich = engines.group, engines.box, engines.rich
-    out = _new_chunk()
-    for u, v in _pairs_of(chunk, group):
-        floor = u.length + v.length
-        pair_sign_ok = True
-        for w in group.elements:
-            out["instances"] += 1
-            try:
-                chi = box.chi(u, v, w, cross_validate=False)
-            except InternalInvariantError as exc:
-                _record_hard(out, {"check": "chi", "u": str(u), "v": str(v),
-                                   "w": str(w), "error": str(exc)})
-                continue
-            if w.length < floor:
-                if chi:
-                    # below the dimension threshold: reported, not fatal
-                    out["violations"].append({
-                        "check": "below-threshold", "u": str(u), "v": str(v),
-                        "w": str(w), "value": chi,
-                    })
-                continue
-            if w.length == floor:
-                cup_c = engines.coh.structure_constants_idx(
-                    u.index, v.index).get(w.index, 0)
-                if chi != cup_c:
-                    _record_hard(out, {
-                        "check": "graded-vs-cup", "u": str(u), "v": str(v),
-                        "w": str(w), "value": chi, "expected": cup_c,
-                    })
-            if parity_sign(w.length - floor) * chi < 0:
-                pair_sign_ok = False
-                out["violations"].append({
-                    "check": "conjD", "u": str(u), "v": str(v), "w": str(w), "value": chi,
-                })
-        # the per-pair verdict must match the CSM-basis sign verdict for
-        # the mirrored Richardson pair
-        try:
-            c_ok = rich.csm_basis_coeffs(group.w0_times(u), v).sign_ok
-            if bool(c_ok) != pair_sign_ok:
-                _record_hard(out, {
-                    "check": "pairwise-equivalence", "u": str(u), "v": str(v),
-                    "error": f"sign verdicts disagree: chi {pair_sign_ok}, expansion {c_ok}",
-                })
-        except InternalInvariantError as exc:
-            _record_hard(out, {"check": "pairwise-equivalence", "u": str(u), "v": str(v),
-                               "error": str(exc)})
-    return out
-
-
-def _chunk_crosspaths(engines: Engines, chunk) -> dict:
-    group, box = engines.group, engines.box
-    out = _new_chunk()
-    for u, v in _pairs_of(chunk, group):
-        for w in group.elements:
-            out["instances"] += 1
-            try:
-                prov = box.chi_provenance(u, v, w)
-            except InternalInvariantError as exc:
-                _record_hard(out, {"check": "chi-paths", "u": str(u), "v": str(v),
-                                   "w": str(w), "error": str(exc)})
-                continue
-            if not prov.agree:
-                _record_hard(out, {
-                    "check": "chi-paths", "u": str(u), "v": str(v), "w": str(w),
-                    "error": f"triple-sum {prov.triple_sum}, pairing {prov.pairing}, "
-                             f"expansion {prov.expansion}",
-                })
-    return out
-
-
-def _chunk_theorem_pairs(engines: Engines, chunk) -> dict:
-    group, rich, coh = engines.group, engines.rich, engines.coh
-    top = coh.schubert_class(group.longest)
-    out = _new_chunk()
-    for u, v in _pairs_of(chunk, group):
+def _record_crosspaths(engines: Engines, out: dict, u, v) -> None:
+    for w in engines.group.elements:
         out["instances"] += 1
         try:
-            cls = rich.csm_richardson(u, v)           # mirror agreement inside
-            rich.richardson_coeffs(u, v)              # parity inside
-            rich.verify_lemma_e(u, v)                 # sign condition inside
-            if not group.bruhat_leq(v, u) and cls:
-                _record_hard(out, {"check": "empty-cell", "u": str(u), "v": str(v),
-                                   "error": "empty Richardson cell has nonzero class"})
-            if u == v and cls != top:
-                _record_hard(out, {"check": "diagonal-point", "u": str(u), "v": str(v),
-                                   "error": "diagonal cell class is not the point class"})
+            prov = engines.box.chi_provenance(u, v, w)
         except InternalInvariantError as exc:
-            _record_hard(out, {"check": "richardson-pair", "u": str(u), "v": str(v),
-                               "error": str(exc)})
-    return out
+            _record_hard(out, _entry("chi-paths", u, v, w, error=str(exc)))
+            continue
+        if not prov.agree:
+            _record_hard(out, _entry(
+                "chi-paths", u, v, w,
+                error=f"triple-sum {prov.triple_sum}, pairing {prov.pairing}, "
+                      f"expansion {prov.expansion}"))
 
 
-_CHUNK_WORKERS = {
-    "conjB": _chunk_conjb,
-    "conjC": _chunk_conjc,
-    "conjD": _chunk_conjd,
-    "cross-paths": _chunk_crosspaths,
-    "theorem-pairs": _chunk_theorem_pairs,
-}
+#: the pair-level record step of each suite; theorem-invariants also has
+#: an element block before the sweep and a global block after it
+_RECORD_STEPS = {"theorem-invariants": _record_theorem_pair, "conjB": _record_conjb,
+                 "conjC": _record_conjc, "conjD": _record_conjd,
+                 "cross-paths": _record_crosspaths}
 #: suites that check every w for each (u, v) pair
 _TRIPLE_SUITES = frozenset({"conjD", "cross-paths"})
 
 
-def _mp_entry(args):
-    worker_name, chunk = args
-    return _CHUNK_WORKERS[worker_name](_WORKER_ENGINES, chunk)
+# -- the row sweep ----------------------------------------------------------------
+
+_WORKER_ENGINES: Engines | None = None
 
 
-def _run_chunked(engines: Engines, worker_name: str, items: list, jobs: int) -> dict:
-    """Run a chunk worker over items, serially or with a fork pool.
+def _row_units(group: WeylGroup, filtered: list[int]) -> list[list[int]]:
+    """The units of work: each filtered row u together with row w0*u when
+    that is filtered too, since conjD and cross-paths on row u read the
+    classes of (w0*u, v)."""
+    keep, units = set(filtered), []
+    for ui in filtered:
+        partner = group._w0[ui]
+        if partner not in keep:
+            units.append([ui])
+        elif ui < partner:
+            units.append([ui, partner])
+    return units
 
-    The merge is in chunk order, so parallel output equals serial output.
-    """
-    worker = _CHUNK_WORKERS[worker_name]
-    workers = pool_size(jobs, len(items))
-    if workers == 1:
-        parts = [worker(engines, items)]
+
+def _sweep_unit(engines: Engines, names, filtered, rows) -> list:
+    """Every named record step on every pair (u, v) with u in rows and v
+    filtered; returns (row, {suite: tally}) for each row, each tally's
+    elapsed being the time its record steps took."""
+    els, clock = engines.group.elements, time.perf_counter
+    steps = [(name, _RECORD_STEPS[name]) for name in names]
+    out = []
+    for ui in rows:
+        u, row = els[ui], {name: _new_tally() for name in names}
+        for vi in filtered:
+            v = els[vi]
+            for name, step in steps:
+                start = clock()
+                step(engines, row[name], u, v)
+                row[name]["elapsed"] += clock() - start
+        out.append((ui, row))
+    return out
+
+
+def _pooled_unit(task) -> list:
+    return _sweep_unit(_WORKER_ENGINES, *task)
+
+
+def _run_suites(engines: Engines, names, max_length: int | None,
+                jobs: int) -> dict[str, SuiteResult]:
+    """The named suites in one sweep over the filtered rows, in-process or
+    in one fork pool.  Each suite's row tallies are merged in ascending row
+    order, the serial pair order, so the result does not depend on jobs.
+    theorem-invariants' tally is its element block, then its pair tally,
+    then its global block."""
+    group, clock = engines.group, time.perf_counter
+    filtered = _filtered_indices(group, max_length)
+    tallies = {name: _new_tally() for name in names}
+    predicted = {name: len(filtered) ** 2 * (group.order if name in _TRIPLE_SUITES else 1)
+                 for name in names}
+    theorem = tallies.get("theorem-invariants")
+    if theorem is not None:
+        # before any fork, so that workers inherit the per-element classes
+        start = clock()
+        _theorem_elements(engines, theorem, filtered)
+        theorem["elapsed"] += clock() - start
+
+    units = _row_units(group, filtered)
+    tasks = [(names, filtered, rows) for rows in units]
+    workers = pool_size(jobs, len(units))
+    try:
+        ctx = multiprocessing.get_context("fork") if workers > 1 else None
+    except ValueError:
+        ctx = None
+    if ctx is None:
+        parts = [_sweep_unit(engines, *task) for task in tasks]
     else:
         global _WORKER_ENGINES
         _WORKER_ENGINES = engines
         try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            parts = [worker(engines, items)]
-        else:
             with ctx.Pool(workers) as pool:
-                parts = pool.map(_mp_entry, [(worker_name, c) for c in _chunks(items, workers)])
-        _WORKER_ENGINES = None
-    merged = _new_chunk()
-    for part in parts:
-        _merge_chunk(merged, part)
-    return merged
+                parts = pool.map(_pooled_unit, tasks, chunksize=1)
+        finally:
+            _WORKER_ENGINES = None
+    rows = dict(item for part in parts for item in part)
+    for ui in filtered:
+        for name in names:
+            _merge_tally(tallies[name], rows[ui][name])
 
-
-# -- suites -------------------------------------------------------------------
-
-
-def _pair_index_list(group: WeylGroup, max_length: int | None) -> list[tuple[int, int]]:
-    idx = _filtered_indices(group, max_length)
-    return [(u, v) for u in idx for v in idx]
+    if theorem is not None:
+        start = clock()
+        predicted["theorem-invariants"] += len(filtered) + _theorem_globals(engines, theorem)
+        theorem["elapsed"] += clock() - start
+    return {name: SuiteResult(name=name, predicted_instances=predicted[name], **tallies[name])
+            for name in names}
 
 
 def run_suite(engines: Engines, name: str, max_length: int | None = None,
               jobs: int = 1) -> SuiteResult:
-    pairs = _pair_index_list(engines.group, max_length)
-    start = time.perf_counter()
-    if name == "theorem-invariants":
-        merged, predicted = _theorem_invariants(engines, pairs, max_length, jobs)
-    elif name in SUITE_NAMES:
-        merged = _run_chunked(engines, name, pairs, jobs)
-        predicted = len(pairs) * (engines.group.order if name in _TRIPLE_SUITES else 1)
-    else:
+    """One suite, through the same sweep as run_verification."""
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}")
-    return SuiteResult(name=name, predicted_instances=predicted,
-                       elapsed=time.perf_counter() - start, **merged)
+    return _run_suites(engines, (name,), max_length, jobs)[name]
 
 
-def _theorem_invariants(engines: Engines, pairs, max_length, jobs) -> tuple[dict, int]:
-    """Proved-identity sweep; returns the tally and the predicted count."""
-    group, coh, csm, rich = engines.group, engines.coh, engines.csm, engines.rich
-    out = _new_chunk()
-    filtered = _filtered_indices(group, max_length)
+# -- theorem-invariants: the element and global blocks ------------------------
 
-    # per-element block
+
+def _theorem_elements(engines: Engines, out: dict, filtered: list[int]) -> None:
+    """Cell-class identities on every filtered element, recorded into out."""
+    group, csm, rich = engines.group, engines.csm, engines.rich
     for ui in filtered:
         u = group.elements[ui]
         out["instances"] += 1
@@ -411,30 +400,28 @@ def _theorem_invariants(engines: Engines, pairs, max_length, jobs) -> tuple[dict
             cell = csm.csm_schubert_cell(u)       # positivity/support/normalization
             seg = csm.segre_schubert_cell(u)      # sign twist
             if seg != parity_sign(group.w0_times(u).length) * csm.phi_involution(cell):
-                _record_hard(out, {"check": "segre-phi-twist", "u": str(u),
-                                   "error": "sign involution identity fails"})
+                _record_hard(out, _entry("segre-phi-twist", u,
+                                         error="sign involution identity fails"))
             expansion = rich.expand_in_csm_basis(cell)
             if expansion.coeffs != {ui: 1}:
-                _record_hard(out, {"check": "csm-basis-unitriangular", "u": str(u),
-                                   "error": "cell class does not expand to itself"})
+                _record_hard(out, _entry("csm-basis-unitriangular", u,
+                                         error="cell class does not expand to itself"))
             if csm.csm_opposite_cell(u) != csm.csm_schubert_cell(group.w0_times(u)):
-                _record_hard(out, {"check": "opposite-translation", "u": str(u),
-                                   "error": "opposite cell identity fails"})
+                _record_hard(out, _entry("opposite-translation", u,
+                                         error="opposite cell identity fails"))
         except InternalInvariantError as exc:
-            _record_hard(out, {"check": "cell-invariants", "u": str(u), "error": str(exc)})
+            _record_hard(out, _entry("cell-invariants", u, error=str(exc)))
 
-    # pair block (parallelizable)
-    _merge_chunk(out, _run_chunked(engines, "theorem-pairs", pairs, jobs))
 
-    # global block
-    global_count = 0
+def _theorem_globals(engines: Engines, out: dict) -> int:
+    """Whole-group identities, recorded into out; returns how many ran."""
+    group, coh, csm = engines.group, engines.coh, engines.csm
+    before = out["instances"]
 
     def check(ok: bool, name: str, detail: str = ""):
-        nonlocal global_count
-        global_count += 1
         out["instances"] += 1
         if not ok:
-            _record_hard(out, {"check": name, "error": detail or "identity fails"})
+            _record_hard(out, _entry(name, error=detail or "identity fails"))
 
     try:
         check(csm.completeness_check(), "completeness",
@@ -494,8 +481,7 @@ def _theorem_invariants(engines: Engines, pairs, max_length, jobs) -> tuple[dict
         for v in group.elements:
             check(group.bruhat_leq(v, w) == (v.index in reachable),
                   "bruhat-subword", f"order disagrees at ({v}, {w})")
-
-    return out, len(filtered) + len(pairs) + global_count
+    return out["instances"] - before
 
 
 # -- reports ---------------------------------------------------------------------
@@ -514,13 +500,15 @@ class VerificationReport:
 
     @property
     def exit_code(self) -> int:
-        if any(s.status == "FAIL" for s in self.suites.values()):
-            return 2
-        if any(v == "FAIL" for v in self.meta_checks.values()):
+        if (any(s.status == "FAIL" for s in self.suites.values())
+                or "FAIL" in self.meta_checks.values()):
             return 2
         if any(s.violations for s in self.suites.values()):
             return 1
         return 0
+
+    def _ordered(self) -> list[tuple[str, SuiteResult]]:
+        return [(name, self.suites[name]) for name in SUITE_NAMES if name in self.suites]
 
     def to_dict(self) -> dict:
         return {
@@ -530,8 +518,7 @@ class VerificationReport:
             "cache": {"format_version": FORMAT_VERSION,
                       "dl_convention": self.dl_convention},
             "options": self.options,
-            "suites": {name: self.suites[name].to_dict()
-                       for name in SUITE_NAMES if name in self.suites},
+            "suites": {name: s.to_dict() for name, s in self._ordered()},
             "meta_checks": self.meta_checks,
             "exit_code": self.exit_code,
             "timings": self.timings,
@@ -542,10 +529,7 @@ class VerificationReport:
 
     def summary_lines(self) -> list[str]:
         lines = [f"group {self.series}{self.rank} (|W| = {self.order})"]
-        for name in SUITE_NAMES:
-            if name not in self.suites:
-                continue
-            s = self.suites[name]
+        for name, s in self._ordered():
             lines.append(
                 f"  {name}: {s.instances}/{s.predicted_instances} instances, "
                 f"{len(s.violations)} violations, {s.hard_failure_count} hard failures "
@@ -562,17 +546,12 @@ class VerificationReport:
                   "predicted_instances", "violations", "hard_failures", "status",
                   "check", "u", "v", "w", "value"]
         rows = [header]
-        for name in SUITE_NAMES:
-            if name not in self.suites:
-                continue
-            s = self.suites[name]
+        for name, s in self._ordered():
             rows.append(["summary", self.series, self.rank, name, s.instances,
                          s.predicted_instances, len(s.violations),
                          s.hard_failure_count, s.status, "", "", "", "", ""])
-        for name in SUITE_NAMES:
-            if name not in self.suites:
-                continue
-            for v in self.suites[name].violations:
+        for name, s in self._ordered():
+            for v in s.violations:
                 rows.append(["witness", self.series, self.rank, name, "", "", "", "",
                              "", v.get("check", ""), v.get("u", ""), v.get("v", ""),
                              v.get("w", ""), v.get("value", "")])
@@ -605,6 +584,8 @@ def run_verification(
 
     Raises UsageError for ``jobs`` below 1 or a negative ``max_length``
     (which would filter out every element and pass on zero instances).
+    A hard failure on tables adopted from the cache reruns once on rebuilt
+    tables if an adopted one differs from its rebuild.
     """
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
@@ -618,52 +599,70 @@ def run_verification(
     checksums = materialize_tables(engines, cache=cache, cache_events=cache_events)
     build_elapsed = time.perf_counter() - t0
 
-    results: dict[str, SuiteResult] = {}
-    for name in suite_names:
-        results[name] = run_suite(engines, name, max_length=max_length, jobs=jobs)
+    def report_on(engines: Engines, checksums: dict) -> VerificationReport:
+        results = _run_suites(engines, suite_names, max_length, jobs)
+        meta_start = time.perf_counter()
+        meta: dict[str, str] = {}
+        for implied in ("conjC", "conjD"):
+            key = "b-implies-" + implied[-1].lower()
+            if "conjB" not in results or implied not in results:
+                meta[key] = "SKIPPED"
+            elif results["conjB"].status == "PASS" and results[implied].violations:
+                meta[key] = "FAIL"
+            else:
+                meta[key] = "PASS"
+        if "conjD" in results:
+            # observed, never asserted; does not touch the exit code
+            status = engines.box.associativity_status(max_length=max_length)
+            if status is None:
+                meta["box-associativity"] = "not computed at this scale"
+            else:
+                failures, total = status
+                meta["box-associativity"] = (
+                    f"holds on {total}/{total} filtered triples" if failures == 0
+                    else f"fails on {failures}/{total} filtered triples")
+        meta_elapsed = time.perf_counter() - meta_start
+        return VerificationReport(
+            series=series, rank=rank, order=engines.group.order, suites=results,
+            meta_checks=meta, dl_convention=engines.csm.convention,
+            options={"suites": suite_names, "max_length": max_length, "jobs": jobs,
+                     "max_order": max_order, "table_checksums": checksums},
+            timings={"table_build_s": round(build_elapsed, 6),
+                     "per_suite_s": {n: round(r.elapsed, 6) for n, r in results.items()},
+                     "meta_s": round(meta_elapsed, 6),
+                     "total_s": round(time.perf_counter() - t0, 6),
+                     "cache_events": cache_events})
 
-    meta_start = time.perf_counter()
-    meta: dict[str, str] = {}
-    for implied in ("conjC", "conjD"):
-        key = "b-implies-" + implied[-1].lower()
-        if "conjB" not in results or implied not in results:
-            meta[key] = "SKIPPED"
-        elif results["conjB"].status == "PASS" and results[implied].violations:
-            meta[key] = "FAIL"
-        else:
-            meta[key] = "PASS"
-    if "conjD" in results:
-        # observed, never asserted; does not touch the exit code
-        status = engines.box.associativity_status(max_length=max_length)
-        if status is None:
-            meta["box-associativity"] = "not computed at this scale"
-        else:
-            failures, total = status
-            meta["box-associativity"] = (
-                f"holds on {total}/{total} filtered triples" if failures == 0
-                else f"fails on {failures}/{total} filtered triples"
-            )
-    meta_elapsed = time.perf_counter() - meta_start
+    error = report = None
+    try:
+        report = report_on(engines, checksums)
+    except InternalInvariantError as exc:
+        error = exc
+    if error is not None or report.exit_code == 2:
+        rebuilt = _replace_corrupt_tables(engines, checksums, cache, cache_events, max_order)
+        if rebuilt is not None:
+            return report_on(*rebuilt)
+        if error is not None:
+            raise error
+    return report
 
-    return VerificationReport(
-        series=series,
-        rank=rank,
-        order=engines.group.order,
-        suites=results,
-        meta_checks=meta,
-        dl_convention=engines.csm.convention,
-        options={
-            "suites": suite_names,
-            "max_length": max_length,
-            "jobs": jobs,
-            "max_order": max_order,
-            "table_checksums": checksums,
-        },
-        timings={
-            "table_build_s": round(build_elapsed, 6),
-            "per_suite_s": {n: round(results[n].elapsed, 6) for n in results},
-            "meta_s": round(meta_elapsed, 6),
-            "total_s": round(time.perf_counter() - t0, 6),
-            "cache_events": cache_events,
-        },
-    )
+
+def _replace_corrupt_tables(engines: Engines, checksums: dict, cache: TableCache | None,
+                            cache_events: list, max_order: int):
+    """After a hard failure, rebuild the tables without the cache.  If an
+    adopted one differs from its rebuild, warn, replace it in the cache and
+    return the rebuilt engines and checksums; otherwise None."""
+    if not engines.adopted:
+        return None
+    fresh = build_engines(engines.series, engines.rank, max_order=max_order)
+    sums = materialize_tables(fresh)
+    corrupt = {kind for kind in engines.adopted if sums[kind] != checksums[kind]}
+    if not corrupt:
+        return None
+    for kind in sorted(corrupt):
+        warnings.warn(f"cache corrupt, recomputing: adopted {kind} table differs from its rebuild")
+        cache_events.append({"kind": kind, "event": "corrupt"})
+    fresh.adopted = set(sums) - corrupt     # so that only the corrupt ones are stored
+    materialize_tables(fresh, cache=cache, cache_events=cache_events)
+    return fresh, sums
+

@@ -8,7 +8,9 @@ from csmverify import cli
 from csmverify.cache import TableCache, payload_checksum
 from csmverify.errors import ParityViolation
 from csmverify.richardson import RichardsonCalculator
+from csmverify.rootdata import CartanDatum, WeylGroup
 from csmverify.verify import (
+    HARD_FAILURE_LIST_CAP,
     SUITE_NAMES,
     pool_size,
     resolve_suites,
@@ -98,6 +100,55 @@ def test_parallel_equals_serial():
     assert a["options"].pop("jobs") == 1 and b["options"].pop("jobs") == 3
     assert a == b
     assert parallel.exit_code == 0
+
+
+def test_one_pool_per_run(monkeypatch):
+    """Every requested suite shares one sweep and one pool of at most
+    --jobs workers, and the report equals the serial one."""
+    import multiprocessing.pool
+
+    import csmverify.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    pools = []
+    real_init = multiprocessing.pool.Pool.__init__
+
+    def counting_init(self, processes=None, *args, **kwargs):
+        pools.append(processes)
+        real_init(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting_init)
+    serial = run_verification("A", 3, suites=["all"])
+    assert pools == []
+    pooled = run_verification("A", 3, suites=["all"], jobs=2)
+    assert pools == [2]
+    a, b = _strip_timings(serial.to_json()), _strip_timings(pooled.to_json())
+    assert a["options"].pop("jobs") == 1 and b["options"].pop("jobs") == 2
+    assert a == b
+    assert set(pooled.timings["per_suite_s"]) == set(SUITE_NAMES)
+
+
+def test_hard_failure_cap_across_units(monkeypatch):
+    """576 failing pairs on A3, split over pool workers: the report keeps
+    the first HARD_FAILURE_LIST_CAP in pair order and counts them all."""
+    import csmverify.verify as verify_mod
+
+    def faulty(self, u, v):
+        raise ParityViolation(f"injected at ({u}, {v})")
+
+    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1})
+    # forked workers inherit the patched class
+    monkeypatch.setattr(RichardsonCalculator, "richardson_coeffs", faulty)
+    serial, pooled = (run_verification("A", 3, suites=["conjB", "conjC"], jobs=jobs)
+                      for jobs in (1, 2))
+    words = [str(w) for w in WeylGroup(CartanDatum.from_series("A", 3))]
+    pairs = [(u, v) for u in words for v in words]
+    for report in (serial, pooled):
+        conjb = report.suites["conjB"]
+        assert conjb.hard_failure_count == len(pairs) == 576
+        assert [(e["u"], e["v"]) for e in conjb.hard_failures] == pairs[:HARD_FAILURE_LIST_CAP]
+    assert serial.suites["conjB"].hard_failures == pooled.suites["conjB"].hard_failures
+    assert serial.suites["conjC"].to_dict() == pooled.suites["conjC"].to_dict()
 
 
 def test_injected_fault_gives_internal_failure(monkeypatch):
@@ -198,6 +249,42 @@ def test_corrupt_cache_recovers(tmp_path):
                           (kind, "store")], name
         again = run_verification("A", 2, suites=["conjB"], cache=cache)
         assert [e["event"] for e in again.timings["cache_events"]] == ["hit", "hit"], name
+
+
+def test_adopted_table_failing_a_run_is_rebuilt(tmp_path, capsys):
+    """A checksum-valid structure table that passes the adoption check but
+    is wrong elsewhere fails the run hard; the adopted tables are rebuilt,
+    the one that differs is replaced, and the run repeats once."""
+    cache = TableCache(tmp_path)
+    group = ["--type", "A", "--rank", "3", "--cache-dir", str(tmp_path)]
+    assert cli.main(["table", *group]) == 0
+    path = cache._path("A", 3, "structure").with_suffix(".json")
+    envelope = json.loads(path.read_text())
+    rows = envelope["payload"]["entries"]
+    rows["1.2|1.2"] = {w: 2 * c for w, c in rows["1.2|1.2"].items()}
+    envelope["checksum"] = payload_checksum(envelope["payload"])
+    path.write_text(json.dumps(envelope))
+    out = tmp_path / "report.json"
+    with pytest.warns(UserWarning, match="cache corrupt"):
+        assert cli.main(["verify", *group, "--suite", "all", "--output", str(out)]) == 0
+    events = [(e["kind"], e["event"]) for e in json.loads(out.read_text())["timings"]["cache_events"]]
+    assert events == [("structure", "hit"), ("csm", "hit"),
+                      ("structure", "corrupt"), ("structure", "store")]
+    again = run_verification("A", 3, suites=["conjB"], cache=cache)
+    assert [e["event"] for e in again.timings["cache_events"]] == ["hit", "hit"]
+
+
+def test_hard_failure_on_sound_adopted_tables_stands(tmp_path, monkeypatch):
+    cache = TableCache(tmp_path)
+    run_verification("A", 2, suites=["conjB"], cache=cache)
+
+    def faulty(self, u, v):
+        raise ParityViolation("injected")
+
+    monkeypatch.setattr(RichardsonCalculator, "richardson_coeffs", faulty)
+    report = run_verification("A", 2, suites=["conjB"], cache=cache)
+    assert report.exit_code == 2
+    assert [e["event"] for e in report.timings["cache_events"]] == ["hit", "hit"]
 
 
 # -- CLI ----------------------------------------------------------------------------------
