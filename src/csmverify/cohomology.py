@@ -19,7 +19,8 @@ the tests.
 
 The cup-product structure constants form one complete table, built from the
 triple integrals or adopted from the cache, and checked, before the first
-product; products read it by element index.
+product; products read it by element index, one column a . eps^v at a time
+(``Multiplier``, which keeps the columns of a factor used again).
 """
 
 from __future__ import annotations
@@ -156,6 +157,36 @@ class EquivariantClass:
                 if diff and not diff.divisible_by_linear(beta.coords):
                     return False
         return True
+
+
+class Multiplier:
+    """Multiplication by a fixed class, as a sparse operator whose column at
+    v, factor . eps^v, is read off the structure table on first use and
+    kept.  A product through a fresh multiplier reads the table entries the
+    term-by-term double loop would read, once each; every later product
+    reuses the columns already filled."""
+
+    __slots__ = ("coh", "factor", "columns")
+
+    def __init__(self, coh: "FlagCohomology", factor: CohomologyClass):
+        coh._check(factor)
+        coh.build_structure_table()
+        self.coh = coh
+        self.factor = factor
+        self.columns: dict[int, dict[int, int]] = {}
+
+    def __call__(self, b: CohomologyClass) -> CohomologyClass:
+        """factor . b"""
+        coh, columns, a = self.coh, self.columns, self.factor.coeffs
+        coh._check(b)
+        out: dict[int, int] = {}
+        for vi, cv in b.coeffs.items():
+            col = columns.get(vi)
+            if col is None:
+                col = columns[vi] = coh._column(a, vi)
+            for wi, c in col.items():
+                out[wi] = out.get(wi, 0) + cv * c
+        return CohomologyClass(coh.group, out)
 
 
 class WordKeys:
@@ -322,18 +353,17 @@ class FlagCohomology:
         return {els[w]: c for w, c in self.structure_constants_idx(u.index, v.index).items()}
 
     def cup(self, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-        self._check(a, b)
-        if self._table is None:
-            self.build_structure_table()
+        """A one-off product: b through a throwaway multiplier of a."""
+        return Multiplier(self, a)(b)
+
+    def _column(self, a: dict[int, int], vi: int) -> dict[int, int]:
+        """a . eps^v by element index: the one loop every product runs."""
         table = self._table
         out: dict[int, int] = {}
-        for u, cu in a.coeffs.items():
-            row = table[u]
-            for v, cv in b.coeffs.items():
-                prod = cu * cv
-                for wi, c in row[v].items():
-                    out[wi] = out.get(wi, 0) + prod * c
-        return CohomologyClass(self.group, out)
+        for ui, cu in a.items():
+            for wi, c in table[ui][vi].items():
+                out[wi] = out.get(wi, 0) + cu * c
+        return out
 
     def chevalley_multiply(self, lam, v: WeylElement, basis: str = "root") -> CohomologyClass:
         """Degree-2 product rule: c1(L_lam) . eps^v, independent of localization.

@@ -10,14 +10,14 @@ process (and recorded in cache metadata).
 
 Also here: the total Chern class of the tangent bundle (a product of
 degree-2 factors over the positive roots, so it needs only the Chevalley
-rule), its inverse via the nilpotent geometric series, Segre classes, the
-sign involution, and opposite-cell classes via translation by the longest
-element.
+rule), its inverse via the nilpotent geometric series, Segre classes (one
+multiplier of the inverse for every class), the sign involution, and
+opposite-cell classes via translation by the longest element.
 """
 
 from __future__ import annotations
 
-from .cohomology import CohomologyClass, FlagCohomology, WordKeys
+from .cohomology import CohomologyClass, FlagCohomology, Multiplier, WordKeys
 from .errors import CacheCorrupt, CalibrationFailure, InternalInvariantError
 from .rootdata import CartanDatum, WeylElement, WeylGroup, parity_sign
 
@@ -40,6 +40,7 @@ class CsmCalculator:
         self._cells: dict[int, CohomologyClass] = {}
         self._tangent: CohomologyClass | None = None
         self._tangent_inverse: CohomologyClass | None = None
+        self._segre_op: Multiplier | None = None
         self._segre_cells: dict[int, CohomologyClass] = {}
         self._checked: set[int] = set()
 
@@ -157,11 +158,11 @@ class CsmCalculator:
         nilpotent part; exact after dim-many terms."""
         if self._tangent_inverse is None:
             coh = self.coh
-            nil = self.tangent_chern() - coh.unit()
+            times_nil = Multiplier(coh, self.tangent_chern() - coh.unit())
             inv = coh.unit()
             term = coh.unit()
             for _ in range(self.group.num_positive):
-                term = -1 * coh.cup(term, nil)
+                term = -1 * times_nil(term)
                 if not term:
                     break
                 inv = inv + term
@@ -171,8 +172,11 @@ class CsmCalculator:
         return self._tangent_inverse
 
     def segre_sm(self, a: CohomologyClass) -> CohomologyClass:
-        """Segre transform: cup with the inverse total Chern class."""
-        return self.coh.cup(a, self.chern_inverse())
+        """Segre transform: product with the inverse total Chern class,
+        through one multiplier kept for the calculator's life."""
+        if self._segre_op is None:
+            self._segre_op = Multiplier(self.coh, self.chern_inverse())
+        return self._segre_op(a)
 
     def segre_schubert_cell(self, u: WeylElement) -> CohomologyClass:
         """Segre class of a Schubert cell, with the sign-twist identity

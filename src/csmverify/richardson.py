@@ -6,6 +6,13 @@ the CSM class of the second.  The same class has a mirror expression with
 the roles of the two factors swapped, and the two must agree exactly; that
 equality is enforced on every computation.
 
+The left factor depends only on the row u, so the products of a row go
+through two multipliers (see ``cohomology.Multiplier``): L_u, times
+seg(cell u), for the class and the twisted Segre product, and M_u, times
+csm(cell u), for the mirror product.  Their columns fill on first use and
+are reused across the row; they are held for at most two rows, the row
+pair of one sweep unit, and the sweep drops them when the unit ends.
+
 Proved facts are hard assertions here: the parity constraint on the
 coefficients against the Schubert-variety basis, and the sign condition on
 the twisted Segre expansion.  The nonnegativity of the coefficients and
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cohomology import CohomologyClass
+from .cohomology import CohomologyClass, Multiplier
 from .csm import CsmCalculator
 from .errors import LemmaViolation, MirrorMismatch, ParityViolation, SingularSystem
 from .rootdata import WeylElement, WeylGroup, parity_sign
@@ -71,23 +78,44 @@ class RichardsonCalculator:
         self.group = csm.group
         self._cells: dict[tuple[int, int], CohomologyClass] = {}
         self._expansions: dict[tuple[int, int], dict[int, int]] = {}
+        self._row_ops: dict[int, tuple[Multiplier, Multiplier]] = {}
+
+    def _row_operators(self, ui: int) -> tuple[Multiplier, Multiplier]:
+        """(L_u, M_u): multiplication by seg(cell u) and by csm(cell u).
+
+        Held for at most two rows, the rows u and w0*u of one sweep unit;
+        a third row drops both, so callers outside a sweep keep no more."""
+        ops = self._row_ops.get(ui)
+        if ops is None:
+            if len(self._row_ops) >= 2:
+                self._row_ops.clear()
+            u = self.group.elements[ui]
+            ops = self._row_ops[ui] = (Multiplier(self.coh, self.csm.segre_schubert_cell(u)),
+                                       Multiplier(self.coh, self.csm.csm_schubert_cell(u)))
+        return ops
+
+    def drop_row_operators(self) -> None:
+        """Free the row operators; the sweep calls this after each unit."""
+        self._row_ops.clear()
 
     def csm_richardson(self, u: WeylElement, v: WeylElement) -> CohomologyClass:
         """CSM class of the Richardson cell of (u, v).
 
-        Computed as segre(cell u) . csm(opposite cell v) and cross-checked
-        against the mirror product csm(cell u) . segre(opposite cell v);
-        disagreement raises MirrorMismatch.  If v is not below u the cell
-        is empty and the product vanishes of its own accord.
+        Computed as segre(cell u) . csm(opposite cell v) by the row
+        operator L_u and cross-checked against the mirror product
+        csm(cell u) . segre(opposite cell v) by M_u; disagreement raises
+        MirrorMismatch.  If v is not below u the cell is empty and the
+        product vanishes of its own accord.
         """
         self.coh._check(u, v)
         key = (u.index, v.index)
         cached = self._cells.get(key)
         if cached is not None:
             return cached
-        csm, coh = self.csm, self.coh
-        out = coh.cup(csm.segre_schubert_cell(u), csm.csm_opposite_cell(v))
-        mirror = coh.cup(csm.csm_schubert_cell(u), csm.segre_opposite_cell(v))
+        csm = self.csm
+        times_seg, times_csm = self._row_operators(u.index)
+        out = times_seg(csm.csm_opposite_cell(v))
+        mirror = times_csm(csm.segre_opposite_cell(v))
         if out != mirror:
             raise MirrorMismatch(
                 f"mirror product mismatch for Richardson cell ({u}, {v})"
@@ -130,26 +158,28 @@ class RichardsonCalculator:
         els = group.elements
         rem = dict(a.coeffs)
         d: dict[int, int] = {}
-        steps = 0
+        peeled: list[tuple[int, dict[int, int]]] = []
         while rem:
-            steps += 1
-            if steps > group.order:
+            if len(peeled) == group.order:
                 raise SingularSystem("CSM-basis expansion did not terminate")
             theta = min(rem)
             u = group._w0[theta]
             coeff = rem[theta]
             d[u] = coeff
-            for w, c in self.csm.csm_schubert_cell(els[u]).coeffs.items():
+            cell = self.csm.csm_schubert_cell(els[u]).coeffs
+            peeled.append((coeff, cell))
+            for w, c in cell.items():
                 val = rem.get(w, 0) - coeff * c
                 if val:
                     rem[w] = val
                 else:
                     rem.pop(w, None)
-        # back-substitution residual must vanish
-        total = self.coh.zero()
-        for u, coeff in d.items():
-            total = total + coeff * self.csm.csm_schubert_cell(els[u])
-        if total != a:
+        # back-substitution residual, summed in one dict, must vanish
+        total: dict[int, int] = {}
+        for coeff, cell in peeled:
+            for w, c in cell.items():
+                total[w] = total.get(w, 0) + coeff * c
+        if CohomologyClass(group, total) != a:
             raise SingularSystem("CSM-basis expansion residual is nonzero")
         return CsmBasisCoefficients(group, d)
 
@@ -174,14 +204,13 @@ class RichardsonCalculator:
     def verify_lemma_e(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
         """Twisted Segre expansion of the Richardson cell.
 
-        Computes the sign involution of segre(cell u) . segre(opposite v)
-        and checks the proved sign condition
-        (-1)^(l(w0 u) + l(v)) e_w >= 0; a violation raises LemmaViolation.
+        Computes the sign involution of segre(cell u) . segre(opposite v),
+        the product by the row operator L_u, and checks the proved sign
+        condition (-1)^(l(w0 u) + l(v)) e_w >= 0; a violation raises
+        LemmaViolation.
         """
         self.coh._check(u, v)
-        seg = self.coh.cup(
-            self.csm.segre_schubert_cell(u), self.csm.segre_opposite_cell(v)
-        )
+        seg = self._row_operators(u.index)[0](self.csm.segre_opposite_cell(v))
         twisted = self.csm.phi_involution(seg)
         sign = parity_sign(self.group.w0_times(u).length + v.length)
         for w, val in twisted.coeffs.items():

@@ -1,5 +1,6 @@
 import pytest
 
+from csmverify.cohomology import CohomologyClass
 from csmverify.verify import build_engines, materialize_tables
 
 _STACKS = {}
@@ -26,3 +27,19 @@ def group(engines):
         return engines(series, rank).group
 
     return get
+
+
+def _double_loop_product(coh, a, b):
+    """a . b summed term by term over the structure constants, the product
+    oracle that goes through no multiplier."""
+    out = {}
+    for u, cu in a.coeffs.items():
+        for v, cv in b.coeffs.items():
+            for w, c in coh.structure_constants_idx(u, v).items():
+                out[w] = out.get(w, 0) + cu * cv * c
+    return CohomologyClass(coh.group, out)
+
+
+@pytest.fixture(scope="session")
+def product_oracle():
+    return _double_loop_product

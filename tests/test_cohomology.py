@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from csmverify.cohomology import CohomologyClass, FlagCohomology
+from csmverify.cohomology import CohomologyClass, FlagCohomology, Multiplier
 from csmverify.errors import GroupMismatch
 from csmverify.polynomial import IntPolynomial
 from csmverify.rootdata import WeylGroup
@@ -170,6 +172,21 @@ def test_cup_commutative_and_associative_sampled(engines):
             u, v, w = (coh.schubert_class(rng.choice(basis)) for _ in range(3))
             assert coh.cup(u, v) == coh.cup(v, u)
             assert coh.cup(coh.cup(u, v), w) == coh.cup(u, coh.cup(v, w))
+
+
+_A3_CLASSES = st.dictionaries(st.integers(0, 23), st.integers(-9, 9), max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_A3_CLASSES, b=_A3_CLASSES, c=_A3_CLASSES)
+def test_multiplier_matches_double_loop(engines, product_oracle, a, b, c):
+    coh = _coh(engines, "A", 3)
+    a, b, c = (CohomologyClass(coh.group, x) for x in (a, b, c))
+    times_a = Multiplier(coh, a)
+    assert times_a(b) == product_oracle(coh, a, b)     # fills columns
+    assert times_a(c) == product_oracle(coh, a, c)     # reuses them
+    assert set(times_a.columns) == set(b.coeffs) | set(c.coeffs)
+    assert coh.cup(b, c) == product_oracle(coh, b, c)
 
 
 def test_cup_group_mismatch(engines):

@@ -34,12 +34,15 @@ GOLDEN = {
 }
 
 
-#: reports on a group above order 48, where chi cross-validation used to be
-#: sampled; the exhaustive case runs both triple suites, 2 x 1.73 M triples,
-#: through one sweep: (group and label, verify arguments, report digest, csm
+#: reports on groups above order 48: on A4, where chi cross-validation used
+#: to be sampled, the exhaustive case runs both triple suites, 2 x 1.73 M
+#: triples, through one sweep; on B4 the three pair suites run on all
+#: 147,456 pairs: (group and label, verify arguments, report digest, csm
 #: checksum, structure checksum)
 _A4_TABLES = ("ee96cf01017a141af1e780e5af3edd1210db030d7a00daf35400e780ac69ed40",
               "10a7932bbbb30d8393063fbc6d575b0bd6ccb537e6fabe6d433c638eff354ec1")
+_B4_TABLES = ("c51933aaef9637166d6c815cbc3d679993ec1f466e6eee493ce505b838d74ed1",
+              "414c02eb410d5eb90ed302b147f0e2a50417f3950500619c5700a878448af36b")
 LONG_GOLDEN = {
     ("A", 4, "length <= 1"): (
         ["--suite", "conjD", "--suite", "cross-paths", "--max-length", "1"],
@@ -47,6 +50,9 @@ LONG_GOLDEN = {
     ("A", 4, "exhaustive"): (
         ["--suite", "conjD", "--suite", "cross-paths"],
         "128237e7c728626c553446f19516974a8d6e2b9b72bd171d3904160d642fa418", *_A4_TABLES),
+    ("B", 4, "exhaustive"): (
+        ["--suite", "theorem-invariants", "--suite", "conjB", "--suite", "conjC"],
+        "705031a7e103c76154584dc4e53c9c12cad368e1d904350df66d360ed973b241", *_B4_TABLES),
 }
 
 

@@ -1,6 +1,11 @@
+import json
+
 import pytest
 
+from csmverify import cli
 from csmverify.errors import LemmaViolation, MirrorMismatch, ParityViolation
+from csmverify.richardson import RichardsonCalculator
+from csmverify.verify import SUITE_NAMES, _sweep_unit, build_engines, materialize_tables
 
 
 def _rich(engines, series, rank):
@@ -55,6 +60,83 @@ def test_mirror_agreement_is_enforced(engines, monkeypatch):
         rich.csm_richardson(g.longest, g.identity)
     monkeypatch.undo()
     rich._cells.clear()
+
+
+# -- row operators ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("G", 2)])
+def test_row_operators_match_double_loop(engines, product_oracle, key):
+    """L_u . csm(w0 v), M_u . seg(w0 v) and L_u . seg(w0 v) on every pair."""
+    stack = engines(*key)
+    rich, csm, coh = stack.rich, stack.csm, stack.coh
+    for u in rich.group:
+        seg_u, csm_u = csm.segre_schubert_cell(u), csm.csm_schubert_cell(u)
+        times_seg, times_csm = rich._row_operators(u.index)
+        for v in rich.group:
+            seg_v, csm_v = csm.segre_opposite_cell(v), csm.csm_opposite_cell(v)
+            richardson = product_oracle(coh, seg_u, csm_v)
+            assert times_seg(csm_v) == richardson == rich.csm_richardson(u, v)
+            assert times_csm(seg_v) == product_oracle(coh, csm_u, seg_v)
+            segre = product_oracle(coh, seg_u, seg_v)
+            assert times_seg(seg_v) == segre
+            assert rich.verify_lemma_e(u, v) == dict(csm.phi_involution(segre).items())
+    rich.drop_row_operators()
+
+
+def test_row_operators_held_for_two_rows(engines):
+    rich = _rich(engines, "A", 3)
+    g = rich.group
+    for ui in (3, g._w0[3], 3, 5):
+        rich._row_operators(ui)
+    assert sorted(rich._row_ops) == [5]
+    rich.drop_row_operators()
+    assert not rich._row_ops
+
+
+def test_sweep_unit_drops_row_operators(engines, monkeypatch):
+    stack = engines("A", 3)
+    rich, g = stack.rich, stack.group
+    held, drop = [], rich.drop_row_operators
+
+    def recording_drop():
+        held.append(sorted(rich._row_ops))
+        drop()
+
+    monkeypatch.setattr(rich, "drop_row_operators", recording_drop)
+    rows = [2, g._w0[2]]
+    parts = _sweep_unit(stack, SUITE_NAMES, list(range(g.order)), rows)
+    assert [ui for ui, _ in parts] == rows
+    assert held == [sorted(rows)]
+    assert not rich._row_ops
+
+
+def test_corrupt_mirror_operator_is_caught(monkeypatch, tmp_path, capsys):
+    """A wrong column of M_u fails every Richardson class: the mirror check
+    is not vacuous, in process or through the command."""
+    real = RichardsonCalculator._row_operators
+
+    def corrupted(self, ui):
+        times_seg, times_csm = real(self, ui)
+        top = self.group.longest.index
+        # csm(u) . eps^{w0} is at most eps^{w0}, and seg(w0 v) always has a
+        # nonzero eps^{w0} term, so every product M_u . seg(w0 v) goes wrong
+        times_csm.columns[top] = {top: 7}
+        return times_seg, times_csm
+
+    monkeypatch.setattr(RichardsonCalculator, "_row_operators", corrupted)
+    stack = build_engines("A", 2)
+    materialize_tables(stack)
+    g = stack.group
+    with pytest.raises(MirrorMismatch):
+        stack.rich.csm_richardson(g.longest, g.identity)
+
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--type", "A", "--rank", "2", "--suite", "theorem-invariants",
+                     "--cache-dir", str(tmp_path / "cache"), "--output", str(out)]) == 2
+    failures = json.loads(out.read_text())["suites"]["theorem-invariants"]["hard_failures"]
+    assert len(failures) == g.order ** 2
+    assert all(f["error"].startswith("mirror product mismatch") for f in failures)
+    capsys.readouterr()
 
 
 # -- coefficients and parity ------------------------------------------------------------
