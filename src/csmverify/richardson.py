@@ -10,8 +10,8 @@ The left factor depends only on the row u, so the products of a row go
 through two multipliers (see ``cohomology.Multiplier``): L_u, times
 seg(cell u), for the class and the twisted Segre product, and M_u, times
 csm(cell u), for the mirror product.  Their columns fill on first use and
-are reused across the row; they are held for at most two rows, the row
-pair of one sweep unit, and the sweep drops them when the unit ends.
+are reused across the row.  They are held for at most two rows, the row
+pair of one sweep unit: a third row drops both.
 
 Proved facts are hard assertions here: the parity constraint on the
 coefficients against the Schubert-variety basis, and the sign condition on
@@ -94,10 +94,6 @@ class RichardsonCalculator:
                                        Multiplier(self.coh, self.csm.csm_schubert_cell(u)))
         return ops
 
-    def drop_row_operators(self) -> None:
-        """Free the row operators; the sweep calls this after each unit."""
-        self._row_ops.clear()
-
     def csm_richardson(self, u: WeylElement, v: WeylElement) -> CohomologyClass:
         """CSM class of the Richardson cell of (u, v).
 
@@ -158,26 +154,28 @@ class RichardsonCalculator:
         els = group.elements
         rem = dict(a.coeffs)
         d: dict[int, int] = {}
-        peeled: list[tuple[int, dict[int, int]]] = []
+        cells: dict[int, dict[int, int]] = {}
+        steps = 0
         while rem:
-            if len(peeled) == group.order:
+            steps += 1
+            if steps > group.order:
                 raise SingularSystem("CSM-basis expansion did not terminate")
             theta = min(rem)
             u = group._w0[theta]
             coeff = rem[theta]
             d[u] = coeff
-            cell = self.csm.csm_schubert_cell(els[u]).coeffs
-            peeled.append((coeff, cell))
+            cell = cells[u] = self.csm.csm_schubert_cell(els[u]).coeffs
             for w, c in cell.items():
                 val = rem.get(w, 0) - coeff * c
                 if val:
                     rem[w] = val
                 else:
                     rem.pop(w, None)
-        # back-substitution residual, summed in one dict, must vanish
+        # back-substitution residual of d itself, summed in one dict, must
+        # vanish; a cell class off the unitriangular shape fails here
         total: dict[int, int] = {}
-        for coeff, cell in peeled:
-            for w, c in cell.items():
+        for u, coeff in d.items():
+            for w, c in cells[u].items():
                 total[w] = total.get(w, 0) + coeff * c
         if CohomologyClass(group, total) != a:
             raise SingularSystem("CSM-basis expansion residual is nonzero")

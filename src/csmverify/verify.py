@@ -21,8 +21,8 @@ Each pair-level check is a record step on one pair (u, v).  One sweep per
 run calls the steps of every requested suite, in units of the row pair
 {u, w0*u} (conjD and cross-paths on row u read the classes of (w0*u, v));
 with jobs above 1 the units go to one fork pool.  The Richardson row
-operators a unit builds are dropped when it ends.  Tallies merge in row
-order, so the report does not depend on jobs.  ``timings.per_suite_s`` is
+operators are held for at most the two rows of one unit.  Tallies merge
+in row order, so the report does not depend on jobs.  ``timings.per_suite_s`` is
 each suite's record-step time summed over units (worker time in a pool),
 plus theorem-invariants' element and global blocks.
 
@@ -311,23 +311,19 @@ def _row_units(group: WeylGroup, filtered: list[int]) -> list[list[int]]:
 def _sweep_unit(engines: Engines, names, filtered, rows) -> list:
     """Every named record step on every pair (u, v) with u in rows and v
     filtered; returns (row, {suite: tally}) for each row, each tally's
-    elapsed being the time its record steps took.  The Richardson row
-    operators built for the unit are dropped when it ends."""
+    elapsed being the time its record steps took."""
     els, clock = engines.group.elements, time.perf_counter
     steps = [(name, _RECORD_STEPS[name]) for name in names]
     out = []
-    try:
-        for ui in rows:
-            u, row = els[ui], {name: _new_tally() for name in names}
-            for vi in filtered:
-                v = els[vi]
-                for name, step in steps:
-                    start = clock()
-                    step(engines, row[name], u, v)
-                    row[name]["elapsed"] += clock() - start
-            out.append((ui, row))
-    finally:
-        engines.rich.drop_row_operators()
+    for ui in rows:
+        u, row = els[ui], {name: _new_tally() for name in names}
+        for vi in filtered:
+            v = els[vi]
+            for name, step in steps:
+                start = clock()
+                step(engines, row[name], u, v)
+                row[name]["elapsed"] += clock() - start
+        out.append((ui, row))
     return out
 
 

@@ -3,9 +3,9 @@ import json
 import pytest
 
 from csmverify import cli
-from csmverify.errors import LemmaViolation, MirrorMismatch, ParityViolation
+from csmverify.errors import LemmaViolation, MirrorMismatch, ParityViolation, SingularSystem
 from csmverify.richardson import RichardsonCalculator
-from csmverify.verify import SUITE_NAMES, _sweep_unit, build_engines, materialize_tables
+from csmverify.verify import build_engines, materialize_tables
 
 
 def _rich(engines, series, rank):
@@ -80,7 +80,6 @@ def test_row_operators_match_double_loop(engines, product_oracle, key):
             segre = product_oracle(coh, seg_u, seg_v)
             assert times_seg(seg_v) == segre
             assert rich.verify_lemma_e(u, v) == dict(csm.phi_involution(segre).items())
-    rich.drop_row_operators()
 
 
 def test_row_operators_held_for_two_rows(engines):
@@ -89,25 +88,6 @@ def test_row_operators_held_for_two_rows(engines):
     for ui in (3, g._w0[3], 3, 5):
         rich._row_operators(ui)
     assert sorted(rich._row_ops) == [5]
-    rich.drop_row_operators()
-    assert not rich._row_ops
-
-
-def test_sweep_unit_drops_row_operators(engines, monkeypatch):
-    stack = engines("A", 3)
-    rich, g = stack.rich, stack.group
-    held, drop = [], rich.drop_row_operators
-
-    def recording_drop():
-        held.append(sorted(rich._row_ops))
-        drop()
-
-    monkeypatch.setattr(rich, "drop_row_operators", recording_drop)
-    rows = [2, g._w0[2]]
-    parts = _sweep_unit(stack, SUITE_NAMES, list(range(g.order)), rows)
-    assert [ui for ui, _ in parts] == rows
-    assert held == [sorted(rows)]
-    assert not rich._row_ops
 
 
 def test_corrupt_mirror_operator_is_caught(monkeypatch, tmp_path, capsys):
@@ -222,6 +202,23 @@ def test_csm_basis_coeffs_a1(engines):
     out = rich.csm_basis_coeffs(s, e)
     assert out.d == {s: 1, e: -1}
     assert out.sign_ok
+
+
+def test_expand_residual_catches_bad_cell_class(engines, monkeypatch):
+    """A cell class off the unitriangular shape (here csm(cell s2) gains a
+    term at s1 s2, outside the support above its leading term s2 s1) still
+    lets the peel of eps^{s1} terminate, by peeling s2 twice; the expansion,
+    which keeps only the last of those coefficients, fails the residual
+    check."""
+    rich = _rich(engines, "A", 2)
+    g, csm, coh = rich.group, rich.csm, rich.coh
+    s1, s2 = g.simple_reflection(1), g.simple_reflection(2)
+    real = csm.csm_schubert_cell
+    bad = real(s2) + coh.schubert_class(g.w0_times(s1))
+    assert rich.expand_in_csm_basis(coh.schubert_class(s1)).coeffs
+    monkeypatch.setattr(csm, "csm_schubert_cell", lambda w: bad if w == s2 else real(w))
+    with pytest.raises(SingularSystem, match="residual"):
+        rich.expand_in_csm_basis(coh.schubert_class(s1))
 
 
 def test_expand_unitriangularity(engines):
