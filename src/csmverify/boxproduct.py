@@ -16,9 +16,9 @@ one formula, so agreement with the expansion is the substantive check.
 All three stay hard checks.  The triple sum reads raw localization
 integrals, never the cached structure table.  Each path builds one object
 per pair (u, v) and reads every w off it: the triple-sum row, the
-Richardson class, its expansion; ``box_product`` is cached per pair.
-Every ``chi`` call cross-validates its value (the expansion coefficient)
-unless the caller opts out; only conjD does.
+Richardson class, its expansion; only the current pair's triple-sum row
+is held.  Every ``chi`` call cross-validates its value (the expansion
+coefficient); conjD, whose triples cross-paths checks, reads that path.
 """
 
 from __future__ import annotations
@@ -60,17 +60,17 @@ class BoxCalculator:
         self.coh = rich.coh
         self.group = rich.group
         self._triple_rows: dict[tuple[int, int], dict[int, int]] = {}
-        self._box: dict[tuple[int, int], CohomologyClass] = {}
 
     # -- the three formulas ------------------------------------------------------
 
     def _triple_row(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
         """row[w1] = sum over (u1, v1) of +-c_u1 c_v1 int(eps^u1 eps^v1 eps^w1), c the
-        coefficients of csm(w0 u) and csm(w0 v); raw localization, once per pair."""
+        coefficients of csm(w0 u) and csm(w0 v); raw localization, held for one pair."""
         key = (u.index, v.index)
         row = self._triple_rows.get(key)
         if row is not None:
             return row
+        self._triple_rows.clear()
         group, csm, lengths = self.group, self.csm, self.group._lengths
         a_u, a_v = (csm.csm_schubert_cell(group.w0_times(x)).coeffs for x in (u, v))
         self.coh._ensure_rows()
@@ -111,12 +111,8 @@ class BoxCalculator:
 
     # -- canonical value -----------------------------------------------------------
 
-    def chi(self, u: WeylElement, v: WeylElement, w: WeylElement,
-            cross_validate: bool = True) -> int:
-        """The stored chi value (expansion path); unless the caller opts
-        out, all three paths must agree or PathDisagreement is raised."""
-        if not cross_validate:
-            return self.chi_via_richardson(u, v, w)
+    def chi(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
+        """The stored chi value (expansion path), if all three paths agree."""
         prov = self.chi_provenance(u, v, w)
         if not prov.agree:
             raise PathDisagreement(
@@ -136,18 +132,14 @@ class BoxCalculator:
     def box_product(self, u: WeylElement, v: WeylElement) -> CohomologyClass:
         """The deformed product of two basis classes.
 
-        Sum of chi(u, v, w) eps^w over w of length at least l(u) + l(v);
-        its lowest-degree part is the cup product.
+        Sum of chi(u, v, w) eps^w over w of length at least l(u) + l(v),
+        each cross-validated; its lowest-degree part is the cup product.
         """
         self.coh._check(u, v)
-        key = (u.index, v.index)
-        cls = self._box.get(key)
-        if cls is None:
-            floor = u.length + v.length
-            cls = self._box[key] = CohomologyClass(self.group, {
-                w.index: self.chi(u, v, w) for w in self.group if w.length >= floor
-            })
-        return cls
+        floor = u.length + v.length
+        return CohomologyClass(self.group, {
+            w.index: self.chi(u, v, w) for w in self.group if w.length >= floor
+        })
 
     def box_product_class(self, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
         """Bilinear extension of the deformed product to arbitrary classes."""
@@ -166,19 +158,37 @@ class BoxCalculator:
 
         Returns (failures, triples checked) over basis triples with all
         three lengths within the filter, or None when the filtered cube
-        exceeds ASSOCIATIVITY_TRIPLE_BUDGET.  Associativity is not asserted
-        anywhere: it is observed and reported only.
+        exceeds ASSOCIATIVITY_TRIPLE_BUDGET; observed, never asserted.  Its
+        box rows live in a table local to the call, filled row-major
+        (Richardson rows in turn) over F x F, F the filtered elements, then
+        S x F and F x S, S the support of those rows.
         """
-        els = [w for w in self.group if max_length is None or w.length <= max_length]
-        total = len(els) ** 3
+        els = self.group.elements
+        filtered = [w.index for w in els if max_length is None or w.length <= max_length]
+        total = len(filtered) ** 3
         if total > ASSOCIATIVITY_TRIPLE_BUDGET:
             return None
+        table: dict[tuple[int, int], dict[int, int]] = {}
+
+        def fill(rows, cols):
+            table.update({(x, y): self.box_product(els[x], els[y]).coeffs
+                          for x in rows for y in cols if (x, y) not in table})
+
+        fill(filtered, filtered)
+        support = sorted({x for row in table.values() for x in row})
+        fill(support, filtered)
+        fill(filtered, support)
+
         failures = 0
-        for u in els:
-            for v in els:
-                left_uv = self.box_product(u, v)
-                for w in els:
-                    lhs = self.box_product_class(left_uv, self.coh.schubert_class(w))
-                    rhs = self.box_product_class(self.coh.schubert_class(u), self.box_product(v, w))
-                    failures += lhs != rhs
+        for u in filtered:
+            for v in filtered:
+                for w in filtered:
+                    diff: dict[int, int] = {}
+                    for x, c in table[u, v].items():        # (u box v) box w
+                        for z, d in table[x, w].items():
+                            diff[z] = diff.get(z, 0) + c * d
+                    for y, c in table[v, w].items():        # u box (v box w)
+                        for z, d in table[u, y].items():
+                            diff[z] = diff.get(z, 0) - c * d
+                    failures += any(diff.values())
         return failures, total

@@ -10,8 +10,9 @@ The left factor depends only on the row u, so the products of a row go
 through two multipliers (see ``cohomology.Multiplier``): L_u, times
 seg(cell u), for the class and the twisted Segre product, and M_u, times
 csm(cell u), for the mirror product.  Their columns fill on first use and
-are reused across the row.  They are held for at most two rows, the row
-pair of one sweep unit: a third row drops both.
+are reused across the row.  A row's record holds them and the classes
+and expansions of its pairs; only the two rows of one sweep unit are
+held, so memory grows with |W|, not with the pairs a run visits.
 
 Proved facts are hard assertions here: the parity constraint on the
 coefficients against the Schubert-variety basis, and the sign condition on
@@ -76,23 +77,19 @@ class RichardsonCalculator:
         self.csm = csm
         self.coh = csm.coh
         self.group = csm.group
-        self._cells: dict[tuple[int, int], CohomologyClass] = {}
-        self._expansions: dict[tuple[int, int], dict[int, int]] = {}
-        self._row_ops: dict[int, tuple[Multiplier, Multiplier]] = {}
+        self._rows: dict[int, tuple] = {}
 
-    def _row_operators(self, ui: int) -> tuple[Multiplier, Multiplier]:
-        """(L_u, M_u): multiplication by seg(cell u) and by csm(cell u).
-
-        Held for at most two rows, the rows u and w0*u of one sweep unit;
-        a third row drops both, so callers outside a sweep keep no more."""
-        ops = self._row_ops.get(ui)
-        if ops is None:
-            if len(self._row_ops) >= 2:
-                self._row_ops.clear()
+    def _row(self, ui: int) -> tuple[Multiplier, Multiplier, dict, dict]:
+        """Row u's record (L_u, M_u, classes by v, expansions by v).  Only two
+        are held, the rows u and w0*u of a sweep unit: a third drops both."""
+        rec = self._rows.get(ui)
+        if rec is None:
+            if len(self._rows) >= 2:
+                self._rows.clear()
             u = self.group.elements[ui]
-            ops = self._row_ops[ui] = (Multiplier(self.coh, self.csm.segre_schubert_cell(u)),
-                                       Multiplier(self.coh, self.csm.csm_schubert_cell(u)))
-        return ops
+            rec = self._rows[ui] = (Multiplier(self.coh, self.csm.segre_schubert_cell(u)),
+                                    Multiplier(self.coh, self.csm.csm_schubert_cell(u)), {}, {})
+        return rec
 
     def csm_richardson(self, u: WeylElement, v: WeylElement) -> CohomologyClass:
         """CSM class of the Richardson cell of (u, v).
@@ -104,19 +101,18 @@ class RichardsonCalculator:
         product vanishes of its own accord.
         """
         self.coh._check(u, v)
-        key = (u.index, v.index)
-        cached = self._cells.get(key)
-        if cached is not None:
-            return cached
+        times_seg, times_csm, classes, _ = self._row(u.index)
+        out = classes.get(v.index)
+        if out is not None:
+            return out
         csm = self.csm
-        times_seg, times_csm = self._row_operators(u.index)
         out = times_seg(csm.csm_opposite_cell(v))
         mirror = times_csm(csm.segre_opposite_cell(v))
         if out != mirror:
             raise MirrorMismatch(
                 f"mirror product mismatch for Richardson cell ({u}, {v})"
             )
-        self._cells[key] = out
+        classes[v.index] = out
         return out
 
     def richardson_coeffs(self, u: WeylElement, v: WeylElement) -> RichardsonCoefficients:
@@ -135,13 +131,9 @@ class RichardsonCalculator:
             c[group.elements[w]] = val
             if (group._lengths[w] + u.length + v.length) % 2 != 0:
                 parity_ok = False
-        nonneg_ok = all(val >= 0 for val in c.values())
-        result = RichardsonCoefficients(u, v, c, parity_ok, nonneg_ok)
         if not parity_ok:
-            raise ParityViolation(
-                f"odd-parity coefficient in Richardson cell ({u}, {v})"
-            )
-        return result
+            raise ParityViolation(f"odd-parity coefficient in Richardson cell ({u}, {v})")
+        return RichardsonCoefficients(u, v, c, parity_ok, all(val >= 0 for val in c.values()))
 
     def expand_in_csm_basis(self, a: CohomologyClass) -> CsmBasisCoefficients:
         """Solve a = sum d_w . csm(cell w) by the unitriangular peel.
@@ -192,12 +184,11 @@ class RichardsonCalculator:
         return CsmBasisCoefficients(group, dict(d), not violations, violations)
 
     def _expansion(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
-        key = (u.index, v.index)
-        cached = self._expansions.get(key)
-        if cached is None:
-            cached = self.expand_in_csm_basis(self.csm_richardson(u, v)).coeffs
-            self._expansions[key] = cached
-        return cached
+        expansions = self._row(u.index)[3]
+        d = expansions.get(v.index)
+        if d is None:
+            d = expansions[v.index] = self.expand_in_csm_basis(self.csm_richardson(u, v)).coeffs
+        return d
 
     def verify_lemma_e(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
         """Twisted Segre expansion of the Richardson cell.
@@ -208,7 +199,7 @@ class RichardsonCalculator:
         LemmaViolation.
         """
         self.coh._check(u, v)
-        seg = self._row_operators(u.index)[0](self.csm.segre_opposite_cell(v))
+        seg = self._row(u.index)[0](self.csm.segre_opposite_cell(v))
         twisted = self.csm.phi_involution(seg)
         sign = parity_sign(self.group.w0_times(u).length + v.length)
         for w, val in twisted.coeffs.items():

@@ -20,11 +20,12 @@ Suite semantics
 Each pair-level check is a record step on one pair (u, v).  One sweep per
 run calls the steps of every requested suite, in units of the row pair
 {u, w0*u} (conjD and cross-paths on row u read the classes of (w0*u, v));
-with jobs above 1 the units go to one fork pool.  The Richardson row
-operators are held for at most the two rows of one unit.  Tallies merge
-in row order, so the report does not depend on jobs.  ``timings.per_suite_s`` is
-each suite's record-step time summed over units (worker time in a pool),
-plus theorem-invariants' element and global blocks.
+with jobs above 1 the units go to one fork pool.  A unit holds at most
+two Richardson rows and one triple-sum row; box associativity builds its
+own table of box rows.  Tallies merge in row order, so the report does
+not depend on jobs.  ``timings.per_suite_s`` is each suite's record-step
+time summed over units (worker time in a pool), plus theorem-invariants'
+element and global blocks.
 
 Findings carry full witnesses (reduced words, never internal indices).
 Reports are byte-deterministic apart from the ``timings`` block, which is
@@ -177,10 +178,6 @@ def _entry(check: str, *elements, **detail) -> dict:
     return {"check": check, **{k: str(x) for k, x in zip("uvw", elements)}, **detail}
 
 
-def _filtered_indices(group: WeylGroup, max_length: int | None) -> list[int]:
-    return [i for i in range(group.order) if max_length is None or group._lengths[i] <= max_length]
-
-
 def pool_size(jobs: int, units: int) -> int:
     """Worker processes for a sweep: no more than requested, than CPUs this
     process may run on, or than units of work."""
@@ -237,7 +234,7 @@ def _record_conjd(engines: Engines, out: dict, u, v) -> None:
     for w in group.elements:
         out["instances"] += 1
         try:
-            chi = engines.box.chi(u, v, w, cross_validate=False)
+            chi = engines.box.chi_via_richardson(u, v, w)
         except InternalInvariantError as exc:
             _record_hard(out, _entry("chi", u, v, w, error=str(exc)))
             continue
@@ -339,7 +336,8 @@ def _run_suites(engines: Engines, names, max_length: int | None,
     theorem-invariants' tally is its element block, then its pair tally,
     then its global block."""
     group, clock = engines.group, time.perf_counter
-    filtered = _filtered_indices(group, max_length)
+    filtered = [i for i in range(group.order)
+                if max_length is None or group._lengths[i] <= max_length]
     tallies = {name: _new_tally() for name in names}
     predicted = {name: len(filtered) ** 2 * (group.order if name in _TRIPLE_SUITES else 1)
                  for name in names}
@@ -419,10 +417,11 @@ def _theorem_globals(engines: Engines, out: dict) -> int:
     group, coh, csm = engines.group, engines.coh, engines.csm
     before = out["instances"]
 
-    def check(ok: bool, name: str, detail: str = ""):
+    def check(ok: bool, name: str, detail=""):
         out["instances"] += 1
-        if not ok:
-            _record_hard(out, _entry(name, error=detail or "identity fails"))
+        if not ok:      # detail: a message, or a function formatting it
+            text = detail() if callable(detail) else detail
+            _record_hard(out, _entry(name, error=text or "identity fails"))
 
     try:
         check(csm.completeness_check(), "completeness",
@@ -441,22 +440,22 @@ def _theorem_globals(engines: Engines, out: dict) -> int:
             expected = 1 if v == group.w0_times(u) else 0
             got = coh.integrate(coh.cup(coh.schubert_class(u), coh.schubert_class(v)))
             check(got == expected, "poincare-duality",
-                  f"pairing of ({u}, {v}) is {got}, expected {expected}")
+                  lambda: f"pairing of ({u}, {v}) is {got}, expected {expected}")
 
     # degree-2 rule vs the localization engine
     for i, v, agree in coh.chevalley_agreement():
-        check(agree, "chevalley-agreement", f"degree-2 products disagree at (s{i}, {v})")
+        check(agree, "chevalley-agreement", lambda: f"degree-2 products disagree at (s{i}, {v})")
 
     # operator relations on every basis vector
     for i in range(1, group.rank + 1):
         for w in group.elements:
             basis = coh.schubert_class(w)
             check(csm.dl_operator(i, csm.dl_operator(i, basis)) == basis,
-                  "dl-quadratic", f"T_{i}^2 != id at {w}")
+                  "dl-quadratic", lambda: f"T_{i}^2 != id at {w}")
             check(not csm.bgg_A(i, csm.bgg_A(i, basis)),
-                  "bgg-quadratic", f"A_{i}^2 != 0 at {w}")
+                  "bgg-quadratic", lambda: f"A_{i}^2 != 0 at {w}")
             check(csm.weyl_action(i, csm.weyl_action(i, basis)) == basis,
-                  "weyl-involution", f"s_{i}^2 != id at {w}")
+                  "weyl-involution", lambda: f"s_{i}^2 != id at {w}")
 
     C = group.datum.matrix
     braid_order = {0: 2, 1: 3, 2: 4, 3: 6}
@@ -474,14 +473,14 @@ def _theorem_globals(engines: Engines, out: dict) -> int:
                     for k in right_word:
                         b = op(k, b)
                     check(a == b, f"braid-{op_name}",
-                          f"braid relation fails for ({i},{j}) at {w}")
+                          lambda: f"braid relation fails for ({i},{j}) at {w}")
 
     # Bruhat recursion vs the subword oracle
     for w in group.elements:
         reachable = group.subword_products(w)
         for v in group.elements:
             check(group.bruhat_leq(v, w) == (v.index in reachable),
-                  "bruhat-subword", f"order disagrees at ({v}, {w})")
+                  "bruhat-subword", lambda: f"order disagrees at ({v}, {w})")
     return out["instances"] - before
 
 

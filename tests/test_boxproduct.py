@@ -107,10 +107,11 @@ def test_chi_provenance_object():
 
 
 def test_path_disagreement_raises(engines, monkeypatch):
-    """An earlier call that skipped validation cannot hide a later one."""
+    """An earlier unvalidated read of the expansion path cannot hide a
+    later disagreement from chi."""
     box = _box(engines, "A", 1)
     e = box.group.identity
-    assert box.chi(e, e, e, cross_validate=False) == 1
+    assert box.chi_via_richardson(e, e, e) == 1
     monkeypatch.setattr(box, "chi_via_triple_sum", lambda u, v, w: 999)
     with pytest.raises(PathDisagreement):
         box.chi(e, e, e)
@@ -132,7 +133,95 @@ def test_box_product_validates_every_w_above_order_48(engines, monkeypatch):
 
     monkeypatch.setattr(box, "chi_via_triple_sum", counted)
     box.box_product(u, v)
-    box.box_product(u, v)
     floor = u.length + v.length
     assert sorted(calls) == [w.index for w in g if w.length >= floor]
     assert list(box._triple_rows) == [(u.index, v.index)]
+
+
+def test_box_product_class_is_the_bilinear_extension(engines):
+    """On basis classes box_product_class is box_product; on a two-term
+    class it is linear in either argument."""
+    box = _box(engines, "B", 2)
+    g, coh = box.group, box.coh
+    for u in g:
+        for v in g:
+            assert box.box_product_class(coh.schubert_class(u), coh.schubert_class(v)) \
+                == box.box_product(u, v)
+    a, b = g.parse("s1"), g.parse("s2 s1")
+    mixed = 2 * coh.schubert_class(a) - 3 * coh.schubert_class(b)
+    for v in g:
+        basis = coh.schubert_class(v)
+        expected = 2 * box.box_product(a, v) - 3 * box.box_product(b, v)
+        assert box.box_product_class(mixed, basis) == expected
+        expected = 2 * box.box_product(v, a) - 3 * box.box_product(v, b)
+        assert box.box_product_class(basis, mixed) == expected
+
+
+def _class_level_associativity(stack, max_length, monkeypatch, perturb=None):
+    """The class-level associativity count, each triple through
+    box_product_class, on a BoxCalculator of its own whose box_product is
+    memoized (and perturbed when asked)."""
+    box = BoxCalculator(stack.rich)
+    real, memo = box.box_product, {}
+
+    def memoized(u, v):
+        key = (u.index, v.index)
+        if key not in memo:
+            memo[key] = (perturb or real)(u, v)
+        return memo[key]
+
+    monkeypatch.setattr(box, "box_product", memoized)
+    coh = box.coh
+    els = [w for w in box.group if max_length is None or w.length <= max_length]
+    failures = 0
+    for u in els:
+        for v in els:
+            left_uv = box.box_product(u, v)
+            for w in els:
+                lhs = box.box_product_class(left_uv, coh.schubert_class(w))
+                rhs = box.box_product_class(coh.schubert_class(u), box.box_product(v, w))
+                failures += lhs != rhs
+    return failures, len(els) ** 3
+
+
+def _perturbed(box, u0, v0):
+    """box_product with the row of (u0, v0) doubled."""
+    real = box.box_product
+
+    def perturbed(u, v):
+        out = real(u, v)
+        return 2 * out if (u, v) == (u0, v0) else out
+
+    return perturbed
+
+
+@pytest.mark.parametrize("key,max_length", [(("A", 3), None), (("A", 3), 2),
+                                            (("B", 2), None), (("B", 2), 1)])
+def test_associativity_matches_class_level_oracle(engines, monkeypatch, key, max_length):
+    """The index-space count equals the class-level one, as given and with
+    one box row perturbed, where both must see failures."""
+    stack = engines(*key)
+    box = BoxCalculator(stack.rich)
+    g = box.group
+    status = box.associativity_status(max_length)
+    assert status == _class_level_associativity(stack, max_length, monkeypatch)
+    assert status[0] == 0
+
+    u0, v0 = g.simple_reflection(1), g.simple_reflection(2)
+    perturbed = _perturbed(BoxCalculator(stack.rich), u0, v0)
+    oracle = _class_level_associativity(stack, max_length, monkeypatch, perturbed)
+    monkeypatch.setattr(box, "box_product", _perturbed(BoxCalculator(stack.rich), u0, v0))
+    status = box.associativity_status(max_length)
+    assert status == oracle
+    assert status[0] > 0
+
+
+def test_associativity_holds_no_box_rows(engines):
+    """The box rows associativity reads live only inside the call: the
+    calculator keeps one triple row and the Richardson calculator two rows."""
+    stack = engines("B", 2)
+    box = BoxCalculator(stack.rich)
+    assert box.associativity_status() == (0, stack.group.order ** 3)
+    assert set(vars(box)) == {"rich", "csm", "coh", "group", "_triple_rows"}
+    assert len(box._triple_rows) <= 1
+    assert len(stack.rich._rows) <= 2

@@ -36,8 +36,9 @@ GOLDEN = {
 
 #: reports on groups above order 48: on A4, where chi cross-validation used
 #: to be sampled, the exhaustive case runs both triple suites, 2 x 1.73 M
-#: triples, through one sweep; on B4 the three pair suites run on all
-#: 147,456 pairs: (group and label, verify arguments, report digest, csm
+#: triples, through one sweep, and the length <= 2 case checks box
+#: associativity on 14 filtered elements, reading box rows of 3,164 pairs
+#: outside the filter; on B4 the three pair suites run on all 147,456 pairs: (group and label, verify arguments, report digest, csm
 #: checksum, structure checksum)
 _A4_TABLES = ("ee96cf01017a141af1e780e5af3edd1210db030d7a00daf35400e780ac69ed40",
               "10a7932bbbb30d8393063fbc6d575b0bd6ccb537e6fabe6d433c638eff354ec1")
@@ -47,6 +48,9 @@ LONG_GOLDEN = {
     ("A", 4, "length <= 1"): (
         ["--suite", "conjD", "--suite", "cross-paths", "--max-length", "1"],
         "12c3bca0d9dd59655f52a2594b7e240f975f88ee77922454d3dfff45cef96e37", *_A4_TABLES),
+    ("A", 4, "length <= 2"): (
+        ["--suite", "conjD", "--max-length", "2"],
+        "2ed159eafa5718d97f1c0f69cd019e70dca429e1c5634116d228b59b1dfaedeb", *_A4_TABLES),
     ("A", 4, "exhaustive"): (
         ["--suite", "conjD", "--suite", "cross-paths"],
         "128237e7c728626c553446f19516974a8d6e2b9b72bd171d3904160d642fa418", *_A4_TABLES),

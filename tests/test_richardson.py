@@ -55,11 +55,11 @@ def test_mirror_agreement_is_enforced(engines, monkeypatch):
         return out + rich.coh.schubert_class(g.longest)
 
     monkeypatch.setattr(csm, "segre_opposite_cell", corrupted)
-    rich._cells.clear()
+    rich._rows.clear()
     with pytest.raises(MirrorMismatch):
         rich.csm_richardson(g.longest, g.identity)
     monkeypatch.undo()
-    rich._cells.clear()
+    rich._rows.clear()
 
 
 # -- row operators ---------------------------------------------------------------------
@@ -71,7 +71,7 @@ def test_row_operators_match_double_loop(engines, product_oracle, key):
     rich, csm, coh = stack.rich, stack.csm, stack.coh
     for u in rich.group:
         seg_u, csm_u = csm.segre_schubert_cell(u), csm.csm_schubert_cell(u)
-        times_seg, times_csm = rich._row_operators(u.index)
+        times_seg, times_csm, _, _ = rich._row(u.index)
         for v in rich.group:
             seg_v, csm_v = csm.segre_opposite_cell(v), csm.csm_opposite_cell(v)
             richardson = product_oracle(coh, seg_u, csm_v)
@@ -83,27 +83,36 @@ def test_row_operators_match_double_loop(engines, product_oracle, key):
 
 
 def test_row_operators_held_for_two_rows(engines):
+    """A row record holds L_u, M_u and the row's classes and expansions;
+    a third row drops both held records, whatever they hold."""
     rich = _rich(engines, "A", 3)
     g = rich.group
-    for ui in (3, g._w0[3], 3, 5):
-        rich._row_operators(ui)
-    assert sorted(rich._row_ops) == [5]
+    rich._rows.clear()
+    for ui in (3, g._w0[3], 3):
+        for v in g:
+            rich.csm_basis_coeffs(g.elements[ui], v)
+    assert sorted(rich._rows) == sorted([3, g._w0[3]])
+    assert all(len(classes) == len(expansions) == g.order
+               for _, _, classes, expansions in rich._rows.values())
+    rich.verify_lemma_e(g.elements[5], g.identity)
+    assert list(rich._rows) == [5]
+    assert rich._rows[5][2:] == ({}, {})
 
 
 def test_corrupt_mirror_operator_is_caught(monkeypatch, tmp_path, capsys):
     """A wrong column of M_u fails every Richardson class: the mirror check
     is not vacuous, in process or through the command."""
-    real = RichardsonCalculator._row_operators
+    real = RichardsonCalculator._row
 
     def corrupted(self, ui):
-        times_seg, times_csm = real(self, ui)
+        rec = real(self, ui)
         top = self.group.longest.index
         # csm(u) . eps^{w0} is at most eps^{w0}, and seg(w0 v) always has a
         # nonzero eps^{w0} term, so every product M_u . seg(w0 v) goes wrong
-        times_csm.columns[top] = {top: 7}
-        return times_seg, times_csm
+        rec[1].columns[top] = {top: 7}
+        return rec
 
-    monkeypatch.setattr(RichardsonCalculator, "_row_operators", corrupted)
+    monkeypatch.setattr(RichardsonCalculator, "_row", corrupted)
     stack = build_engines("A", 2)
     materialize_tables(stack)
     g = stack.group

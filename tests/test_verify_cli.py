@@ -6,12 +6,15 @@ import pytest
 
 from csmverify import cli
 from csmverify.cache import TableCache, payload_checksum
+from csmverify.boxproduct import BoxCalculator
 from csmverify.errors import ParityViolation
 from csmverify.richardson import RichardsonCalculator
 from csmverify.rootdata import CartanDatum, WeylGroup
 from csmverify.verify import (
     HARD_FAILURE_LIST_CAP,
     SUITE_NAMES,
+    build_engines,
+    materialize_tables,
     pool_size,
     resolve_suites,
     run_suite,
@@ -43,6 +46,33 @@ def test_instance_counts_a2(engines):
     assert run_suite(stack, "cross-paths").instances == order ** 3
     r = run_suite(stack, "theorem-invariants")
     assert r.instances == r.predicted_instances
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_sweep_holds_one_unit(monkeypatch, name):
+    """During and after a suite's sweep on A3, at most two Richardson rows
+    (one unit's) and one triple-sum row are held."""
+    stack = build_engines("A", 3)
+    materialize_tables(stack)
+    peak = {"rich": 0, "triple": 0}
+    real_row, real_triple = RichardsonCalculator._row, BoxCalculator._triple_row
+
+    def row(self, ui):
+        rec = real_row(self, ui)
+        peak["rich"] = max(peak["rich"], len(self._rows))
+        return rec
+
+    def triple_row(self, u, v):
+        out = real_triple(self, u, v)
+        peak["triple"] = max(peak["triple"], len(self._triple_rows))
+        return out
+
+    monkeypatch.setattr(RichardsonCalculator, "_row", row)
+    monkeypatch.setattr(BoxCalculator, "_triple_row", triple_row)
+    assert run_suite(stack, name).status == "PASS"
+    # only cross-paths reads triple-sum rows; conjD reads the expansion path
+    assert peak == {"rich": 2, "triple": 1 if name == "cross-paths" else 0}
+    assert len(stack.rich._rows) <= 2 and len(stack.box._triple_rows) <= 1
 
 
 def test_max_length_filter(engines):
@@ -149,6 +179,18 @@ def test_hard_failure_cap_across_units(monkeypatch):
         assert [(e["u"], e["v"]) for e in conjb.hard_failures] == pairs[:HARD_FAILURE_LIST_CAP]
     assert serial.suites["conjB"].hard_failures == pooled.suites["conjB"].hard_failures
     assert serial.suites["conjC"].to_dict() == pooled.suites["conjC"].to_dict()
+
+
+def test_global_failure_messages(monkeypatch):
+    """A failing whole-group check is recorded with its formatted message:
+    here the subword oracle on A2 sees only the identity below each w."""
+    monkeypatch.setattr(WeylGroup, "subword_products", lambda self, w: {0})
+    report = run_verification("A", 2, suites=["theorem-invariants"])
+    suite = report.suites["theorem-invariants"]
+    assert suite.hard_failure_count == 13     # pairs e < v <= w
+    assert suite.hard_failures[:3] == [
+        {"check": "bruhat-subword", "error": f"order disagrees at ({v}, {w})"}
+        for v, w in (("s1", "s1"), ("s2", "s2"), ("s1", "s1 s2"))]
 
 
 def test_injected_fault_gives_internal_failure(monkeypatch):
