@@ -6,7 +6,7 @@ intersections, and exhaustive verification sweeps over small-rank groups.
 """
 
 from .boxproduct import BoxCalculator
-from .cohomology import CohomologyClass, EquivariantClass, FlagCohomology
+from .cohomology import CohomologyClass, FlagCohomology
 from .csm import CsmCalculator, calibrated_dl_convention
 from .errors import (
     CacheCorrupt,
@@ -26,7 +26,6 @@ from .errors import (
     SingularSystem,
     UsageError,
 )
-from .polynomial import IntPolynomial
 from .richardson import CsmBasisCoefficients, RichardsonCalculator, RichardsonCoefficients
 from .rootdata import (
     CartanDatum,
@@ -45,9 +44,7 @@ __all__ = [
     "CohomologyClass",
     "CsmBasisCoefficients",
     "CsmCalculator",
-    "EquivariantClass",
     "FlagCohomology",
-    "IntPolynomial",
     "RichardsonCalculator",
     "RichardsonCoefficients",
     "RootVector",

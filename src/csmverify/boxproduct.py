@@ -5,7 +5,7 @@ characteristic of the intersection of two opposite cells with a general
 translate of a third.  No general translate is ever materialized: chi is
 computed by three proved identities,
 
-* a triple sum over the CSM coefficient matrix against triple integrals,
+* a triple sum of CSM coefficients against triple integrals,
 * the pairing of a Richardson class against a Segre cell class,
 * a single coefficient of the CSM-basis expansion of a Richardson class,
 
@@ -13,11 +13,11 @@ and the three results must agree.  Disagreement is an internal failure.
 Only two are independent: given the enforced Segre-twist identity and that
 the sign involution phi is a ring map, the pairing and the triple sum are
 one formula, so agreement with the expansion is the substantive check.
-All three stay hard checks.  The triple sum reads raw localization
-integrals, never the cached structure table.  Each path builds one object
-per pair (u, v) and reads every w off it: the triple-sum row, the
-Richardson class, its expansion; only the current pair's triple-sum row
-is held.  Every ``chi`` call cross-validates its value (the expansion
+All three stay hard checks.  The triple sum is a product on a table this
+process computed.  Each path builds one object per pair (u, v) and reads
+every w off it: the triple-sum product, the Richardson class, its
+expansion; only the current pair's triple-sum product and row operator
+are held.  Every ``chi`` call cross-validates its value (the expansion
 coefficient); conjD, whose triples cross-paths checks, reads that path.
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import CohomologyClass
+from .cohomology import CohomologyClass, Multiplier
 from .errors import PathDisagreement
 from .richardson import RichardsonCalculator
 from .rootdata import WeylElement, parity_sign
@@ -59,40 +59,32 @@ class BoxCalculator:
         self.csm = rich.csm
         self.coh = rich.coh
         self.group = rich.group
-        self._triple_rows: dict[tuple[int, int], dict[int, int]] = {}
+        self._triple_ops: dict[int, Multiplier] = {}
+        self._triple_products: dict[tuple[int, int], CohomologyClass] = {}
 
     # -- the three formulas ------------------------------------------------------
 
-    def _triple_row(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
-        """row[w1] = sum over (u1, v1) of +-c_u1 c_v1 int(eps^u1 eps^v1 eps^w1), c the
-        coefficients of csm(w0 u) and csm(w0 v); raw localization, held for one pair."""
+    def _triple_product(self, u: WeylElement, v: WeylElement) -> CohomologyClass:
+        """P_uv = T_u . csm(w0 v), T_u times sum (-1)^(l(u) - l(u1)) c_u1 eps^u1,
+        c the coefficients of csm(w0 u), on a table this process computed;
+        T_u is held for one row, P_uv for one pair."""
+        group, csm, ops, products = self.group, self.csm, self._triple_ops, self._triple_products
+        if u.index not in ops:
+            ops.clear()
+            signed = {u1: parity_sign(u.length - group._lengths[u1]) * c
+                      for u1, c in csm.csm_schubert_cell(group.w0_times(u)).coeffs.items()}
+            ops[u.index] = Multiplier(self.coh.computed(), CohomologyClass(group, signed))
         key = (u.index, v.index)
-        row = self._triple_rows.get(key)
-        if row is not None:
-            return row
-        self._triple_rows.clear()
-        group, csm, lengths = self.group, self.csm, self.group._lengths
-        a_u, a_v = (csm.csm_schubert_cell(group.w0_times(x)).coeffs for x in (u, v))
-        self.coh._ensure_rows()
-        triple = self.coh._triple_raw
-        row = {}
-        for u1, cu in a_u.items():
-            su = parity_sign(u.length - lengths[u1]) * cu
-            for v1, cv in a_v.items():
-                for w1 in group.indices_of_length(group.num_positive - lengths[u1] - lengths[v1]):
-                    integral = triple(u1, v1, w1)
-                    if integral:
-                        row[w1] = row.get(w1, 0) + su * cv * integral
-        self._triple_rows[key] = row
-        return row
+        if key not in products:
+            products.clear()
+            products[key] = ops[u.index](csm.csm_schubert_cell(group.w0_times(v)))
+        return products[key]
 
     def chi_via_triple_sum(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
-        """Triple sum of CSM coefficients against triple integrals, signed
-        by the intersection dimension l(w) - l(u) - l(v)."""
+        """Triple sum of CSM coefficients against triple integrals, the pairing
+        of csm(cell w) with P_uv, signed by the dimension l(w) - l(u) - l(v)."""
         self.coh._check(u, v, w)
-        row = self._triple_row(u, v)
-        total = sum(c * row.get(w1, 0)
-                    for w1, c in self.csm.csm_schubert_cell(w).coeffs.items())
+        total = self.coh.pairing(self.csm.csm_schubert_cell(w), self._triple_product(u, v))
         return parity_sign(w.length - u.length - v.length) * total
 
     def chi_via_pairing(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:

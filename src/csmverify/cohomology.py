@@ -10,25 +10,24 @@ restriction at every fixed point, and a triple product integrates to
 where N is the number of positive roots and P the product of all positive
 roots.  Evaluating the restrictions at a fixed positive integer point turns
 this identity of rational functions into exact integer arithmetic; the
-final division by P must be exact and is checked.  Two independent oracles
-are kept alongside: the degree-2 product rule (chevalley_multiply), which
-checks every table and runs in the theorem-invariants sweep, and the
-polynomial expansion route (expand_equivariant), which re-derives structure
-constants by exact division instead of evaluation and is compared only in
-the tests.
+final division by P must be exact and is checked.  The degree-2 product
+rule (chevalley_multiply) is an independent oracle: it checks every table
+and runs in the theorem-invariants sweep.  The tests keep a second one, the
+polynomial expansion route, which re-derives structure constants by exact
+division instead of evaluation.
 
 The cup-product structure constants form one complete table, built from the
 triple integrals or adopted from the cache, and checked, before the first
 product; products read it by element index, one column a . eps^v at a time
-(``Multiplier``, which keeps the columns of a factor used again).
+(``Multiplier``, which keeps the columns of a factor used again).  A path
+that must not trust the cache multiplies on a table this process computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
-from .errors import CacheCorrupt, CapacityExceeded, InexactDivision, InternalInvariantError
-from .polynomial import IntPolynomial
+from .errors import CacheCorrupt, CapacityExceeded, InternalInvariantError
 from .rootdata import DEFAULT_MAX_ORDER, WeylElement, WeylGroup, parity_sign
 
 
@@ -119,46 +118,6 @@ class CohomologyClass:
         return self.epsilon_string()
 
 
-@dataclass
-class EquivariantClass:
-    """Restrictions of an equivariant class at all torus fixed points."""
-
-    group: WeylGroup
-    restrictions: dict[WeylElement, IntPolynomial]
-
-    def restriction(self, w: WeylElement) -> IntPolynomial:
-        return self.restrictions.get(w, IntPolynomial.zero(self.group.rank))
-
-    def pointwise_product(self, other: "EquivariantClass") -> "EquivariantClass":
-        out = {}
-        for w, p in self.restrictions.items():
-            q = other.restrictions.get(w)
-            if q is not None and p and q:
-                r = p * q
-                if r:
-                    out[w] = r
-        return EquivariantClass(self.group, out)
-
-    def check_gkm(self) -> bool:
-        """Divisibility across every reflection edge of the moment graph.
-
-        The edge through the fixed point w in the direction of a positive
-        root beta joins w to the product (reflection in beta) * w, and the
-        two restrictions must agree modulo beta.
-        """
-        group = self.group
-        for w in group:
-            pw = self.restriction(w)
-            for beta in group.positive_roots:
-                t = group.multiply(group.reflection(beta), w)
-                if t.index < w.index:
-                    continue
-                diff = pw - self.restriction(t)
-                if diff and not diff.divisible_by_linear(beta.coords):
-                    return False
-        return True
-
-
 class Multiplier:
     """Multiplication by a fixed class, as a sparse operator whose column at
     v, factor . eps^v, is read off the structure table on first use and
@@ -245,8 +204,7 @@ class FlagCohomology:
         self._signs: list[int] | None = None
         self._pos_product: int | None = None
         self._table: list[list[dict[int, int]]] | None = None
-        self._triple_cache: dict[tuple[int, int, int], int] = {}
-        self._billey_poly: dict[int, dict[int, IntPolynomial]] = {}
+        self._computed: FlagCohomology | None = None
 
     # -- basic class constructors ---------------------------------------------
 
@@ -306,10 +264,6 @@ class FlagCohomology:
 
     def _triple_raw(self, i: int, j: int, k: int) -> int:
         """Integral of a triple product of basis classes, exact."""
-        key = tuple(sorted((i, j, k)))
-        cached = self._triple_cache.get(key)
-        if cached is not None:
-            return cached
         rows, signs = self._rows, self._signs
         total = 0
         xs = self._upsets[i] & self._upsets[j] & self._upsets[k]
@@ -319,7 +273,6 @@ class FlagCohomology:
         q, r = divmod(total, self._pos_product)
         if r:
             raise InternalInvariantError("fixed-point sum failed exact division")
-        self._triple_cache[key] = q
         return q
 
     # -- products and integrals --------------------------------------------------
@@ -398,113 +351,36 @@ class FlagCohomology:
                 out[t] = out.get(t, 0) + coef
         return out
 
-    # -- polynomial (expansion) route ----------------------------------------------
-
-    def _billey_poly_row(self, x_idx: int) -> dict[int, IntPolynomial]:
-        """Restrictions of every basis class at one fixed point, as polynomials."""
-        row = self._billey_poly.get(x_idx)
-        if row is None:
-            row = self._billey_poly[x_idx] = self._subword_row(
-                x_idx, IntPolynomial.linear, IntPolynomial.constant(self.group.rank, 1))
-        return row
-
-    def billey_restriction(self, w: WeylElement, v: WeylElement) -> IntPolynomial:
-        """Restriction of the equivariant class of w at the fixed point v.
-
-        Subword sum over the canonical reduced word of v; nonnegative
-        coefficients, zero iff w is not below v.
-        """
-        self._check(w, v)
-        row = self._billey_poly_row(v.index)
-        return row.get(w.index, IntPolynomial.zero(self.group.rank))
-
-    def equivariant_schubert_class(self, w: WeylElement) -> EquivariantClass:
-        self._check(w)
-        out = {}
-        for x in self.group.elements:
-            p = self._billey_poly_row(x.index).get(w.index)
-            if p:
-                out[x] = p
-        return EquivariantClass(self.group, out)
-
-    def expand_equivariant(self, f: EquivariantClass) -> dict[WeylElement, IntPolynomial]:
-        """Coefficients g_w with f = sum g_w . xi^w, by induction on length.
-
-        At each step the minimal-length support element v contributes
-        g_v = f(v) / (product of v's reflection-ordering roots); the
-        division must be exact, otherwise the input violates the GKM
-        condition and InexactDivision is raised.
-        """
-        group = self.group
-        rem: dict[int, IntPolynomial] = {
-            w.index: p for w, p in f.restrictions.items() if p
-        }
-        out: dict[WeylElement, IntPolynomial] = {}
-        steps = 0
-        while rem:
-            steps += 1
-            if steps > group.order:
-                raise InexactDivision("expansion did not terminate on the group")
-            v_idx = min(rem, key=lambda i: (group._lengths[i], group._words[i]))
-            g = rem[v_idx]
-            word = group._words[v_idx]
-            pref = 0
-            for i in word:
-                g = g.divide_exact_linear(group._actions[pref][i - 1])
-                pref = group._right[pref][i - 1]
-            out[group.elements[v_idx]] = g
-            for x_idx in list(rem):
-                s = self._billey_poly_row(x_idx).get(v_idx)
-                if s is None:
-                    continue
-                new = rem[x_idx] - g * s
-                if new:
-                    rem[x_idx] = new
-                else:
-                    del rem[x_idx]
-        return out
-
-    def structure_constants_via_expansion(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
-        """Oracle route: expand the pointwise product, then set all roots to 0."""
-        self._check(u, v)
-        f = self.equivariant_schubert_class(u).pointwise_product(
-            self.equivariant_schubert_class(v)
-        )
-        target = u.length + v.length
-        out = {}
-        for w, g in self.expand_equivariant(f).items():
-            c = g.constant_term()
-            if c == 0:
-                continue
-            if w.length != target:
-                raise InternalInvariantError(
-                    "expansion has a constant term away from the product degree"
-                )
-            out[w] = c
-        return out
-
     # -- full table ------------------------------------------------------------------
 
     def build_structure_table(self) -> None:
         """Compute every structure constant, then self-check the table."""
         if self._table is None:
             self._set_table(self._computed_rows())
+            self._computed = self
+
+    def computed(self) -> "FlagCohomology":
+        """This engine if it built its table, else a twin built once: never a cached table."""
+        self.build_structure_table()
+        if self._computed is None:
+            self._computed = FlagCohomology(self.group, self.eval_point)
+            self._computed.build_structure_table()
+        return self._computed
 
     def _computed_rows(self):
         """Yield ((u, v), constants) for each pair u <= v with a nonzero product."""
         self._ensure_rows()
         group, upsets, lengths = self.group, self._upsets, self.group._lengths
+        triple = functools.cache(self._triple_raw)    # by sorted indices: once per unordered triple
         for ui in range(group.order):
             up_u = upsets[ui]
             for vi in range(ui, group.order):
                 target = lengths[ui] + lengths[vi]
-                if target > group.num_positive:
-                    continue
                 out: dict[int, int] = {}
                 for wi in group.indices_of_length(target):
                     if wi not in up_u or wi not in upsets[vi]:
                         continue
-                    c = self._triple_raw(ui, vi, group._w0[wi])
+                    c = triple(*sorted((ui, vi, group._w0[wi])))
                     if c < 0:
                         raise InternalInvariantError(
                             f"negative cup structure constant at ({ui},{vi},{wi})")

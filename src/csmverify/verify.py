@@ -21,11 +21,11 @@ Each pair-level check is a record step on one pair (u, v).  One sweep per
 run calls the steps of every requested suite, in units of the row pair
 {u, w0*u} (conjD and cross-paths on row u read the classes of (w0*u, v));
 with jobs above 1 the units go to one fork pool.  A unit holds at most
-two Richardson rows and one triple-sum row; box associativity builds its
-own table of box rows.  Tallies merge in row order, so the report does
-not depend on jobs.  ``timings.per_suite_s`` is each suite's record-step
-time summed over units (worker time in a pool), plus theorem-invariants'
-element and global blocks.
+two Richardson rows and one triple-sum row operator and pair product; box
+associativity builds its own table of box rows.  Tallies merge in row
+order, so the report does not depend on jobs.  ``timings.per_suite_s`` is
+each suite's record-step time summed over units (worker time in a pool),
+plus theorem-invariants' element and global blocks.
 
 Findings carry full witnesses (reduced words, never internal indices).
 Reports are byte-deterministic apart from the ``timings`` block, which is
@@ -348,6 +348,8 @@ def _run_suites(engines: Engines, names, max_length: int | None,
         _theorem_elements(engines, theorem, filtered)
         theorem["elapsed"] += clock() - start
 
+    if _TRIPLE_SUITES.intersection(names):      # before any fork, so workers inherit it
+        engines.coh.computed()
     units = _row_units(group, filtered)
     tasks = [(names, filtered, rows) for rows in units]
     workers = pool_size(jobs, len(units))

@@ -8,7 +8,7 @@ is implemented as remainder-checked lex reduction.
 
 from __future__ import annotations
 
-from .errors import InexactDivision
+from csmverify.errors import InexactDivision
 
 
 class IntPolynomial:

@@ -119,7 +119,7 @@ def test_path_disagreement_raises(engines, monkeypatch):
 
 def test_box_product_validates_every_w_above_order_48(engines, monkeypatch):
     """On A4 (|W| = 120) box_product cross-validates each w of length at
-    least l(u) + l(v) exactly once, from one triple-sum row for the pair."""
+    least l(u) + l(v) exactly once, from one triple-sum product for the pair."""
     stack = engines("A", 4)
     box = BoxCalculator(stack.rich)
     g = box.group
@@ -135,7 +135,8 @@ def test_box_product_validates_every_w_above_order_48(engines, monkeypatch):
     box.box_product(u, v)
     floor = u.length + v.length
     assert sorted(calls) == [w.index for w in g if w.length >= floor]
-    assert list(box._triple_rows) == [(u.index, v.index)]
+    assert list(box._triple_ops) == [u.index]
+    assert list(box._triple_products) == [(u.index, v.index)]
 
 
 def test_box_product_class_is_the_bilinear_extension(engines):
@@ -218,10 +219,13 @@ def test_associativity_matches_class_level_oracle(engines, monkeypatch, key, max
 
 def test_associativity_holds_no_box_rows(engines):
     """The box rows associativity reads live only inside the call: the
-    calculator keeps one triple row and the Richardson calculator two rows."""
+    calculator keeps one triple-sum row operator and one pair product, the
+    Richardson calculator two rows, and the engine no triple-integral memo."""
     stack = engines("B", 2)
     box = BoxCalculator(stack.rich)
     assert box.associativity_status() == (0, stack.group.order ** 3)
-    assert set(vars(box)) == {"rich", "csm", "coh", "group", "_triple_rows"}
-    assert len(box._triple_rows) <= 1
+    assert set(vars(box)) == {"rich", "csm", "coh", "group", "_triple_ops", "_triple_products"}
+    assert len(box._triple_ops) <= 1 and len(box._triple_products) <= 1
     assert len(stack.rich._rows) <= 2
+    assert set(vars(stack.coh)) == {"group", "eval_point", "_rows", "_upsets", "_signs",
+                                    "_pos_product", "_table", "_computed"}

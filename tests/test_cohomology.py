@@ -5,95 +5,99 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csmverify.cohomology import CohomologyClass, FlagCohomology, Multiplier
-from csmverify.errors import GroupMismatch
-from csmverify.polynomial import IntPolynomial
+from csmverify.errors import GroupMismatch, InexactDivision
 from csmverify.rootdata import WeylGroup
+from expansion_oracle import EquivariantClass, ExpansionOracle
+from polynomial import IntPolynomial
 
 
 def _coh(engines, series, rank):
     return engines(series, rank).coh
 
 
+def _oracle(engines, series, rank):
+    return ExpansionOracle(_coh(engines, series, rank))
+
+
 # -- Billey restrictions ----------------------------------------------------------
 
 def test_billey_examples(engines):
-    coh = _coh(engines, "A", 2)
-    g = coh.group
+    oracle = _oracle(engines, "A", 2)
+    g = oracle.group
     s1 = g.simple_reflection(1)
     s12 = g.from_word([1, 2])
     one = IntPolynomial.constant(2, 1)
     for v in g:
-        assert coh.billey_restriction(g.identity, v) == one
-    assert coh.billey_restriction(s1, s12) == IntPolynomial.linear((1, 0))
+        assert oracle.billey_restriction(g.identity, v) == one
+    assert oracle.billey_restriction(s1, s12) == IntPolynomial.linear((1, 0))
 
-    coh1 = _coh(engines, "A", 1)
-    s = coh1.group.simple_reflection(1)
-    assert coh1.billey_restriction(s, s) == IntPolynomial.linear((1,))
+    oracle1 = _oracle(engines, "A", 1)
+    s = oracle1.group.simple_reflection(1)
+    assert oracle1.billey_restriction(s, s) == IntPolynomial.linear((1,))
 
 
 def test_billey_diagonal_is_inversion_product(engines):
     for key in [("A", 2), ("B", 2), ("G", 2)]:
-        coh = _coh(engines, *key)
-        g = coh.group
+        oracle = _oracle(engines, *key)
+        g = oracle.group
         for w in g:
             prod = IntPolynomial.constant(g.rank, 1)
             for beta in g.left_inversions(w):
                 prod = prod * IntPolynomial.linear(beta.coords)
-            assert coh.billey_restriction(w, w) == prod
+            assert oracle.billey_restriction(w, w) == prod
 
 
 def test_billey_support_is_bruhat_interval(engines):
     for key in [("A", 2), ("B", 2)]:
-        coh = _coh(engines, *key)
-        g = coh.group
+        oracle = _oracle(engines, *key)
+        g = oracle.group
         for w in g:
             for v in g:
-                vanishes = coh.billey_restriction(w, v).is_zero
+                vanishes = oracle.billey_restriction(w, v).is_zero
                 assert vanishes == (not g.bruhat_leq(w, v))
 
 
 def test_billey_nonnegative_coefficients(engines):
-    coh = _coh(engines, "B", 2)
-    for w in coh.group:
-        for v in coh.group:
-            p = coh.billey_restriction(w, v)
+    oracle = _oracle(engines, "B", 2)
+    for w in oracle.group:
+        for v in oracle.group:
+            p = oracle.billey_restriction(w, v)
             assert all(c > 0 for c in p.terms.values()) or p.is_zero
 
 
 # -- equivariant classes and expansion ----------------------------------------------
 
 def test_expand_equivariant_basis_element(engines):
-    coh = _coh(engines, "A", 1)
-    g = coh.group
+    oracle = _oracle(engines, "A", 1)
+    g = oracle.group
     s = g.simple_reflection(1)
-    f = coh.equivariant_schubert_class(s)
-    out = coh.expand_equivariant(f)
+    f = oracle.equivariant_schubert_class(s)
+    out = oracle.expand_equivariant(f)
     assert out == {s: IntPolynomial.constant(1, 1)}
 
 
 def test_expand_equivariant_square(engines):
-    coh = _coh(engines, "A", 1)
-    g = coh.group
+    oracle = _oracle(engines, "A", 1)
+    g = oracle.group
     s = g.simple_reflection(1)
-    xi = coh.equivariant_schubert_class(s)
-    out = coh.expand_equivariant(xi.pointwise_product(xi))
+    xi = oracle.equivariant_schubert_class(s)
+    out = oracle.expand_equivariant(xi.pointwise_product(xi))
     assert out == {s: IntPolynomial.linear((1,))}
 
 
 def test_expand_equivariant_unit(engines):
-    coh = _coh(engines, "A", 1)
-    g = coh.group
-    from csmverify.cohomology import EquivariantClass
+    oracle = _oracle(engines, "A", 1)
+    g = oracle.group
     one = IntPolynomial.constant(1, 1)
     f = EquivariantClass(g, {w: one for w in g})
-    assert coh.expand_equivariant(f) == {g.identity: one}
+    assert oracle.expand_equivariant(f) == {g.identity: one}
 
 
 def test_gkm_condition_rank2(engines):
     for key in [("A", 2), ("B", 2)]:
-        coh = _coh(engines, *key)
-        g = coh.group
-        classes = [coh.equivariant_schubert_class(w) for w in g]
+        oracle = _oracle(engines, *key)
+        g = oracle.group
+        classes = [oracle.equivariant_schubert_class(w) for w in g]
         for f in classes:
             assert f.check_gkm()
         # pointwise products stay in the image of cohomology
@@ -102,22 +106,19 @@ def test_gkm_condition_rank2(engines):
 
 
 def test_gkm_violation_detected(engines):
-    coh = _coh(engines, "A", 2)
-    g = coh.group
-    from csmverify.cohomology import EquivariantClass
+    oracle = _oracle(engines, "A", 2)
+    g = oracle.group
     f = EquivariantClass(g, {g.longest: IntPolynomial.constant(2, 1)})
     assert not f.check_gkm()
 
 
 def test_expand_equivariant_rejects_non_gkm_input(engines):
-    from csmverify.cohomology import EquivariantClass
-    from csmverify.errors import InexactDivision
-    coh = _coh(engines, "A", 2)
-    g = coh.group
+    oracle = _oracle(engines, "A", 2)
+    g = oracle.group
     # constant 1 stuck at a length-2 point: not in the image of cohomology
     f = EquivariantClass(g, {g.from_word([1, 2]): IntPolynomial.constant(2, 1)})
     with pytest.raises(InexactDivision):
-        coh.expand_equivariant(f)
+        oracle.expand_equivariant(f)
 
 
 # -- cup products -------------------------------------------------------------------
@@ -297,22 +298,24 @@ def test_poincare_duality(engines):
 def test_localization_matches_expansion_oracle(engines):
     for key in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
         coh = _coh(engines, *key)
+        oracle = ExpansionOracle(coh)
         g = coh.group
         for u in g:
             for v in g:
                 assert coh.structure_constants(u, v) == \
-                    coh.structure_constants_via_expansion(u, v)
+                    oracle.structure_constants_via_expansion(u, v)
 
 
 @pytest.mark.long
 def test_localization_matches_expansion_oracle_b3():
     from csmverify.verify import build_engines
     coh = build_engines("B", 3).coh
+    oracle = ExpansionOracle(coh)
     g = coh.group
     for u in g:
         for v in g:
             assert coh.structure_constants(u, v) == \
-                coh.structure_constants_via_expansion(u, v)
+                oracle.structure_constants_via_expansion(u, v)
 
 
 def test_second_evaluation_point_agrees(engines):

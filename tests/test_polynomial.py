@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csmverify.errors import InexactDivision
-from csmverify.polynomial import IntPolynomial
+from polynomial import IntPolynomial
 
 
 def P(nvars, terms):

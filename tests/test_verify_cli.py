@@ -7,6 +7,7 @@ import pytest
 from csmverify import cli
 from csmverify.cache import TableCache, payload_checksum
 from csmverify.boxproduct import BoxCalculator
+from csmverify.cohomology import FlagCohomology
 from csmverify.errors import ParityViolation
 from csmverify.richardson import RichardsonCalculator
 from csmverify.rootdata import CartanDatum, WeylGroup
@@ -51,28 +52,32 @@ def test_instance_counts_a2(engines):
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_sweep_holds_one_unit(monkeypatch, name):
     """During and after a suite's sweep on A3, at most two Richardson rows
-    (one unit's) and one triple-sum row are held."""
+    (one unit's), one triple-sum row operator and one triple-sum pair
+    product are held."""
     stack = build_engines("A", 3)
     materialize_tables(stack)
-    peak = {"rich": 0, "triple": 0}
-    real_row, real_triple = RichardsonCalculator._row, BoxCalculator._triple_row
+    peak = {"rich": 0, "ops": 0, "products": 0}
+    real_row, real_product = RichardsonCalculator._row, BoxCalculator._triple_product
 
     def row(self, ui):
         rec = real_row(self, ui)
         peak["rich"] = max(peak["rich"], len(self._rows))
         return rec
 
-    def triple_row(self, u, v):
-        out = real_triple(self, u, v)
-        peak["triple"] = max(peak["triple"], len(self._triple_rows))
+    def triple_product(self, u, v):
+        out = real_product(self, u, v)
+        peak["ops"] = max(peak["ops"], len(self._triple_ops))
+        peak["products"] = max(peak["products"], len(self._triple_products))
         return out
 
     monkeypatch.setattr(RichardsonCalculator, "_row", row)
-    monkeypatch.setattr(BoxCalculator, "_triple_row", triple_row)
+    monkeypatch.setattr(BoxCalculator, "_triple_product", triple_product)
     assert run_suite(stack, name).status == "PASS"
-    # only cross-paths reads triple-sum rows; conjD reads the expansion path
-    assert peak == {"rich": 2, "triple": 1 if name == "cross-paths" else 0}
-    assert len(stack.rich._rows) <= 2 and len(stack.box._triple_rows) <= 1
+    # only cross-paths reads the triple sum; conjD reads the expansion path
+    box = 1 if name == "cross-paths" else 0
+    assert peak == {"rich": 2, "ops": box, "products": box}
+    assert len(stack.rich._rows) <= 2
+    assert len(stack.box._triple_ops) <= 1 and len(stack.box._triple_products) <= 1
 
 
 def test_max_length_filter(engines):
@@ -293,6 +298,17 @@ def test_corrupt_cache_recovers(tmp_path):
         assert [e["event"] for e in again.timings["cache_events"]] == ["hit", "hit"], name
 
 
+def _double_a3_structure_row(cache: TableCache) -> None:
+    """Double the "1.2|1.2" row of the cached A3 structure table under a
+    recomputed checksum: the table passes the adoption check but is wrong."""
+    path = cache._path("A", 3, "structure").with_suffix(".json")
+    envelope = json.loads(path.read_text())
+    rows = envelope["payload"]["entries"]
+    rows["1.2|1.2"] = {w: 2 * c for w, c in rows["1.2|1.2"].items()}
+    envelope["checksum"] = payload_checksum(envelope["payload"])
+    path.write_text(json.dumps(envelope))
+
+
 def test_adopted_table_failing_a_run_is_rebuilt(tmp_path, capsys):
     """A checksum-valid structure table that passes the adoption check but
     is wrong elsewhere fails the run hard; the adopted tables are rebuilt,
@@ -300,12 +316,7 @@ def test_adopted_table_failing_a_run_is_rebuilt(tmp_path, capsys):
     cache = TableCache(tmp_path)
     group = ["--type", "A", "--rank", "3", "--cache-dir", str(tmp_path)]
     assert cli.main(["table", *group]) == 0
-    path = cache._path("A", 3, "structure").with_suffix(".json")
-    envelope = json.loads(path.read_text())
-    rows = envelope["payload"]["entries"]
-    rows["1.2|1.2"] = {w: 2 * c for w, c in rows["1.2|1.2"].items()}
-    envelope["checksum"] = payload_checksum(envelope["payload"])
-    path.write_text(json.dumps(envelope))
+    _double_a3_structure_row(cache)
     out = tmp_path / "report.json"
     with pytest.warns(UserWarning, match="cache corrupt"):
         assert cli.main(["verify", *group, "--suite", "all", "--output", str(out)]) == 0
@@ -327,6 +338,84 @@ def test_hard_failure_on_sound_adopted_tables_stands(tmp_path, monkeypatch):
     report = run_verification("A", 2, suites=["conjB"], cache=cache)
     assert report.exit_code == 2
     assert [e["event"] for e in report.timings["cache_events"]] == ["hit", "hit"]
+
+
+def test_triple_sum_reads_no_adopted_table(tmp_path):
+    """The triple sum multiplies on a table this process computed: on a
+    wrong adopted A3 table every value equals a fresh engine's, and the
+    twin table it reads equals the fresh one."""
+    cache = TableCache(tmp_path)
+    materialize_tables(build_engines("A", 3), cache=cache)
+    _double_a3_structure_row(cache)
+    adopted = build_engines("A", 3, cache=cache)
+    assert adopted.adopted == {"structure", "csm"}
+    fresh = build_engines("A", 3)
+    materialize_tables(fresh)
+    assert adopted.coh._table != fresh.coh._table
+    g = adopted.group
+    for u in g:
+        for v in g:
+            for w in g:
+                assert adopted.box.chi_via_triple_sum(u, v, w) == \
+                    fresh.box.chi_via_triple_sum(u, v, w)
+    twin = adopted.coh.computed()
+    assert twin is not adopted.coh and twin._table == fresh.coh._table
+    assert fresh.coh.computed() is fresh.coh
+
+
+def _count_table_builds(monkeypatch) -> list:
+    """Record each structure-table build (a _computed_rows call)."""
+    builds = []
+    real = FlagCohomology._computed_rows
+
+    def counted(self):
+        builds.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FlagCohomology, "_computed_rows", counted)
+    return builds
+
+
+def test_pair_suites_build_no_second_table(tmp_path, monkeypatch):
+    """On adopted A3 tables a run without conjD or cross-paths (the suites
+    of the pair benchmarks) computes no structure table at all."""
+    cache = TableCache(tmp_path)
+    run_verification("A", 3, suites=["conjB"], cache=cache)
+    builds = _count_table_builds(monkeypatch)
+    report = run_verification("A", 3, suites=["theorem-invariants", "conjB", "conjC"],
+                              cache=cache)
+    assert [e["event"] for e in report.timings["cache_events"]] == ["hit", "hit"]
+    assert report.exit_code == 0 and builds == []
+
+
+def test_twin_table_built_before_the_pool(tmp_path, monkeypatch):
+    """On adopted A3 tables, cross-paths under --jobs 2 computes the triple
+    sum's table once, in the parent before the pool starts, and reports as
+    the serial run does."""
+    import multiprocessing.pool
+
+    import csmverify.verify as verify_mod
+
+    cache = TableCache(tmp_path)
+    run_verification("A", 3, suites=["conjB"], cache=cache)
+    serial = run_verification("A", 3, suites=["cross-paths"], cache=cache)
+    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    builds = _count_table_builds(monkeypatch)
+    at_pool = []
+    real_init = multiprocessing.pool.Pool.__init__
+
+    def recording_init(self, *args, **kwargs):
+        coh = verify_mod._WORKER_ENGINES.coh
+        at_pool.append((coh._computed is not None, coh._computed is coh, len(builds)))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", recording_init)
+    pooled = run_verification("A", 3, suites=["cross-paths"], jobs=2, cache=cache)
+    assert at_pool == [(True, False, 1)] and len(builds) == 1
+    assert [e["event"] for e in pooled.timings["cache_events"]] == ["hit", "hit"]
+    a, b = _strip_timings(serial.to_json()), _strip_timings(pooled.to_json())
+    assert a["options"].pop("jobs") == 1 and b["options"].pop("jobs") == 2
+    assert a == b and pooled.exit_code == 0
 
 
 # -- CLI ----------------------------------------------------------------------------------
