@@ -8,13 +8,13 @@ restriction at every fixed point, and a triple product integrates to
     sum over fixed points x of  (-1)^(N + l(x)) * r_u(x) r_v(x) r_w(x) / P
 
 where N is the number of positive roots and P the product of all positive
-roots.  Evaluating the restrictions at a fixed positive integer point turns
-this identity of rational functions into exact integer arithmetic; the
-final division by P must be exact and is checked.  The degree-2 product
-rule (chevalley_multiply) is an independent oracle: it checks every table
-and runs in the theorem-invariants sweep.  The tests keep a second one, the
-polynomial expansion route, which re-derives structure constants by exact
-division instead of evaluation.
+roots.  Evaluating the restrictions at the all-ones point, where each root
+takes its height, turns this identity of rational functions into exact
+integer arithmetic; the final division by P must be exact and is checked.
+The degree-2 product rule (chevalley_multiply) is an independent oracle: it
+checks every table and runs in the theorem-invariants sweep.  The tests keep
+a second one, the polynomial expansion route, which re-derives structure
+constants by exact division instead of evaluation.
 
 The cup-product structure constants form one complete table, built from the
 triple integrals or adopted from the cache, and checked, before the first
@@ -192,13 +192,8 @@ class FlagCohomology:
     read concurrently; the fill itself is single-threaded per instance.
     """
 
-    def __init__(self, group: WeylGroup, eval_point=None):
+    def __init__(self, group: WeylGroup):
         self.group = group
-        # Any strictly positive integer point keeps every positive root
-        # nonzero, which is all the localization identity needs.
-        self.eval_point = tuple(eval_point) if eval_point else (1,) * group.rank
-        if any(v <= 0 for v in self.eval_point):
-            raise InternalInvariantError("evaluation point must be positive")
         self._rows: list[dict[int, int]] | None = None
         self._upsets: list[frozenset[int]] | None = None
         self._signs: list[int] | None = None
@@ -228,7 +223,9 @@ class FlagCohomology:
     # -- localization data -------------------------------------------------------
 
     def _root_value(self, coords) -> int:
-        return sum(c * v for c, v in zip(coords, self.eval_point))
+        """A root's value at the all-ones point, its height: positive on
+        every positive root, which is all the localization identity needs."""
+        return sum(coords)
 
     def _subword_row(self, x: int, root, one) -> dict:
         """Restrictions of every basis class at the fixed point x: the subword
@@ -363,7 +360,7 @@ class FlagCohomology:
         """This engine if it built its table, else a twin built once: never a cached table."""
         self.build_structure_table()
         if self._computed is None:
-            self._computed = FlagCohomology(self.group, self.eval_point)
+            self._computed = FlagCohomology(self.group)
             self._computed.build_structure_table()
         return self._computed
 

@@ -42,7 +42,6 @@ class CsmCalculator:
         self._tangent_inverse: CohomologyClass | None = None
         self._segre_op: Multiplier | None = None
         self._segre_cells: dict[int, CohomologyClass] = {}
-        self._checked: set[int] = set()
 
     # -- operators -------------------------------------------------------------
 
@@ -79,15 +78,12 @@ class CsmCalculator:
         """CSM class of the Schubert cell of u, in the eps basis.
 
         Recursion from the point class along the canonical reduced word,
-        per the frozen convention.  The result is invariant-checked once
-        per element; a violation raises CalibrationFailure.
+        per the frozen convention.  Each class is invariant-checked when it
+        is computed (an adopted one when it is loaded); a violation raises
+        CalibrationFailure.
         """
         self.coh._check(u)
-        cls = self._cell_idx(u.index)
-        if u.index not in self._checked:
-            self._check_cell_invariants(u, cls)
-            self._checked.add(u.index)
-        return cls
+        return self._cell_idx(u.index)
 
     def _cell_idx(self, idx: int) -> CohomologyClass:
         cached = self._cells.get(idx)
@@ -103,6 +99,7 @@ class CsmCalculator:
             else:  # idx = s_i * suffix
                 i, rest = word[0], group._left[idx][word[0] - 1]
             out = self.dl_operator(i, self._cell_idx(rest))
+        self._check_cell_invariants(group.elements[idx], out)
         self._cells[idx] = out
         return out
 
@@ -243,7 +240,6 @@ class CsmCalculator:
         except CalibrationFailure as exc:
             raise CacheCorrupt(f"cached CSM table fails its check: {exc}") from exc
         self._cells.update(cells)
-        self._checked.update(cells)
         return True
 
 

@@ -3,9 +3,14 @@
 Everything here is exact integer arithmetic.  Roots are integer vectors in
 the simple-root basis, group elements are identified by their action on the
 simple roots, and the canonical reduced word of an element is the
-lexicographically smallest one (obtained by repeatedly splitting off the
-smallest left descent).  Bruhat order uses the descent recursion; a
-brute-force subword oracle is kept alongside for validation.
+lexicographically smallest one.  One breadth-first search by length over
+right multiplication, expanding each length class in index order and
+trying the letters in ascending order, reaches every element first from
+the parent whose word plus one letter is that lex-first word; so elements
+come out in canonical order, each with its word.  The left multiplication
+table is read off the right one through inverses.  Bruhat order uses the
+descent recursion; a brute-force subword oracle is kept alongside for
+validation.
 
 Conventions (fixed once, covariant throughout):
 
@@ -18,7 +23,6 @@ Conventions (fixed once, covariant throughout):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     CapacityExceeded,
@@ -122,51 +126,6 @@ def canonical_cartan_matrix(series: str, rank: int) -> tuple[tuple[int, ...], ..
     return tuple(tuple(row) for row in mat)
 
 
-def _symmetrizer(matrix) -> tuple[Fraction, ...]:
-    """Positive diagonal d with d_i * m_ij = d_j * m_ji, via graph traversal.
-
-    Raises InvalidCartan if the zero pattern is asymmetric or the diagram is
-    disconnected (the engine only covers simple groups).
-    """
-    n = len(matrix)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if i == j:
-                continue
-            mij, mji = matrix[i][j], matrix[j][i]
-            if (mij == 0) != (mji == 0):
-                raise InvalidCartan("asymmetric zero pattern")
-            if mij == 0:
-                continue
-            dj = d[i] * Fraction(mij, mji)
-            if d[j] is None:
-                d[j] = dj
-                stack.append(j)
-            elif d[j] != dj:
-                raise InvalidCartan("matrix is not symmetrizable")
-    if any(x is None for x in d):
-        raise InvalidCartan("Dynkin diagram is disconnected (group not simple)")
-    return tuple(d)
-
-
-def _is_positive_definite(sym) -> bool:
-    """Leading-principal-minor test with exact Fraction elimination."""
-    n = len(sym)
-    m = [[Fraction(x) for x in row] for row in sym]
-    for k in range(n):
-        if m[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    return True
-
-
 @dataclass(frozen=True)
 class CartanDatum:
     """A validated finite-type Cartan matrix with its series label.
@@ -179,24 +138,10 @@ class CartanDatum:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        canon = canonical_cartan_matrix(self.series, self.rank)
-        if len(self.matrix) != self.rank or any(len(r) != self.rank for r in self.matrix):
-            raise InvalidCartan("matrix shape does not match rank")
-        for i in range(self.rank):
-            if self.matrix[i][i] != 2:
-                raise InvalidCartan("diagonal entries must be 2")
-            for j in range(self.rank):
-                if i != j and self.matrix[i][j] > 0:
-                    raise InvalidCartan("off-diagonal entries must be <= 0")
-        d = _symmetrizer(self.matrix)
-        sym = [[d[i] * self.matrix[i][j] for j in range(self.rank)] for i in range(self.rank)]
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if sym[i][j] != sym[j][i]:
-                    raise InvalidCartan("symmetrized matrix is not symmetric")
-        if not _is_positive_definite(sym):
-            raise InvalidCartan("symmetrization is not positive definite (not finite type)")
-        if self.matrix != canon:
+        # The canonical matrices are the finite-type ones, so this one
+        # comparison also decides shape, entries, symmetrizability and
+        # positive definiteness.
+        if self.matrix != canonical_cartan_matrix(self.series, self.rank):
             raise InvalidCartan(
                 f"matrix does not match the canonical Cartan matrix for {self.series}{self.rank}"
             )
@@ -261,11 +206,6 @@ class WeylElement:
         self.length = length
         self._hash = hash((group.datum.series, group.datum.rank, index))
 
-    @property
-    def action(self) -> tuple[RootVector, ...]:
-        """Images of the simple roots (the defining canonical form)."""
-        return tuple(RootVector(col) for col in self.group._actions[self.index])
-
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return self.group.multiply(self, other)
 
@@ -314,7 +254,6 @@ class WeylGroup:
 
         self._build_roots()
         self._enumerate()
-        self._build_words_and_sort()
         self._index_roots_and_reflections()
 
         self.elements: tuple[WeylElement, ...] = tuple(
@@ -418,23 +357,17 @@ class WeylGroup:
             for j in range(self.rank)
         )
 
-    def _left_mult_action(self, cols, i):
-        C = self.datum.matrix
-        out = []
-        for col in cols:
-            p = sum(col[k] * C[i][k] for k in range(self.rank))
-            out.append(tuple(col[k] - p if k == i else col[k] for k in range(self.rank)))
-        return tuple(out)
-
     def _enumerate(self):
+        """Elements in canonical order: a reduced word of y ends in a right
+        descent i, so y's lex-first word is the least word(y s_i) + (i), and
+        the search below reaches y first from exactly that parent."""
         n = self.rank
         ident = tuple(tuple(1 if k == j else 0 for k in range(n)) for j in range(n))
-        actions = [ident]
-        index = {ident: 0}
-        lengths = [0]
+        actions, index, words, lengths = [ident], {ident: 0}, [()], [0]
         right = [[-1] * n]
-        frontier = [0]
+        frontier, by_length = [0], {}
         while frontier:
+            by_length[lengths[frontier[0]]] = frontier
             nxt = []
             for idx in frontier:
                 cols = actions[idx]
@@ -446,6 +379,7 @@ class WeylGroup:
                             j = len(actions)
                             actions.append(t)
                             index[t] = j
+                            words.append(words[idx] + (i + 1,))
                             lengths.append(lengths[idx] + 1)
                             right.append([-1] * n)
                             nxt.append(j)
@@ -458,45 +392,21 @@ class WeylGroup:
             raise NotFiniteType(
                 f"enumerated {len(actions)} elements, expected {self.order}"
             )
+        inverse = []
+        for word in words:
+            cur = 0
+            for i in reversed(word):
+                cur = right[cur][i - 1]
+            inverse.append(cur)
         self._actions = actions
         self._action_index = index
+        self._words = words
         self._lengths = lengths
         self._right = right
-
-    def _build_words_and_sort(self):
-        n = self.rank
-        # left table via composition
-        left = [[-1] * n for _ in range(self.order)]
-        for idx, cols in enumerate(self._actions):
-            for i in range(n):
-                left[idx][i] = self._action_index[self._left_mult_action(cols, i)]
-
-        words = [()] * self.order
-        for idx in range(self.order):
-            w = []
-            cur = idx
-            while self._lengths[cur]:
-                for i in range(n):
-                    j = left[cur][i]
-                    if self._lengths[j] < self._lengths[cur]:
-                        w.append(i + 1)
-                        cur = j
-                        break
-            words[idx] = tuple(w)
-
-        perm = sorted(range(self.order), key=lambda k: (self._lengths[k], words[k]))
-        rank_of = [0] * self.order
-        for new, old in enumerate(perm):
-            rank_of[old] = new
-        self._actions = [self._actions[old] for old in perm]
-        self._lengths = [self._lengths[old] for old in perm]
-        self._words = [words[old] for old in perm]
-        self._right = [[rank_of[x] for x in self._right[old]] for old in perm]
-        self._left = [[rank_of[x] for x in left[old]] for old in perm]
-        self._action_index = {a: i for i, a in enumerate(self._actions)}
-        self._by_length: dict[int, list[int]] = {}
-        for i, l in enumerate(self._lengths):
-            self._by_length.setdefault(l, []).append(i)
+        # s_i x = (x^-1 s_i)^-1
+        self._left = [[inverse[j] for j in right[inverse[x]]] for x in range(self.order)]
+        self._inverse = inverse
+        self._by_length = by_length
 
     def _index_roots_and_reflections(self):
         C = self.datum.matrix
@@ -555,10 +465,7 @@ class WeylGroup:
 
     def inverse(self, x: WeylElement) -> WeylElement:
         self._check_same(x)
-        idx = 0
-        for i in reversed(x.word):
-            idx = self._right[idx][i - 1]
-        return self.elements[idx]
+        return self.elements[self._inverse[x.index]]
 
     def indices_of_length(self, l: int) -> list[int]:
         return self._by_length.get(l, [])

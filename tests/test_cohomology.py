@@ -324,7 +324,9 @@ def test_second_evaluation_point_agrees(engines):
     for key in [("A", 2), ("B", 2)]:
         base = _coh(engines, *key)
         g = base.group
-        other = FlagCohomology(g, eval_point=tuple(101 ** (i + 1) for i in range(g.rank)))
+        other = FlagCohomology(g)
+        point = tuple(101 ** (i + 1) for i in range(g.rank))
+        other._root_value = lambda coords: sum(c * p for c, p in zip(coords, point))
         for u in g:
             for v in g:
                 assert base.structure_constants(u, v) == other.structure_constants(u, v)

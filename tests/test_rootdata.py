@@ -172,6 +172,82 @@ def test_canonical_word_is_lex_min(group):
             assert len(w.word) == w.length
 
 
+def _left_action(C, cols, i):
+    """s_i x from x's images of the simple roots."""
+    n = len(C)
+    out = []
+    for col in cols:
+        p = sum(col[k] * C[i][k] for k in range(n))
+        out.append(tuple(col[k] - p if k == i else col[k] for k in range(n)))
+    return tuple(out)
+
+
+def _right_action(C, cols, i):
+    """x s_i from x's images of the simple roots."""
+    n = len(C)
+    return tuple(tuple(cols[j][k] - C[i][j] * cols[i][k] for k in range(n)) for j in range(n))
+
+
+def _reference_construction(g):
+    """Canonical tables by the three-pass construction: enumerate elements by
+    left multiplication, name each by peeling its smallest left descent,
+    then sort by (length, word)."""
+    C, n = g.datum.matrix, g.rank
+    ident = tuple(tuple(int(k == j) for k in range(n)) for j in range(n))
+    elems, found, lengths, left = [ident], {ident: 0}, [0], []
+    for x, cols in enumerate(elems):        # grows while it is walked
+        left.append([])
+        for i in range(n):
+            y = _left_action(C, cols, i)
+            if y not in found:
+                found[y] = len(elems)
+                elems.append(y)
+                lengths.append(lengths[x] + 1)
+            left[x].append(found[y])
+    words = []
+    for x in range(len(elems)):
+        word, cur = [], x
+        while lengths[cur]:
+            i = next(i for i in range(n) if lengths[left[cur][i]] < lengths[cur])
+            word.append(i + 1)
+            cur = left[cur][i]
+        words.append(tuple(word))
+    order = sorted(range(len(elems)), key=lambda x: (lengths[x], words[x]))
+    rank = {x: k for k, x in enumerate(order)}
+    w0 = []
+    for x in order:
+        for i in reversed(words[order[-1]]):
+            x = left[x][i - 1]
+        w0.append(rank[x])
+    reflections = []
+    for b, cor in zip(g._root_coords, g._coroot_coords):
+        cols = []
+        for j in range(n):
+            p = sum(cor[k] * C[k][j] for k in range(n))
+            cols.append(tuple(int(k == j) - p * b[k] for k in range(n)))
+        reflections.append(rank[found[tuple(cols)]])
+    return {
+        "_words": [words[x] for x in order],
+        "_right": [[rank[found[_right_action(C, elems[x], i)]] for i in range(n)]
+                   for x in order],
+        "_left": [[rank[y] for y in left[x]] for x in order],
+        "_w0": w0,
+        "_reflection_index": reflections,
+    }
+
+
+@pytest.mark.parametrize("series,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("F", 4),
+])
+def test_construction_matches_reference(series, rank):
+    """The one-pass search yields the canonical order, words and tables of
+    the peel-and-sort construction."""
+    g = WeylGroup(CartanDatum.from_series(series, rank))
+    for name, table in _reference_construction(g).items():
+        assert getattr(g, name) == table, name
+
+
 def test_action_determines_element(group):
     g = group("A", 2)
     # two different words for the same element canonicalize identically

@@ -215,6 +215,31 @@ def test_injected_fault_gives_internal_failure(monkeypatch):
     assert "injected fault" in suite.hard_failures[0]["error"]
 
 
+def test_perturbed_segre_class_fails_theorem_invariants(tmp_path, monkeypatch):
+    """The sign twist of the Segre cell classes stays a hard check: it is
+    enforced where each class is computed, so one perturbed class fails
+    theorem-invariants as a cell invariant."""
+    from csmverify.csm import CsmCalculator
+    real = CsmCalculator.segre_sm
+
+    def perturbed(self, a):
+        out = real(self, a)
+        if a == self.csm_schubert_cell(self.group.simple_reflection(1)):
+            return out + self.coh.unit()
+        return out
+
+    monkeypatch.setattr(CsmCalculator, "segre_sm", perturbed)
+    out_path = tmp_path / "report.json"
+    rc = cli.main(["verify", "--type", "A", "--rank", "2", "--suite", "theorem-invariants",
+                   "--cache-dir", str(tmp_path / "cache"), "--output", str(out_path)])
+    suite = json.loads(out_path.read_text())["suites"]["theorem-invariants"]
+    assert rc == 2
+    assert suite["status"] == "FAIL"
+    assert {"check": "cell-invariants", "u": "s1",
+            "error": "Segre class of cell s1 does not match the sign-twisted CSM class"} \
+        in suite["hard_failures"]
+
+
 def test_violation_exit_code(monkeypatch):
     """A conjecture violation is a finding (exit 1), not a crash."""
     real = RichardsonCalculator.csm_richardson
