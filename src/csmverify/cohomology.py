@@ -1,31 +1,35 @@
 """Exact integral Schubert calculus on the cohomology of a full flag manifold.
 
 The basis classes eps^w are indexed by the Weyl group, with deg eps^w equal
-to twice the length of w.  Multiplication is computed by torus fixed-point
-localization: the subword sum gives each equivariant Schubert class its
-restriction at every fixed point, and a triple product integrates to
+to twice the length of w.  The cup-product structure constants are built by
+the BGG divided-difference recursion (Bernstein-Gelfand-Gelfand 1973;
+Kostant-Kumar 1986): for a right descent i of w,
 
-    sum over fixed points x of  (-1)^(N + l(x)) * r_u(x) r_v(x) r_w(x) / P
+    c_uv^w = [eps^{w s_i}] d_i(eps^u . eps^v),
 
-where N is the number of positive roots and P the product of all positive
-roots.  Evaluating the restrictions at the all-ones point, where each root
-takes its height, turns this identity of rational functions into exact
-integer arithmetic; the final division by P must be exact and is checked.
-The degree-2 product rule (chevalley_multiply) is an independent oracle: it
-checks every table and runs in the theorem-invariants sweep.  The tests keep
-a second one, the polynomial expansion route, which re-derives structure
-constants by exact division instead of evaluation.
+and the Leibniz rule for d_i expands the right side into at most three
+products of lower total length, one of them multiplied by the simple root
+alpha_i through the degree-2 product rule (chevalley_multiply).  Every
+constant is an exact sum of earlier ones, with no division; a negative one
+raises.
 
-The cup-product structure constants form one complete table, built from the
-triple integrals or adopted from the cache, and checked, before the first
-product; products read it by element index, one column a . eps^v at a time
-(``Multiplier``, which keeps the columns of a factor used again).  A path
-that must not trust the cache multiplies on a table this process computed.
+The recursion rests on the degree-2 rule, so the table's self-check (the
+unit row and the degree-2 rule on every pair of a simple reflection and an
+element) is not independent of a computed table; a table adopted from the
+cache gets the same check on load.  The independent oracles live in the
+tests only: torus fixed-point localization (``tests/localization_oracle.py``,
+on the subword sums at the all-ones point kept here for triple_integral)
+and the polynomial expansion route (``tests/expansion_oracle.py``), each
+compared with whole tables.
+
+The structure constants form one complete table, built or adopted from the
+cache, and checked, before the first product; products read it by element
+index, one column a . eps^v at a time (``Multiplier``, which keeps the
+columns of a factor used again).  A path that must not trust the cache
+multiplies on a table this process computed.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .errors import CacheCorrupt, CapacityExceeded, InternalInvariantError
 from .rootdata import DEFAULT_MAX_ORDER, WeylElement, WeylGroup, parity_sign
@@ -184,7 +188,7 @@ class WordKeys:
 
 
 class FlagCohomology:
-    """Localization-backed multiplication engine for one flag manifold.
+    """Multiplication engine for one flag manifold.
 
     The structure table ``_table`` is None or complete and checked: built,
     or adopted from the cache, before the first product, and read by index
@@ -195,9 +199,9 @@ class FlagCohomology:
     def __init__(self, group: WeylGroup):
         self.group = group
         self._rows: list[dict[int, int]] | None = None
-        self._upsets: list[frozenset[int]] | None = None
         self._signs: list[int] | None = None
         self._pos_product: int | None = None
+        self._alpha: list[list[dict[int, int]]] | None = None
         self._table: list[list[dict[int, int]]] | None = None
         self._computed: FlagCohomology | None = None
 
@@ -246,31 +250,13 @@ class FlagCohomology:
         if self._rows is not None:
             return
         group = self.group
-        self._rows = rows = [self._subword_row(x, self._root_value, 1) for x in range(group.order)]
-        ups: list[set[int]] = [set() for _ in range(group.order)]
-        for x, row in enumerate(rows):
-            for w in row:
-                ups[w].add(x)
-        self._upsets = [frozenset(s) for s in ups]
+        self._rows = [self._subword_row(x, self._root_value, 1) for x in range(group.order)]
         n_pos = group.num_positive
         self._signs = [parity_sign(n_pos + l) for l in group._lengths]
         prod = 1
         for coords in group._root_coords:
             prod *= self._root_value(coords)
         self._pos_product = prod
-
-    def _triple_raw(self, i: int, j: int, k: int) -> int:
-        """Integral of a triple product of basis classes, exact."""
-        rows, signs = self._rows, self._signs
-        total = 0
-        xs = self._upsets[i] & self._upsets[j] & self._upsets[k]
-        for x in xs:
-            row = rows[x]
-            total += signs[x] * row[i] * row[j] * row[k]
-        q, r = divmod(total, self._pos_product)
-        if r:
-            raise InternalInvariantError("fixed-point sum failed exact division")
-        return q
 
     # -- products and integrals --------------------------------------------------
 
@@ -285,11 +271,19 @@ class FlagCohomology:
         return sum(c * bc.get(w0[x], 0) for x, c in a.coeffs.items())
 
     def triple_integral(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
+        """int eps^u . eps^v . eps^w as the raw fixed-point sum, its final
+        division checked exact; no table is built from it."""
         self._check(u, v, w)
         if u.length + v.length + w.length != self.group.num_positive:
             return 0
         self._ensure_rows()
-        return self._triple_raw(u.index, v.index, w.index)
+        i, j, k = u.index, v.index, w.index
+        total = sum(sign * row[i] * row[j] * row[k] for sign, row in zip(self._signs, self._rows)
+                    if i in row and j in row and k in row)
+        q, r = divmod(total, self._pos_product)
+        if r:
+            raise InternalInvariantError("fixed-point sum failed exact division")
+        return q
 
     def structure_constants_idx(self, ui: int, vi: int) -> dict[int, int]:
         """Nonzero constants of eps^u . eps^v by element index (read-only)."""
@@ -316,7 +310,7 @@ class FlagCohomology:
         return out
 
     def chevalley_multiply(self, lam, v: WeylElement, basis: str = "root") -> CohomologyClass:
-        """Degree-2 product rule: c1(L_lam) . eps^v, independent of localization.
+        """Degree-2 product rule: c1(L_lam) . eps^v, read off the roots alone.
 
         Sums over positive roots beta with l(v s_beta) = l(v) + 1, with
         coefficient the pairing of lam against the coroot of beta.
@@ -364,39 +358,70 @@ class FlagCohomology:
             self._computed.build_structure_table()
         return self._computed
 
-    def _computed_rows(self):
-        """Yield ((u, v), constants) for each pair u <= v with a nonzero product."""
-        self._ensure_rows()
-        group, upsets, lengths = self.group, self._upsets, self.group._lengths
-        triple = functools.cache(self._triple_raw)    # by sorted indices: once per unordered triple
-        for ui in range(group.order):
-            up_u = upsets[ui]
-            for vi in range(ui, group.order):
-                target = lengths[ui] + lengths[vi]
-                out: dict[int, int] = {}
-                for wi in group.indices_of_length(target):
-                    if wi not in up_u or wi not in upsets[vi]:
-                        continue
-                    c = triple(*sorted((ui, vi, group._w0[wi])))
+    def _computed_rows(self) -> list[list[dict[int, int]]]:
+        """The table by the BGG recursion, filled for u <= v in order of
+        l(u) + l(v) up to N.  With s_i(a) = a - alpha_i . d_i(a), the Leibniz
+        rule gives d_i(eps^u . eps^v) from at most three earlier rows, and
+        its eps^y term is the constant at y s_i.  A letter outside
+        desc(u) | desc(v) has d_i(eps^u . eps^v) = 0, so it is no right
+        descent of any w in the product."""
+        group = self.group
+        table = self._new_table()
+        n, lengths, right = group.num_positive, group._lengths, group._right
+        alpha = self._alpha_table()
+        descents = [{i: t for i, t in enumerate(right[x]) if lengths[t] < lengths[x]}
+                    for x in range(group.order)]
+        for vi in range(group.order):
+            table[0][vi] = table[vi][0] = {vi: 1}
+        by_length = [group.indices_of_length(l) for l in range(n + 1)]
+        pairs = ((ui, vi) for total in range(2, n + 1) for lu in range(1, total // 2 + 1)
+                 for ui in by_length[lu] for vi in by_length[total - lu] if ui <= vi)
+        for ui, vi in pairs:
+            du, dv = descents[ui], descents[vi]
+            out: dict[int, int] = {}
+            for i in du.keys() | dv.keys():
+                us, vs = du.get(i), dv.get(i)
+                d = dict(table[us][vi]) if us is not None else {}
+                if vs is not None:
+                    for y, c in table[ui][vs].items():
+                        d[y] = d.get(y, 0) + c
+                    if us is not None:
+                        a = alpha[i]
+                        for y, c in table[us][vs].items():
+                            for z, m in a[y].items():
+                                d[z] = d.get(z, 0) - c * m
+                for y, c in d.items():
                     if c < 0:
                         raise InternalInvariantError(
-                            f"negative cup structure constant at ({ui},{vi},{wi})")
+                            f"negative cup structure constant at ({ui},{vi},{right[y][i]})")
                     if c:
-                        out[wi] = c
-                if out:
-                    yield (ui, vi), out
+                        out[right[y][i]] = c
+            if out:
+                table[ui][vi] = table[vi][ui] = dict(sorted(out.items()))
+        return table
 
-    def _set_table(self, rows) -> None:
-        """Fill a fresh table from ((u, v), constants) rows, where (u, v) and
-        (v, u) share one dict and every empty pair shares one empty dict;
-        the table becomes readable only if it passes its check."""
+    def _alpha_table(self) -> list[list[dict[int, int]]]:
+        """alpha_i . eps^y for every letter i (from 0) and element y, by the
+        degree-2 rule; built once per engine."""
+        if self._alpha is None:
+            group = self.group
+            self._alpha = [[
+                self._chevalley_idx(tuple(int(k == i) for k in range(group.rank)), y)
+                for y in range(group.order)] for i in range(group.rank)]
+        return self._alpha
+
+    def _new_table(self) -> list[list[dict[int, int]]]:
+        """An all-empty |W| x |W| table, refused above the cap before it is
+        allocated; every empty pair shares one empty dict."""
         order = self.group.order
         if order > DEFAULT_MAX_ORDER:
             raise CapacityExceeded(f"|W| = {order} exceeds the table cap {DEFAULT_MAX_ORDER}")
         empty: dict[int, int] = {}
-        table = [[empty] * order for _ in range(order)]
-        for (ui, vi), row in rows:
-            table[ui][vi] = table[vi][ui] = row
+        return [[empty] * order for _ in range(order)]
+
+    def _set_table(self, table: list[list[dict[int, int]]]) -> None:
+        """Install a filled table, where (u, v) and (v, u) share one dict; it
+        becomes readable only if it passes its check."""
         self._table = table
         try:
             self._check_table()
@@ -428,7 +453,10 @@ class FlagCohomology:
         """Adopt a cached table after the build's self-check; raises
         CacheCorrupt, adopting nothing, if it does not decode or fails."""
         rows = WordKeys(self.group).decode(payload, "entries", arity=2)
+        table = self._new_table()
+        for (ui, vi), row in rows.items():
+            table[ui][vi] = table[vi][ui] = row
         try:
-            self._set_table(rows.items())
+            self._set_table(table)
         except InternalInvariantError as exc:
             raise CacheCorrupt(f"cached structure table fails its check: {exc}") from exc

@@ -58,13 +58,13 @@ class CsmCalculator:
     def weyl_action(self, i: int, a: CohomologyClass) -> CohomologyClass:
         """Coinvariant action of the i-th simple reflection (an involution)."""
         group = self.group
-        alpha = tuple(1 if k == i - 1 else 0 for k in range(group.rank))
+        alpha = self.coh._alpha_table()[i - 1]
         out: dict[int, int] = {}
         for w, c in a.coeffs.items():
             out[w] = out.get(w, 0) + c
             t = group._right[w][i - 1]
             if group._lengths[t] < group._lengths[w]:
-                for z, m in self.coh._chevalley_idx(alpha, t).items():
+                for z, m in alpha[t].items():
                     out[z] = out.get(z, 0) - c * m
         return CohomologyClass(group, out)
 

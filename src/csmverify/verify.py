@@ -442,7 +442,7 @@ def _theorem_globals(engines: Engines, out: dict) -> int:
             check(got == expected, "poincare-duality",
                   lambda: f"pairing of ({u}, {v}) is {got}, expected {expected}")
 
-    # degree-2 rule vs the localization engine
+    # degree-2 rule vs the structure table
     for i, v, agree in coh.chevalley_agreement():
         check(agree, "chevalley-agreement", lambda: f"degree-2 products disagree at (s{i}, {v})")
 

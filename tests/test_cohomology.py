@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from csmverify.cohomology import CohomologyClass, FlagCohomology, Multiplier
 from csmverify.errors import GroupMismatch, InexactDivision
 from csmverify.rootdata import WeylGroup
 from expansion_oracle import EquivariantClass, ExpansionOracle
+from localization_oracle import LocalizationOracle
 from polynomial import IntPolynomial
 
 
@@ -319,17 +321,55 @@ def test_localization_matches_expansion_oracle_b3():
 
 
 def test_second_evaluation_point_agrees(engines):
-    """The fixed-point sums are point-independent; a second generic point
-    must reproduce the same table."""
+    """The fixed-point sums are point-independent: every degree-matching
+    triple integral at a second generic point is the table's constant."""
     for key in [("A", 2), ("B", 2)]:
         base = _coh(engines, *key)
         g = base.group
         other = FlagCohomology(g)
         point = tuple(101 ** (i + 1) for i in range(g.rank))
         other._root_value = lambda coords: sum(c * p for c, p in zip(coords, point))
+        checked = 0
         for u in g:
             for v in g:
-                assert base.structure_constants(u, v) == other.structure_constants(u, v)
+                for w in g.elements_of_length(g.num_positive - u.length - v.length):
+                    expected = base.structure_constants_idx(u.index, v.index).get(g._w0[w.index], 0)
+                    assert other.triple_integral(u, v, w) == expected
+                    checked += 1
+        # the sums ran at the second point, and no table was built from them
+        assert other._pos_product not in (None, math.prod(sum(c) for c in g._root_coords))
+        assert other._table is None and checked > g.order
+
+
+# -- the table against localization ---------------------------------------------------------
+
+@pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3),
+                                 ("A", 4), ("D", 4),
+                                 *(pytest.param(k, marks=pytest.mark.long)
+                                   for k in [("B", 4), ("A", 5)])],
+                         ids=lambda key: f"{key[0]}{key[1]}")
+def test_table_matches_localization_oracle(key):
+    from csmverify.verify import build_engines
+    coh = build_engines(*key).coh
+    coh.build_structure_table()
+    assert coh._table == LocalizationOracle(coh).table()
+
+
+def test_table_build_runs_no_localization(monkeypatch):
+    """The build path reads no fixed-point data: with every localization
+    entry point raising, the B3 and A4 tables still build and check."""
+    from csmverify.verify import build_engines, materialize_tables
+
+    def refuse(*args):
+        raise AssertionError("localization on the table build path")
+
+    monkeypatch.setattr(FlagCohomology, "triple_integral", refuse)
+    monkeypatch.setattr(FlagCohomology, "_ensure_rows", refuse)
+    monkeypatch.setattr(LocalizationOracle, "_triple_raw", refuse)
+    for key in [("B", 3), ("A", 4)]:
+        stack = build_engines(*key)
+        materialize_tables(stack)
+        assert stack.coh._table is not None and stack.coh._rows is None
 
 
 # -- class container ---------------------------------------------------------------------------
