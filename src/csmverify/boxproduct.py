@@ -13,12 +13,13 @@ and the three results must agree.  Disagreement is an internal failure.
 Only two are independent: given the enforced Segre-twist identity and that
 the sign involution phi is a ring map, the pairing and the triple sum are
 one formula, so agreement with the expansion is the substantive check.
-All three stay hard checks.  The triple sum is a product on a table this
-process computed.  Each path builds one object per pair (u, v) and reads
-every w off it: the triple-sum product, the Richardson class, its
-expansion; only the current pair's triple-sum product and row operator
-are held.  Every ``chi`` call cross-validates its value (the expansion
-coefficient); conjD, whose triples cross-paths checks, reads that path.
+All three stay hard checks.  The triple sum is a product on the engine's
+structure table, which every process computes and never reads from the
+cache.  Each path builds one object per pair (u, v) and reads every w off
+it: the triple-sum product, the Richardson class, its expansion; only the
+current pair's triple-sum product and row operator are held.  Every
+``chi`` call cross-validates its value (the expansion coefficient); conjD,
+whose triples cross-paths checks, reads that path.
 """
 
 from __future__ import annotations
@@ -66,14 +67,14 @@ class BoxCalculator:
 
     def _triple_product(self, u: WeylElement, v: WeylElement) -> CohomologyClass:
         """P_uv = T_u . csm(w0 v), T_u times sum (-1)^(l(u) - l(u1)) c_u1 eps^u1,
-        c the coefficients of csm(w0 u), on a table this process computed;
-        T_u is held for one row, P_uv for one pair."""
+        c the coefficients of csm(w0 u); T_u is held for one row, P_uv for
+        one pair."""
         group, csm, ops, products = self.group, self.csm, self._triple_ops, self._triple_products
         if u.index not in ops:
             ops.clear()
             signed = {u1: parity_sign(u.length - group._lengths[u1]) * c
                       for u1, c in csm.csm_schubert_cell(group.w0_times(u)).coeffs.items()}
-            ops[u.index] = Multiplier(self.coh.computed(), CohomologyClass(group, signed))
+            ops[u.index] = Multiplier(self.coh, CohomologyClass(group, signed))
         key = (u.index, v.index)
         if key not in products:
             products.clear()

@@ -52,14 +52,16 @@ class TableCache:
     def _path(self, series: str, rank: int, kind: str) -> Path:
         return self.root / f"{series}{rank}" / f"{kind}-v{FORMAT_VERSION}"
 
-    def store(self, series: str, rank: int, kind: str, payload: dict) -> Path:
-        """Write the payload; returns the file path actually written."""
+    def store(self, series: str, rank: int, kind: str, payload: dict,
+              checksum: str | None = None) -> Path:
+        """Write the payload under its checksum, computed here unless the
+        caller already has it; returns the file path actually written."""
         envelope = {
             "format_version": FORMAT_VERSION,
             "kind": kind,
             "series": series,
             "rank": rank,
-            "checksum": payload_checksum(payload),
+            "checksum": checksum or payload_checksum(payload),
             "payload": payload,
         }
         data = canonical_json_bytes(envelope)

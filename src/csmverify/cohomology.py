@@ -15,18 +15,17 @@ raises.
 
 The recursion rests on the degree-2 rule, so the table's self-check (the
 unit row and the degree-2 rule on every pair of a simple reflection and an
-element) is not independent of a computed table; a table adopted from the
-cache gets the same check on load.  The independent oracles live in the
+element) is not independent of it.  The independent oracles live in the
 tests only: torus fixed-point localization (``tests/localization_oracle.py``,
 on the subword sums at the all-ones point kept here for triple_integral)
 and the polynomial expansion route (``tests/expansion_oracle.py``), each
 compared with whole tables.
 
-The structure constants form one complete table, built or adopted from the
-cache, and checked, before the first product; products read it by element
+The structure constants form one complete table, computed in process and
+checked before the first product; it is never read from the cache (its
+payload is dumped only for its checksum).  Products read it by element
 index, one column a . eps^v at a time (``Multiplier``, which keeps the
-columns of a factor used again).  A path that must not trust the cache
-multiplies on a table this process computed.
+columns of a factor used again).
 """
 
 from __future__ import annotations
@@ -170,30 +169,25 @@ class WordKeys:
             for row_key, row in sorted(rows.items())
         }
 
-    def decode(self, payload: dict, field: str, arity: int) -> dict[tuple[int, ...], dict[int, int]]:
-        """Inverse of encode for ``payload[field]``, whose row keys name
-        ``arity`` elements; anything malformed raises CacheCorrupt, so the
+    def decode(self, payload: dict, field: str) -> dict[int, dict[int, int]]:
+        """Inverse of encode for ``payload[field]``, whose rows are keyed by
+        one element each; anything malformed raises CacheCorrupt, so the
         caller recomputes the table."""
         index = {k: i for i, k in enumerate(self.keys)}
         try:
-            rows = {}
-            for row_key, row in payload[field].items():
-                parts = row_key.split("|")
-                if len(parts) != arity:
-                    raise ValueError(f"row key {row_key!r} does not name {arity} elements")
-                rows[tuple(index[k] for k in parts)] = {index[w]: int(c) for w, c in row.items()}
+            return {index[row_key]: {index[w]: int(c) for w, c in row.items()}
+                    for row_key, row in payload[field].items()}
         except (KeyError, ValueError, AttributeError, TypeError) as exc:
             raise CacheCorrupt(f"malformed {field!r} payload: {exc}") from exc
-        return rows
 
 
 class FlagCohomology:
     """Multiplication engine for one flag manifold.
 
-    The structure table ``_table`` is None or complete and checked: built,
-    or adopted from the cache, before the first product, and read by index
-    as ``_table[u][v]``.  All tables are immutable once filled and may be
-    read concurrently; the fill itself is single-threaded per instance.
+    The structure table ``_table`` is None or complete and checked: built
+    before the first product, and read by index as ``_table[u][v]``.  All
+    tables are immutable once filled and may be read concurrently; the fill
+    itself is single-threaded per instance.
     """
 
     def __init__(self, group: WeylGroup):
@@ -203,7 +197,6 @@ class FlagCohomology:
         self._pos_product: int | None = None
         self._alpha: list[list[dict[int, int]]] | None = None
         self._table: list[list[dict[int, int]]] | None = None
-        self._computed: FlagCohomology | None = None
 
     # -- basic class constructors ---------------------------------------------
 
@@ -316,7 +309,8 @@ class FlagCohomology:
         coefficient the pairing of lam against the coroot of beta.
         """
         self._check(v)
-        return CohomologyClass(self.group, self._chevalley_idx(lam, v.index, basis))
+        pairings = self._pairings(lam, basis)
+        return CohomologyClass(self.group, self._chevalley_idx(pairings, v.index))
 
     def chevalley_agreement(self):
         """Yield (i, v, agree) for every simple reflection s_i and element v:
@@ -324,39 +318,43 @@ class FlagCohomology:
         group = self.group
         for i in range(1, group.rank + 1):
             omega = tuple(1 if k == i - 1 else 0 for k in range(group.rank))
+            pairings = self._pairings(omega, basis="weight")
             si = self.schubert_class(group.simple_reflection(i))
             for v in group.elements:
-                yield i, v, (self.cup(si, self.schubert_class(v))
-                             == self.chevalley_multiply(omega, v, basis="weight"))
+                yield i, v, (self.cup(si, self.schubert_class(v)).coeffs
+                             == self._chevalley_idx(pairings, v.index))
 
-    def _chevalley_idx(self, lam, vi: int, basis: str = "root") -> dict[int, int]:
-        """chevalley_multiply on element indices."""
+    def _pairings(self, lam, basis: str = "root") -> list[int]:
+        """The pairing of lam against the coroot of every positive root, in
+        root order: the coefficients of the degree-2 rule for lam."""
         group = self.group
+        return [group.pair(lam, beta, basis=basis) for beta in group.positive_roots]
+
+    def _chevalley_idx(self, pairings: list[int], vi: int) -> dict[int, int]:
+        """The degree-2 rule on element indices, for the coefficients
+        ``_pairings`` gives; distinct roots reach distinct elements."""
+        group = self.group
+        target = group._lengths[vi] + 1
         out: dict[int, int] = {}
-        for b_idx, beta in enumerate(group.positive_roots):
-            t = group.right_reflection_index(vi, b_idx)
-            if group._lengths[t] != group._lengths[vi] + 1:
-                continue
-            coef = group.pair(lam, beta, basis=basis)
+        for b_idx, coef in enumerate(pairings):
             if coef:
-                out[t] = out.get(t, 0) + coef
+                t = group.right_reflection_index(vi, b_idx)
+                if group._lengths[t] == target:
+                    out[t] = coef
         return out
 
     # -- full table ------------------------------------------------------------------
 
     def build_structure_table(self) -> None:
-        """Compute every structure constant, then self-check the table."""
+        """Compute every structure constant, then self-check the table; it
+        becomes readable only if it passes."""
         if self._table is None:
-            self._set_table(self._computed_rows())
-            self._computed = self
-
-    def computed(self) -> "FlagCohomology":
-        """This engine if it built its table, else a twin built once: never a cached table."""
-        self.build_structure_table()
-        if self._computed is None:
-            self._computed = FlagCohomology(self.group)
-            self._computed.build_structure_table()
-        return self._computed
+            self._table = self._computed_rows()
+            try:
+                self._check_table()
+            except BaseException:
+                self._table = None
+                raise
 
     def _computed_rows(self) -> list[list[dict[int, int]]]:
         """The table by the BGG recursion, filled for u <= v in order of
@@ -405,9 +403,10 @@ class FlagCohomology:
         degree-2 rule; built once per engine."""
         if self._alpha is None:
             group = self.group
-            self._alpha = [[
-                self._chevalley_idx(tuple(int(k == i) for k in range(group.rank)), y)
-                for y in range(group.order)] for i in range(group.rank)]
+            self._alpha = []
+            for i in range(group.rank):
+                pairings = self._pairings(tuple(int(k == i) for k in range(group.rank)))
+                self._alpha.append([self._chevalley_idx(pairings, y) for y in range(group.order)])
         return self._alpha
 
     def _new_table(self) -> list[list[dict[int, int]]]:
@@ -419,16 +418,6 @@ class FlagCohomology:
         empty: dict[int, int] = {}
         return [[empty] * order for _ in range(order)]
 
-    def _set_table(self, table: list[list[dict[int, int]]]) -> None:
-        """Install a filled table, where (u, v) and (v, u) share one dict; it
-        becomes readable only if it passes its check."""
-        self._table = table
-        try:
-            self._check_table()
-        except BaseException:
-            self._table = None
-            raise
-
     def _check_table(self) -> None:
         """The unit row, and the degree-2 product rule on every pair (simple
         reflection, element): rank * |W| single-term cups."""
@@ -439,24 +428,13 @@ class FlagCohomology:
             if not agree:
                 raise InternalInvariantError(f"degree-2 products disagree at (s{i}, {v})")
 
-    # -- cache integration ----------------------------------------------------------
+    # -- checksum payload ---------------------------------------------------------------
 
     def structure_payload(self) -> dict:
-        """JSON-safe dump of the structure table: nonempty rows with u <= v."""
+        """JSON-safe dump of the structure table, nonempty rows with u <= v:
+        what its checksum is taken over."""
         self.build_structure_table()
         table, order = self._table, self.group.order
         rows = {(ui, vi): table[ui][vi]
                 for ui in range(order) for vi in range(ui, order) if table[ui][vi]}
         return {"entries": WordKeys(self.group).encode(rows)}
-
-    def load_structure_payload(self, payload: dict) -> None:
-        """Adopt a cached table after the build's self-check; raises
-        CacheCorrupt, adopting nothing, if it does not decode or fails."""
-        rows = WordKeys(self.group).decode(payload, "entries", arity=2)
-        table = self._new_table()
-        for (ui, vi), row in rows.items():
-            table[ui][vi] = table[vi][ui] = row
-        try:
-            self._set_table(table)
-        except InternalInvariantError as exc:
-            raise CacheCorrupt(f"cached structure table fails its check: {exc}") from exc

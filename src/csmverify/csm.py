@@ -140,9 +140,10 @@ class CsmCalculator:
             coh = self.coh
             cls = coh.unit()
             for beta in self.group.positive_roots:
+                pairings = coh._pairings(beta.coords)
                 add: dict[int, int] = {}
                 for w, c in cls.coeffs.items():
-                    for t, m in coh._chevalley_idx(beta.coords, w).items():
+                    for t, m in coh._chevalley_idx(pairings, w).items():
                         add[t] = add.get(t, 0) + c * m
                 cls = cls + CohomologyClass(self.group, add)
             if coh.integrate(cls) != self.group.order:
@@ -231,7 +232,7 @@ class CsmCalculator:
             return False
         group = self.group
         cells = {ui: CohomologyClass(group, row)
-                 for (ui,), row in WordKeys(group).decode(payload, "rows", arity=1).items()}
+                 for ui, row in WordKeys(group).decode(payload, "rows").items()}
         if len(cells) != group.order:
             raise CacheCorrupt("CSM payload does not cover the group")
         try:

@@ -24,7 +24,9 @@ Suite semantics
 Each pair-level check is a record step on one pair (u, v).  One sweep per
 run calls the steps of every requested suite, in units of the row pair
 {u, w0*u} (conjD and cross-paths on row u read the classes of (w0*u, v));
-with jobs above 1 the units go to one fork pool.  A unit holds at most
+with jobs above 1 the units go to one fork pool.  The structure table is
+computed in process before the sweep, so workers inherit it; only the CSM
+table is read from and written to the cache.  A unit holds at most
 two Richardson rows and one triple-sum row operator and pair product; box
 associativity builds its own table of box rows.  Tallies merge in row
 order, so the report does not depend on jobs.  ``timings.per_suite_s`` is
@@ -68,8 +70,8 @@ class Engines:
     csm: CsmCalculator
     rich: RichardsonCalculator
     box: BoxCalculator
-    #: table kinds adopted from the cache instead of computed
-    adopted: set = field(default_factory=set)
+    #: whether the CSM table was adopted from the cache instead of computed
+    adopted: bool = False
 
     @property
     def series(self) -> str:
@@ -87,48 +89,43 @@ def build_engines(
     max_order: int = DEFAULT_MAX_ORDER,
     cache_events: list | None = None,
 ) -> Engines:
-    """Construct the stack, adopting cached tables when available."""
+    """Construct the stack, adopting the cached CSM table when available."""
     datum = CartanDatum.from_series(series, rank)
     group = WeylGroup(datum, max_order=max_order)
     coh = FlagCohomology(group)
     csm = CsmCalculator(coh)
 
-    adopted = set()
+    event = None
     if cache is not None:
-        for kind, loader in (("structure", coh.load_structure_payload),
-                             ("csm", csm.load_table_payload)):
-            # failed checksum, decode or table check: recompute and replace
-            try:
-                payload = cache.load(datum.series, rank, kind)
-                if payload is None:
-                    event = "miss"
-                else:
-                    event = "stale" if loader(payload) is False else "hit"
-            except CacheCorrupt as exc:
-                warnings.warn(f"cache corrupt, recomputing: {exc}")
-                event = "corrupt"
-            if event == "hit":
-                adopted.add(kind)
-            if cache_events is not None:
-                cache_events.append({"kind": kind, "event": event})
+        # failed checksum, decode or table check: recompute and replace
+        try:
+            payload = cache.load(datum.series, rank, "csm")
+            if payload is None:
+                event = "miss"
+            else:
+                event = "hit" if csm.load_table_payload(payload) else "stale"
+        except CacheCorrupt as exc:
+            warnings.warn(f"cache corrupt, recomputing: {exc}")
+            event = "corrupt"
+        if cache_events is not None:
+            cache_events.append({"kind": "csm", "event": event})
     rich = RichardsonCalculator(csm)
-    return Engines(group, coh, csm, rich, BoxCalculator(rich), adopted)
+    return Engines(group, coh, csm, rich, BoxCalculator(rich), adopted=event == "hit")
 
 
 def materialize_tables(engines: Engines, cache: TableCache | None = None,
                        cache_events: list | None = None) -> dict[str, str]:
-    """Build the full structure and CSM tables; when caching, store each
-    one not adopted from the cache.  Returns the payload checksums by kind."""
-    checksums = {}
+    """Build the full structure and CSM tables; when caching, store the CSM
+    table unless it was adopted from the cache.  Returns the payload
+    checksums by kind."""
     engines.coh.build_structure_table()
-    engines.csm.build_table()
-    for kind, payload in (("structure", engines.coh.structure_payload()),
-                          ("csm", engines.csm.table_payload())):
-        checksums[kind] = payload_checksum(payload)
-        if cache is not None and kind not in engines.adopted:
-            path = cache.store(engines.series, engines.rank, kind, payload)
-            if cache_events is not None:
-                cache_events.append({"kind": kind, "event": "store", "path": str(path)})
+    payload = engines.csm.table_payload()
+    checksums = {"structure": payload_checksum(engines.coh.structure_payload()),
+                 "csm": payload_checksum(payload)}
+    if cache is not None and not engines.adopted:
+        path = cache.store(engines.series, engines.rank, "csm", payload, checksums["csm"])
+        if cache_events is not None:
+            cache_events.append({"kind": "csm", "event": "store", "path": str(path)})
     return checksums
 
 
@@ -351,9 +348,6 @@ def _run_suites(engines: Engines, names, max_length: int | None,
         start = clock()
         _theorem_elements(engines, theorem, filtered)
         theorem["elapsed"] += clock() - start
-
-    if _TRIPLE_SUITES.intersection(names):      # before any fork, so workers inherit it
-        engines.coh.computed()
     units = _row_units(group, filtered)
     tasks = [(names, filtered, rows) for rows in units]
     workers = pool_size(jobs, len(units))
@@ -584,8 +578,8 @@ def run_verification(
 
     Raises UsageError for ``jobs`` below 1 or a negative ``max_length``
     (which would filter out every element and pass on zero instances).
-    A hard failure on tables adopted from the cache reruns once on rebuilt
-    tables if an adopted one differs from its rebuild.
+    A hard failure on a CSM table adopted from the cache reruns once on a
+    rebuilt one if the adopted table differs from its rebuild.
     """
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
@@ -649,20 +643,16 @@ def run_verification(
 
 def _replace_corrupt_tables(engines: Engines, checksums: dict, cache: TableCache | None,
                             cache_events: list, max_order: int):
-    """After a hard failure, rebuild the tables without the cache.  If an
-    adopted one differs from its rebuild, warn, replace it in the cache and
-    return the rebuilt engines and checksums; otherwise None."""
+    """After a hard failure, rebuild an adopted CSM table without the cache.
+    If it differs from its rebuild, warn, replace it in the cache and return
+    the rebuilt engines and checksums; otherwise None."""
     if not engines.adopted:
         return None
     fresh = build_engines(engines.series, engines.rank, max_order=max_order)
     sums = materialize_tables(fresh)
-    corrupt = {kind for kind in engines.adopted if sums[kind] != checksums[kind]}
-    if not corrupt:
+    if sums["csm"] == checksums["csm"]:
         return None
-    for kind in sorted(corrupt):
-        warnings.warn(f"cache corrupt, recomputing: adopted {kind} table differs from its rebuild")
-        cache_events.append({"kind": kind, "event": "corrupt"})
-    fresh.adopted = set(sums) - corrupt     # so that only the corrupt ones are stored
+    warnings.warn("cache corrupt, recomputing: adopted csm table differs from its rebuild")
+    cache_events.append({"kind": "csm", "event": "corrupt"})
     materialize_tables(fresh, cache=cache, cache_events=cache_events)
     return fresh, sums
-

@@ -228,4 +228,4 @@ def test_associativity_holds_no_box_rows(engines):
     assert len(box._triple_ops) <= 1 and len(box._triple_products) <= 1
     assert len(stack.rich._rows) <= 2
     assert set(vars(stack.coh)) == {"group", "_rows", "_signs", "_pos_product",
-                                    "_alpha", "_table", "_computed"}
+                                    "_alpha", "_table"}

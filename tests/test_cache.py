@@ -72,6 +72,35 @@ def test_binary_container(tmp_path, monkeypatch):
         cache.load("A", 2, "structure")
 
 
+def test_stored_bytes_are_the_canonical_envelope(tmp_path):
+    """The file is the canonical JSON of the envelope, whether store is
+    handed the payload's checksum or computes it."""
+    payload = {"convention": "c", "rows": {"": {"1": 1}, "1": {"1": 2}}}
+    envelope = {"format_version": FORMAT_VERSION, "kind": "csm", "series": "B", "rank": 2,
+                "checksum": payload_checksum(payload), "payload": payload}
+    for name, checksum in (("own", None), ("given", payload_checksum(payload))):
+        path = TableCache(tmp_path / name).store("B", 2, "csm", payload, checksum)
+        assert path.read_bytes() == canonical_json_bytes(envelope), name
+
+
+def test_materialize_checksums_each_payload_once(tmp_path, monkeypatch):
+    """The table step hands store the checksum it took: the cache computes
+    none of its own."""
+    import csmverify.cache as cache_mod
+    from csmverify.verify import build_engines, materialize_tables
+
+    def refuse(payload):
+        raise AssertionError("payload checksummed twice")
+
+    monkeypatch.setattr(cache_mod, "payload_checksum", refuse)
+    cache = TableCache(tmp_path)
+    checksums = materialize_tables(build_engines("A", 2), cache=cache)
+    monkeypatch.undo()
+    assert cache.load("A", 2, "csm") is not None
+    assert json.loads(cache._path("A", 2, "csm").with_suffix(".json").read_text())["checksum"] \
+        == checksums["csm"]
+
+
 def test_checksum_is_canonical():
     a = {"x": 1, "y": [1, 2]}
     b = {"y": [1, 2], "x": 1}

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -272,84 +273,100 @@ def test_report_witnesses_use_words(monkeypatch):
     assert words <= {"s1", "s2"}
 
 
+def _events(report) -> list:
+    return [(e["kind"], e["event"]) for e in report.timings["cache_events"]]
+
+
 def test_cache_events_recorded(tmp_path):
+    """Only the CSM table goes through the cache: a miss and a store on the
+    first run, a hit and nothing written back on the second."""
     cache = TableCache(tmp_path)
     first = run_verification("A", 1, suites=["conjB"], cache=cache)
-    events1 = first.timings["cache_events"]
-    assert {"kind": "structure", "event": "miss"} in events1
+    assert _events(first) == [("csm", "miss"), ("csm", "store")]
     second = run_verification("A", 1, suites=["conjB"], cache=cache)
-    events2 = second.timings["cache_events"]
-    assert {"kind": "structure", "event": "hit"} in events2
-    assert {"kind": "csm", "event": "hit"} in events2
-    # adopted tables are not written back
-    assert not [e for e in events2 if e["event"] == "store"]
+    assert second.timings["cache_events"] == [{"kind": "csm", "event": "hit"}]
     assert _strip_timings(first.to_json()) == _strip_timings(second.to_json())
 
 
-def test_corrupt_cache_recovers(tmp_path):
-    """A table file that fails its checksum, that passes it but does not
-    decode, or that decodes but fails the table check is recomputed and
-    replaced; the replacement is adopted by the next run."""
+def test_no_run_reads_a_structure_file(tmp_path, capsys):
+    """The structure table is computed by every run: a garbage structure
+    file in the cache draws no warning and no cache event, and the report
+    equals a cache-less one; table on an empty cache writes the CSM file
+    alone."""
+    cache = TableCache(tmp_path / "cache")
+    assert cli.main(["table", "--type", "A", "--rank", "2",
+                     "--cache-dir", str(cache.root)]) == 0
+    assert "structure table for A2: computed" in capsys.readouterr().out
+    assert sorted(p.name for p in cache.root.rglob("*") if p.is_file()) == ["csm-v1.json"]
+    cache._path("A", 2, "structure").with_suffix(".json").write_text("garbage")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_verification("A", 2, suites=["all"], cache=cache)
+    assert _events(report) == [("csm", "hit")]
+    bare = run_verification("A", 2, suites=["all"])
+    assert _strip_timings(report.to_json()) == _strip_timings(bare.to_json())
 
-    def double_row(key):
-        def edit(rows):
-            rows[key] = {w: 2 * c for w, c in rows[key].items()}
-        return edit
+
+def test_corrupt_cache_recovers(tmp_path):
+    """A CSM table file that fails its checksum, that passes it but does
+    not decode, or that decodes but fails the table check is recomputed
+    and replaced; the replacement is adopted by the next run."""
+    def double_s1(rows):
+        rows["1"] = {w: 2 * c for w, c in rows["1"].items()}
 
     cases = (
-        ("checksum", "structure", lambda rows: rows.update({"tampered|x": {}}), False),
-        ("undecodable", "structure", lambda rows: rows.update({"9.9|1": {"": 1}}), True),
-        ("wrong-constants", "structure", double_row("1|2"), True),
-        ("wrong-cell-class", "csm", double_row("1"), True),
+        ("checksum", lambda rows: rows.update({"tampered": {}}), False),
+        ("undecodable", lambda rows: rows.update({"9.9": {"": 1}}), True),
+        ("wrong-cell-class", double_s1, True),
     )
-    for name, kind, edit, rechecksum in cases:
+    for name, edit, rechecksum in cases:
         cache = TableCache(tmp_path / name)
         run_verification("A", 2, suites=["conjB"], cache=cache)
-        path = cache._path("A", 2, kind).with_suffix(".json")
+        path = cache._path("A", 2, "csm").with_suffix(".json")
         envelope = json.loads(path.read_text())
-        edit(envelope["payload"]["entries" if kind == "structure" else "rows"])
+        edit(envelope["payload"]["rows"])
         if rechecksum:
             envelope["checksum"] = payload_checksum(envelope["payload"])
         path.write_text(json.dumps(envelope))
         with pytest.warns(UserWarning, match="cache corrupt"):
             report = run_verification("A", 2, suites=["conjB"], cache=cache)
         assert report.exit_code == 0, name
-        events = [(e["kind"], e["event"]) for e in report.timings["cache_events"]]
-        other = "csm" if kind == "structure" else "structure"
-        expected = {kind: "corrupt", other: "hit"}
-        assert events == [("structure", expected["structure"]), ("csm", expected["csm"]),
-                          (kind, "store")], name
+        assert _events(report) == [("csm", "corrupt"), ("csm", "store")], name
         again = run_verification("A", 2, suites=["conjB"], cache=cache)
-        assert [e["event"] for e in again.timings["cache_events"]] == ["hit", "hit"], name
+        assert _events(again) == [("csm", "hit")], name
 
 
-def _double_a3_structure_row(cache: TableCache) -> None:
-    """Double the "1.2|1.2" row of the cached A3 structure table under a
-    recomputed checksum: the table passes the adoption check but is wrong."""
-    path = cache._path("A", 3, "structure").with_suffix(".json")
-    envelope = json.loads(path.read_text())
-    rows = envelope["payload"]["entries"]
-    rows["1.2|1.2"] = {w: 2 * c for w, c in rows["1.2|1.2"].items()}
-    envelope["checksum"] = payload_checksum(envelope["payload"])
-    path.write_text(json.dumps(envelope))
+def test_adopted_table_failing_a_run_is_rebuilt(tmp_path, monkeypatch):
+    """A checksum-valid CSM table that passes the adoption check but is
+    wrong (an interior coefficient doubled) fails the run hard; the table
+    is rebuilt, the cached file replaced, and the run repeats once."""
+    import csmverify.verify as verify_mod
 
-
-def test_adopted_table_failing_a_run_is_rebuilt(tmp_path, capsys):
-    """A checksum-valid structure table that passes the adoption check but
-    is wrong elsewhere fails the run hard; the adopted tables are rebuilt,
-    the one that differs is replaced, and the run repeats once."""
     cache = TableCache(tmp_path)
     group = ["--type", "A", "--rank", "3", "--cache-dir", str(tmp_path)]
     assert cli.main(["table", *group]) == 0
-    _double_a3_structure_row(cache)
+    path = cache._path("A", 3, "csm").with_suffix(".json")
+    sound = path.read_bytes()
+    envelope = json.loads(sound)
+    row = envelope["payload"]["rows"]["1.2"]
+    key = max(row, key=row.get)
+    assert row[key] > 1            # leading and top coefficients are 1
+    row[key] *= 2
+    envelope["checksum"] = payload_checksum(envelope["payload"])
+    path.write_text(json.dumps(envelope))
+    sweeps = []
+    real = verify_mod._run_suites
+    monkeypatch.setattr(verify_mod, "_run_suites",
+                        lambda *args: sweeps.append(args) or real(*args))
     out = tmp_path / "report.json"
     with pytest.warns(UserWarning, match="cache corrupt"):
         assert cli.main(["verify", *group, "--suite", "all", "--output", str(out)]) == 0
-    events = [(e["kind"], e["event"]) for e in json.loads(out.read_text())["timings"]["cache_events"]]
-    assert events == [("structure", "hit"), ("csm", "hit"),
-                      ("structure", "corrupt"), ("structure", "store")]
+    events = json.loads(out.read_text())["timings"]["cache_events"]
+    assert [(e["kind"], e["event"]) for e in events] == \
+        [("csm", "hit"), ("csm", "corrupt"), ("csm", "store")]
+    assert len(sweeps) == 2 and path.read_bytes() == sound
     again = run_verification("A", 3, suites=["conjB"], cache=cache)
-    assert [e["event"] for e in again.timings["cache_events"]] == ["hit", "hit"]
+    assert _events(again) == [("csm", "hit")]
 
 
 def test_hard_failure_on_sound_adopted_tables_stands(tmp_path, monkeypatch):
@@ -362,30 +379,7 @@ def test_hard_failure_on_sound_adopted_tables_stands(tmp_path, monkeypatch):
     monkeypatch.setattr(RichardsonCalculator, "richardson_coeffs", faulty)
     report = run_verification("A", 2, suites=["conjB"], cache=cache)
     assert report.exit_code == 2
-    assert [e["event"] for e in report.timings["cache_events"]] == ["hit", "hit"]
-
-
-def test_triple_sum_reads_no_adopted_table(tmp_path):
-    """The triple sum multiplies on a table this process computed: on a
-    wrong adopted A3 table every value equals a fresh engine's, and the
-    twin table it reads equals the fresh one."""
-    cache = TableCache(tmp_path)
-    materialize_tables(build_engines("A", 3), cache=cache)
-    _double_a3_structure_row(cache)
-    adopted = build_engines("A", 3, cache=cache)
-    assert adopted.adopted == {"structure", "csm"}
-    fresh = build_engines("A", 3)
-    materialize_tables(fresh)
-    assert adopted.coh._table != fresh.coh._table
-    g = adopted.group
-    for u in g:
-        for v in g:
-            for w in g:
-                assert adopted.box.chi_via_triple_sum(u, v, w) == \
-                    fresh.box.chi_via_triple_sum(u, v, w)
-    twin = adopted.coh.computed()
-    assert twin is not adopted.coh and twin._table == fresh.coh._table
-    assert fresh.coh.computed() is fresh.coh
+    assert _events(report) == [("csm", "hit")]
 
 
 def _count_table_builds(monkeypatch) -> list:
@@ -402,27 +396,25 @@ def _count_table_builds(monkeypatch) -> list:
 
 
 def test_pair_suites_build_no_second_table(tmp_path, monkeypatch):
-    """On adopted A3 tables a run without conjD or cross-paths (the suites
-    of the pair benchmarks) computes no structure table at all."""
+    """On an adopted A3 CSM table, a run of the pair benchmarks' suites
+    builds the structure table exactly once."""
     cache = TableCache(tmp_path)
     run_verification("A", 3, suites=["conjB"], cache=cache)
     builds = _count_table_builds(monkeypatch)
     report = run_verification("A", 3, suites=["theorem-invariants", "conjB", "conjC"],
                               cache=cache)
-    assert [e["event"] for e in report.timings["cache_events"]] == ["hit", "hit"]
-    assert report.exit_code == 0 and builds == []
+    assert _events(report) == [("csm", "hit")]
+    assert report.exit_code == 0 and len(builds) == 1
 
 
-def test_twin_table_built_before_the_pool(tmp_path, monkeypatch):
-    """On adopted A3 tables, cross-paths under --jobs 2 computes the triple
-    sum's table once, in the parent before the pool starts, and reports as
-    the serial run does."""
+def test_table_built_once_before_the_pool(tmp_path, monkeypatch):
+    """A3 cross-paths under --jobs 2 builds the structure table once, in the
+    parent before the pool starts, and reports as the serial run does."""
     import multiprocessing.pool
 
     import csmverify.verify as verify_mod
 
     cache = TableCache(tmp_path)
-    run_verification("A", 3, suites=["conjB"], cache=cache)
     serial = run_verification("A", 3, suites=["cross-paths"], cache=cache)
     monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     builds = _count_table_builds(monkeypatch)
@@ -430,14 +422,13 @@ def test_twin_table_built_before_the_pool(tmp_path, monkeypatch):
     real_init = multiprocessing.pool.Pool.__init__
 
     def recording_init(self, *args, **kwargs):
-        coh = verify_mod._WORKER_ENGINES.coh
-        at_pool.append((coh._computed is not None, coh._computed is coh, len(builds)))
+        at_pool.append((verify_mod._WORKER_ENGINES.coh._table is not None, len(builds)))
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", recording_init)
     pooled = run_verification("A", 3, suites=["cross-paths"], jobs=2, cache=cache)
-    assert at_pool == [(True, False, 1)] and len(builds) == 1
-    assert [e["event"] for e in pooled.timings["cache_events"]] == ["hit", "hit"]
+    assert at_pool == [(True, 1)] and len(builds) == 1
+    assert _events(pooled) == [("csm", "hit")]
     a, b = _strip_timings(serial.to_json()), _strip_timings(pooled.to_json())
     assert a["options"].pop("jobs") == 1 and b["options"].pop("jobs") == 2
     assert a == b and pooled.exit_code == 0
