@@ -13,20 +13,21 @@ and the three results must agree.  Disagreement is an internal failure.
 Only two are independent: given the enforced Segre-twist identity and that
 the sign involution phi is a ring map, the pairing and the triple sum are
 one formula, so agreement with the expansion is the substantive check.
-All three stay hard checks.  The triple sum is a product on the engine's
-structure table, which every process computes and never reads from the
-cache.  Each path builds one object per pair (u, v) and reads every w off
-it: the triple-sum product, the Richardson class, its expansion; only the
-current pair's triple-sum product and row operator are held.  Every
-``chi`` call cross-validates its value (the expansion coefficient); conjD,
-whose triples cross-paths checks, reads that path.
+All three stay hard checks.  The triple sum's factor for u, the sum of
+(-1)^(l(u) - l(u1)) c_u1 eps^u1 with c the coefficients of csm(cell w0 u),
+is seg(cell w0 u), as ``segre_schubert_cell`` enforces, so its product
+with csm(cell w0 v) is the Richardson class of (w0 u, v).  Every w of a
+pair (u, v) is read off that class and its expansion, both held in the
+Richardson calculator's two-row window; this calculator holds no state.
+Every ``chi`` call cross-validates its value (the expansion coefficient);
+conjD, whose triples cross-paths checks, reads that path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import CohomologyClass, Multiplier
+from .cohomology import CohomologyClass
 from .errors import PathDisagreement
 from .richardson import RichardsonCalculator
 from .rootdata import WeylElement, parity_sign
@@ -60,32 +61,16 @@ class BoxCalculator:
         self.csm = rich.csm
         self.coh = rich.coh
         self.group = rich.group
-        self._triple_ops: dict[int, Multiplier] = {}
-        self._triple_products: dict[tuple[int, int], CohomologyClass] = {}
 
     # -- the three formulas ------------------------------------------------------
 
-    def _triple_product(self, u: WeylElement, v: WeylElement) -> CohomologyClass:
-        """P_uv = T_u . csm(w0 v), T_u times sum (-1)^(l(u) - l(u1)) c_u1 eps^u1,
-        c the coefficients of csm(w0 u); T_u is held for one row, P_uv for
-        one pair."""
-        group, csm, ops, products = self.group, self.csm, self._triple_ops, self._triple_products
-        if u.index not in ops:
-            ops.clear()
-            signed = {u1: parity_sign(u.length - group._lengths[u1]) * c
-                      for u1, c in csm.csm_schubert_cell(group.w0_times(u)).coeffs.items()}
-            ops[u.index] = Multiplier(self.coh, CohomologyClass(group, signed))
-        key = (u.index, v.index)
-        if key not in products:
-            products.clear()
-            products[key] = ops[u.index](csm.csm_schubert_cell(group.w0_times(v)))
-        return products[key]
-
     def chi_via_triple_sum(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
-        """Triple sum of CSM coefficients against triple integrals, the pairing
-        of csm(cell w) with P_uv, signed by the dimension l(w) - l(u) - l(v)."""
+        """Triple sum of CSM coefficients against triple integrals: the pairing
+        of csm(cell w) with the Richardson class of (w0 u, v), signed by the
+        dimension l(w) - l(u) - l(v)."""
         self.coh._check(u, v, w)
-        total = self.coh.pairing(self.csm.csm_schubert_cell(w), self._triple_product(u, v))
+        cls = self.rich.csm_richardson(self.group.w0_times(u), v)
+        total = self.coh.pairing(self.csm.csm_schubert_cell(w), cls)
         return parity_sign(w.length - u.length - v.length) * total
 
     def chi_via_pairing(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:

@@ -38,7 +38,6 @@ class RichardsonCoefficients:
     u: WeylElement
     v: WeylElement
     c: dict[WeylElement, int]
-    parity_ok: bool
     nonneg_ok: bool
 
     def witnesses(self) -> list[tuple[WeylElement, int]]:
@@ -125,15 +124,12 @@ class RichardsonCalculator:
         cls = self.csm_richardson(u, v)
         group = self.group
         c: dict[WeylElement, int] = {}
-        parity_ok = True
         for eps_label, val in cls.coeffs.items():
             w = group._w0[eps_label]
-            c[group.elements[w]] = val
             if (group._lengths[w] + u.length + v.length) % 2 != 0:
-                parity_ok = False
-        if not parity_ok:
-            raise ParityViolation(f"odd-parity coefficient in Richardson cell ({u}, {v})")
-        return RichardsonCoefficients(u, v, c, parity_ok, all(val >= 0 for val in c.values()))
+                raise ParityViolation(f"odd-parity coefficient in Richardson cell ({u}, {v})")
+            c[group.elements[w]] = val
+        return RichardsonCoefficients(u, v, c, all(val >= 0 for val in c.values()))
 
     def expand_in_csm_basis(self, a: CohomologyClass) -> CsmBasisCoefficients:
         """Solve a = sum d_w . csm(cell w) by the unitriangular peel.

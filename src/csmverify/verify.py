@@ -27,11 +27,11 @@ run calls the steps of every requested suite, in units of the row pair
 with jobs above 1 the units go to one fork pool.  The structure table is
 computed in process before the sweep, so workers inherit it; only the CSM
 table is read from and written to the cache.  A unit holds at most
-two Richardson rows and one triple-sum row operator and pair product; box
-associativity builds its own table of box rows.  Tallies merge in row
-order, so the report does not depend on jobs.  ``timings.per_suite_s`` is
-each suite's record-step time summed over units (worker time in a pool),
-plus theorem-invariants' element and global blocks.
+two Richardson rows and nothing else; box associativity builds its own
+table of box rows.  Tallies merge in row order, so the report does not
+depend on jobs.  ``timings.per_suite_s`` is each suite's record-step time
+summed over units (worker time in a pool), plus theorem-invariants'
+element and global blocks.
 
 Findings carry full witnesses (reduced words, never internal indices).
 Reports are byte-deterministic apart from the ``timings`` block, which is

@@ -1,7 +1,9 @@
 import pytest
 
 from csmverify.boxproduct import BoxCalculator, ChiProvenance
+from csmverify.cohomology import CohomologyClass, Multiplier
 from csmverify.errors import PathDisagreement
+from csmverify.rootdata import parity_sign
 
 
 def _box(engines, series, rank):
@@ -119,7 +121,7 @@ def test_path_disagreement_raises(engines, monkeypatch):
 
 def test_box_product_validates_every_w_above_order_48(engines, monkeypatch):
     """On A4 (|W| = 120) box_product cross-validates each w of length at
-    least l(u) + l(v) exactly once, from one triple-sum product for the pair."""
+    least l(u) + l(v) exactly once, from the Richardson row of w0*u."""
     stack = engines("A", 4)
     box = BoxCalculator(stack.rich)
     g = box.group
@@ -135,8 +137,44 @@ def test_box_product_validates_every_w_above_order_48(engines, monkeypatch):
     box.box_product(u, v)
     floor = u.length + v.length
     assert sorted(calls) == [w.index for w in g if w.length >= floor]
-    assert list(box._triple_ops) == [u.index]
-    assert list(box._triple_products) == [(u.index, v.index)]
+    assert g.w0_times(u).index in stack.rich._rows
+
+
+@pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("C", 3), ("G", 2),
+                                 pytest.param(("A", 4), marks=pytest.mark.long)],
+                         ids=lambda key: f"{key[0]}{key[1]}")
+def test_triple_sum_product_is_the_richardson_class(engines, key):
+    """The triple sum's own product, T_u . csm(cell w0 v) with T_u times
+    sum (-1)^(l(u) - l(u1)) c_u1 eps^u1 and c the coefficients of
+    csm(cell w0 u), is the Richardson class of (w0 u, v) on every pair."""
+    stack = engines(*key)
+    g, csm, rich = stack.group, stack.csm, stack.rich
+    for u in g:
+        w0u = g.w0_times(u)
+        signed = {u1: parity_sign(u.length - g._lengths[u1]) * c
+                  for u1, c in csm.csm_schubert_cell(w0u).coeffs.items()}
+        times_t = Multiplier(stack.coh, CohomologyClass(g, signed))
+        for v in g:
+            assert times_t(csm.csm_schubert_cell(g.w0_times(v))) == rich.csm_richardson(w0u, v)
+
+
+def test_triple_sum_makes_no_product(engines, monkeypatch):
+    """With the pair's Richardson class and every cell class in hand, the
+    triple-sum path multiplies nothing and still agrees with the expansion."""
+    stack = engines("B", 2)
+    box, g = stack.box, stack.group
+    for w in g:
+        stack.csm.csm_schubert_cell(w)
+
+    def refuse(self, b):
+        raise AssertionError("the triple-sum path made a product")
+
+    for u in g:
+        for v in g:
+            expected = [box.chi_via_richardson(u, v, w) for w in g]
+            with monkeypatch.context() as m:
+                m.setattr(Multiplier, "__call__", refuse)
+                assert [box.chi_via_triple_sum(u, v, w) for w in g] == expected
 
 
 def test_box_product_class_is_the_bilinear_extension(engines):
@@ -219,13 +257,12 @@ def test_associativity_matches_class_level_oracle(engines, monkeypatch, key, max
 
 def test_associativity_holds_no_box_rows(engines):
     """The box rows associativity reads live only inside the call: the
-    calculator keeps one triple-sum row operator and one pair product, the
-    Richardson calculator two rows, and the engine no triple-integral memo."""
+    calculator keeps no state of its own, the Richardson calculator two
+    rows, and the engine no triple-integral memo."""
     stack = engines("B", 2)
     box = BoxCalculator(stack.rich)
     assert box.associativity_status() == (0, stack.group.order ** 3)
-    assert set(vars(box)) == {"rich", "csm", "coh", "group", "_triple_ops", "_triple_products"}
-    assert len(box._triple_ops) <= 1 and len(box._triple_products) <= 1
+    assert set(vars(box)) == {"rich", "csm", "coh", "group"}
     assert len(stack.rich._rows) <= 2
     assert set(vars(stack.coh)) == {"group", "_rows", "_signs", "_pos_product",
                                     "_alpha", "_table"}

@@ -136,7 +136,7 @@ def test_richardson_coeffs_a1(engines):
     s, e = g.simple_reflection(1), g.identity
     rc = rich.richardson_coeffs(s, e)
     assert rc.c == {s: 1}
-    assert rc.parity_ok and rc.nonneg_ok and rc.witnesses() == []
+    assert rc.nonneg_ok and rc.witnesses() == []
     rc = rich.richardson_coeffs(e, e)
     assert rc.c == {e: 1}
     rc = rich.richardson_coeffs(e, s)
@@ -150,7 +150,6 @@ def test_parity_exhaustive(engines, key):
     for u in g:
         for v in g:
             rc = rich.richardson_coeffs(u, v)
-            assert rc.parity_ok
             for w, c in rc.c.items():
                 if c:
                     assert (w.length + u.length + v.length) % 2 == 0
