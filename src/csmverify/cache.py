@@ -1,13 +1,15 @@
-"""Versioned, checksummed on-disk table cache.
+"""Versioned, checksummed on-disk table files.
 
-Payloads are canonical JSON (sorted keys, fixed separators) wrapped in an
-envelope carrying the format version and a sha256 checksum.  Files under
-the size threshold are stored as plain JSON; larger ones switch to a
-length-prefixed binary container with a zlib-compressed JSON body.  A
-version mismatch silently forces a recompute; a checksum mismatch raises
-CacheCorrupt so the caller can warn and recompute.  Files are written to a
-temporary name in the same directory and renamed into place, so a writer
-that dies midway leaves the previous file intact.
+``csmverify table`` writes the CSM table here as its checksummed export;
+no verification run reads a table back.  Payloads are canonical JSON
+(sorted keys, fixed separators) wrapped in an envelope carrying the format
+version and a sha256 checksum.  Files under the size threshold are stored
+as plain JSON; larger ones switch to a length-prefixed binary container
+with a zlib-compressed JSON body.  On reading a file back, a version
+mismatch reads as absent, and a checksum or container failure raises
+CacheCorrupt.  Files are written to a temporary name in the same directory
+and renamed into place, so a writer that dies midway leaves the previous
+file intact.
 """
 
 from __future__ import annotations
@@ -88,8 +90,7 @@ class TableCache:
 
     def load(self, series: str, rank: int, kind: str) -> dict | None:
         """Payload, or None when absent or written by another format
-        version (recompute, never silent reuse).  Raises CacheCorrupt on a
-        checksum or container failure."""
+        version.  Raises CacheCorrupt on a checksum or container failure."""
         base = self._path(series, rank, kind)
         json_path = base.with_suffix(".json")
         bin_path = base.with_suffix(".bin")
@@ -99,6 +100,8 @@ class TableCache:
             raw = bin_path.read_bytes()
             if raw[:4] != _MAGIC:
                 raise CacheCorrupt(f"{bin_path}: bad magic")
+            if len(raw) < 16:
+                raise CacheCorrupt(f"{bin_path}: truncated header")
             (version,) = struct.unpack("<I", raw[4:8])
             if version != FORMAT_VERSION:
                 return None

@@ -3,17 +3,20 @@
 Subcommands
 -----------
 verify   run verification suites and emit a JSON (or CSV) report
-table    compute the structure-constant table and materialize and cache the
-         CSM table, printing the checksum of each
+table    compute the structure-constant and CSM tables, printing the checksum
+         of each, and write the CSM table to the cache directory
 show     print a single class (csm / richardson / box) in both bases
 
 Exit codes: 0 all checks pass; 1 a conjecture violation was found (with
 witnesses in the report); 2 a proved identity failed (implementation bug);
-3 usage error, which includes --jobs below 1 and a negative --max-length.
+3 usage error, which includes --jobs below 1, a negative --max-length and
+an output or cache path that cannot be written.
 
-The cache directory is taken from --cache-dir, else the CSMVERIFY_CACHE
-environment variable, else a per-user default.  Weyl group elements are
-written as reduced words like "s1 s2 s1", with "e" for the identity.
+Every run computes both tables; none reads a table from disk.  The cache
+directory, where only table writes, is taken from --cache-dir, else the
+CSMVERIFY_CACHE environment variable, else a per-user default.  Weyl group
+elements are written as reduced words like "s1 s2 s1", with "e" for the
+identity.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ def _add_group_args(p):
                    help=f"series letter, one of {''.join(SERIES)}")
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--cache-dir", default=None,
-                   help="table cache directory (default: $CSMVERIFY_CACHE or user cache)")
+                   help="where table writes the CSM table (default: $CSMVERIFY_CACHE "
+                        "or user cache); verify and show read nothing there")
     p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
                    help="refuse groups larger than this (default %(default)s); "
                         "structure tables stay refused above the default")
@@ -84,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the report here instead of stdout")
     p_verify.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p_table = sub.add_parser("table", help="compute both tables and cache the CSM one")
+    p_table = sub.add_parser("table", help="compute both tables and write the CSM one")
     _add_group_args(p_table)
 
     p_show = sub.add_parser("show", help="print one class in both bases")
@@ -95,16 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cache_from_args(args) -> TableCache:
-    root = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    return TableCache(root)
-
-
 def _engines_from_args(args):
-    cache = _cache_from_args(args)
-    engines = build_engines(args.type.upper(), args.rank, cache=cache,
-                            max_order=args.max_order)
-    return engines, cache
+    return build_engines(args.type.upper(), args.rank, max_order=args.max_order)
 
 
 def cmd_verify(args) -> int:
@@ -114,7 +110,6 @@ def cmd_verify(args) -> int:
         suites=suites,
         max_length=args.max_length,
         jobs=args.jobs,
-        cache=_cache_from_args(args),
         max_order=args.max_order,
     )
     for line in report.summary_lines():
@@ -135,19 +130,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    engines, cache = _engines_from_args(args)
-    checksums = materialize_tables(engines, cache=cache)
+    cache = TableCache(Path(args.cache_dir) if args.cache_dir else default_cache_dir())
+    checksums = materialize_tables(_engines_from_args(args), cache=cache)
     for kind in sorted(checksums):
-        source = "cache hit" if kind == "csm" and engines.adopted else "computed"
-        print(f"{kind} table for {args.type.upper()}{args.rank}: {source}, "
+        print(f"{kind} table for {args.type.upper()}{args.rank}: computed, "
               f"checksum {checksums[kind]}")
     return EXIT_PASS
 
 
 def cmd_show(args) -> int:
-    engines, cache = _engines_from_args(args)
+    engines = _engines_from_args(args)
     if args.kind in ("richardson", "box"):
-        materialize_tables(engines, cache=cache)
+        materialize_tables(engines)
     group = engines.group
     try:
         u = group.parse(args.u)
@@ -187,7 +181,7 @@ def main(argv=None) -> int:
         if args.command == "show":
             return cmd_show(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, InvalidCartan, CapacityExceeded, GroupMismatch) as exc:
+    except (UsageError, InvalidCartan, CapacityExceeded, GroupMismatch, OSError) as exc:
         print(f"csmverify: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalInvariantError as exc:

@@ -30,7 +30,7 @@ columns of a factor used again).
 
 from __future__ import annotations
 
-from .errors import CacheCorrupt, CapacityExceeded, InternalInvariantError
+from .errors import CapacityExceeded, InternalInvariantError
 from .rootdata import DEFAULT_MAX_ORDER, WeylElement, WeylGroup, parity_sign
 
 
@@ -152,7 +152,7 @@ class Multiplier:
 
 
 class WordKeys:
-    """The table payload codec.
+    """The table payload encoding, which the checksums are taken over.
 
     An element is keyed by its canonical reduced word with the letters
     joined by dots (the identity is ``""``); a table row is keyed by the
@@ -168,17 +168,6 @@ class WordKeys:
             "|".join(keys[i] for i in row_key): {keys[w]: c for w, c in sorted(row.items())}
             for row_key, row in sorted(rows.items())
         }
-
-    def decode(self, payload: dict, field: str) -> dict[int, dict[int, int]]:
-        """Inverse of encode for ``payload[field]``, whose rows are keyed by
-        one element each; anything malformed raises CacheCorrupt, so the
-        caller recomputes the table."""
-        index = {k: i for i, k in enumerate(self.keys)}
-        try:
-            return {index[row_key]: {index[w]: int(c) for w, c in row.items()}
-                    for row_key, row in payload[field].items()}
-        except (KeyError, ValueError, AttributeError, TypeError) as exc:
-            raise CacheCorrupt(f"malformed {field!r} payload: {exc}") from exc
 
 
 class FlagCohomology:

@@ -18,7 +18,7 @@ opposite-cell classes via translation by the longest element.
 from __future__ import annotations
 
 from .cohomology import CohomologyClass, FlagCohomology, Multiplier, WordKeys
-from .errors import CacheCorrupt, CalibrationFailure, InternalInvariantError
+from .errors import CalibrationFailure, InternalInvariantError
 from .rootdata import CartanDatum, WeylElement, WeylGroup, parity_sign
 
 #: letters of a reduced word applied first-to-last while building the
@@ -79,8 +79,7 @@ class CsmCalculator:
 
         Recursion from the point class along the canonical reduced word,
         per the frozen convention.  Each class is invariant-checked when it
-        is computed (an adopted one when it is loaded); a violation raises
-        CalibrationFailure.
+        is computed; a violation raises CalibrationFailure.
         """
         self.coh._check(u)
         return self._cell_idx(u.index)
@@ -212,7 +211,7 @@ class CsmCalculator:
             total = total + self.csm_schubert_cell(u)
         return total == self.tangent_chern()
 
-    # -- table + cache ------------------------------------------------------------------
+    # -- table --------------------------------------------------------------------------
 
     def build_table(self) -> None:
         """Compute and invariant-check the cell class of every element."""
@@ -223,25 +222,6 @@ class CsmCalculator:
         self.build_table()
         rows = {(ui,): self._cells[ui].coeffs for ui in range(self.group.order)}
         return {"convention": self.convention, "rows": WordKeys(self.group).encode(rows)}
-
-    def load_table_payload(self, payload: dict) -> bool:
-        """Adopt cached cell classes after the build's invariant check;
-        refuses on convention mismatch, raises CacheCorrupt, adopting
-        nothing, if the payload does not decode, cover the group or pass."""
-        if payload.get("convention") != self.convention:
-            return False
-        group = self.group
-        cells = {ui: CohomologyClass(group, row)
-                 for ui, row in WordKeys(group).decode(payload, "rows").items()}
-        if len(cells) != group.order:
-            raise CacheCorrupt("CSM payload does not cover the group")
-        try:
-            for ui, cls in cells.items():
-                self._check_cell_invariants(group.elements[ui], cls)
-        except CalibrationFailure as exc:
-            raise CacheCorrupt(f"cached CSM table fails its check: {exc}") from exc
-        self._cells.update(cells)
-        return True
 
 
 def _try_convention(convention: str) -> bool:

@@ -37,7 +37,7 @@ class NotARoot(CsmVerifyError):
 
 
 class CacheCorrupt(CsmVerifyError):
-    """An on-disk table failed its checksum; the caller should recompute."""
+    """An on-disk table file failed its checksum or container check."""
 
 
 class InternalInvariantError(CsmVerifyError):

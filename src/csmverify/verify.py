@@ -24,18 +24,16 @@ Suite semantics
 Each pair-level check is a record step on one pair (u, v).  One sweep per
 run calls the steps of every requested suite, in units of the row pair
 {u, w0*u} (conjD and cross-paths on row u read the classes of (w0*u, v));
-with jobs above 1 the units go to one fork pool.  The structure table is
-computed in process before the sweep, so workers inherit it; only the CSM
-table is read from and written to the cache.  A unit holds at most
-two Richardson rows and nothing else; box associativity builds its own
-table of box rows.  Tallies merge in row order, so the report does not
-depend on jobs.  ``timings.per_suite_s`` is each suite's record-step time
-summed over units (worker time in a pool), plus theorem-invariants'
-element and global blocks.
+with jobs above 1 the units go to one fork pool.  Both the structure and
+the CSM table are computed in process before the sweep, so workers inherit
+them; no run reads a table from disk.  A unit holds at most two Richardson
+rows and nothing else; box associativity builds its own table of box rows.
+Tallies merge in row order, so the report does not depend on jobs.
+``timings.per_suite_s`` is each suite's record-step time summed over units
+(worker time in a pool), plus theorem-invariants' element and global blocks.
 
 Findings carry full witnesses (reduced words, never internal indices).
-Reports are byte-deterministic apart from the ``timings`` block, which is
-also where cache events are recorded.
+Reports are byte-deterministic apart from the ``timings`` block.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ import json
 import multiprocessing
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -52,7 +49,7 @@ from .boxproduct import BoxCalculator
 from .cache import FORMAT_VERSION, TableCache, payload_checksum
 from .cohomology import FlagCohomology
 from .csm import CsmCalculator
-from .errors import CacheCorrupt, InternalInvariantError, UsageError
+from .errors import InternalInvariantError, UsageError
 from .richardson import RichardsonCalculator
 from .rootdata import CartanDatum, WeylGroup, DEFAULT_MAX_ORDER, parity_sign
 
@@ -70,8 +67,6 @@ class Engines:
     csm: CsmCalculator
     rich: RichardsonCalculator
     box: BoxCalculator
-    #: whether the CSM table was adopted from the cache instead of computed
-    adopted: bool = False
 
     @property
     def series(self) -> str:
@@ -82,50 +77,26 @@ class Engines:
         return self.group.datum.rank
 
 
-def build_engines(
-    series: str,
-    rank: int,
-    cache: TableCache | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
-    cache_events: list | None = None,
-) -> Engines:
-    """Construct the stack, adopting the cached CSM table when available."""
+def build_engines(series: str, rank: int, max_order: int = DEFAULT_MAX_ORDER) -> Engines:
+    """Construct the stack; no table is read from disk."""
     datum = CartanDatum.from_series(series, rank)
     group = WeylGroup(datum, max_order=max_order)
     coh = FlagCohomology(group)
     csm = CsmCalculator(coh)
-
-    event = None
-    if cache is not None:
-        # failed checksum, decode or table check: recompute and replace
-        try:
-            payload = cache.load(datum.series, rank, "csm")
-            if payload is None:
-                event = "miss"
-            else:
-                event = "hit" if csm.load_table_payload(payload) else "stale"
-        except CacheCorrupt as exc:
-            warnings.warn(f"cache corrupt, recomputing: {exc}")
-            event = "corrupt"
-        if cache_events is not None:
-            cache_events.append({"kind": "csm", "event": event})
     rich = RichardsonCalculator(csm)
-    return Engines(group, coh, csm, rich, BoxCalculator(rich), adopted=event == "hit")
+    return Engines(group, coh, csm, rich, BoxCalculator(rich))
 
 
-def materialize_tables(engines: Engines, cache: TableCache | None = None,
-                       cache_events: list | None = None) -> dict[str, str]:
-    """Build the full structure and CSM tables; when caching, store the CSM
-    table unless it was adopted from the cache.  Returns the payload
+def materialize_tables(engines: Engines, cache: TableCache | None = None) -> dict[str, str]:
+    """Build the full structure and CSM tables; given a cache, write the
+    CSM table to it as the table's checksummed export.  Returns the payload
     checksums by kind."""
     engines.coh.build_structure_table()
     payload = engines.csm.table_payload()
     checksums = {"structure": payload_checksum(engines.coh.structure_payload()),
                  "csm": payload_checksum(payload)}
-    if cache is not None and not engines.adopted:
-        path = cache.store(engines.series, engines.rank, "csm", payload, checksums["csm"])
-        if cache_events is not None:
-            cache_events.append({"kind": "csm", "event": "store", "path": str(path)})
+    if cache is not None:
+        cache.store(engines.series, engines.rank, "csm", payload, checksums["csm"])
     return checksums
 
 
@@ -571,88 +542,51 @@ def run_verification(
     suites=("all",),
     max_length: int | None = None,
     jobs: int = 1,
-    cache: TableCache | None = None,
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> VerificationReport:
     """Run the requested suites on one group and assemble the report.
 
     Raises UsageError for ``jobs`` below 1 or a negative ``max_length``
     (which would filter out every element and pass on zero instances).
-    A hard failure on a CSM table adopted from the cache reruns once on a
-    rebuilt one if the adopted table differs from its rebuild.
     """
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
     if max_length is not None and max_length < 0:
         raise UsageError(f"--max-length must be nonnegative, got {max_length}")
     suite_names = resolve_suites(suites)
-    cache_events: list = []
     t0 = time.perf_counter()
-    engines = build_engines(series, rank, cache=cache, max_order=max_order,
-                            cache_events=cache_events)
-    checksums = materialize_tables(engines, cache=cache, cache_events=cache_events)
+    engines = build_engines(series, rank, max_order=max_order)
+    checksums = materialize_tables(engines)
     build_elapsed = time.perf_counter() - t0
 
-    def report_on(engines: Engines, checksums: dict) -> VerificationReport:
-        results = _run_suites(engines, suite_names, max_length, jobs)
-        meta_start = time.perf_counter()
-        meta: dict[str, str] = {}
-        for implied in ("conjC", "conjD"):
-            key = "b-implies-" + implied[-1].lower()
-            if "conjB" not in results or implied not in results:
-                meta[key] = "SKIPPED"
-            elif results["conjB"].status == "PASS" and results[implied].violations:
-                meta[key] = "FAIL"
-            else:
-                meta[key] = "PASS"
-        if "conjD" in results:
-            # observed, never asserted; does not touch the exit code
-            status = engines.box.associativity_status(max_length=max_length)
-            if status is None:
-                meta["box-associativity"] = "not computed at this scale"
-            else:
-                failures, total = status
-                meta["box-associativity"] = (
-                    f"holds on {total}/{total} filtered triples" if failures == 0
-                    else f"fails on {failures}/{total} filtered triples")
-        meta_elapsed = time.perf_counter() - meta_start
-        return VerificationReport(
-            series=series, rank=rank, order=engines.group.order, suites=results,
-            meta_checks=meta, dl_convention=engines.csm.convention,
-            options={"suites": suite_names, "max_length": max_length, "jobs": jobs,
-                     "max_order": max_order, "table_checksums": checksums},
-            timings={"table_build_s": round(build_elapsed, 6),
-                     "per_suite_s": {n: round(r.elapsed, 6) for n, r in results.items()},
-                     "meta_s": round(meta_elapsed, 6),
-                     "total_s": round(time.perf_counter() - t0, 6),
-                     "cache_events": cache_events})
-
-    error = report = None
-    try:
-        report = report_on(engines, checksums)
-    except InternalInvariantError as exc:
-        error = exc
-    if error is not None or report.exit_code == 2:
-        rebuilt = _replace_corrupt_tables(engines, checksums, cache, cache_events, max_order)
-        if rebuilt is not None:
-            return report_on(*rebuilt)
-        if error is not None:
-            raise error
-    return report
-
-
-def _replace_corrupt_tables(engines: Engines, checksums: dict, cache: TableCache | None,
-                            cache_events: list, max_order: int):
-    """After a hard failure, rebuild an adopted CSM table without the cache.
-    If it differs from its rebuild, warn, replace it in the cache and return
-    the rebuilt engines and checksums; otherwise None."""
-    if not engines.adopted:
-        return None
-    fresh = build_engines(engines.series, engines.rank, max_order=max_order)
-    sums = materialize_tables(fresh)
-    if sums["csm"] == checksums["csm"]:
-        return None
-    warnings.warn("cache corrupt, recomputing: adopted csm table differs from its rebuild")
-    cache_events.append({"kind": "csm", "event": "corrupt"})
-    materialize_tables(fresh, cache=cache, cache_events=cache_events)
-    return fresh, sums
+    results = _run_suites(engines, suite_names, max_length, jobs)
+    meta_start = time.perf_counter()
+    meta: dict[str, str] = {}
+    for implied in ("conjC", "conjD"):
+        key = "b-implies-" + implied[-1].lower()
+        if "conjB" not in results or implied not in results:
+            meta[key] = "SKIPPED"
+        elif results["conjB"].status == "PASS" and results[implied].violations:
+            meta[key] = "FAIL"
+        else:
+            meta[key] = "PASS"
+    if "conjD" in results:
+        # observed, never asserted; does not touch the exit code
+        status = engines.box.associativity_status(max_length=max_length)
+        if status is None:
+            meta["box-associativity"] = "not computed at this scale"
+        else:
+            failures, total = status
+            meta["box-associativity"] = (
+                f"holds on {total}/{total} filtered triples" if failures == 0
+                else f"fails on {failures}/{total} filtered triples")
+    meta_elapsed = time.perf_counter() - meta_start
+    return VerificationReport(
+        series=series, rank=rank, order=engines.group.order, suites=results,
+        meta_checks=meta, dl_convention=engines.csm.convention,
+        options={"suites": suite_names, "max_length": max_length, "jobs": jobs,
+                 "max_order": max_order, "table_checksums": checksums},
+        timings={"table_build_s": round(build_elapsed, 6),
+                 "per_suite_s": {n: round(r.elapsed, 6) for n, r in results.items()},
+                 "meta_s": round(meta_elapsed, 6),
+                 "total_s": round(time.perf_counter() - t0, 6)})

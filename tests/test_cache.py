@@ -70,6 +70,10 @@ def test_binary_container(tmp_path, monkeypatch):
     path.write_bytes(raw[: len(raw) - 4])
     with pytest.raises(CacheCorrupt):
         cache.load("A", 2, "structure")
+    # so is a file cut inside its 16-byte header
+    path.write_bytes(b"CSMV\x01")
+    with pytest.raises(CacheCorrupt, match="truncated header"):
+        cache.load("A", 2, "structure")
 
 
 def test_stored_bytes_are_the_canonical_envelope(tmp_path):

@@ -255,18 +255,3 @@ def test_opposite_cell_examples(engines):
     # definition unfold: translate by the longest element
     assert c2.csm_opposite_cell(s2) == c2.csm_schubert_cell(g2.w0_times(s2))
     assert g2.w0_times(s2) == g2.from_word([2, 1])
-
-
-# -- table payload -------------------------------------------------------------------------------
-
-def test_table_payload_roundtrip(engines):
-    csm = _csm(engines, "A", 2)
-    payload = csm.table_payload()
-    fresh = CsmCalculator(FlagCohomology(csm.group))
-    assert fresh.load_table_payload(payload)
-    for u in csm.group:
-        assert fresh.csm_schubert_cell(u) == csm.csm_schubert_cell(u)
-    # a payload with the wrong convention is refused
-    payload2 = dict(payload)
-    payload2["convention"] = "something-else"
-    assert not CsmCalculator(FlagCohomology(csm.group)).load_table_payload(payload2)

@@ -79,8 +79,8 @@ def test_max_length_filter(engines):
     assert r.instances == short ** 2 * stack.group.order
 
 
-def test_full_verification_a1_passes(tmp_path):
-    report = run_verification("A", 1, suites=["all"], cache=TableCache(tmp_path))
+def test_full_verification_a1_passes():
+    report = run_verification("A", 1, suites=["all"])
     assert report.exit_code == 0
     assert all(s.status == "PASS" for s in report.suites.values())
     assert report.suites["conjB"].instances == 4
@@ -262,113 +262,41 @@ def test_report_witnesses_use_words(monkeypatch):
     assert words <= {"s1", "s2"}
 
 
-def _events(report) -> list:
-    return [(e["kind"], e["event"]) for e in report.timings["cache_events"]]
-
-
-def test_cache_events_recorded(tmp_path):
-    """Only the CSM table goes through the cache: a miss and a store on the
-    first run, a hit and nothing written back on the second."""
-    cache = TableCache(tmp_path)
-    first = run_verification("A", 1, suites=["conjB"], cache=cache)
-    assert _events(first) == [("csm", "miss"), ("csm", "store")]
-    second = run_verification("A", 1, suites=["conjB"], cache=cache)
-    assert second.timings["cache_events"] == [{"kind": "csm", "event": "hit"}]
-    assert _strip_timings(first.to_json()) == _strip_timings(second.to_json())
-
-
-def test_no_run_reads_a_structure_file(tmp_path, capsys):
-    """The structure table is computed by every run: a garbage structure
-    file in the cache draws no warning and no cache event, and the report
-    equals a cache-less one; table on an empty cache writes the CSM file
-    alone."""
+def test_no_run_reads_the_cache(tmp_path, capsys):
+    """verify and show compute both tables and read nothing from the cache
+    directory: table writes the CSM file alone; a checksum-valid but wrong CSM
+    file (an interior coefficient doubled) and a garbage structure file draw
+    no warning, stay byte-unchanged and leave the report equal to a
+    cache-less one; verify on an empty cache directory writes nothing there."""
     cache = TableCache(tmp_path / "cache")
-    assert cli.main(["table", "--type", "A", "--rank", "2",
-                     "--cache-dir", str(cache.root)]) == 0
-    assert "structure table for A2: computed" in capsys.readouterr().out
-    assert sorted(p.name for p in cache.root.rglob("*") if p.is_file()) == ["csm-v1.json"]
-    cache._path("A", 2, "structure").with_suffix(".json").write_text("garbage")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        report = run_verification("A", 2, suites=["all"], cache=cache)
-    assert _events(report) == [("csm", "hit")]
-    bare = run_verification("A", 2, suites=["all"])
-    assert _strip_timings(report.to_json()) == _strip_timings(bare.to_json())
-
-
-def test_corrupt_cache_recovers(tmp_path):
-    """A CSM table file that fails its checksum, that passes it but does
-    not decode, or that decodes but fails the table check is recomputed
-    and replaced; the replacement is adopted by the next run."""
-    def double_s1(rows):
-        rows["1"] = {w: 2 * c for w, c in rows["1"].items()}
-
-    cases = (
-        ("checksum", lambda rows: rows.update({"tampered": {}}), False),
-        ("undecodable", lambda rows: rows.update({"9.9": {"": 1}}), True),
-        ("wrong-cell-class", double_s1, True),
-    )
-    for name, edit, rechecksum in cases:
-        cache = TableCache(tmp_path / name)
-        run_verification("A", 2, suites=["conjB"], cache=cache)
-        path = cache._path("A", 2, "csm").with_suffix(".json")
-        envelope = json.loads(path.read_text())
-        edit(envelope["payload"]["rows"])
-        if rechecksum:
-            envelope["checksum"] = payload_checksum(envelope["payload"])
-        path.write_text(json.dumps(envelope))
-        with pytest.warns(UserWarning, match="cache corrupt"):
-            report = run_verification("A", 2, suites=["conjB"], cache=cache)
-        assert report.exit_code == 0, name
-        assert _events(report) == [("csm", "corrupt"), ("csm", "store")], name
-        again = run_verification("A", 2, suites=["conjB"], cache=cache)
-        assert _events(again) == [("csm", "hit")], name
-
-
-def test_adopted_table_failing_a_run_is_rebuilt(tmp_path, monkeypatch):
-    """A checksum-valid CSM table that passes the adoption check but is
-    wrong (an interior coefficient doubled) fails the run hard; the table
-    is rebuilt, the cached file replaced, and the run repeats once."""
-    import csmverify.verify as verify_mod
-
-    cache = TableCache(tmp_path)
-    group = ["--type", "A", "--rank", "3", "--cache-dir", str(tmp_path)]
+    group = ["--type", "A", "--rank", "3", "--cache-dir", str(cache.root)]
     assert cli.main(["table", *group]) == 0
-    path = cache._path("A", 3, "csm").with_suffix(".json")
-    sound = path.read_bytes()
-    envelope = json.loads(sound)
+    assert "csm table for A3: computed" in capsys.readouterr().out
+    assert sorted(p.name for p in cache.root.rglob("*") if p.is_file()) == ["csm-v1.json"]
+    csm_path = cache._path("A", 3, "csm").with_suffix(".json")
+    envelope = json.loads(csm_path.read_bytes())
     row = envelope["payload"]["rows"]["1.2"]
     key = max(row, key=row.get)
     assert row[key] > 1            # leading and top coefficients are 1
     row[key] *= 2
     envelope["checksum"] = payload_checksum(envelope["payload"])
-    path.write_text(json.dumps(envelope))
-    sweeps = []
-    real = verify_mod._run_suites
-    monkeypatch.setattr(verify_mod, "_run_suites",
-                        lambda *args: sweeps.append(args) or real(*args))
+    csm_path.write_text(json.dumps(envelope))
+    structure_path = cache._path("A", 3, "structure").with_suffix(".json")
+    structure_path.write_text("garbage")
+    before = {p: p.read_bytes() for p in (csm_path, structure_path)}
     out = tmp_path / "report.json"
-    with pytest.warns(UserWarning, match="cache corrupt"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert cli.main(["verify", *group, "--suite", "all", "--output", str(out)]) == 0
-    events = json.loads(out.read_text())["timings"]["cache_events"]
-    assert [(e["kind"], e["event"]) for e in events] == \
-        [("csm", "hit"), ("csm", "corrupt"), ("csm", "store")]
-    assert len(sweeps) == 2 and path.read_bytes() == sound
-    again = run_verification("A", 3, suites=["conjB"], cache=cache)
-    assert _events(again) == [("csm", "hit")]
-
-
-def test_hard_failure_on_sound_adopted_tables_stands(tmp_path, monkeypatch):
-    cache = TableCache(tmp_path)
-    run_verification("A", 2, suites=["conjB"], cache=cache)
-
-    def faulty(self, u, v):
-        raise ParityViolation("injected")
-
-    monkeypatch.setattr(RichardsonCalculator, "richardson_coeffs", faulty)
-    report = run_verification("A", 2, suites=["conjB"], cache=cache)
-    assert report.exit_code == 2
-    assert _events(report) == [("csm", "hit")]
+        assert cli.main(["show", "richardson", *group, "--u", "s1 s2", "--v", "s1"]) == 0
+    assert {p: p.read_bytes() for p in before} == before
+    bare = run_verification("A", 3, suites=["all"])
+    assert _strip_timings(out.read_text()) == _strip_timings(bare.to_json())
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert cli.main(["verify", "--type", "A", "--rank", "2", "--suite", "conjB",
+                     "--cache-dir", str(empty)]) == 0
+    assert not list(empty.iterdir())
 
 
 def _count_table_builds(monkeypatch) -> list:
@@ -384,27 +312,22 @@ def _count_table_builds(monkeypatch) -> list:
     return builds
 
 
-def test_pair_suites_build_no_second_table(tmp_path, monkeypatch):
-    """On an adopted A3 CSM table, a run of the pair benchmarks' suites
-    builds the structure table exactly once."""
-    cache = TableCache(tmp_path)
-    run_verification("A", 3, suites=["conjB"], cache=cache)
+def test_pair_suites_build_no_second_table(monkeypatch):
+    """A run of the pair benchmarks' suites on A3 builds the structure table
+    exactly once."""
     builds = _count_table_builds(monkeypatch)
-    report = run_verification("A", 3, suites=["theorem-invariants", "conjB", "conjC"],
-                              cache=cache)
-    assert _events(report) == [("csm", "hit")]
+    report = run_verification("A", 3, suites=["theorem-invariants", "conjB", "conjC"])
     assert report.exit_code == 0 and len(builds) == 1
 
 
-def test_table_built_once_before_the_pool(tmp_path, monkeypatch):
+def test_table_built_once_before_the_pool(monkeypatch):
     """A3 cross-paths under --jobs 2 builds the structure table once, in the
     parent before the pool starts, and reports as the serial run does."""
     import multiprocessing.pool
 
     import csmverify.verify as verify_mod
 
-    cache = TableCache(tmp_path)
-    serial = run_verification("A", 3, suites=["cross-paths"], cache=cache)
+    serial = run_verification("A", 3, suites=["cross-paths"])
     monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     builds = _count_table_builds(monkeypatch)
     at_pool = []
@@ -415,9 +338,8 @@ def test_table_built_once_before_the_pool(tmp_path, monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", recording_init)
-    pooled = run_verification("A", 3, suites=["cross-paths"], jobs=2, cache=cache)
+    pooled = run_verification("A", 3, suites=["cross-paths"], jobs=2)
     assert at_pool == [(True, 1)] and len(builds) == 1
-    assert _events(pooled) == [("csm", "hit")]
     a, b = _strip_timings(serial.to_json()), _strip_timings(pooled.to_json())
     assert a["options"].pop("jobs") == 1 and b["options"].pop("jobs") == 2
     assert a == b and pooled.exit_code == 0
@@ -476,6 +398,15 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main(["verify", "--type", "A", "--rank", "2", "--jobs", "0",
                      "--cache-dir", str(tmp_path)]) == 3
     assert "--jobs must be at least 1" in capsys.readouterr().err
+    # a report or cache path that cannot be written: one error line, no traceback
+    assert cli.main(["verify", "--type", "A", "--rank", "1", "--suite", "conjB",
+                     "--output", str(tmp_path / "no" / "such" / "dir" / "r.json")]) == 3
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    assert cli.main(["table", "--type", "A", "--rank", "1",
+                     "--cache-dir", str(not_a_dir)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("csmverify: error: ") for line in err)
 
 
 def test_table_refused_above_default_cap(tmp_path, monkeypatch, capsys):
@@ -517,16 +448,18 @@ def test_cli_show_richardson(tmp_path, capsys):
     assert "eps^e" in out
 
 
-def test_cli_table_cache_hit(tmp_path, capsys):
-    rc = cli.main(["table", "--type", "B", "--rank", "2", "--cache-dir", str(tmp_path)])
-    out1 = capsys.readouterr().out
-    assert rc == 0 and "computed" in out1
-    rc = cli.main(["table", "--type", "B", "--rank", "2", "--cache-dir", str(tmp_path)])
-    out2 = capsys.readouterr().out
-    assert rc == 0 and "cache hit" in out2
-    checksums1 = {l.split("checksum ")[1] for l in out1.splitlines() if "checksum" in l}
-    checksums2 = {l.split("checksum ")[1] for l in out2.splitlines() if "checksum" in l}
-    assert checksums1 == checksums2
+def test_cli_table_rewrites_its_export(tmp_path, capsys):
+    """table computes both tables on every run and rewrites the CSM export
+    with the same bytes."""
+    path = TableCache(tmp_path)._path("B", 2, "csm").with_suffix(".json")
+    runs = []
+    for _ in range(2):
+        assert cli.main(["table", "--type", "B", "--rank", "2",
+                         "--cache-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and all(": computed, checksum " in l for l in lines)
+        runs.append((lines, path.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_cli_internal_failure_exit(tmp_path, monkeypatch, capsys):
