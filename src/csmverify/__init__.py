@@ -7,7 +7,7 @@ intersections, and exhaustive verification sweeps over small-rank groups.
 
 from .boxproduct import BoxCalculator
 from .cohomology import CohomologyClass, FlagCohomology
-from .csm import CsmCalculator, calibrated_dl_convention
+from .csm import CsmCalculator
 from .errors import (
     CacheCorrupt,
     CalibrationFailure,
@@ -51,7 +51,6 @@ __all__ = [
     "WeylElement",
     "WeylGroup",
     "build_root_system",
-    "calibrated_dl_convention",
     "enumerate_weyl",
     "__version__",
 ]

@@ -28,14 +28,7 @@ import sys
 from pathlib import Path
 
 from .cache import TableCache, default_cache_dir
-from .errors import (
-    CapacityExceeded,
-    CsmVerifyError,
-    GroupMismatch,
-    InternalInvariantError,
-    InvalidCartan,
-    UsageError,
-)
+from .errors import CsmVerifyError, InternalInvariantError, UsageError
 from .rootdata import DEFAULT_MAX_ORDER, SERIES
 from .verify import (
     SUITE_NAMES,
@@ -139,26 +132,23 @@ def cmd_table(args) -> int:
 
 
 def cmd_show(args) -> int:
+    if args.kind == "csm" and args.v is not None:
+        raise UsageError("csm takes no --v")
+    if args.kind != "csm" and args.v is None:
+        raise UsageError(f"{args.kind} requires --v")
     engines = _engines_from_args(args)
-    if args.kind in ("richardson", "box"):
+    if args.kind != "csm":
         materialize_tables(engines)
     group = engines.group
-    try:
-        u = group.parse(args.u)
-        v = group.parse(args.v) if args.v is not None else None
-    except GroupMismatch as exc:
-        raise UsageError(str(exc)) from exc
+    u = group.parse(args.u)
+    v = None if args.v is None else group.parse(args.v)
     if args.kind == "csm":
         cls = engines.csm.csm_schubert_cell(u)
         label = f"csm cell class of {u}"
     elif args.kind == "richardson":
-        if v is None:
-            raise UsageError("richardson requires --v")
         cls = engines.rich.csm_richardson(u, v)
         label = f"csm Richardson class of ({u}, {v})"
     else:
-        if v is None:
-            raise UsageError("box requires --v")
         cls = engines.box.box_product(u, v)
         label = f"box product eps^{{{u}}} [] eps^{{{v}}}"
     print(label)
@@ -173,21 +163,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    commands = {"verify": cmd_verify, "table": cmd_table, "show": cmd_show}
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "table":
-            return cmd_table(args)
-        if args.command == "show":
-            return cmd_show(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, InvalidCartan, CapacityExceeded, GroupMismatch, OSError) as exc:
-        print(f"csmverify: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return commands[args.command](args)
     except InternalInvariantError as exc:
         print(f"csmverify: internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except CsmVerifyError as exc:
+    except (CsmVerifyError, OSError) as exc:
         print(f"csmverify: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,11 +2,12 @@
 
 The cell classes are generated from the point class by the involutive
 operators T_i = A_i - s_i, where A_i is the homological BGG operator and
-s_i the coinvariant Weyl action.  Which end of a reduced word the operators
-are applied from is not forced a priori; the two candidate conventions are
-separated mechanically by the positivity/support/normalization invariants
-of the cell classes in A2, and the winning convention is frozen for the
-process (and recorded in cache metadata).
+s_i the coinvariant Weyl action.  The letters of a reduced word are applied
+first to last, building the element by right multiplication; the table
+payload records this order.  Every cell class is checked against its
+positivity, support and normalization invariants as it is built, and the
+transposed order already fails them in A2 at s1 s2, so a wrong order
+cannot pass silently.
 
 Also here: the total Chern class of the tangent bundle (a product of
 degree-2 factors over the positive roots, so it needs only the Chevalley
@@ -19,24 +20,19 @@ from __future__ import annotations
 
 from .cohomology import CohomologyClass, FlagCohomology, Multiplier, WordKeys
 from .errors import CalibrationFailure, InternalInvariantError
-from .rootdata import CartanDatum, WeylElement, WeylGroup, parity_sign
+from .rootdata import WeylElement, parity_sign
 
 #: letters of a reduced word applied first-to-last while building the
 #: element by right multiplication
-CONVENTION_LTR = "letters-left-to-right"
-#: transpose convention: letters applied last-to-first
-CONVENTION_RTL = "letters-right-to-left"
-
-_CALIBRATED: str | None = None
+CONVENTION = "letters-left-to-right"
 
 
 class CsmCalculator:
     """CSM/Segre classes of all Schubert and opposite cells of one group."""
 
-    def __init__(self, coh: FlagCohomology, convention: str | None = None):
+    def __init__(self, coh: FlagCohomology):
         self.coh = coh
         self.group = coh.group
-        self.convention = convention or calibrated_dl_convention()
         self._cells: dict[int, CohomologyClass] = {}
         self._tangent: CohomologyClass | None = None
         self._tangent_inverse: CohomologyClass | None = None
@@ -78,8 +74,8 @@ class CsmCalculator:
         """CSM class of the Schubert cell of u, in the eps basis.
 
         Recursion from the point class along the canonical reduced word,
-        per the frozen convention.  Each class is invariant-checked when it
-        is computed; a violation raises CalibrationFailure.
+        its letters applied first to last.  Each class is invariant-checked
+        when it is computed; a violation raises CalibrationFailure.
         """
         self.coh._check(u)
         return self._cell_idx(u.index)
@@ -91,13 +87,9 @@ class CsmCalculator:
         group = self.group
         if idx == 0:
             out = self.coh.schubert_class(group.longest)
-        else:
-            word = group._words[idx]
-            if self.convention == CONVENTION_LTR:  # idx = prefix * s_i
-                i, rest = word[-1], group._right[idx][word[-1] - 1]
-            else:  # idx = s_i * suffix
-                i, rest = word[0], group._left[idx][word[0] - 1]
-            out = self.dl_operator(i, self._cell_idx(rest))
+        else:  # idx = prefix * s_i
+            i = group._words[idx][-1]
+            out = self.dl_operator(i, self._cell_idx(group._right[idx][i - 1]))
         self._check_cell_invariants(group.elements[idx], out)
         self._cells[idx] = out
         return out
@@ -106,8 +98,7 @@ class CsmCalculator:
         """Apply the recursion along an arbitrary reduced word (for the
         reduced-word-independence checks)."""
         out = self.coh.schubert_class(self.group.longest)
-        letters = word if self.convention == CONVENTION_LTR else tuple(reversed(tuple(word)))
-        for i in letters:
+        for i in word:
             out = self.dl_operator(i, out)
         return out
 
@@ -221,30 +212,4 @@ class CsmCalculator:
     def table_payload(self) -> dict:
         self.build_table()
         rows = {(ui,): self._cells[ui].coeffs for ui in range(self.group.order)}
-        return {"convention": self.convention, "rows": WordKeys(self.group).encode(rows)}
-
-
-def _try_convention(convention: str) -> bool:
-    """Whether the convention satisfies the cell invariants on A2."""
-    group = WeylGroup(CartanDatum.from_series("A", 2))
-    calc = CsmCalculator(FlagCohomology(group), convention=convention)
-    try:
-        for u in group:
-            calc.csm_schubert_cell(u)
-    except CalibrationFailure:
-        return False
-    return True
-
-
-def calibrated_dl_convention() -> str:
-    """The operator-application convention that passes the A2 invariant
-    suite; computed once per process and frozen."""
-    global _CALIBRATED
-    if _CALIBRATED is None:
-        for convention in (CONVENTION_LTR, CONVENTION_RTL):
-            if _try_convention(convention):
-                _CALIBRATED = convention
-                break
-        else:
-            raise CalibrationFailure("no operator convention passes the A2 suite")
-    return _CALIBRATED
+        return {"convention": CONVENTION, "rows": WordKeys(self.group).encode(rows)}

@@ -49,7 +49,7 @@ class InexactDivision(InternalInvariantError):
 
 
 class CalibrationFailure(InternalInvariantError):
-    """No operator convention reproduces the required CSM invariants."""
+    """A CSM cell class failed its positivity, support or normalization invariants."""
 
 
 class MirrorMismatch(InternalInvariantError):

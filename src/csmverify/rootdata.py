@@ -22,6 +22,7 @@ Conventions (fixed once, covariant throughout):
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -47,36 +48,43 @@ def parity_sign(k: int) -> int:
     return -1 if k & 1 else 1
 
 
-def invariant_degrees(series: str, rank: int) -> tuple[int, ...]:
-    """Degrees of the fundamental invariants of the Weyl group.
+def _check_series_rank(series: str, rank: int) -> None:
+    if series not in SERIES:
+        raise InvalidCartan(f"series must be one of {SERIES}, got {series!r}")
+    if rank < _MIN_RANK.get(series, 1) or rank > _MAX_RANK.get(series, 10**9):
+        raise InvalidCartan(f"rank {rank} is not valid for series {series}")
+
+
+def invariant_degrees(series: str, rank: int) -> Iterator[int]:
+    """Degrees of the fundamental invariants of the Weyl group, lazily.
 
     They determine the group order (their product), the number of positive
     roots (sum of degree-1 terms), and the Poincare polynomial
     factorization used by the enumeration self-checks.
     """
+    _check_series_rank(series, rank)
     if series == "A":
-        return tuple(range(2, rank + 2))
-    if series in ("B", "C"):
-        return tuple(2 * i for i in range(1, rank + 1))
-    if series == "D":
-        return tuple(2 * i for i in range(1, rank)) + (rank,)
-    if series == "E":
-        return {
-            6: (2, 5, 6, 8, 9, 12),
-            7: (2, 6, 8, 10, 12, 14, 18),
-            8: (2, 8, 12, 14, 18, 20, 24, 30),
-        }[rank]
-    if series == "F":
-        return (2, 6, 8, 12)
-    if series == "G":
-        return (2, 6)
-    raise InvalidCartan(f"unknown series {series!r}")
+        yield from range(2, rank + 2)
+    elif series in ("B", "C"):
+        yield from range(2, 2 * rank + 1, 2)
+    elif series == "D":
+        yield from range(2, 2 * rank - 1, 2)
+        yield rank
+    else:
+        yield from {("E", 6): (2, 5, 6, 8, 9, 12), ("E", 7): (2, 6, 8, 10, 12, 14, 18),
+                    ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30), ("F", 4): (2, 6, 8, 12),
+                    ("G", 2): (2, 6)}[series, rank]
 
 
-def weyl_order(series: str, rank: int) -> int:
+def weyl_order(series: str, rank: int, max_order: int | None = None) -> int:
+    """|W|, the product of the invariant degrees.  Given max_order, raises
+    CapacityExceeded as soon as the running product passes it, so refusing
+    a large rank costs a few multiplications."""
     order = 1
     for d in invariant_degrees(series, rank):
         order *= d
+        if max_order is not None and order > max_order:
+            raise CapacityExceeded(f"|W({series}{rank})| exceeds the cap {max_order}")
     return order
 
 
@@ -86,10 +94,7 @@ def num_positive_roots(series: str, rank: int) -> int:
 
 def canonical_cartan_matrix(series: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """The canonical Cartan matrix for (series, rank), Bourbaki numbering."""
-    if series not in SERIES:
-        raise InvalidCartan(f"series must be one of {SERIES}, got {series!r}")
-    if rank < _MIN_RANK.get(series, 1) or rank > _MAX_RANK.get(series, 10**9):
-        raise InvalidCartan(f"rank {rank} is not valid for series {series}")
+    _check_series_rank(series, rank)
 
     n = rank
     mat = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -244,12 +249,7 @@ class WeylGroup:
     def __init__(self, datum: CartanDatum, max_order: int = DEFAULT_MAX_ORDER):
         self.datum = datum
         self.rank = datum.rank
-        expected_order = weyl_order(datum.series, datum.rank)
-        if expected_order > max_order:
-            raise CapacityExceeded(
-                f"|W({datum})| = {expected_order} exceeds the cap {max_order}"
-            )
-        self.order = expected_order
+        self.order = weyl_order(datum.series, datum.rank, max_order)
         self.num_positive = num_positive_roots(datum.series, datum.rank)
 
         self._build_roots()

@@ -48,10 +48,10 @@ from . import __version__
 from .boxproduct import BoxCalculator
 from .cache import FORMAT_VERSION, TableCache, payload_checksum
 from .cohomology import FlagCohomology
-from .csm import CsmCalculator
+from .csm import CONVENTION, CsmCalculator
 from .errors import InternalInvariantError, UsageError
 from .richardson import RichardsonCalculator
-from .rootdata import CartanDatum, WeylGroup, DEFAULT_MAX_ORDER, parity_sign
+from .rootdata import CartanDatum, WeylGroup, DEFAULT_MAX_ORDER, parity_sign, weyl_order
 
 SCHEMA_VERSION = 1
 SUITE_NAMES = ("theorem-invariants", "conjB", "conjC", "conjD", "cross-paths")
@@ -78,7 +78,9 @@ class Engines:
 
 
 def build_engines(series: str, rank: int, max_order: int = DEFAULT_MAX_ORDER) -> Engines:
-    """Construct the stack; no table is read from disk."""
+    """Construct the stack; no table is read from disk.  A group over
+    max_order is refused before its Cartan datum is built."""
+    weyl_order(series.upper(), rank, max_order)
     datum = CartanDatum.from_series(series, rank)
     group = WeylGroup(datum, max_order=max_order)
     coh = FlagCohomology(group)
@@ -459,7 +461,6 @@ class VerificationReport:
     order: int
     suites: dict[str, SuiteResult]
     meta_checks: dict[str, str]
-    dl_convention: str
     options: dict
     timings: dict
 
@@ -480,8 +481,7 @@ class VerificationReport:
             "schema_version": SCHEMA_VERSION,
             "tool": {"name": "csmverify", "version": __version__},
             "group": {"series": self.series, "rank": self.rank, "order": self.order},
-            "cache": {"format_version": FORMAT_VERSION,
-                      "dl_convention": self.dl_convention},
+            "cache": {"format_version": FORMAT_VERSION, "dl_convention": CONVENTION},
             "options": self.options,
             "suites": {name: s.to_dict() for name, s in self._ordered()},
             "meta_checks": self.meta_checks,
@@ -524,6 +524,10 @@ class VerificationReport:
 
 
 def resolve_suites(requested) -> list[str]:
+    """The named suites in request order, "all" expanded, each once; an
+    empty request or an unknown name is a UsageError."""
+    if not requested:
+        raise UsageError("no suite requested")
     names = []
     for s in requested:
         if s == "all":
@@ -531,7 +535,7 @@ def resolve_suites(requested) -> list[str]:
         elif s in SUITE_NAMES:
             names.append(s)
         else:
-            raise ValueError(f"unknown suite {s!r}; choose from {SUITE_NAMES + ('all',)}")
+            raise UsageError(f"unknown suite {s!r}; choose from {SUITE_NAMES + ('all',)}")
     seen = set()
     return [n for n in names if not (n in seen or seen.add(n))]
 
@@ -546,8 +550,9 @@ def run_verification(
 ) -> VerificationReport:
     """Run the requested suites on one group and assemble the report.
 
-    Raises UsageError for ``jobs`` below 1 or a negative ``max_length``
-    (which would filter out every element and pass on zero instances).
+    Raises UsageError for ``jobs`` below 1, a negative ``max_length``
+    (which would filter out every element and pass on zero instances), and
+    an empty or unknown ``suites``.
     """
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
@@ -583,7 +588,7 @@ def run_verification(
     meta_elapsed = time.perf_counter() - meta_start
     return VerificationReport(
         series=series, rank=rank, order=engines.group.order, suites=results,
-        meta_checks=meta, dl_convention=engines.csm.convention,
+        meta_checks=meta,
         options={"suites": suite_names, "max_length": max_length, "jobs": jobs,
                  "max_order": max_order, "table_checksums": checksums},
         timings={"table_build_s": round(build_elapsed, 6),

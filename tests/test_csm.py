@@ -1,15 +1,6 @@
 import pytest
 
-from csmverify.cohomology import FlagCohomology
-from csmverify.csm import (
-    CONVENTION_LTR,
-    CONVENTION_RTL,
-    CsmCalculator,
-    _try_convention,
-    calibrated_dl_convention,
-)
 from csmverify.errors import CalibrationFailure
-from csmverify.rootdata import CartanDatum, WeylGroup
 
 
 def _csm(engines, series, rank):
@@ -91,20 +82,19 @@ def test_braid_relations(engines, key):
                     assert a == b
 
 
-# -- calibration -------------------------------------------------------------------
+# -- operator order -----------------------------------------------------------------
 
-def test_calibrated_convention_is_ltr():
-    assert calibrated_dl_convention() == CONVENTION_LTR
-    assert _try_convention(CONVENTION_LTR)
-    assert not _try_convention(CONVENTION_RTL)
-
-
-def test_wrong_convention_raises():
-    g = WeylGroup(CartanDatum.from_series("A", 2))
-    calc = CsmCalculator(FlagCohomology(g), convention=CONVENTION_RTL)
-    with pytest.raises(CalibrationFailure):
-        for u in g:
-            calc.csm_schubert_cell(u)
+def test_transposed_operator_order_fails_the_invariants(engines):
+    """Applying a canonical word's letters last to first breaks the cell
+    invariants in A2 exactly at the two elements that are not involutions."""
+    csm = _csm(engines, "A", 2)
+    failing = []
+    for u in csm.group:
+        try:
+            csm._check_cell_invariants(u, csm.csm_along_word(tuple(reversed(u.word))))
+        except CalibrationFailure:
+            failing.append(str(u))
+    assert sorted(failing) == ["s1 s2", "s2 s1"]
 
 
 # -- cell classes -----------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from csmverify import cli
 from csmverify.cache import TableCache, payload_checksum
 from csmverify.cohomology import FlagCohomology
-from csmverify.errors import ParityViolation
+from csmverify.errors import ParityViolation, UsageError
 from csmverify.richardson import RichardsonCalculator
 from csmverify.rootdata import CartanDatum, WeylGroup
 from csmverify.verify import (
@@ -34,8 +34,14 @@ def _strip_timings(report_json: str) -> dict:
 def test_resolve_suites():
     assert resolve_suites(["all"]) == list(SUITE_NAMES)
     assert resolve_suites(["conjB", "conjB", "conjC"]) == ["conjB", "conjC"]
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         resolve_suites(["nonsense"])
+
+
+def test_empty_suite_list_is_refused():
+    # no suite would pass on zero instances
+    with pytest.raises(UsageError, match="no suite requested"):
+        run_verification("A", 1, suites=())
 
 
 def test_instance_counts_a2(engines):
@@ -407,6 +413,30 @@ def test_cli_usage_errors(tmp_path, capsys):
                      "--cache-dir", str(not_a_dir)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("csmverify: error: ") for line in err)
+
+
+def test_oversized_group_refused_before_its_cartan_matrix(tmp_path, monkeypatch, capsys):
+    # the order cap is checked on the invariant degrees, so refusing a
+    # large rank builds no rank x rank matrix and prints no huge |W|
+    from csmverify import rootdata
+
+    real = rootdata.canonical_cartan_matrix
+
+    def small_only(series, rank):
+        assert rank <= 8, "Cartan matrix built for an oversized group"
+        return real(series, rank)
+
+    monkeypatch.setattr(rootdata, "canonical_cartan_matrix", small_only)
+    assert cli.main(["verify", "--type", "A", "--rank", "1500",
+                     "--cache-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["csmverify: error: |W(A1500)| exceeds the cap 10000"]
+
+
+def test_show_csm_refuses_v(tmp_path, capsys):
+    assert cli.main(["show", "csm", "--type", "A", "--rank", "2", "--u", "s1",
+                     "--v", "s2", "--cache-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "csmverify: error: csm takes no --v\n"
 
 
 def test_table_refused_above_default_cap(tmp_path, monkeypatch, capsys):
