@@ -14,7 +14,6 @@ from .errors import (
     CapacityExceeded,
     CsmVerifyError,
     GroupMismatch,
-    InexactDivision,
     InternalInvariantError,
     InvalidCartan,
     LemmaViolation,

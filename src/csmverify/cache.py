@@ -1,15 +1,14 @@
-"""Versioned, checksummed on-disk table files.
+"""Versioned, checksummed table export files.
 
-``csmverify table`` writes the CSM table here as its checksummed export;
-no verification run reads a table back.  Payloads are canonical JSON
-(sorted keys, fixed separators) wrapped in an envelope carrying the format
-version and a sha256 checksum.  Files under the size threshold are stored
-as plain JSON; larger ones switch to a length-prefixed binary container
-with a zlib-compressed JSON body.  On reading a file back, a version
-mismatch reads as absent, and a checksum or container failure raises
-CacheCorrupt.  Files are written to a temporary name in the same directory
-and renamed into place, so a writer that dies midway leaves the previous
-file intact.
+``csmverify table --cache-dir D`` writes the CSM table here as its
+checksummed export, ``D/<series><rank>/csm-v1.json``; no verification run
+reads a table back.  The file is the canonical JSON (sorted keys, fixed
+separators) of an envelope carrying the format version and a sha256
+checksum of the payload.  On reading a file back, a version mismatch reads
+as absent, and anything that is not such an envelope, or fails its
+checksum, raises CacheCorrupt.  Files are written to a temporary name in
+the same directory and renamed into place, so a writer that dies midway
+leaves the previous file intact.
 """
 
 from __future__ import annotations
@@ -17,24 +16,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import struct
-import zlib
 from pathlib import Path
 
 from .errors import CacheCorrupt
 
 FORMAT_VERSION = 1
-PLAIN_JSON_LIMIT = 10 * 1024 * 1024
-_MAGIC = b"CSMV"
-
-ENV_CACHE_DIR = "CSMVERIFY_CACHE"
-
-
-def default_cache_dir() -> Path:
-    env = os.environ.get(ENV_CACHE_DIR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "csmverify"
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -46,18 +32,18 @@ def payload_checksum(payload: dict) -> str:
 
 
 class TableCache:
-    """One directory of cached tables, keyed by (series, rank, kind)."""
+    """One directory of table files, keyed by (series, rank, kind)."""
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
 
     def _path(self, series: str, rank: int, kind: str) -> Path:
-        return self.root / f"{series}{rank}" / f"{kind}-v{FORMAT_VERSION}"
+        return self.root / f"{series}{rank}" / f"{kind}-v{FORMAT_VERSION}.json"
 
     def store(self, series: str, rank: int, kind: str, payload: dict,
               checksum: str | None = None) -> Path:
         """Write the payload under its checksum, computed here unless the
-        caller already has it; returns the file path actually written."""
+        caller already has it; returns the file path written."""
         envelope = {
             "format_version": FORMAT_VERSION,
             "kind": kind,
@@ -66,70 +52,34 @@ class TableCache:
             "checksum": checksum or payload_checksum(payload),
             "payload": payload,
         }
-        data = canonical_json_bytes(envelope)
-        base = self._path(series, rank, kind)
-        base.parent.mkdir(parents=True, exist_ok=True)
-        json_path = base.with_suffix(".json")
-        bin_path = base.with_suffix(".bin")
-        if len(data) <= PLAIN_JSON_LIMIT:
-            path, other, parts = json_path, bin_path, (data,)
-        else:
-            path, other, parts = bin_path, json_path, _container(zlib.compress(data, 6))
+        path = self._path(series, rank, kind)
+        path.parent.mkdir(parents=True, exist_ok=True)
         # one temporary name per process: concurrent writers never share one
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            with open(tmp, "wb") as fh:
-                for part in parts:
-                    fh.write(part)
+            tmp.write_bytes(canonical_json_bytes(envelope))
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-        other.unlink(missing_ok=True)
         return path
 
     def load(self, series: str, rank: int, kind: str) -> dict | None:
         """Payload, or None when absent or written by another format
-        version.  Raises CacheCorrupt on a checksum or container failure."""
-        base = self._path(series, rank, kind)
-        json_path = base.with_suffix(".json")
-        bin_path = base.with_suffix(".bin")
-        if json_path.exists():
-            data = json_path.read_bytes()
-        elif bin_path.exists():
-            raw = bin_path.read_bytes()
-            if raw[:4] != _MAGIC:
-                raise CacheCorrupt(f"{bin_path}: bad magic")
-            if len(raw) < 16:
-                raise CacheCorrupt(f"{bin_path}: truncated header")
-            (version,) = struct.unpack("<I", raw[4:8])
-            if version != FORMAT_VERSION:
-                return None
-            (length,) = struct.unpack("<Q", raw[8:16])
-            body = raw[16:16 + length]
-            if len(body) != length:
-                raise CacheCorrupt(f"{bin_path}: truncated body")
-            try:
-                data = zlib.decompress(body)
-            except zlib.error as exc:
-                raise CacheCorrupt(f"{bin_path}: {exc}") from exc
-        else:
+        version.  Raises CacheCorrupt on anything else that is not a
+        checksum-valid envelope."""
+        path = self._path(series, rank, kind)
+        if not path.exists():
             return None
         try:
-            envelope = json.loads(data)
+            envelope = json.loads(path.read_bytes())
         except json.JSONDecodeError as exc:
-            raise CacheCorrupt(f"{base}: not valid JSON") from exc
+            raise CacheCorrupt(f"{path}: not valid JSON") from exc
+        if not isinstance(envelope, dict):
+            raise CacheCorrupt(f"{path}: not a JSON object")
         if envelope.get("format_version") != FORMAT_VERSION:
             return None
         payload = envelope.get("payload")
         if payload is None or payload_checksum(payload) != envelope.get("checksum"):
-            raise CacheCorrupt(f"{base}: checksum mismatch")
+            raise CacheCorrupt(f"{path}: checksum mismatch")
         return payload
-
-
-def _container(body: bytes):
-    """The binary container, piece by piece: magic, version, length, body."""
-    yield _MAGIC
-    yield struct.pack("<I", FORMAT_VERSION)
-    yield struct.pack("<Q", len(body))
-    yield body

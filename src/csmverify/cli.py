@@ -4,7 +4,7 @@ Subcommands
 -----------
 verify   run verification suites and emit a JSON (or CSV) report
 table    compute the structure-constant and CSM tables, printing the checksum
-         of each, and write the CSM table to the cache directory
+         of each; with --cache-dir, write the CSM table there
 show     print a single class (csm / richardson / box) in both bases
 
 Exit codes: 0 all checks pass; 1 a conjecture violation was found (with
@@ -12,11 +12,10 @@ witnesses in the report); 2 a proved identity failed (implementation bug);
 3 usage error, which includes --jobs below 1, a negative --max-length and
 an output or cache path that cannot be written.
 
-Every run computes both tables; none reads a table from disk.  The cache
-directory, where only table writes, is taken from --cache-dir, else the
-CSMVERIFY_CACHE environment variable, else a per-user default.  Weyl group
-elements are written as reduced words like "s1 s2 s1", with "e" for the
-identity.
+Every run computes both tables; none reads a table from disk.  Only table
+writes a file, and only under --cache-dir: without it, table prints the
+checksums and writes nothing.  Weyl group elements are written as reduced
+words like "s1 s2 s1", with "e" for the identity.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import io
 import sys
 from pathlib import Path
 
-from .cache import TableCache, default_cache_dir
+from .cache import TableCache
 from .errors import CsmVerifyError, InternalInvariantError, UsageError
 from .rootdata import DEFAULT_MAX_ORDER, SERIES
 from .verify import (
@@ -56,8 +55,8 @@ def _add_group_args(p):
                    help=f"series letter, one of {''.join(SERIES)}")
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--cache-dir", default=None,
-                   help="where table writes the CSM table (default: $CSMVERIFY_CACHE "
-                        "or user cache); verify and show read nothing there")
+                   help="where table writes the CSM table (default: nowhere); "
+                        "verify and show read and write nothing there")
     p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
                    help="refuse groups larger than this (default %(default)s); "
                         "structure tables stay refused above the default")
@@ -123,7 +122,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    cache = TableCache(Path(args.cache_dir) if args.cache_dir else default_cache_dir())
+    cache = TableCache(args.cache_dir) if args.cache_dir else None
     checksums = materialize_tables(_engines_from_args(args), cache=cache)
     for kind in sorted(checksums):
         print(f"{kind} table for {args.type.upper()}{args.rank}: computed, "
@@ -138,7 +137,8 @@ def cmd_show(args) -> int:
         raise UsageError(f"{args.kind} requires --v")
     engines = _engines_from_args(args)
     if args.kind != "csm":
-        materialize_tables(engines)
+        engines.coh.build_structure_table()
+        engines.csm.build_table()
     group = engines.group
     u = group.parse(args.u)
     v = None if args.v is None else group.parse(args.v)

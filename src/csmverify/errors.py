@@ -44,10 +44,6 @@ class InternalInvariantError(CsmVerifyError):
     """A proved identity failed: implementation bug (CLI exit code 2)."""
 
 
-class InexactDivision(InternalInvariantError):
-    """Polynomial division left a remainder where exactness is guaranteed."""
-
-
 class CalibrationFailure(InternalInvariantError):
     """A CSM cell class failed its positivity, support or normalization invariants."""
 

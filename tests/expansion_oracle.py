@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from csmverify.cohomology import FlagCohomology
-from csmverify.errors import InexactDivision, InternalInvariantError
+from csmverify.errors import InternalInvariantError
 from csmverify.rootdata import WeylElement, WeylGroup
 
-from polynomial import IntPolynomial
+from polynomial import InexactDivision, IntPolynomial
 
 
 @dataclass

@@ -8,7 +8,11 @@ is implemented as remainder-checked lex reduction.
 
 from __future__ import annotations
 
-from csmverify.errors import InexactDivision
+from csmverify.errors import InternalInvariantError
+
+
+class InexactDivision(InternalInvariantError):
+    """Polynomial division left a remainder where exactness is guaranteed."""
 
 
 class IntPolynomial:

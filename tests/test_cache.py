@@ -1,14 +1,10 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 
-from csmverify.cache import (
-    FORMAT_VERSION,
-    TableCache,
-    canonical_json_bytes,
-    default_cache_dir,
-    payload_checksum,
-)
+from csmverify.cache import FORMAT_VERSION, TableCache, canonical_json_bytes, payload_checksum
 from csmverify.errors import CacheCorrupt
 
 
@@ -57,23 +53,13 @@ def test_garbage_file_raises(tmp_path):
         cache.load("A", 1, "box")
 
 
-def test_binary_container(tmp_path, monkeypatch):
-    import csmverify.cache as cache_mod
-    monkeypatch.setattr(cache_mod, "PLAIN_JSON_LIMIT", 10)
+@pytest.mark.parametrize("body", ["[]", "5"])
+def test_non_object_json_raises(tmp_path, body):
     cache = TableCache(tmp_path)
-    payload = {"entries": {f"k{i}": i for i in range(50)}}
-    path = cache.store("A", 2, "structure", payload)
-    assert path.suffix == ".bin"
-    assert cache.load("A", 2, "structure") == payload
-    # truncation is detected
-    raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) - 4])
-    with pytest.raises(CacheCorrupt):
-        cache.load("A", 2, "structure")
-    # so is a file cut inside its 16-byte header
-    path.write_bytes(b"CSMV\x01")
-    with pytest.raises(CacheCorrupt, match="truncated header"):
-        cache.load("A", 2, "structure")
+    path = cache.store("A", 1, "csm", {"rows": {}})
+    path.write_text(body)
+    with pytest.raises(CacheCorrupt, match="not a JSON object"):
+        cache.load("A", 1, "csm")
 
 
 def test_stored_bytes_are_the_canonical_envelope(tmp_path):
@@ -101,8 +87,7 @@ def test_materialize_checksums_each_payload_once(tmp_path, monkeypatch):
     checksums = materialize_tables(build_engines("A", 2), cache=cache)
     monkeypatch.undo()
     assert cache.load("A", 2, "csm") is not None
-    assert json.loads(cache._path("A", 2, "csm").with_suffix(".json").read_text())["checksum"] \
-        == checksums["csm"]
+    assert json.loads(cache._path("A", 2, "csm").read_text())["checksum"] == checksums["csm"]
 
 
 def test_checksum_is_canonical():
@@ -112,35 +97,32 @@ def test_checksum_is_canonical():
     assert canonical_json_bytes(a) == canonical_json_bytes(b)
 
 
-def test_default_cache_dir_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("CSMVERIFY_CACHE", str(tmp_path / "override"))
-    assert default_cache_dir() == tmp_path / "override"
-    monkeypatch.delenv("CSMVERIFY_CACHE")
-    assert default_cache_dir().name == "csmverify"
-
-
 def test_failed_write_keeps_old_file(tmp_path, monkeypatch):
-    import csmverify.cache as cache_mod
-
+    """A store that dies halfway through writing the JSON, or at the rename,
+    leaves the old file byte-identical and no temporary file behind."""
     cache = TableCache(tmp_path)
     old = {"entries": {"old": 1}}
     path = cache.store("A", 2, "structure", old)
     before = path.read_bytes()
+    new = {"entries": {f"k{i}": i for i in range(50)}}
 
-    class DiskFull:
-        @staticmethod
-        def pack(fmt, value):
-            raise OSError("no space left on device")
+    def half_write(self, data):
+        with open(self, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError("no space left on device")
 
-    # the binary container is written piece by piece; fail after the magic
-    monkeypatch.setattr(cache_mod, "PLAIN_JSON_LIMIT", 10)
-    monkeypatch.setattr(cache_mod, "struct", DiskFull)
-    with pytest.raises(OSError, match="no space"):
-        cache.store("A", 2, "structure", {"entries": {f"k{i}": i for i in range(50)}})
-    monkeypatch.undo()
-    assert path.read_bytes() == before
-    assert [p.name for p in path.parent.iterdir()] == [path.name]
-    assert cache.load("A", 2, "structure") == old
+    def failed_rename(src, dst):
+        raise OSError("no space left on device")
+
+    for target, name, failure in ((Path, "write_bytes", half_write),
+                                  (os, "replace", failed_rename)):
+        monkeypatch.setattr(target, name, failure)
+        with pytest.raises(OSError, match="no space"):
+            cache.store("A", 2, "structure", new)
+        monkeypatch.undo()
+        assert path.read_bytes() == before, name
+        assert [p.name for p in path.parent.iterdir()] == [path.name], name
+        assert cache.load("A", 2, "structure") == old
 
 
 def _store_after_barrier(root, barrier, payload, times):

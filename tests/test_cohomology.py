@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csmverify.cohomology import CohomologyClass, FlagCohomology, Multiplier
-from csmverify.errors import GroupMismatch, InexactDivision
+from csmverify.errors import GroupMismatch
 from csmverify.rootdata import WeylGroup
 from expansion_oracle import EquivariantClass, ExpansionOracle
 from localization_oracle import LocalizationOracle
-from polynomial import IntPolynomial
+from polynomial import InexactDivision, IntPolynomial
 
 
 def _coh(engines, series, rank):

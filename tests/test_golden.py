@@ -1,8 +1,8 @@
 """Golden digests of full reports: refactors must keep reports byte-identical.
 
-Each case runs ``table`` on an empty cache, then ``verify --suite all`` (or
-the arguments a long case lists) on the tables it wrote, exactly as a user
-would.  The digest is the sha256 of the canonical JSON of the report
+Each case runs ``table``, then ``verify --suite all`` (or the arguments a
+long case lists), exactly as a user would; ``verify`` computes both tables
+itself and reads nothing ``table`` wrote.  The digest is the sha256 of the canonical JSON of the report
 without its ``timings`` block, which is the part of a report the
 determinism contract covers.
 """
@@ -13,7 +13,7 @@ import json
 import pytest
 
 from csmverify import cli
-from csmverify.cache import canonical_json_bytes
+from csmverify.cache import TableCache, canonical_json_bytes, payload_checksum
 
 GOLDEN = {
     ("A", 2): ("b9bbe3563e10b4b377c799abf683c4592896716ec4f39668aa912391d14931ca",
@@ -112,3 +112,7 @@ def test_long_table_checksums(key, tmp_path, capsys):
     assert cli.main(["table", "--type", series, "--rank", str(rank),
                      "--cache-dir", str(tmp_path)]) == 0
     assert _printed_checksums(capsys) == {"csm": csm_sum, "structure": structure_sum}
+    # the export is one plain-JSON file at any size; F4's is 14.1 MiB
+    assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()] \
+        == [f"{series}{rank}/csm-v1.json"]
+    assert payload_checksum(TableCache(tmp_path).load(series, rank, "csm")) == csm_sum

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csmverify.errors import InexactDivision
-from polynomial import IntPolynomial
+from polynomial import InexactDivision, IntPolynomial
 
 
 def P(nvars, terms):

@@ -279,7 +279,7 @@ def test_no_run_reads_the_cache(tmp_path, capsys):
     assert cli.main(["table", *group]) == 0
     assert "csm table for A3: computed" in capsys.readouterr().out
     assert sorted(p.name for p in cache.root.rglob("*") if p.is_file()) == ["csm-v1.json"]
-    csm_path = cache._path("A", 3, "csm").with_suffix(".json")
+    csm_path = cache._path("A", 3, "csm")
     envelope = json.loads(csm_path.read_bytes())
     row = envelope["payload"]["rows"]["1.2"]
     key = max(row, key=row.get)
@@ -287,7 +287,7 @@ def test_no_run_reads_the_cache(tmp_path, capsys):
     row[key] *= 2
     envelope["checksum"] = payload_checksum(envelope["payload"])
     csm_path.write_text(json.dumps(envelope))
-    structure_path = cache._path("A", 3, "structure").with_suffix(".json")
+    structure_path = cache._path("A", 3, "structure")
     structure_path.write_text("garbage")
     before = {p: p.read_bytes() for p in (csm_path, structure_path)}
     out = tmp_path / "report.json"
@@ -462,6 +462,21 @@ def test_cli_show_box_golden(tmp_path, capsys):
     assert "[X_s1] - [X_e]" in out
 
 
+def test_show_builds_no_checksum_payload(tmp_path, monkeypatch, capsys):
+    """show box builds both tables, but neither table's checksum payload."""
+    from csmverify.csm import CsmCalculator
+
+    def refuse(self):
+        raise AssertionError("checksum payload built")
+
+    monkeypatch.setattr(FlagCohomology, "structure_payload", refuse)
+    monkeypatch.setattr(CsmCalculator, "table_payload", refuse)
+    assert cli.main(["show", "box", "--type", "B", "--rank", "2", "--u", "s1", "--v", "s2",
+                     "--cache-dir", str(tmp_path)]) == 0
+    assert "box product" in capsys.readouterr().out
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_show_csm_golden(tmp_path, capsys):
     rc = cli.main(["show", "csm", "--type", "A", "--rank", "2", "--u", "s1",
                    "--cache-dir", str(tmp_path)])
@@ -481,7 +496,7 @@ def test_cli_show_richardson(tmp_path, capsys):
 def test_cli_table_rewrites_its_export(tmp_path, capsys):
     """table computes both tables on every run and rewrites the CSM export
     with the same bytes."""
-    path = TableCache(tmp_path)._path("B", 2, "csm").with_suffix(".json")
+    path = TableCache(tmp_path)._path("B", 2, "csm")
     runs = []
     for _ in range(2):
         assert cli.main(["table", "--type", "B", "--rank", "2",
@@ -540,8 +555,18 @@ def test_cli_csv_to_stdout(tmp_path, capsys):
     assert "record,series,rank,suite" in out
 
 
-def test_cli_env_cache_dir(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CSMVERIFY_CACHE", str(tmp_path / "envcache"))
-    rc = cli.main(["table", "--type", "A", "--rank", "1"])
-    assert rc == 0
-    assert (tmp_path / "envcache" / "A1").exists()
+def test_table_without_cache_dir_writes_nothing(tmp_path, monkeypatch, capsys):
+    """Without --cache-dir, table prints both checksums and writes no file:
+    not under $HOME, not under $CSMVERIFY_CACHE, not in the working
+    directory."""
+    dirs = [tmp_path / name for name in ("home", "envcache", "cwd")]
+    for d in dirs:
+        d.mkdir()
+    monkeypatch.setenv("HOME", str(dirs[0]))
+    monkeypatch.setenv("CSMVERIFY_CACHE", str(dirs[1]))
+    monkeypatch.chdir(dirs[2])
+    assert cli.main(["table", "--type", "A", "--rank", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split(":")[0] for l in lines] == ["csm table for A1", "structure table for A1"]
+    assert all(": computed, checksum " in l for l in lines)
+    assert [list(d.iterdir()) for d in dirs] == [[], [], []]
