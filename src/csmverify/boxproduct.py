@@ -16,11 +16,19 @@ one formula, so agreement with the expansion is the substantive check.
 All three stay hard checks.  The triple sum's factor for u, the sum of
 (-1)^(l(u) - l(u1)) c_u1 eps^u1 with c the coefficients of csm(cell w0 u),
 is seg(cell w0 u), as ``segre_schubert_cell`` enforces, so its product
-with csm(cell w0 v) is the Richardson class of (w0 u, v).  Every w of a
-pair (u, v) is read off that class and its expansion, both held in the
-Richardson calculator's two-row window; this calculator holds no state.
-Every ``chi`` call cross-validates its value (the expansion coefficient);
-conjD, whose triples cross-paths checks, reads that path.
+with csm(cell w0 v) is the Richardson class R of (w0 u, v).
+
+Every w of a pair (u, v) is read off one row, ``chi_row``: R and its
+expansion d sit in the Richardson calculator's two-row window, and the
+CSM calculator holds two column indexes of its cell tables, x -> [(w, c)]
+with c the coefficient at eps^x of csm(cell w), resp. seg(cell w).  The
+triple-sum row adds R[y] c over (w, c) in the CSM column at w0 y, for y
+in R, and signs each entry by l(w) - l(u) - l(v); the pairing row is the
+same pass over the Segre columns; the expansion row is {w0 x: d[x]}.
+cross-paths compares the three rows at every w, conjD reads the expansion
+row alone, and ``box_product`` reads one row, cross-validated at every w
+of length at least l(u) + l(v).  ``chi`` and the per-path readers read
+one triple of a row.  This calculator holds no state.
 """
 
 from __future__ import annotations
@@ -53,6 +61,29 @@ class ChiProvenance:
         return self.expansion
 
 
+@dataclass
+class ChiRow:
+    """The three path values of chi(u, v, w) for every w of one pair
+    (u, v): each path's nonzero entries, keyed by the index of w."""
+
+    triple_sum: dict[int, int]
+    pairing: dict[int, int]
+    expansion: dict[int, int]
+
+    @property
+    def agree(self) -> bool:
+        return self.triple_sum == self.pairing == self.expansion
+
+    def provenance(self, wi: int) -> ChiProvenance:
+        return ChiProvenance(self.triple_sum.get(wi, 0), self.pairing.get(wi, 0),
+                             self.expansion.get(wi, 0))
+
+
+def _disagreement(u, v, w, prov: ChiProvenance) -> PathDisagreement:
+    return PathDisagreement(f"chi({u}, {v}, {w}): triple-sum {prov.triple_sum}, "
+                            f"pairing {prov.pairing}, expansion {prov.expansion}")
+
+
 class BoxCalculator:
     """Deformed-product structure constants and classes for one group."""
 
@@ -62,41 +93,73 @@ class BoxCalculator:
         self.coh = rich.coh
         self.group = rich.group
 
-    # -- the three formulas ------------------------------------------------------
+    # -- the three paths, each over every w of a pair, by element index -----------
+
+    def _richardson(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
+        """The Richardson class of (w0 u, v), which the triple sum and the
+        pairing read."""
+        return self.rich.csm_richardson(self.group.w0_times(u), v).coeffs
+
+    def _read_columns(self, cls: dict[int, int], columns) -> dict[int, int]:
+        """The pairing of cls with every class of a column index, sum over y
+        of cls[y] c for (w, c) in the column at w0 y; nonzero entries by w."""
+        w0 = self.group._w0
+        out: dict[int, int] = {}
+        for y, r in cls.items():
+            for w, c in columns[w0[y]]:
+                out[w] = out.get(w, 0) + r * c
+        return {w: c for w, c in out.items() if c}
+
+    def _triple_sum_row(self, u: WeylElement, v: WeylElement,
+                        cls: dict[int, int]) -> dict[int, int]:
+        """Triple sum of CSM coefficients against triple integrals: the pairing
+        of csm(cell w) with the Richardson class, signed by the dimension
+        l(w) - l(u) - l(v)."""
+        lengths, base = self.group._lengths, u.length + v.length
+        return {w: parity_sign(lengths[w] - base) * c
+                for w, c in self._read_columns(cls, self.csm.cell_columns()).items()}
+
+    def _pairing_row(self, cls: dict[int, int]) -> dict[int, int]:
+        """Integral of the Richardson class against the Segre class of the
+        cell of w."""
+        return self._read_columns(cls, self.csm.segre_columns())
+
+    def expansion_row(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
+        """Coefficient at w0*w of the CSM-basis expansion of the Richardson
+        class of (w0 u, v), nonzero entries by the index of w."""
+        self.coh._check(u, v)
+        w0 = self.group._w0
+        return {w0[x]: c for x, c in self.rich._expansion(self.group.w0_times(u), v).items()}
+
+    def chi_row(self, u: WeylElement, v: WeylElement) -> ChiRow:
+        """All three paths for every w of the pair (u, v), unconditionally."""
+        self.coh._check(u, v)
+        cls = self._richardson(u, v)
+        return ChiRow(self._triple_sum_row(u, v, cls), self._pairing_row(cls),
+                      self.expansion_row(u, v))
+
+    # -- per-triple readers ----------------------------------------------------------
 
     def chi_via_triple_sum(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
-        """Triple sum of CSM coefficients against triple integrals: the pairing
-        of csm(cell w) with the Richardson class of (w0 u, v), signed by the
-        dimension l(w) - l(u) - l(v)."""
+        """The triple-sum path at one triple."""
         self.coh._check(u, v, w)
-        cls = self.rich.csm_richardson(self.group.w0_times(u), v)
-        total = self.coh.pairing(self.csm.csm_schubert_cell(w), cls)
-        return parity_sign(w.length - u.length - v.length) * total
+        return self._triple_sum_row(u, v, self._richardson(u, v)).get(w.index, 0)
 
     def chi_via_pairing(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
-        """Integral of the Richardson class of (w0 u, v) against the Segre
-        class of the cell of w."""
+        """The pairing path at one triple."""
         self.coh._check(u, v, w)
-        cls = self.rich.csm_richardson(self.group.w0_times(u), v)
-        return self.coh.pairing(cls, self.csm.segre_schubert_cell(w))
+        return self._pairing_row(self._richardson(u, v)).get(w.index, 0)
 
     def chi_via_richardson(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
-        """Coefficient at w0*w of the CSM-basis expansion of the Richardson
-        class of (w0 u, v)."""
-        self.coh._check(u, v, w)
-        d = self.rich._expansion(self.group.w0_times(u), v)
-        return d.get(self.group._w0[w.index], 0)
-
-    # -- canonical value -----------------------------------------------------------
+        """The expansion path at one triple."""
+        self.coh._check(w)
+        return self.expansion_row(u, v).get(w.index, 0)
 
     def chi(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
         """The stored chi value (expansion path), if all three paths agree."""
         prov = self.chi_provenance(u, v, w)
         if not prov.agree:
-            raise PathDisagreement(
-                f"chi({u}, {v}, {w}): triple-sum {prov.triple_sum}, "
-                f"pairing {prov.pairing}, expansion {prov.expansion}"
-            )
+            raise _disagreement(u, v, w, prov)
         return prov.value
 
     def chi_provenance(self, u: WeylElement, v: WeylElement, w: WeylElement) -> ChiProvenance:
@@ -107,16 +170,24 @@ class BoxCalculator:
             self.chi_via_richardson(u, v, w),
         )
 
+    # -- the product ---------------------------------------------------------------------
+
     def box_product(self, u: WeylElement, v: WeylElement) -> CohomologyClass:
         """The deformed product of two basis classes.
 
         Sum of chi(u, v, w) eps^w over w of length at least l(u) + l(v),
-        each cross-validated; its lowest-degree part is the cup product.
+        read off one row whose three paths must agree at each such w; its
+        lowest-degree part is the cup product.
         """
-        self.coh._check(u, v)
-        floor = u.length + v.length
+        row = self.chi_row(u, v)
+        lengths, floor = self.group._lengths, u.length + v.length
+        if not row.agree:
+            for wi in sorted(row.triple_sum.keys() | row.pairing.keys() | row.expansion.keys()):
+                prov = row.provenance(wi)
+                if lengths[wi] >= floor and not prov.agree:
+                    raise _disagreement(u, v, self.group.elements[wi], prov)
         return CohomologyClass(self.group, {
-            w.index: self.chi(u, v, w) for w in self.group if w.length >= floor
+            wi: c for wi, c in row.expansion.items() if lengths[wi] >= floor
         })
 
     def box_product_class(self, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:

@@ -38,6 +38,8 @@ class CsmCalculator:
         self._tangent_inverse: CohomologyClass | None = None
         self._segre_op: Multiplier | None = None
         self._segre_cells: dict[int, CohomologyClass] = {}
+        self._cell_columns: list | None = None
+        self._segre_columns: list | None = None
 
     # -- operators -------------------------------------------------------------
 
@@ -208,6 +210,26 @@ class CsmCalculator:
         """Compute and invariant-check the cell class of every element."""
         for u in self.group:
             self.csm_schubert_cell(u)
+
+    def cell_columns(self) -> list[tuple[tuple[int, int], ...]]:
+        """The CSM cell table by column: entry x lists (w, c) for every
+        nonzero coefficient c at eps^x of csm(cell w), w ascending."""
+        if self._cell_columns is None:
+            self._cell_columns = self._columns(self.csm_schubert_cell)
+        return self._cell_columns
+
+    def segre_columns(self) -> list[tuple[tuple[int, int], ...]]:
+        """The Segre cell classes by column, as ``cell_columns``."""
+        if self._segre_columns is None:
+            self._segre_columns = self._columns(self.segre_schubert_cell)
+        return self._segre_columns
+
+    def _columns(self, cell_class) -> list[tuple[tuple[int, int], ...]]:
+        columns: list[list[tuple[int, int]]] = [[] for _ in range(self.group.order)]
+        for u in self.group:
+            for x, c in cell_class(u).coeffs.items():
+                columns[x].append((u.index, c))
+        return [tuple(col) for col in columns]
 
     def table_payload(self) -> dict:
         self.build_table()

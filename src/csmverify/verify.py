@@ -21,6 +21,10 @@ Suite semantics
 * ``cross-paths``: the three Euler-characteristic formulas agree on every
   filtered triple (hard); only two are independent (see ``boxproduct``).
 
+conjD and cross-paths read every w of a pair off one chi row
+(``BoxCalculator.expansion_row``, resp. ``chi_row``), and still count one
+instance per w; a row that cannot be built records one hard failure per w.
+
 Each pair-level check is a record step on one pair (u, v).  One sweep per
 run calls the steps of every requested suite, in units of the row pair
 {u, w0*u} (conjD and cross-paths on row u read the classes of (w0*u, v));
@@ -201,29 +205,35 @@ def _record_conjc(engines: Engines, out: dict, u, v) -> None:
         out["violations"].append(_entry("conjC", u, v, w, value=val))
 
 
+def _record_row_failure(out: dict, check: str, u, v, elements, exc: Exception) -> None:
+    """A pair whose row could not be read fails at every w, one instance each."""
+    for w in elements:
+        out["instances"] += 1
+        _record_hard(out, _entry(check, u, v, w, error=str(exc)))
+
+
 def _record_conjd(engines: Engines, out: dict, u, v) -> None:
     group = engines.group
     floor = u.length + v.length
     pair_sign_ok = True
-    for w in group.elements:
-        out["instances"] += 1
-        try:
-            chi = engines.box.chi_via_richardson(u, v, w)
-        except InternalInvariantError as exc:
-            _record_hard(out, _entry("chi", u, v, w, error=str(exc)))
-            continue
-        if w.length < floor:
-            if chi:
+    try:
+        row = engines.box.expansion_row(u, v)
+    except InternalInvariantError as exc:
+        _record_row_failure(out, "chi", u, v, group.elements, exc)
+    else:
+        out["instances"] += group.order
+        cup = engines.coh.structure_constants_idx(u.index, v.index)
+        for wi in sorted(row.keys() | cup.keys()):
+            w, chi, cup_c = group.elements[wi], row.get(wi, 0), cup.get(wi, 0)
+            if w.length < floor:
                 # below the dimension threshold: reported, not fatal
                 out["violations"].append(_entry("below-threshold", u, v, w, value=chi))
-            continue
-        if w.length == floor:
-            cup_c = engines.coh.structure_constants_idx(u.index, v.index).get(w.index, 0)
-            if chi != cup_c:
+                continue
+            if w.length == floor and chi != cup_c:
                 _record_hard(out, _entry("graded-vs-cup", u, v, w, value=chi, expected=cup_c))
-        if parity_sign(w.length - floor) * chi < 0:
-            pair_sign_ok = False
-            out["violations"].append(_entry("conjD", u, v, w, value=chi))
+            if parity_sign(w.length - floor) * chi < 0:
+                pair_sign_ok = False
+                out["violations"].append(_entry("conjD", u, v, w, value=chi))
     # the per-pair verdict must match the CSM-basis sign verdict for the
     # mirrored Richardson pair
     try:
@@ -237,13 +247,17 @@ def _record_conjd(engines: Engines, out: dict, u, v) -> None:
 
 
 def _record_crosspaths(engines: Engines, out: dict, u, v) -> None:
-    for w in engines.group.elements:
-        out["instances"] += 1
-        try:
-            prov = engines.box.chi_provenance(u, v, w)
-        except InternalInvariantError as exc:
-            _record_hard(out, _entry("chi-paths", u, v, w, error=str(exc)))
-            continue
+    els = engines.group.elements
+    try:
+        row = engines.box.chi_row(u, v)
+    except InternalInvariantError as exc:
+        _record_row_failure(out, "chi-paths", u, v, els, exc)
+        return
+    out["instances"] += len(els)
+    if row.agree:
+        return
+    for w in els:
+        prov = row.provenance(w.index)
         if not prov.agree:
             _record_hard(out, _entry(
                 "chi-paths", u, v, w,

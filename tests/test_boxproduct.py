@@ -1,7 +1,13 @@
+import json
+from dataclasses import replace
+
 import pytest
 
+from chi_oracle import chi_paths
+from csmverify import cli
 from csmverify.boxproduct import BoxCalculator, ChiProvenance
 from csmverify.cohomology import CohomologyClass, Multiplier
+from csmverify.csm import CsmCalculator
 from csmverify.errors import PathDisagreement
 from csmverify.rootdata import parity_sign
 
@@ -120,24 +126,92 @@ def test_path_disagreement_raises(engines, monkeypatch):
 
 
 def test_box_product_validates_every_w_above_order_48(engines, monkeypatch):
-    """On A4 (|W| = 120) box_product cross-validates each w of length at
-    least l(u) + l(v) exactly once, from the Richardson row of w0*u."""
+    """On A4 (|W| = 120) box_product reads one row, from the Richardson row
+    of w0*u, and cross-validates each w of length at least l(u) + l(v):
+    one unit more in the triple sum or the pairing at any such w raises,
+    at a w below that floor it does not."""
     stack = engines("A", 4)
     box = BoxCalculator(stack.rich)
     g = box.group
     u, v = g.parse("s1"), g.parse("s2 s3")
-    calls = []
-    real = box.chi_via_triple_sum
-
-    def counted(x, y, w):
-        calls.append(w.index)
-        return real(x, y, w)
-
-    monkeypatch.setattr(box, "chi_via_triple_sum", counted)
-    box.box_product(u, v)
     floor = u.length + v.length
-    assert sorted(calls) == [w.index for w in g if w.length >= floor]
+    real, rows = box.chi_row, []
+
+    def counted(x, y):
+        rows.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(box, "chi_row", counted)
+    product = box.box_product(u, v)
+    assert rows == [(u, v)]
     assert g.w0_times(u).index in stack.rich._rows
+
+    row = real(u, v)
+    for w in g:
+        for path in ("triple_sum", "pairing"):
+            entries = dict(getattr(row, path))
+            entries[w.index] = entries.get(w.index, 0) + 1
+            perturbed = replace(row, **{path: entries})
+            monkeypatch.setattr(box, "chi_row", lambda x, y: perturbed)
+            if w.length >= floor:
+                with pytest.raises(PathDisagreement, match=rf"^chi\(s1, s2 s3, {w}\): "):
+                    box.box_product(u, v)
+            else:
+                assert box.box_product(u, v) == product
+
+
+@pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2), ("A", 3)],
+                         ids=lambda key: f"{key[0]}{key[1]}")
+def test_chi_row_matches_the_per_triple_oracle(engines, key):
+    """Every path of every pair's row equals its per-triple formula at every
+    w, zeros included; a row holds nonzero entries only."""
+    stack = engines(*key)
+    box, g = stack.box, stack.group
+    for u in g:
+        for v in g:
+            row = box.chi_row(u, v)
+            assert [row.provenance(w.index) for w in g] == chi_paths(stack, u, v)
+            assert all(all(path.values()) for path in (row.triple_sum, row.pairing,
+                                                       row.expansion))
+
+
+def test_segre_column_mutation_fails_cross_paths(engines, monkeypatch, tmp_path):
+    """One unit more in one entry of the Segre column index, the coefficient
+    at eps^x of seg(cell w) for x = s1 s2, w = s1 s2 s1, moves the pairing
+    path at exactly the triples (u, v, w) whose Richardson class of
+    (w0 u, v) is nonzero at w0 x: cross-paths fails there and nowhere else,
+    and box_product on such a pair raises."""
+    stack = engines("B", 2)
+    g, rich = stack.group, stack.rich
+    x, w = g.parse("s1 s2"), g.parse("s1 s2 s1")
+    columns = list(stack.csm.segre_columns())
+    columns[x.index] = tuple((wi, c + (wi == w.index)) for wi, c in columns[x.index])
+    assert columns != stack.csm.segre_columns()
+    expected = []
+    for u in g:
+        for v in g:
+            r = rich.csm_richardson(g.w0_times(u), v).coeffs.get(g.w0_times(x).index, 0)
+            if r:
+                chi = stack.box.chi(u, v, w)
+                expected.append({"check": "chi-paths", "u": str(u), "v": str(v), "w": str(w),
+                                 "error": f"triple-sum {chi}, pairing {chi + r}, "
+                                          f"expansion {chi}"})
+    assert 0 < len(expected) < len(g.elements) ** 2
+
+    monkeypatch.setattr(CsmCalculator, "segre_columns", lambda self: columns)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--type", "B", "--rank", "2", "--suite", "cross-paths",
+                     "--output", str(out)]) == 2
+    suite = json.loads(out.read_text())["suites"]["cross-paths"]
+    assert suite["status"] == "FAIL"
+    assert suite["hard_failure_count"] == len(expected)
+    assert suite["hard_failures"] == expected
+
+    u, v = g.parse(expected[0]["u"]), g.parse(expected[0]["v"])
+    assert w.length >= u.length + v.length
+    with pytest.raises(PathDisagreement, match=rf"^chi\({u}, {v}, {w}\): triple-sum -?\d+, "
+                                               r"pairing -?\d+, expansion -?\d+$"):
+        BoxCalculator(rich).box_product(u, v)
 
 
 @pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("C", 3), ("G", 2),

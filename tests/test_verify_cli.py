@@ -8,7 +8,7 @@ import pytest
 from csmverify import cli
 from csmverify.cache import TableCache, payload_checksum
 from csmverify.cohomology import FlagCohomology
-from csmverify.errors import ParityViolation, UsageError
+from csmverify.errors import MirrorMismatch, ParityViolation, UsageError
 from csmverify.richardson import RichardsonCalculator
 from csmverify.rootdata import CartanDatum, WeylGroup
 from csmverify.verify import (
@@ -209,6 +209,36 @@ def test_injected_fault_gives_internal_failure(monkeypatch):
     assert suite.status == "FAIL"
     assert suite.hard_failure_count == 1
     assert "injected fault" in suite.hard_failures[0]["error"]
+
+
+def test_unreadable_pair_fails_at_every_w(monkeypatch):
+    """A Richardson class that raises fails its pair's triples one by one:
+    conjD and cross-paths record one hard failure per w with the error's
+    message, and still count every instance."""
+    engines = build_engines("A", 2)
+    materialize_tables(engines)
+    g = engines.group
+    u0, v0 = g.parse("s1"), g.parse("s2")
+    w0u0 = g.w0_times(u0)
+    message = f"mirror product mismatch for Richardson cell ({w0u0}, {v0})"
+    real = RichardsonCalculator.csm_richardson
+
+    def failing(self, u, v):
+        if (u.index, v.index) == (w0u0.index, v0.index):
+            raise MirrorMismatch(message)
+        return real(self, u, v)
+
+    monkeypatch.setattr(RichardsonCalculator, "csm_richardson", failing)
+    pair = {"u": str(u0), "v": str(v0)}
+    for name, check, tail in (
+            ("conjD", "chi", [{"check": "pairwise-equivalence", **pair, "error": message}]),
+            ("cross-paths", "chi-paths", [])):
+        result = run_suite(engines, name)
+        assert result.instances == result.predicted_instances == g.order ** 3
+        expected = [{"check": check, **pair, "w": str(w), "error": message} for w in g] + tail
+        assert result.hard_failures == expected
+        assert result.hard_failure_count == len(expected)
+        assert result.status == "FAIL"
 
 
 def test_perturbed_segre_class_fails_theorem_invariants(tmp_path, monkeypatch):
