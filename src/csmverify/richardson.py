@@ -138,8 +138,7 @@ class RichardsonCalculator:
         it, so repeatedly stripping the minimal surviving term is an exact
         integer solve; the residual is re-checked to be zero.
         """
-        group = self.group
-        els = group.elements
+        group, cell_of = self.group, self.csm._cell_idx
         rem = dict(a.coeffs)
         d: dict[int, int] = {}
         cells: dict[int, dict[int, int]] = {}
@@ -152,7 +151,7 @@ class RichardsonCalculator:
             u = group._w0[theta]
             coeff = rem[theta]
             d[u] = coeff
-            cell = cells[u] = self.csm.csm_schubert_cell(els[u]).coeffs
+            cell = cells[u] = cell_of(u).coeffs
             for w, c in cell.items():
                 val = rem.get(w, 0) - coeff * c
                 if val:

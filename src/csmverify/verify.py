@@ -11,9 +11,10 @@ Suite semantics
   the cell class in the CSM basis; the opposite-cell class is by definition
   the cell class of w0*u, so it is not compared with it.
 * ``conjB``: nonnegativity of the Richardson coefficients against the
-  Schubert-variety basis.  All |W|^2 pairs; negatives are findings.
+  Schubert-variety basis.  All |W|^2 pairs are recorded; negatives are
+  findings.
 * ``conjC``: alternating signs of the CSM-basis expansions of Richardson
-  classes.  All |W|^2 pairs; violations are findings.
+  classes.  All |W|^2 pairs are recorded; violations are findings.
 * ``conjD``: sign of the deformed-product structure constants against the
   intersection dimension, over all filtered triples, plus the graded
   comparison with the cup product (hard) and the per-pair equivalence with
@@ -32,7 +33,18 @@ with jobs above 1 the units go to one fork pool.  Both the structure and
 the CSM table are computed in process before the sweep, so workers inherit
 them; no run reads a table from disk.  A unit holds at most two Richardson
 rows and nothing else; box associativity builds its own table of box rows.
-Tallies merge in row order, so the report does not depend on jobs.
+
+The pair block of theorem-invariants, conjB and conjC runs on one pair of
+each partner pair (u, v) ~ (w0*v, w0*u).  w0 maps the one Richardson cell
+onto the other and acts trivially on cohomology, so the classes are equal;
+the two products of each are the other's with the factors swapped, the
+degree bases l(u) + l(v) and 2N - l(u) - l(v) have the same parity, and
+the lemma-E product and sign are shared, so every check and finding is
+the same.  A pair is computed when its partner is filtered out, is the
+pair itself, or comes after it by index; its entries are recorded at both
+pairs, each under its own u and v, and each pair counts one instance.
+conjD and cross-paths run on every pair.  Entries merge in (row, column)
+order after the sweep, so the report does not depend on jobs.
 ``timings.per_suite_s`` is each suite's record-step time summed over units
 (worker time in a pool), plus theorem-invariants' element and global blocks.
 
@@ -47,6 +59,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import __version__
 from .boxproduct import BoxCalculator
@@ -138,16 +151,6 @@ def _record_hard(result_dict: dict, entry: dict) -> None:
     result_dict["hard_failure_count"] += 1
     if len(result_dict["hard_failures"]) < HARD_FAILURE_LIST_CAP:
         result_dict["hard_failures"].append(entry)
-
-
-def _merge_tally(into: dict, part: dict) -> None:
-    """Append one tally to another, keeping the hard-failure cap."""
-    into["instances"] += part["instances"]
-    into["elapsed"] += part["elapsed"]
-    into["violations"].extend(part["violations"])
-    into["hard_failure_count"] += part["hard_failure_count"]
-    room = HARD_FAILURE_LIST_CAP - len(into["hard_failures"])
-    into["hard_failures"].extend(part["hard_failures"][:room])
 
 
 def _entry(check: str, *elements, **detail) -> dict:
@@ -270,7 +273,9 @@ def _record_crosspaths(engines: Engines, out: dict, u, v) -> None:
 _RECORD_STEPS = {"theorem-invariants": _record_theorem_pair, "conjB": _record_conjb,
                  "conjC": _record_conjc, "conjD": _record_conjd,
                  "cross-paths": _record_crosspaths}
-#: suites that check every w for each (u, v) pair
+#: suites that check every w for each (u, v) pair; the other suites'
+#: findings on a pair are those on its partner (w0*v, w0*u), since w0 maps
+#: the one Richardson cell onto the other and acts trivially on cohomology
 _TRIPLE_SUITES = frozenset({"conjD", "cross-paths"})
 
 
@@ -293,33 +298,63 @@ def _row_units(group: WeylGroup, filtered: list[int]) -> list[list[int]]:
     return units
 
 
-def _sweep_unit(engines: Engines, names, filtered, rows) -> list:
-    """Every named record step on every pair (u, v) with u in rows and v
-    filtered; returns (row, {suite: tally}) for each row, each tally's
-    elapsed being the time its record steps took."""
-    els, clock = engines.group.elements, time.perf_counter
-    steps = [(name, _RECORD_STEPS[name]) for name in names]
-    out = []
+def _sweep_unit(engines: Engines, names, filtered, rows) -> dict:
+    """Every named record step on the pairs (u, v) with u in rows and v
+    filtered.  A pair suite computes a pair only when it represents
+    its partner (w0*v, w0*u): the partner is filtered out, or is the pair
+    itself, or comes after it by index.  A distinct filtered partner is
+    counted as the pair is and gets its entries, relabelled with its own u
+    and v.  Returns {suite: (counts, found)}: counts holds the instances,
+    the hard-failure count and the record-step time; found lists
+    ((row, column), violations, hard failures) of the pairs with any
+    entries, in pair order, with the hard failures after the first
+    HARD_FAILURE_LIST_CAP of the unit dropped (no later one is reported)."""
+    group, clock = engines.group, time.perf_counter
+    els, w0, keep = group.elements, group._w0, set(filtered)
+    steps = [(name, _RECORD_STEPS[name], name not in _TRIPLE_SUITES) for name in names]
+    out = {name: ({"instances": 0, "hard_failure_count": 0, "elapsed": 0.0}, [])
+           for name in names}
     for ui in rows:
-        u, row = els[ui], {name: _new_tally() for name in names}
+        u = els[ui]
         for vi in filtered:
-            v = els[vi]
-            for name, step in steps:
+            v, key, partner = els[vi], (ui, vi), (w0[vi], w0[ui])
+            twin = partner != key and partner[0] in keep and partner[1] in keep
+            for name, step, pair_suite in steps:
+                copies = 2 if pair_suite and twin else 1
+                if copies == 2 and partner < key:
+                    continue        # recorded by its partner
+                counts, found = out[name]
+                pair = _new_tally()
                 start = clock()
-                step(engines, row[name], u, v)
-                row[name]["elapsed"] += clock() - start
-        out.append((ui, row))
+                step(engines, pair, u, v)
+                counts["elapsed"] += clock() - start
+                counts["instances"] += copies * pair["instances"]
+                counts["hard_failure_count"] += copies * pair["hard_failure_count"]
+                violations, hard = pair["violations"], pair["hard_failures"]
+                if not (violations or hard):
+                    continue
+                found.append((key, violations, hard))
+                if copies == 2:
+                    labels = {"u": str(els[partner[0]]), "v": str(els[partner[1]])}
+                    found.append((partner, [{**e, **labels} for e in violations],
+                                  [{**e, **labels} for e in hard]))
+    for _, found in out.values():
+        found.sort(key=itemgetter(0))
+        room = HARD_FAILURE_LIST_CAP
+        for _, _, hard in found:
+            del hard[room:]
+            room -= len(hard)
     return out
 
 
-def _pooled_unit(task) -> list:
+def _pooled_unit(task) -> dict:
     return _sweep_unit(_WORKER_ENGINES, *task)
 
 
 def _run_suites(engines: Engines, names, max_length: int | None,
                 jobs: int) -> dict[str, SuiteResult]:
     """The named suites in one sweep over the filtered rows, in-process or
-    in one fork pool.  Each suite's row tallies are merged in ascending row
+    in one fork pool.  Each suite's entries are merged in (row, column)
     order, the serial pair order, so the result does not depend on jobs.
     theorem-invariants' tally is its element block, then its pair tally,
     then its global block."""
@@ -352,10 +387,18 @@ def _run_suites(engines: Engines, names, max_length: int | None,
                 parts = pool.map(_pooled_unit, tasks, chunksize=1)
         finally:
             _WORKER_ENGINES = None
-    rows = dict(item for part in parts for item in part)
-    for ui in filtered:
-        for name in names:
-            _merge_tally(tallies[name], rows[ui][name])
+    for name in names:
+        tally, found = tallies[name], []
+        for part in parts:
+            counts, items = part[name]
+            for k, x in counts.items():
+                tally[k] += x
+            found.extend(items)
+        found.sort(key=itemgetter(0))
+        listed = tally["hard_failures"]
+        for _, violations, hard in found:
+            tally["violations"].extend(violations)
+            listed.extend(hard[:HARD_FAILURE_LIST_CAP - len(listed)])
 
     if theorem is not None:
         start = clock()

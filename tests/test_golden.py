@@ -38,7 +38,9 @@ GOLDEN = {
 #: to be sampled, the exhaustive case runs both triple suites, 2 x 1.73 M
 #: triples, through one sweep, and the length <= 2 case checks box
 #: associativity on 14 filtered elements, reading box rows of 3,164 pairs
-#: outside the filter; on B4 the three pair suites run on all 147,456 pairs: (group and label, verify arguments, report digest, csm
+#: outside the filter; on B4 the three pair suites record all 147,456 pairs
+#: and compute 73,920 of them, one of each partner pair (u, v) ~
+#: (w0*v, w0*u): (group and label, verify arguments, report digest, csm
 #: checksum, structure checksum)
 _A4_TABLES = ("ee96cf01017a141af1e780e5af3edd1210db030d7a00daf35400e780ac69ed40",
               "10a7932bbbb30d8393063fbc6d575b0bd6ccb537e6fabe6d433c638eff354ec1")

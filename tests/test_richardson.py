@@ -62,6 +62,20 @@ def test_mirror_agreement_is_enforced(engines, monkeypatch):
     rich._rows.clear()
 
 
+@pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("G", 2)])
+def test_partner_pairs_have_equal_classes(key):
+    """w0 maps the Richardson cell of (u, v) onto that of (w0*v, w0*u) and
+    acts trivially on cohomology, so the two classes are equal; the pair
+    suites compute one pair of each partner pair on this.  Every class is
+    computed on a fresh calculator, row by row."""
+    stack = build_engines(*key)
+    materialize_tables(stack)
+    g, rich = stack.group, RichardsonCalculator(stack.csm)
+    classes = {(u, v): rich.csm_richardson(u, v) for u in g for v in g}
+    for (u, v), cls in classes.items():
+        assert cls == classes[g.w0_times(v), g.w0_times(u)], (u, v)
+
+
 # -- row operators ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("G", 2)])
@@ -217,14 +231,15 @@ def test_expand_residual_catches_bad_cell_class(engines, monkeypatch):
     term at s1 s2, outside the support above its leading term s2 s1) still
     lets the peel of eps^{s1} terminate, by peeling s2 twice; the expansion,
     which keeps only the last of those coefficients, fails the residual
-    check."""
+    check.  The peel reads cell classes by index, so the bad class is
+    injected there."""
     rich = _rich(engines, "A", 2)
     g, csm, coh = rich.group, rich.csm, rich.coh
     s1, s2 = g.simple_reflection(1), g.simple_reflection(2)
-    real = csm.csm_schubert_cell
-    bad = real(s2) + coh.schubert_class(g.w0_times(s1))
+    real = csm._cell_idx
+    bad = real(s2.index) + coh.schubert_class(g.w0_times(s1))
     assert rich.expand_in_csm_basis(coh.schubert_class(s1)).coeffs
-    monkeypatch.setattr(csm, "csm_schubert_cell", lambda w: bad if w == s2 else real(w))
+    monkeypatch.setattr(csm, "_cell_idx", lambda i: bad if i == s2.index else real(i))
     with pytest.raises(SingularSystem, match="residual"):
         rich.expand_in_csm_basis(coh.schubert_class(s1))
 

@@ -182,6 +182,68 @@ def test_hard_failure_cap_across_units(monkeypatch):
     assert serial.suites["conjC"].to_dict() == pooled.suites["conjC"].to_dict()
 
 
+def test_pair_suite_computes_each_class_once(monkeypatch):
+    """conjB on A3 computes one Richardson class per partner pair
+    (u, v) ~ (w0*v, w0*u): (576 + 24 fixed pairs) / 2 = 300 main products,
+    each reading the opposite-cell class of its v once, and still counts
+    576 instances."""
+    from csmverify.csm import CsmCalculator
+    real, calls = CsmCalculator.csm_opposite_cell, []
+
+    def counted(self, v):
+        calls.append(v.index)
+        return real(self, v)
+
+    monkeypatch.setattr(CsmCalculator, "csm_opposite_cell", counted)
+    report = run_verification("A", 3, suites=["conjB"])
+    assert report.exit_code == 0
+    assert report.suites["conjB"].instances == 576
+    assert len(calls) == 300
+
+
+@pytest.mark.parametrize("max_length", [None, 1, 3])
+def test_partners_under_filter_and_pool(monkeypatch, max_length):
+    """The pair suites on A3, exhaustive, with every partner filtered out
+    (length <= 1) and with some partners kept (length <= 3: pairs with
+    l(u) = l(v) = 3): the pooled report equals the serial one, every pair
+    is counted, and the findings equal those read off every filtered pair.
+    So that there are findings, the classes are negated on the diagonal and
+    where l(u) + l(v) is odd, sets closed under taking partners; under
+    length <= 3 the partners kept are those of the diagonal pairs."""
+    import csmverify.verify as verify_mod
+
+    real = RichardsonCalculator.csm_richardson
+
+    def negated(self, u, v):
+        out = real(self, u, v)
+        return -1 * out if u == v or (u.length + v.length) % 2 else out
+
+    monkeypatch.setattr(RichardsonCalculator, "csm_richardson", negated)
+    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1})
+    suites = ["theorem-invariants", "conjB", "conjC"]
+    serial, pooled = (run_verification("A", 3, suites=suites, max_length=max_length, jobs=jobs)
+                      for jobs in (1, 2))
+    a, b = _strip_timings(serial.to_json()), _strip_timings(pooled.to_json())
+    assert a["options"].pop("jobs") == 1 and b["options"].pop("jobs") == 2
+    assert a == b
+    rich = build_engines("A", 3).rich
+    kept = [w for w in rich.group if max_length is None or w.length <= max_length]
+    assert serial.suites["theorem-invariants"].hard_failures == [
+        {"check": "diagonal-point", "u": str(w), "v": str(w),
+         "error": "diagonal cell class is not the point class"} for w in kept]
+    expected = {"conjB": [], "conjC": []}
+    for u in kept:
+        for v in kept:
+            expected["conjB"] += [{"check": "conjB", "u": str(u), "v": str(v), "w": str(w),
+                                   "value": c} for w, c in rich.richardson_coeffs(u, v).witnesses()]
+            expected["conjC"] += [{"check": "conjC", "u": str(u), "v": str(v), "w": str(w),
+                                   "value": d} for w, d in rich.csm_basis_coeffs(u, v).violations]
+    for name, result in serial.suites.items():
+        assert result.instances == result.predicted_instances
+        if name in expected:
+            assert expected[name] and result.violations == expected[name]
+
+
 def test_global_failure_messages(monkeypatch):
     """A failing whole-group check is recorded with its formatted message:
     here the subword oracle on A2 sees only the identity below each w."""
@@ -195,10 +257,13 @@ def test_global_failure_messages(monkeypatch):
 
 
 def test_injected_fault_gives_internal_failure(monkeypatch):
+    """A richardson_coeffs failure at the representative (e, e) on A1 is a
+    hard failure there and at its partner (s1, s1), under each pair's own
+    words, in row order."""
     real = RichardsonCalculator.richardson_coeffs
 
     def faulty(self, u, v):
-        if u.length == 1 and v.length == 1:
+        if u.length == 0 and v.length == 0:
             raise ParityViolation("injected fault")
         return real(self, u, v)
 
@@ -207,8 +272,9 @@ def test_injected_fault_gives_internal_failure(monkeypatch):
     assert report.exit_code == 2
     suite = report.suites["conjB"]
     assert suite.status == "FAIL"
-    assert suite.hard_failure_count == 1
-    assert "injected fault" in suite.hard_failures[0]["error"]
+    assert suite.hard_failure_count == 2
+    assert suite.hard_failures == [
+        {"check": "richardson", "u": w, "v": w, "error": "injected fault"} for w in ("e", "s1")]
 
 
 def test_unreadable_pair_fails_at_every_w(monkeypatch):
@@ -267,12 +333,14 @@ def test_perturbed_segre_class_fails_theorem_invariants(tmp_path, monkeypatch):
 
 
 def test_violation_exit_code(monkeypatch):
-    """A conjecture violation is a finding (exit 1), not a crash."""
+    """A conjecture violation is a finding (exit 1), not a crash.  The
+    class is negated at the representative (e, e) on A1, and the finding
+    shows there and at its partner (s1, s1), in row order."""
     real = RichardsonCalculator.csm_richardson
 
     def negated(self, u, v):
         out = real(self, u, v)
-        if u == self.group.longest and v == self.group.longest:
+        if u == self.group.identity and v == self.group.identity:
             return -1 * out
         return out
 
@@ -281,11 +349,15 @@ def test_violation_exit_code(monkeypatch):
     assert report.exit_code == 1
     suite = report.suites["conjB"]
     assert suite.status == "VIOLATIONS"
-    witness = suite.violations[0]
-    assert witness == {"check": "conjB", "u": "s1", "v": "s1", "w": "e", "value": -1}
+    assert suite.violations == [
+        {"check": "conjB", "u": w, "v": w, "w": "e", "value": -1} for w in ("e", "s1")]
 
 
 def test_report_witnesses_use_words(monkeypatch):
+    """Witnesses name elements by reduced words.  The classes negated at
+    the representatives (s1, e) and (s2, e) on A2 break conjB there and at
+    their partners (w0, w0*s1) and (w0, w0*s2), which live in another row
+    and another unit, with the same w and values under their own words."""
     real = RichardsonCalculator.csm_richardson
 
     def negated(self, u, v):
@@ -294,8 +366,18 @@ def test_report_witnesses_use_words(monkeypatch):
 
     monkeypatch.setattr(RichardsonCalculator, "csm_richardson", negated)
     report = run_verification("A", 2, suites=["conjB"])
-    words = {w["u"] for w in report.suites["conjB"].violations}
-    assert words <= {"s1", "s2"}
+    plain = build_engines("A", 2).rich
+    g, found = plain.group, {}
+    for u in (g.parse("s1"), g.parse("s2")):
+        found[u] = [(str(w), c) for w, c in plain.richardson_coeffs(u, g.identity).witnesses()]
+        assert found[u]
+    rows = [(u, g.identity, found[u]) for u in found]
+    rows += sorted(((g.longest, g.w0_times(u), found[u]) for u in found),
+                   key=lambda row: row[1].index)
+    assert report.suites["conjB"].violations == [
+        {"check": "conjB", "u": str(u), "v": str(v), "w": w, "value": val}
+        for u, v, entries in rows for w, val in entries]
+    assert {e["u"] for e in report.suites["conjB"].violations} == {"s1", "s2", "s1 s2 s1"}
 
 
 def test_no_run_reads_the_cache(tmp_path, capsys):
