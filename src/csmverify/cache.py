@@ -9,6 +9,11 @@ as absent, and anything that is not such an envelope, or fails its
 checksum, raises CacheCorrupt.  Files are written to a temporary name in
 the same directory and renamed into place, so a writer that dies midway
 leaves the previous file intact.
+
+Both table payloads, which the checksums are taken over, are encoded here
+and only here: an element is keyed by its canonical reduced word, letters
+joined by dots (the identity is ``""``), and a row by the ``|``-joined keys
+of the elements that index it.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import json
 import os
 from pathlib import Path
 
+from .csm import CONVENTION
 from .errors import CacheCorrupt
 
 FORMAT_VERSION = 1
@@ -29,6 +35,31 @@ def canonical_json_bytes(obj) -> bytes:
 
 def payload_checksum(payload: dict) -> str:
     return hashlib.sha256(canonical_json_bytes(payload)).hexdigest()
+
+
+def _word_keyed(group, rows: dict[tuple[int, ...], dict[int, int]]) -> dict:
+    """Rows and their entries keyed by words, in index order."""
+    keys = [".".join(map(str, word)) for word in group._words]
+    return {
+        "|".join(keys[i] for i in key): {keys[w]: c for w, c in sorted(row.items())}
+        for key, row in sorted(rows.items())
+    }
+
+
+def structure_payload(coh) -> dict:
+    """The structure table's nonempty rows with u <= v, never written."""
+    coh.build_structure_table()
+    table, order = coh._table, coh.group.order
+    rows = {(ui, vi): table[ui][vi]
+            for ui in range(order) for vi in range(ui, order) if table[ui][vi]}
+    return {"entries": _word_keyed(coh.group, rows)}
+
+
+def csm_payload(csm) -> dict:
+    """The CSM cell table and its operator order: the CSM export."""
+    csm.build_table()
+    rows = {(ui,): csm._cells[ui].coeffs for ui in range(csm.group.order)}
+    return {"convention": CONVENTION, "rows": _word_keyed(csm.group, rows)}
 
 
 class TableCache:

@@ -16,22 +16,21 @@ raises.
 The recursion rests on the degree-2 rule, so the table's self-check (the
 unit row and the degree-2 rule on every pair of a simple reflection and an
 element) is not independent of it.  The independent oracles live in the
-tests only: torus fixed-point localization (``tests/localization_oracle.py``,
-on the subword sums at the all-ones point kept here for triple_integral)
+tests only: torus fixed-point localization (``tests/localization_oracle.py``)
 and the polynomial expansion route (``tests/expansion_oracle.py``), each
 compared with whole tables.
 
 The structure constants form one complete table, computed in process and
-checked before the first product; it is never read from the cache (its
-payload is dumped only for its checksum).  Products read it by element
-index, one column a . eps^v at a time (``Multiplier``, which keeps the
-columns of a factor used again).
+checked before the first product; it is never read from the cache, which
+alone encodes it for its checksum.  Triple integrals read it by element
+index, and products one column a . eps^v at a time (``Multiplier``, which
+keeps the columns of a factor used again).
 """
 
 from __future__ import annotations
 
 from .errors import CapacityExceeded, InternalInvariantError
-from .rootdata import DEFAULT_MAX_ORDER, WeylElement, WeylGroup, parity_sign
+from .rootdata import DEFAULT_MAX_ORDER, WeylElement, WeylGroup
 
 
 class CohomologyClass:
@@ -151,25 +150,6 @@ class Multiplier:
         return CohomologyClass(coh.group, out)
 
 
-class WordKeys:
-    """The table payload encoding, which the checksums are taken over.
-
-    An element is keyed by its canonical reduced word with the letters
-    joined by dots (the identity is ``""``); a table row is keyed by the
-    ``|``-joined keys of the elements that index it.
-    """
-
-    def __init__(self, group: WeylGroup):
-        self.keys = [".".join(map(str, word)) for word in group._words]
-
-    def encode(self, rows: dict[tuple[int, ...], dict[int, int]]) -> dict:
-        keys = self.keys
-        return {
-            "|".join(keys[i] for i in row_key): {keys[w]: c for w, c in sorted(row.items())}
-            for row_key, row in sorted(rows.items())
-        }
-
-
 class FlagCohomology:
     """Multiplication engine for one flag manifold.
 
@@ -181,9 +161,6 @@ class FlagCohomology:
 
     def __init__(self, group: WeylGroup):
         self.group = group
-        self._rows: list[dict[int, int]] | None = None
-        self._signs: list[int] | None = None
-        self._pos_product: int | None = None
         self._alpha: list[list[dict[int, int]]] | None = None
         self._table: list[list[dict[int, int]]] | None = None
 
@@ -206,40 +183,6 @@ class FlagCohomology:
     def _check(self, *xs):
         self.group._check_same(*xs)
 
-    # -- localization data -------------------------------------------------------
-
-    def _root_value(self, coords) -> int:
-        """A root's value at the all-ones point, its height: positive on
-        every positive root, which is all the localization identity needs."""
-        return sum(coords)
-
-    def _subword_row(self, x: int, root, one) -> dict:
-        """Restrictions of every basis class at the fixed point x: the subword
-        sum over x's canonical word, each root taken as root(coords)."""
-        group = self.group
-        row, pref = {0: one}, 0
-        for i in group._words[x]:
-            # the reflection-ordering root of this letter
-            beta = root(group._actions[pref][i - 1])
-            pref = group._right[pref][i - 1]
-            for y, val in list(row.items()):
-                z = group._right[y][i - 1]
-                if group._lengths[z] > group._lengths[y]:
-                    row[z] = row[z] + val * beta if z in row else val * beta
-        return row
-
-    def _ensure_rows(self):
-        if self._rows is not None:
-            return
-        group = self.group
-        self._rows = [self._subword_row(x, self._root_value, 1) for x in range(group.order)]
-        n_pos = group.num_positive
-        self._signs = [parity_sign(n_pos + l) for l in group._lengths]
-        prod = 1
-        for coords in group._root_coords:
-            prod *= self._root_value(coords)
-        self._pos_product = prod
-
     # -- products and integrals --------------------------------------------------
 
     def integrate(self, a: CohomologyClass) -> int:
@@ -253,19 +196,10 @@ class FlagCohomology:
         return sum(c * bc.get(w0[x], 0) for x, c in a.coeffs.items())
 
     def triple_integral(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
-        """int eps^u . eps^v . eps^w as the raw fixed-point sum, its final
-        division checked exact; no table is built from it."""
+        """int eps^u . eps^v . eps^w, read off the table by Poincare duality
+        as c_uv^{w0 w}; zero unless the lengths add up to the dimension."""
         self._check(u, v, w)
-        if u.length + v.length + w.length != self.group.num_positive:
-            return 0
-        self._ensure_rows()
-        i, j, k = u.index, v.index, w.index
-        total = sum(sign * row[i] * row[j] * row[k] for sign, row in zip(self._signs, self._rows)
-                    if i in row and j in row and k in row)
-        q, r = divmod(total, self._pos_product)
-        if r:
-            raise InternalInvariantError("fixed-point sum failed exact division")
-        return q
+        return self.structure_constants_idx(u.index, v.index).get(self.group._w0[w.index], 0)
 
     def structure_constants_idx(self, ui: int, vi: int) -> dict[int, int]:
         """Nonzero constants of eps^u . eps^v by element index (read-only)."""
@@ -416,14 +350,3 @@ class FlagCohomology:
         for i, v, agree in self.chevalley_agreement():
             if not agree:
                 raise InternalInvariantError(f"degree-2 products disagree at (s{i}, {v})")
-
-    # -- checksum payload ---------------------------------------------------------------
-
-    def structure_payload(self) -> dict:
-        """JSON-safe dump of the structure table, nonempty rows with u <= v:
-        what its checksum is taken over."""
-        self.build_structure_table()
-        table, order = self._table, self.group.order
-        rows = {(ui, vi): table[ui][vi]
-                for ui in range(order) for vi in range(ui, order) if table[ui][vi]}
-        return {"entries": WordKeys(self.group).encode(rows)}

@@ -3,8 +3,8 @@
 The cell classes are generated from the point class by the involutive
 operators T_i = A_i - s_i, where A_i is the homological BGG operator and
 s_i the coinvariant Weyl action.  The letters of a reduced word are applied
-first to last, building the element by right multiplication; the table
-payload records this order.  Every cell class is checked against its
+first to last, building the element by right multiplication; the CSM
+export records this order.  Every cell class is checked against its
 positivity, support and normalization invariants as it is built, and the
 transposed order already fails them in A2 at s1 s2, so a wrong order
 cannot pass silently.
@@ -18,7 +18,7 @@ opposite-cell classes via translation by the longest element.
 
 from __future__ import annotations
 
-from .cohomology import CohomologyClass, FlagCohomology, Multiplier, WordKeys
+from .cohomology import CohomologyClass, FlagCohomology, Multiplier
 from .errors import CalibrationFailure, InternalInvariantError
 from .rootdata import WeylElement, parity_sign
 
@@ -230,8 +230,3 @@ class CsmCalculator:
             for x, c in cell_class(u).coeffs.items():
                 columns[x].append((u.index, c))
         return [tuple(col) for col in columns]
-
-    def table_payload(self) -> dict:
-        self.build_table()
-        rows = {(ui,): self._cells[ui].coeffs for ui in range(self.group.order)}
-        return {"convention": CONVENTION, "rows": WordKeys(self.group).encode(rows)}

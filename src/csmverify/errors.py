@@ -37,7 +37,7 @@ class NotARoot(CsmVerifyError):
 
 
 class CacheCorrupt(CsmVerifyError):
-    """An on-disk table file failed its checksum or container check."""
+    """An on-disk table file is not a JSON envelope or fails its checksum."""
 
 
 class InternalInvariantError(CsmVerifyError):

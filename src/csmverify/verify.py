@@ -18,7 +18,10 @@ Suite semantics
 * ``conjD``: sign of the deformed-product structure constants against the
   intersection dimension, over all filtered triples, plus the graded
   comparison with the cup product (hard) and the per-pair equivalence with
-  the conjC verdict (hard).
+  the conjC verdict (hard).  The equivalence reads the sign pass's own
+  expansion, of R(w0*u, v), with a sign base of the same parity term by
+  term, so it fails only where an entry below the threshold
+  (l(w) < l(u) + l(v)) has the wrong sign; no pair of A3, B3 or G2 has one.
 * ``cross-paths``: the three Euler-characteristic formulas agree on every
   filtered triple (hard); only two are independent (see ``boxproduct``).
 
@@ -63,7 +66,7 @@ from operator import itemgetter
 
 from . import __version__
 from .boxproduct import BoxCalculator
-from .cache import FORMAT_VERSION, TableCache, payload_checksum
+from .cache import FORMAT_VERSION, TableCache, csm_payload, payload_checksum, structure_payload
 from .cohomology import FlagCohomology
 from .csm import CONVENTION, CsmCalculator
 from .errors import InternalInvariantError, UsageError
@@ -110,10 +113,9 @@ def materialize_tables(engines: Engines, cache: TableCache | None = None) -> dic
     """Build the full structure and CSM tables; given a cache, write the
     CSM table to it as the table's checksummed export.  Returns the payload
     checksums by kind."""
-    engines.coh.build_structure_table()
-    payload = engines.csm.table_payload()
-    checksums = {"structure": payload_checksum(engines.coh.structure_payload()),
-                 "csm": payload_checksum(payload)}
+    checksums = {"structure": payload_checksum(structure_payload(engines.coh))}
+    payload = csm_payload(engines.csm)
+    checksums["csm"] = payload_checksum(payload)
     if cache is not None:
         cache.store(engines.series, engines.rank, "csm", payload, checksums["csm"])
     return checksums
@@ -582,7 +584,9 @@ class VerificationReport:
 
 def resolve_suites(requested) -> list[str]:
     """The named suites in request order, "all" expanded, each once; an
-    empty request or an unknown name is a UsageError."""
+    empty request, a bare string or an unknown name is a UsageError."""
+    if isinstance(requested, str):
+        raise UsageError(f"suites must be a list of names, not the string {requested!r}")
     if not requested:
         raise UsageError("no suite requested")
     names = []

@@ -1,11 +1,11 @@
 """The polynomial expansion oracle for the cup-product structure table.
 
 Equivariant Schubert classes are kept as polynomial restrictions at every
-torus fixed point (the subword sum of ``FlagCohomology._subword_row`` with
-the roots left as linear forms).  A product of two classes is expanded in
-the equivariant basis by exact division, and setting every root to zero
-gives the structure constants, with no evaluation point: an independent
-re-derivation of the table the localization engine evaluates.  It is
+torus fixed point (the subword sum of ``localization_oracle.subword_row``
+with the roots left as linear forms).  A product of two classes is
+expanded in the equivariant basis by exact division, and setting every
+root to zero gives the structure constants, with no evaluation point: an
+independent re-derivation of the table localization evaluates.  It is
 compared with that table in the tests only.
 """
 
@@ -17,6 +17,7 @@ from csmverify.cohomology import FlagCohomology
 from csmverify.errors import InternalInvariantError
 from csmverify.rootdata import WeylElement, WeylGroup
 
+from localization_oracle import subword_row
 from polynomial import InexactDivision, IntPolynomial
 
 
@@ -72,8 +73,9 @@ class ExpansionOracle:
         """Restrictions of every basis class at one fixed point, as polynomials."""
         row = self._billey_poly.get(x_idx)
         if row is None:
-            row = self._billey_poly[x_idx] = self.coh._subword_row(
-                x_idx, IntPolynomial.linear, IntPolynomial.constant(self.group.rank, 1))
+            row = self._billey_poly[x_idx] = subword_row(
+                self.group, x_idx, IntPolynomial.linear,
+                IntPolynomial.constant(self.group.rank, 1))
         return row
 
     def billey_restriction(self, w: WeylElement, v: WeylElement) -> IntPolynomial:

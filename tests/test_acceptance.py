@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from csmverify.cache import TableCache
+from csmverify.cache import TableCache, structure_payload
 from csmverify.verify import build_engines, materialize_tables, run_suite, run_verification
 
 
@@ -179,7 +179,7 @@ def test_criterion_10_property_suites(tmp_path):
         # cache round-trip byte identity
         cache = TableCache(tmp_path)
         stack = _fresh("B", 2)
-        payload = stack.coh.structure_payload()
+        payload = structure_payload(stack.coh)
         p1 = cache.store("B", 2, "structure", payload)
         first = p1.read_bytes()
         assert cache.load("B", 2, "structure") == payload

@@ -338,5 +338,4 @@ def test_associativity_holds_no_box_rows(engines):
     assert box.associativity_status() == (0, stack.group.order ** 3)
     assert set(vars(box)) == {"rich", "csm", "coh", "group"}
     assert len(stack.rich._rows) <= 2
-    assert set(vars(stack.coh)) == {"group", "_rows", "_signs", "_pos_product",
-                                    "_alpha", "_table"}
+    assert set(vars(stack.coh)) == {"group", "_alpha", "_table"}

@@ -306,7 +306,7 @@ def test_localization_matches_expansion_oracle(engines):
 
 
 @pytest.mark.long
-def test_localization_matches_expansion_oracle_b3():
+def test_table_matches_expansion_oracle_b3():
     from csmverify.verify import build_engines
     coh = build_engines("B", 3).coh
     oracle = ExpansionOracle(coh)
@@ -318,24 +318,24 @@ def test_localization_matches_expansion_oracle_b3():
 
 
 def test_second_evaluation_point_agrees(engines):
-    """The fixed-point sums are point-independent: every degree-matching
-    triple integral at a second generic point is the table's constant."""
+    """The fixed-point sums are point-independent: at a second generic
+    point, every degree-matching triple integral is the one the table
+    gives."""
     for key in [("A", 2), ("B", 2)]:
-        base = _coh(engines, *key)
-        g = base.group
-        other = FlagCohomology(g)
-        point = tuple(101 ** (i + 1) for i in range(g.rank))
-        other._root_value = lambda coords: sum(c * p for c, p in zip(coords, point))
-        checked = 0
+        coh = _coh(engines, *key)
+        g = coh.group
+        oracle = LocalizationOracle(coh, tuple(101 ** (i + 1) for i in range(g.rank)))
+        checked = nonzero = 0
         for u in g:
             for v in g:
                 for w in g.elements_of_length(g.num_positive - u.length - v.length):
-                    expected = base.structure_constants_idx(u.index, v.index).get(g._w0[w.index], 0)
-                    assert other.triple_integral(u, v, w) == expected
+                    got = coh.triple_integral(u, v, w)
+                    assert oracle.triple(u.index, v.index, w.index) == got
                     checked += 1
-        # the sums ran at the second point, and no table was built from them
-        assert other._pos_product not in (None, math.prod(sum(c) for c in g._root_coords))
-        assert other._table is None and checked > g.order
+                    nonzero += got != 0
+        # the sums ran at the second point, not at the all-ones one
+        assert oracle.pos_product != math.prod(sum(c) for c in g._root_coords)
+        assert checked > nonzero > g.order
 
 
 # -- the table against localization ---------------------------------------------------------
@@ -361,12 +361,12 @@ def test_table_build_runs_no_localization(monkeypatch):
         raise AssertionError("localization on the table build path")
 
     monkeypatch.setattr(FlagCohomology, "triple_integral", refuse)
-    monkeypatch.setattr(FlagCohomology, "_ensure_rows", refuse)
-    monkeypatch.setattr(LocalizationOracle, "_triple_raw", refuse)
+    monkeypatch.setattr(LocalizationOracle, "triple", refuse)
     for key in [("B", 3), ("A", 4)]:
         stack = build_engines(*key)
         materialize_tables(stack)
-        assert stack.coh._table is not None and stack.coh._rows is None
+        assert stack.coh._table is not None
+        assert set(vars(stack.coh)) == {"group", "_alpha", "_table"}
 
 
 # -- class container ---------------------------------------------------------------------------

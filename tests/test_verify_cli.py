@@ -38,6 +38,13 @@ def test_resolve_suites():
         resolve_suites(["nonsense"])
 
 
+@pytest.mark.parametrize("name", ["conjB", "all"])
+def test_bare_string_suites_are_refused(name):
+    # a string would be read letter by letter, as the suites "c", "o", ...
+    with pytest.raises(UsageError, match=f"not the string '{name}'"):
+        run_verification("A", 2, suites=name)
+
+
 def test_empty_suite_list_is_refused():
     # no suite would pass on zero instances
     with pytest.raises(UsageError, match="no suite requested"):
@@ -576,13 +583,15 @@ def test_cli_show_box_golden(tmp_path, capsys):
 
 def test_show_builds_no_checksum_payload(tmp_path, monkeypatch, capsys):
     """show box builds both tables, but neither table's checksum payload."""
-    from csmverify.csm import CsmCalculator
+    from csmverify import cache, verify
 
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("checksum payload built")
 
-    monkeypatch.setattr(FlagCohomology, "structure_payload", refuse)
-    monkeypatch.setattr(CsmCalculator, "table_payload", refuse)
+    # in cache.py, and where materialize_tables looks them up
+    for module in (cache, verify):
+        monkeypatch.setattr(module, "structure_payload", refuse)
+        monkeypatch.setattr(module, "csm_payload", refuse)
     assert cli.main(["show", "box", "--type", "B", "--rank", "2", "--u", "s1", "--v", "s2",
                      "--cache-dir", str(tmp_path)]) == 0
     assert "box product" in capsys.readouterr().out
