@@ -10,7 +10,8 @@ show     print a single class (csm / richardson / box) in both bases
 Exit codes: 0 all checks pass; 1 a conjecture violation was found (with
 witnesses in the report); 2 a proved identity failed (implementation bug);
 3 usage error, which includes --jobs below 1, a negative --max-length and
-an output or cache path that cannot be written.
+an output or cache path that cannot be written; such a path is refused
+before any table is built.
 
 Every run computes both tables; none reads a table from disk.  Only table
 writes a file, and only under --cache-dir: without it, table prints the
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -91,11 +93,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_unwritable(folder: Path, may_create: bool) -> None:
+    """Refuse a destination folder that cannot be written (or, if it may
+    be created, made), before any table is built."""
+    probe = folder
+    while may_create and not probe.exists():
+        probe = probe.parent
+    if not probe.is_dir() or not os.access(probe, os.W_OK | os.X_OK):
+        raise UsageError(f"cannot write under {folder}: {probe} is not a writable directory")
+
+
 def _engines_from_args(args):
     return build_engines(args.type.upper(), args.rank, max_order=args.max_order)
 
 
 def cmd_verify(args) -> int:
+    if args.output:
+        if Path(args.output).is_dir():
+            raise UsageError(f"--output {args.output} is a directory")
+        _refuse_unwritable(Path(args.output).parent, may_create=False)
     suites = args.suite or ["all"]
     report = run_verification(
         args.type.upper(), args.rank,
@@ -123,6 +139,8 @@ def cmd_verify(args) -> int:
 
 def cmd_table(args) -> int:
     cache = TableCache(args.cache_dir) if args.cache_dir else None
+    if cache is not None:
+        _refuse_unwritable(cache.folder(args.type.upper(), args.rank), may_create=True)
     checksums = materialize_tables(_engines_from_args(args), cache=cache)
     for kind in sorted(checksums):
         print(f"{kind} table for {args.type.upper()}{args.rank}: computed, "

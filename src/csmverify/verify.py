@@ -66,7 +66,7 @@ from operator import itemgetter
 
 from . import __version__
 from .boxproduct import BoxCalculator
-from .cache import FORMAT_VERSION, TableCache, csm_payload, payload_checksum, structure_payload
+from .cache import FORMAT_VERSION, TableCache, chunks_checksum, csm_chunks, structure_chunks
 from .cohomology import FlagCohomology
 from .csm import CONVENTION, CsmCalculator
 from .errors import InternalInvariantError, UsageError
@@ -112,12 +112,14 @@ def build_engines(series: str, rank: int, max_order: int = DEFAULT_MAX_ORDER) ->
 def materialize_tables(engines: Engines, cache: TableCache | None = None) -> dict[str, str]:
     """Build the full structure and CSM tables; given a cache, write the
     CSM table to it as the table's checksummed export.  Returns the payload
-    checksums by kind."""
-    checksums = {"structure": payload_checksum(structure_payload(engines.coh))}
-    payload = csm_payload(engines.csm)
-    checksums["csm"] = payload_checksum(payload)
+    checksums by kind.  Each payload is streamed, never held whole: the
+    export encodes the CSM table a second time, under the checksum taken
+    of the first."""
+    checksums = {"structure": chunks_checksum(structure_chunks(engines.coh)),
+                 "csm": chunks_checksum(csm_chunks(engines.csm))}
     if cache is not None:
-        cache.store(engines.series, engines.rank, "csm", payload, checksums["csm"])
+        cache.store(engines.series, engines.rank, "csm", csm_chunks(engines.csm),
+                    checksums["csm"])
     return checksums
 
 

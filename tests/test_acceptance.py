@@ -13,8 +13,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from csmverify.cache import TableCache, structure_payload
+from csmverify.cache import TableCache, chunks_checksum, structure_chunks
 from csmverify.verify import build_engines, materialize_tables, run_suite, run_verification
+from payload_oracle import structure_payload
 
 
 @contextmanager
@@ -179,11 +180,11 @@ def test_criterion_10_property_suites(tmp_path):
         # cache round-trip byte identity
         cache = TableCache(tmp_path)
         stack = _fresh("B", 2)
-        payload = structure_payload(stack.coh)
-        p1 = cache.store("B", 2, "structure", payload)
+        checksum = chunks_checksum(structure_chunks(stack.coh))
+        p1 = cache.store("B", 2, "structure", structure_chunks(stack.coh), checksum)
         first = p1.read_bytes()
-        assert cache.load("B", 2, "structure") == payload
-        p2 = cache.store("B", 2, "structure", payload)
+        assert cache.load("B", 2, "structure") == structure_payload(stack.coh)
+        p2 = cache.store("B", 2, "structure", structure_chunks(stack.coh), checksum)
         assert p2.read_bytes() == first
 
 

@@ -534,6 +534,38 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert len(err) == 2 and all(line.startswith("csmverify: error: ") for line in err)
 
 
+def test_unwritable_destination_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    """A report or export that could not be written is refused before the
+    engines are built, with one error line; verify still writes nothing
+    under --cache-dir."""
+    from csmverify import verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("engines built for an unwritable destination")
+
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "build_engines", refuse)
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    (tmp_path / "blocked").mkdir()
+    (tmp_path / "blocked" / "A4").write_text("")
+    verify_args = ["verify", "--type", "A", "--rank", "4", "--suite", "conjD",
+                   "--suite", "cross-paths", "--cache-dir", str(tmp_path / "vcache")]
+    cases = [
+        [*verify_args, "--output", str(tmp_path / "missing-dir" / "r.json")],
+        [*verify_args, "--output", str(a_file / "r.json")],
+        [*verify_args, "--output", str(tmp_path)],
+        ["table", "--type", "B", "--rank", "4", "--cache-dir", str(a_file)],
+        ["table", "--type", "B", "--rank", "4", "--cache-dir", str(a_file / "deeper")],
+        ["table", "--type", "A", "--rank", "4", "--cache-dir", str(tmp_path / "blocked")],
+    ]
+    for argv in cases:
+        assert cli.main(argv) == 3, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("csmverify: error: "), argv
+    assert not (tmp_path / "vcache").exists()
+
+
 def test_oversized_group_refused_before_its_cartan_matrix(tmp_path, monkeypatch, capsys):
     # the order cap is checked on the invariant degrees, so refusing a
     # large rank builds no rank x rank matrix and prints no huge |W|
@@ -582,16 +614,17 @@ def test_cli_show_box_golden(tmp_path, capsys):
 
 
 def test_show_builds_no_checksum_payload(tmp_path, monkeypatch, capsys):
-    """show box builds both tables, but neither table's checksum payload."""
+    """show box builds both tables, but streams neither table's checksum
+    payload."""
     from csmverify import cache, verify
 
     def refuse(*args):
-        raise AssertionError("checksum payload built")
+        raise AssertionError("checksum payload streamed")
 
     # in cache.py, and where materialize_tables looks them up
     for module in (cache, verify):
-        monkeypatch.setattr(module, "structure_payload", refuse)
-        monkeypatch.setattr(module, "csm_payload", refuse)
+        monkeypatch.setattr(module, "structure_chunks", refuse)
+        monkeypatch.setattr(module, "csm_chunks", refuse)
     assert cli.main(["show", "box", "--type", "B", "--rank", "2", "--u", "s1", "--v", "s2",
                      "--cache-dir", str(tmp_path)]) == 0
     assert "box product" in capsys.readouterr().out
