@@ -25,14 +25,12 @@ from .errors import (
     SingularSystem,
     UsageError,
 )
-from .richardson import CsmBasisCoefficients, RichardsonCalculator, RichardsonCoefficients
+from .richardson import Coefficients, RichardsonCalculator
 from .rootdata import (
     CartanDatum,
     RootVector,
     WeylElement,
     WeylGroup,
-    build_root_system,
-    enumerate_weyl,
 )
 
 __version__ = "0.1.0"
@@ -40,16 +38,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BoxCalculator",
     "CartanDatum",
+    "Coefficients",
     "CohomologyClass",
-    "CsmBasisCoefficients",
     "CsmCalculator",
     "FlagCohomology",
     "RichardsonCalculator",
-    "RichardsonCoefficients",
     "RootVector",
     "WeylElement",
     "WeylGroup",
-    "build_root_system",
-    "enumerate_weyl",
     "__version__",
 ]

@@ -35,7 +35,7 @@ from .rootdata import DEFAULT_MAX_ORDER, WeylElement, WeylGroup
 
 class CohomologyClass:
     """A finite integer combination of basis classes eps^w (sparse, graded),
-    keyed by element index; the accessors speak in group elements."""
+    keyed by element index; ``coefficient`` reads it by group element."""
 
     __slots__ = ("group", "coeffs")
 
@@ -48,16 +48,6 @@ class CohomologyClass:
     def coefficient(self, w: WeylElement) -> int:
         self._check(w)
         return self.coeffs.get(w.index, 0)
-
-    def items(self):
-        els = self.group.elements
-        return ((els[w], c) for w, c in self.coeffs.items())
-
-    def degree_part(self, d: int) -> "CohomologyClass":
-        """Terms of cohomological degree 2*d (i.e. index length d)."""
-        return CohomologyClass(
-            self.group, {w: c for w, c in self.coeffs.items() if self.group._lengths[w] == d}
-        )
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         self._check(other)
@@ -206,11 +196,6 @@ class FlagCohomology:
         if self._table is None:
             self.build_structure_table()
         return self._table[ui][vi]
-
-    def structure_constants(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
-        self._check(u, v)
-        els = self.group.elements
-        return {els[w]: c for w, c in self.structure_constants_idx(u.index, v.index).items()}
 
     def cup(self, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
         """A one-off product: b through a throwaway multiplier of a."""

@@ -45,6 +45,7 @@ class CsmCalculator:
 
     def bgg_A(self, i: int, a: CohomologyClass) -> CohomologyClass:
         """Homological BGG operator: kills ascents, steps down descents."""
+        self.coh._check(a)
         right, lengths = self.group._right, self.group._lengths
         out: dict[int, int] = {}
         for w, c in a.coeffs.items():
@@ -55,6 +56,7 @@ class CsmCalculator:
 
     def weyl_action(self, i: int, a: CohomologyClass) -> CohomologyClass:
         """Coinvariant action of the i-th simple reflection (an involution)."""
+        self.coh._check(a)
         group = self.group
         alpha = self.coh._alpha_table()[i - 1]
         out: dict[int, int] = {}
@@ -94,14 +96,6 @@ class CsmCalculator:
             out = self.dl_operator(i, self._cell_idx(group._right[idx][i - 1]))
         self._check_cell_invariants(group.elements[idx], out)
         self._cells[idx] = out
-        return out
-
-    def csm_along_word(self, word) -> CohomologyClass:
-        """Apply the recursion along an arbitrary reduced word (for the
-        reduced-word-independence checks)."""
-        out = self.coh.schubert_class(self.group.longest)
-        for i in word:
-            out = self.dl_operator(i, out)
         return out
 
     def _check_cell_invariants(self, u: WeylElement, cls: CohomologyClass) -> None:
@@ -193,6 +187,7 @@ class CsmCalculator:
 
     def phi_involution(self, a: CohomologyClass) -> CohomologyClass:
         """Sign involution: (-1)^degree on each graded piece; a ring map."""
+        self.coh._check(a)
         return CohomologyClass(self.group, {
             w: parity_sign(self.group._lengths[w]) * c for w, c in a.coeffs.items()
         })

@@ -18,55 +18,27 @@ Proved facts are hard assertions here: the parity constraint on the
 coefficients against the Schubert-variety basis, and the sign condition on
 the twisted Segre expansion.  The nonnegativity of the coefficients and
 the alternating-sign pattern of the CSM-basis expansion are open
-statements: they are recorded on the result objects, never raised.
+statements: they are recorded on the result, never raised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cohomology import CohomologyClass, Multiplier
 from .csm import CsmCalculator
 from .errors import LemmaViolation, MirrorMismatch, ParityViolation, SingularSystem
-from .rootdata import WeylElement, WeylGroup, parity_sign
+from .rootdata import WeylElement, parity_sign
 
 
 @dataclass
-class RichardsonCoefficients:
-    """Coefficients c_w of a Richardson-cell class against [X_w]."""
+class Coefficients:
+    """Coefficients of a Richardson class by the index of w, and the
+    (w, coefficient) entries that break the sign conjecture on them, in
+    index order; the conjecture holds for the pair iff there are none."""
 
-    u: WeylElement
-    v: WeylElement
-    c: dict[WeylElement, int]
-    nonneg_ok: bool
-
-    def witnesses(self) -> list[tuple[WeylElement, int]]:
-        """Negative entries, in canonical order."""
-        return sorted(
-            ((w, val) for w, val in self.c.items() if val < 0),
-            key=lambda wv: wv[0].index,
-        )
-
-
-@dataclass
-class CsmBasisCoefficients:
-    """Coefficients d_w of a class against the CSM cell-class basis.
-
-    ``coeffs`` holds them by element index and ``d`` by element.
-    ``sign_ok`` is the alternating-sign verdict relative to a Richardson
-    pair (u, v), and ``violations`` lists the (w, d_w) that break it in
-    canonical order; both are unset for expansions without that context.
-    """
-
-    group: WeylGroup
     coeffs: dict[int, int]
-    sign_ok: bool | None = None
-    violations: list[tuple[WeylElement, int]] = field(default_factory=list)
-
-    @property
-    def d(self) -> dict[WeylElement, int]:
-        els = self.group.elements
-        return {els[w]: c for w, c in self.coeffs.items()}
+    violations: list[tuple[WeylElement, int]]
 
 
 class RichardsonCalculator:
@@ -114,30 +86,33 @@ class RichardsonCalculator:
         classes[v.index] = out
         return out
 
-    def richardson_coeffs(self, u: WeylElement, v: WeylElement) -> RichardsonCoefficients:
-        """Read the coefficients against [X_w] = eps^{w0 w}.
+    def richardson_coeffs(self, u: WeylElement, v: WeylElement) -> Coefficients:
+        """Read the coefficients c_w against [X_w] = eps^{w0 w}.
 
         Parity (coefficients vanish unless l(w)+l(u)+l(v) is even) is a
         proved constraint: a violation raises ParityViolation.  A negative
-        coefficient is a reportable finding, recorded in ``nonneg_ok``.
+        coefficient is a reportable finding, recorded in ``violations``.
         """
         cls = self.csm_richardson(u, v)
         group = self.group
-        c: dict[WeylElement, int] = {}
+        c: dict[int, int] = {}
         for eps_label, val in cls.coeffs.items():
             w = group._w0[eps_label]
             if (group._lengths[w] + u.length + v.length) % 2 != 0:
                 raise ParityViolation(f"odd-parity coefficient in Richardson cell ({u}, {v})")
-            c[group.elements[w]] = val
-        return RichardsonCoefficients(u, v, c, all(val >= 0 for val in c.values()))
+            c[w] = val
+        negative = sorted((w, val) for w, val in c.items() if val < 0)
+        return Coefficients(c, [(group.elements[w], val) for w, val in negative])
 
-    def expand_in_csm_basis(self, a: CohomologyClass) -> CsmBasisCoefficients:
+    def expand_in_csm_basis(self, a: CohomologyClass) -> dict[int, int]:
         """Solve a = sum d_w . csm(cell w) by the unitriangular peel.
 
         The cell class of w has leading term 1 at w0*w and support above
         it, so repeatedly stripping the minimal surviving term is an exact
-        integer solve; the residual is re-checked to be zero.
+        integer solve; the residual is re-checked to be zero.  Returns
+        the coefficients d_w by the index of w.
         """
+        self.coh._check(a)
         group, cell_of = self.group, self.csm._cell_idx
         rem = dict(a.coeffs)
         d: dict[int, int] = {}
@@ -166,27 +141,28 @@ class RichardsonCalculator:
                 total[w] = total.get(w, 0) + coeff * c
         if CohomologyClass(group, total) != a:
             raise SingularSystem("CSM-basis expansion residual is nonzero")
-        return CsmBasisCoefficients(group, d)
+        return d
 
-    def csm_basis_coeffs(self, u: WeylElement, v: WeylElement) -> CsmBasisCoefficients:
-        """Expansion of a Richardson class, with the alternating-sign
-        verdict (-1)^(l(w)-l(u)-l(v)) d_w >= 0 and its violations filled in."""
+    def csm_basis_coeffs(self, u: WeylElement, v: WeylElement) -> Coefficients:
+        """Expansion of a Richardson class, with the entries that break the
+        alternating-sign pattern (-1)^(l(w)-l(u)-l(v)) d_w >= 0."""
+        self.coh._check(u, v)
         d = self._expansion(u, v)
         group = self.group
         base = u.length + v.length
         violations = [(group.elements[w], val) for w, val in sorted(d.items())
                       if parity_sign(group._lengths[w] - base) * val < 0]
-        return CsmBasisCoefficients(group, dict(d), not violations, violations)
+        return Coefficients(dict(d), violations)
 
     def _expansion(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
         expansions = self._row(u.index)[3]
         d = expansions.get(v.index)
         if d is None:
-            d = expansions[v.index] = self.expand_in_csm_basis(self.csm_richardson(u, v)).coeffs
+            d = expansions[v.index] = self.expand_in_csm_basis(self.csm_richardson(u, v))
         return d
 
-    def verify_lemma_e(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
-        """Twisted Segre expansion of the Richardson cell.
+    def verify_lemma_e(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
+        """Twisted Segre expansion of the Richardson cell, by element index.
 
         Computes the sign involution of segre(cell u) . segre(opposite v),
         the product by the row operator L_u, and checks the proved sign
@@ -203,4 +179,4 @@ class RichardsonCalculator:
                     f"twisted Segre sign condition fails at ({u}, {v}), "
                     f"term {self.group.elements[w]}"
                 )
-        return dict(twisted.items())
+        return twisted.coeffs

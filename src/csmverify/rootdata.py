@@ -9,8 +9,8 @@ trying the letters in ascending order, reaches every element first from
 the parent whose word plus one letter is that lex-first word; so elements
 come out in canonical order, each with its word.  The left multiplication
 table is read off the right one through inverses.  Bruhat order uses the
-descent recursion; a brute-force subword oracle is kept alongside for
-validation.
+descent recursion; the brute-force subword oracle is ``subword_products``,
+which the ``bruhat-subword`` theorem check reads.
 
 Conventions (fixed once, covariant throughout):
 
@@ -211,12 +211,6 @@ class WeylElement:
         self.length = length
         self._hash = hash((group.datum.series, group.datum.rank, index))
 
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return self.group.multiply(self, other)
-
-    def bruhat_leq(self, other: "WeylElement") -> bool:
-        return self.group.bruhat_leq(self, other)
-
     def __eq__(self, other):
         return (
             isinstance(other, WeylElement)
@@ -315,18 +309,19 @@ class WeylGroup:
         self._coroot_coords: tuple[tuple[int, ...], ...] = tuple(roots[r] for r in ordered)
         self._root_index = {r: i for i, r in enumerate(ordered)}
 
-    def simple_root(self, i: int) -> RootVector:
-        """The i-th simple root, 1-indexed."""
-        return RootVector(tuple(1 if k == i - 1 else 0 for k in range(self.rank)))
+    def _root_position(self, beta: RootVector) -> tuple[int, int]:
+        """Position of beta or of -beta among the positive roots, and which
+        sign it carries; NotARoot if neither is a root."""
+        for sign in (1, -1):
+            pos = self._root_index.get(tuple(sign * c for c in beta.coords))
+            if pos is not None:
+                return pos, sign
+        raise NotARoot(f"{beta} is not a root of {self.datum}")
 
     def coroot_coords(self, beta: RootVector) -> tuple[int, ...]:
         """Coordinates of beta's coroot in the simple-coroot basis."""
-        if beta.coords in self._root_index:
-            return self._coroot_coords[self._root_index[beta.coords]]
-        neg = tuple(-c for c in beta.coords)
-        if neg in self._root_index:
-            return tuple(-c for c in self._coroot_coords[self._root_index[neg]])
-        raise NotARoot(f"{beta} is not a root of {self.datum}")
+        pos, sign = self._root_position(beta)
+        return tuple(sign * c for c in self._coroot_coords[pos])
 
     def pair(self, lam, beta: RootVector, basis: str = "root") -> int:
         """Pairing of a weight against the coroot of ``beta``.
@@ -491,18 +486,9 @@ class WeylGroup:
                 out.append(beta)
         return tuple(out)
 
-    def left_inversions(self, x: WeylElement) -> tuple[RootVector, ...]:
-        """Inversions of the inverse; their product is the top localization."""
-        return self.inversions(self.inverse(x))
-
     def reflection(self, beta: RootVector) -> WeylElement:
         """The reflection in a root as a group element."""
-        if beta.coords in self._root_index:
-            return self.elements[self._reflection_index[self._root_index[beta.coords]]]
-        neg = tuple(-c for c in beta.coords)
-        if neg in self._root_index:
-            return self.elements[self._reflection_index[self._root_index[neg]]]
-        raise NotARoot(f"{beta} is not a root of {self.datum}")
+        return self.elements[self._reflection_index[self._root_position(beta)[0]]]
 
     def right_reflection_index(self, idx: int, root_idx: int) -> int:
         """Index of (element idx) * s_beta for the root with index root_idx."""
@@ -525,14 +511,6 @@ class WeylGroup:
         """Left multiplication by the longest element."""
         self._check_same(x)
         return self.elements[self._w0[x.index]]
-
-    def descents_left(self, x: WeylElement) -> list[int]:
-        return [i + 1 for i in range(self.rank)
-                if self._lengths[self._left[x.index][i]] < x.length]
-
-    def descents_right(self, x: WeylElement) -> list[int]:
-        return [i + 1 for i in range(self.rank)
-                if self._lengths[self._right[x.index][i]] < x.length]
 
     # -- Bruhat order --------------------------------------------------------
 
@@ -572,18 +550,6 @@ class WeylGroup:
             reachable |= {self._right[x][i - 1] for x in reachable}
         return reachable
 
-    def bruhat_leq_subword(self, v: WeylElement, w: WeylElement) -> bool:
-        """Brute-force oracle: v is a product of a subword of w's word."""
-        self._check_same(v)
-        return v.index in self.subword_products(w)
-
-    def poincare_polynomial(self) -> list[int]:
-        """Coefficient list of sum(t^length) over the group."""
-        out = [0] * (self.num_positive + 1)
-        for l in self._lengths:
-            out[l] += 1
-        return out
-
     def __iter__(self):
         return iter(self.elements)
 
@@ -593,16 +559,3 @@ class WeylGroup:
     def __repr__(self):
         return f"WeylGroup({self.datum}, order={self.order})"
 
-
-# -- module-level spec surface ------------------------------------------------
-
-def enumerate_weyl(datum: CartanDatum, max_order: int = DEFAULT_MAX_ORDER) -> WeylGroup:
-    """Enumerate the full Weyl group of a Cartan datum."""
-    return WeylGroup(datum, max_order=max_order)
-
-
-def build_root_system(datum: CartanDatum, max_order: int = DEFAULT_MAX_ORDER):
-    """Positive roots plus the reflection table (as Weyl group elements)."""
-    group = WeylGroup(datum, max_order=max_order)
-    reflections = {beta: group.reflection(beta) for beta in group.positive_roots}
-    return group.positive_roots, reflections

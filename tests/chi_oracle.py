@@ -23,7 +23,7 @@ def chi_paths(stack, u, v) -> list[ChiProvenance]:
     g, coh, csm, rich = stack.group, stack.coh, stack.csm, stack.rich
     w0u = g.w0_times(u)
     cls = rich.csm_richardson(w0u, v)
-    d = rich.expand_in_csm_basis(cls).coeffs
+    d = rich.expand_in_csm_basis(cls)
     return [ChiProvenance(
         parity_sign(w.length - u.length - v.length) * coh.pairing(csm.csm_schubert_cell(w), cls),
         coh.pairing(cls, csm.segre_schubert_cell(w)),

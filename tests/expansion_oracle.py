@@ -134,8 +134,9 @@ class ExpansionOracle:
                     del rem[x_idx]
         return out
 
-    def structure_constants_via_expansion(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, int]:
-        """Expand the pointwise product, then set all roots to 0."""
+    def structure_constants_via_expansion(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
+        """Expand the pointwise product, then set all roots to 0; the
+        constants come out by element index."""
         self.coh._check(u, v)
         f = self.equivariant_schubert_class(u).pointwise_product(
             self.equivariant_schubert_class(v)
@@ -150,5 +151,5 @@ class ExpansionOracle:
                 raise InternalInvariantError(
                     "expansion has a constant term away from the product degree"
                 )
-            out[w] = c
+            out[w.index] = c
         return out

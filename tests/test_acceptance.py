@@ -56,12 +56,12 @@ def test_criterion_02_cell_class_invariants():
                 dual = g.w0_times(u)
                 assert cell.coefficient(dual) == 1
                 assert cell.coefficient(g.longest) == 1
-                for w, c in cell.items():
-                    assert c >= 0 and g.bruhat_leq(dual, w)
+                for w, c in cell.coeffs.items():
+                    assert c >= 0 and g.bruhat_leq(dual, g.elements[w])
                 seg = stack.csm.segre_schubert_cell(u)
-                for w, c in seg.items():
-                    expect = cell.coefficient(w)
-                    if (w.length - dual.length) % 2:
+                for w, c in seg.coeffs.items():
+                    expect = cell.coeffs.get(w, 0)
+                    if (g._lengths[w] - dual.length) % 2:
                         expect = -expect
                     assert c == expect
 
@@ -168,9 +168,10 @@ def test_criterion_10_property_suites(tmp_path):
                             b = csm.dl_operator(k, b)
                         assert a == b
             # Bruhat order equals the subword oracle
-            for v in g:
-                for w in g:
-                    assert g.bruhat_leq(v, w) == g.bruhat_leq_subword(v, w)
+            for w in g:
+                below = g.subword_products(w)
+                for v in g:
+                    assert g.bruhat_leq(v, w) == (v.index in below)
             # Poincare pairing is the anti-diagonal identity
             for u in g:
                 for v in g.elements_of_length(g.num_positive - u.length):

@@ -44,7 +44,7 @@ def test_billey_diagonal_is_inversion_product(engines):
         g = oracle.group
         for w in g:
             prod = IntPolynomial.constant(g.rank, 1)
-            for beta in g.left_inversions(w):
+            for beta in g.inversions(g.inverse(w)):
                 prod = prod * IntPolynomial.linear(beta.coords)
             assert oracle.billey_restriction(w, w) == prod
 
@@ -150,8 +150,8 @@ def test_cup_structure_constants_nonnegative(engines):
         # one dict per unordered pair
         for u in coh.group:
             for v in coh.group:
-                assert all(c > 0 for c in coh.structure_constants(u, v).values())
                 row = coh.structure_constants_idx(u.index, v.index)
+                assert all(c > 0 for c in row.values())
                 assert row is coh.structure_constants_idx(v.index, u.index)
 
 
@@ -159,7 +159,7 @@ def test_cup_unit_row(engines):
     coh = _coh(engines, "B", 2)
     g = coh.group
     for v in g:
-        assert coh.structure_constants(g.identity, v) == {v: 1}
+        assert coh.structure_constants_idx(g.identity.index, v.index) == {v.index: 1}
 
 
 def test_cup_commutative_and_associative_sampled(engines):
@@ -301,7 +301,7 @@ def test_localization_matches_expansion_oracle(engines):
         g = coh.group
         for u in g:
             for v in g:
-                assert coh.structure_constants(u, v) == \
+                assert coh.structure_constants_idx(u.index, v.index) == \
                     oracle.structure_constants_via_expansion(u, v)
 
 
@@ -313,7 +313,7 @@ def test_table_matches_expansion_oracle_b3():
     g = coh.group
     for u in g:
         for v in g:
-            assert coh.structure_constants(u, v) == \
+            assert coh.structure_constants_idx(u.index, v.index) == \
                 oracle.structure_constants_via_expansion(u, v)
 
 
@@ -379,8 +379,6 @@ def test_class_arithmetic(engines):
     assert (a + b) - a == b
     assert 0 * a == coh.zero()
     assert (2 * a).coefficient(g.simple_reflection(1)) == 2
-    assert (a + b).degree_part(1) == a + b
-    assert not (a + b).degree_part(2)
     assert a != b
 
 

@@ -3,7 +3,13 @@ import json
 import pytest
 
 from csmverify import cli
-from csmverify.errors import LemmaViolation, MirrorMismatch, ParityViolation, SingularSystem
+from csmverify.errors import (
+    GroupMismatch,
+    LemmaViolation,
+    MirrorMismatch,
+    ParityViolation,
+    SingularSystem,
+)
 from csmverify.richardson import RichardsonCalculator
 from csmverify.verify import build_engines, materialize_tables
 
@@ -93,7 +99,7 @@ def test_row_operators_match_double_loop(engines, product_oracle, key):
             assert times_csm(seg_v) == product_oracle(coh, csm_u, seg_v)
             segre = product_oracle(coh, seg_u, seg_v)
             assert times_seg(seg_v) == segre
-            assert rich.verify_lemma_e(u, v) == dict(csm.phi_involution(segre).items())
+            assert rich.verify_lemma_e(u, v) == csm.phi_involution(segre).coeffs
 
 
 def test_row_operators_held_for_two_rows(engines):
@@ -149,12 +155,12 @@ def test_richardson_coeffs_a1(engines):
     g = rich.group
     s, e = g.simple_reflection(1), g.identity
     rc = rich.richardson_coeffs(s, e)
-    assert rc.c == {s: 1}
-    assert rc.nonneg_ok and rc.witnesses() == []
+    assert rc.coeffs == {s.index: 1}
+    assert rc.violations == []
     rc = rich.richardson_coeffs(e, e)
-    assert rc.c == {e: 1}
+    assert rc.coeffs == {e.index: 1}
     rc = rich.richardson_coeffs(e, s)
-    assert rc.c == {}
+    assert rc.coeffs == {}
 
 
 @pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
@@ -164,9 +170,9 @@ def test_parity_exhaustive(engines, key):
     for u in g:
         for v in g:
             rc = rich.richardson_coeffs(u, v)
-            for w, c in rc.c.items():
+            for w, c in rc.coeffs.items():
                 if c:
-                    assert (w.length + u.length + v.length) % 2 == 0
+                    assert (g.elements[w].length + u.length + v.length) % 2 == 0
 
 
 def test_parity_violation_raises(engines, monkeypatch):
@@ -185,7 +191,7 @@ def test_nonnegativity_sweep(engines, key):
     g = rich.group
     for u in g:
         for v in g:
-            assert rich.richardson_coeffs(u, v).nonneg_ok
+            assert rich.richardson_coeffs(u, v).violations == []
 
 
 def test_euler_characteristic_consistency(engines):
@@ -195,7 +201,7 @@ def test_euler_characteristic_consistency(engines):
         for v in g:
             cls = rich.csm_richardson(u, v)
             rc = rich.richardson_coeffs(u, v)
-            assert rich.coh.integrate(cls) == rc.c.get(g.identity, 0)
+            assert rich.coh.integrate(cls) == rc.coeffs.get(g.identity.index, 0)
             if u == v:
                 assert rich.coh.integrate(cls) == 1
 
@@ -206,7 +212,7 @@ def test_expand_basis_element(engines):
     rich = _rich(engines, "B", 2)
     for w in rich.group:
         out = rich.expand_in_csm_basis(rich.csm.csm_schubert_cell(w))
-        assert out.d == {w: 1}
+        assert out == {w.index: 1}
 
 
 def test_expand_point_class_a1(engines):
@@ -214,7 +220,7 @@ def test_expand_point_class_a1(engines):
     g = rich.group
     s, e = g.simple_reflection(1), g.identity
     out = rich.expand_in_csm_basis(rich.coh.schubert_class(e))
-    assert out.d == {s: 1, e: -1}
+    assert out == {s.index: 1, e.index: -1}
 
 
 def test_csm_basis_coeffs_a1(engines):
@@ -222,8 +228,8 @@ def test_csm_basis_coeffs_a1(engines):
     g = rich.group
     s, e = g.simple_reflection(1), g.identity
     out = rich.csm_basis_coeffs(s, e)
-    assert out.d == {s: 1, e: -1}
-    assert out.sign_ok
+    assert out.coeffs == {s.index: 1, e.index: -1}
+    assert out.violations == []
 
 
 def test_expand_residual_catches_bad_cell_class(engines, monkeypatch):
@@ -238,7 +244,7 @@ def test_expand_residual_catches_bad_cell_class(engines, monkeypatch):
     s1, s2 = g.simple_reflection(1), g.simple_reflection(2)
     real = csm._cell_idx
     bad = real(s2.index) + coh.schubert_class(g.w0_times(s1))
-    assert rich.expand_in_csm_basis(coh.schubert_class(s1)).coeffs
+    assert rich.expand_in_csm_basis(coh.schubert_class(s1))
     monkeypatch.setattr(csm, "_cell_idx", lambda i: bad if i == s2.index else real(i))
     with pytest.raises(SingularSystem, match="residual"):
         rich.expand_in_csm_basis(coh.schubert_class(s1))
@@ -251,10 +257,10 @@ def test_expand_unitriangularity(engines):
     g = rich.group
     for u in g:
         for v in g:
-            d = rich.csm_basis_coeffs(u, v).d
+            d = rich.csm_basis_coeffs(u, v).coeffs
             for w, c in d.items():
                 if c:
-                    assert g.bruhat_leq(w, u)
+                    assert g.bruhat_leq(g.elements[w], u)
 
 
 @pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("C", 2), ("G", 2)])
@@ -263,7 +269,7 @@ def test_alternating_signs_sweep(engines, key):
     g = rich.group
     for u in g:
         for v in g:
-            assert rich.csm_basis_coeffs(u, v).sign_ok
+            assert rich.csm_basis_coeffs(u, v).violations == []
 
 
 # -- twisted Segre expansion ------------------------------------------------------------------
@@ -272,8 +278,8 @@ def test_lemma_examples_a1(engines):
     rich = _rich(engines, "A", 1)
     g = rich.group
     s, e = g.simple_reflection(1), g.identity
-    assert rich.verify_lemma_e(s, e) == {e: 1, s: 2}
-    assert rich.verify_lemma_e(e, e) == {s: -1}
+    assert rich.verify_lemma_e(s, e) == {e.index: 1, s.index: 2}
+    assert rich.verify_lemma_e(e, e) == {s.index: -1}
     assert rich.verify_lemma_e(e, s) == {}
 
 
@@ -298,3 +304,26 @@ def test_lemma_violation_raises(engines, monkeypatch):
     monkeypatch.setattr(rich.csm, "phi_involution", lambda cls: -1 * cls)
     with pytest.raises(LemmaViolation):
         rich.verify_lemma_e(s, g.identity)
+
+
+# -- operands of another group ------------------------------------------------------------------
+
+@pytest.mark.parametrize("method", ["csm_basis_coeffs", "expand_in_csm_basis",
+                                    "phi_involution", "bgg_A", "weyl_action"])
+def test_operand_of_another_group_is_refused(engines, method):
+    """An operand of another group is refused, not read with this group's
+    tables: B2 elements whose indices name a pair A2 has already expanded,
+    or the A3 class eps^{s1}, whose index is in range for A2."""
+    a2, b2, a3 = engines("A", 2), engines("B", 2), engines("A", 3)
+    a2.rich.csm_basis_coeffs(a2.group.elements[5], a2.group.identity)
+    foreign = a3.coh.schubert_class(a3.group.simple_reflection(1))
+    calls = {
+        "csm_basis_coeffs": lambda: a2.rich.csm_basis_coeffs(b2.group.elements[5],
+                                                             b2.group.identity),
+        "expand_in_csm_basis": lambda: a2.rich.expand_in_csm_basis(foreign),
+        "phi_involution": lambda: a2.csm.phi_involution(foreign),
+        "bgg_A": lambda: a2.csm.bgg_A(1, foreign),
+        "weyl_action": lambda: a2.csm.weyl_action(1, foreign),
+    }
+    with pytest.raises(GroupMismatch):
+        calls[method]()

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +14,7 @@ from csmverify.rootdata import (
     CartanDatum,
     RootVector,
     WeylGroup,
-    build_root_system,
     canonical_cartan_matrix,
-    enumerate_weyl,
     invariant_degrees,
     weyl_order,
 )
@@ -67,13 +67,13 @@ def test_g2_convention():
 # -- root systems ----------------------------------------------------------------
 
 def test_root_closure_a1():
-    roots, refl = build_root_system(CartanDatum.from_series("A", 1))
-    assert [r.coords for r in roots] == [(1,)]
-    assert refl[roots[0]].length == 1
+    g = WeylGroup(CartanDatum.from_series("A", 1))
+    assert [r.coords for r in g.positive_roots] == [(1,)]
+    assert g.reflection(g.positive_roots[0]).length == 1
 
 
 def test_root_closure_a2():
-    roots, _ = build_root_system(CartanDatum.from_series("A", 2))
+    roots = WeylGroup(CartanDatum.from_series("A", 2)).positive_roots
     assert {r.coords for r in roots} == {(1, 0), (0, 1), (1, 1)}
 
 
@@ -114,7 +114,7 @@ def test_orders(series, rank, order):
 
 
 def test_a2_length_histogram(group):
-    assert group("A", 2).poincare_polynomial() == [1, 2, 2, 1]
+    assert Counter(w.length for w in group("A", 2)) == {0: 1, 1: 2, 2: 2, 3: 1}
 
 
 @pytest.mark.parametrize("series,rank", [("A", 3), ("B", 2), ("G", 2), ("B", 3)])
@@ -128,15 +128,15 @@ def test_poincare_polynomial_factorizes(series, rank):
             for j, b in enumerate(factor):
                 out[i + j] += a * b
         poly = out
-    assert g.poincare_polynomial() == poly
+    assert Counter(w.length for w in g) == dict(enumerate(poly))
 
 
 def test_capacity_cap():
     with pytest.raises(CapacityExceeded):
-        enumerate_weyl(CartanDatum.from_series("A", 5), max_order=100)
+        WeylGroup(CartanDatum.from_series("A", 5), max_order=100)
     with pytest.raises(CapacityExceeded):
-        enumerate_weyl(CartanDatum.from_series("E", 6))  # 51840 > default cap
-    assert enumerate_weyl(CartanDatum.from_series("A", 5), max_order=720).order == 720
+        WeylGroup(CartanDatum.from_series("E", 6))  # 51840 > default cap
+    assert WeylGroup(CartanDatum.from_series("A", 5), max_order=720).order == 720
 
 
 def test_longest_element(group):
@@ -155,9 +155,10 @@ def _all_reduced_words(g, w):
     if w.length == 0:
         return [()]
     out = []
-    for i in g.descents_left(w):
+    for i in range(1, g.rank + 1):
         rest = g.multiply(g.simple_reflection(i), w)
-        out.extend([(i,) + tail for tail in _all_reduced_words(g, rest)])
+        if rest.length < w.length:
+            out.extend([(i,) + tail for tail in _all_reduced_words(g, rest)])
     return out
 
 
@@ -290,7 +291,7 @@ def test_inversion_count_is_length(group):
         g = group(*key)
         for w in g:
             assert len(g.inversions(w)) == w.length
-            assert len(g.left_inversions(w)) == w.length
+            assert len(g.inversions(g.inverse(w))) == w.length
 
 
 def test_group_mismatch(group):
@@ -315,16 +316,17 @@ def test_bruhat_examples(group):
 def test_bruhat_agrees_with_subword_oracle(group):
     for key in [("A", 2), ("B", 2), ("A", 3)]:
         g = group(*key)
-        for v in g:
-            for w in g:
-                assert g.bruhat_leq(v, w) == g.bruhat_leq_subword(v, w)
+        for w in g:
+            below = g.subword_products(w)
+            for v in g:
+                assert g.bruhat_leq(v, w) == (v.index in below)
 
 
 # -- pairings ------------------------------------------------------------------------------
 
 def test_pair_examples(group):
     g = group("A", 2)
-    a1, a2 = g.simple_root(1), g.simple_root(2)
+    a1, a2 = RootVector((1, 0)), RootVector((0, 1))
     assert g.pair((1, 0), a1) == 2
     assert g.pair((1, 0), a2) == -1
     assert g.pair((1, 0), RootVector((1, 1)), basis="weight") == 1

@@ -242,7 +242,7 @@ def test_partners_under_filter_and_pool(monkeypatch, max_length):
     for u in kept:
         for v in kept:
             expected["conjB"] += [{"check": "conjB", "u": str(u), "v": str(v), "w": str(w),
-                                   "value": c} for w, c in rich.richardson_coeffs(u, v).witnesses()]
+                                   "value": c} for w, c in rich.richardson_coeffs(u, v).violations]
             expected["conjC"] += [{"check": "conjC", "u": str(u), "v": str(v), "w": str(w),
                                    "value": d} for w, d in rich.csm_basis_coeffs(u, v).violations]
     for name, result in serial.suites.items():
@@ -376,7 +376,7 @@ def test_report_witnesses_use_words(monkeypatch):
     plain = build_engines("A", 2).rich
     g, found = plain.group, {}
     for u in (g.parse("s1"), g.parse("s2")):
-        found[u] = [(str(w), c) for w, c in plain.richardson_coeffs(u, g.identity).witnesses()]
+        found[u] = [(str(w), c) for w, c in plain.richardson_coeffs(u, g.identity).violations]
         assert found[u]
     rows = [(u, g.identity, found[u]) for u in found]
     rows += sorted(((g.longest, g.w0_times(u), found[u]) for u in found),
