@@ -208,9 +208,15 @@ class BoxCalculator:
         Returns (failures, triples checked) over basis triples with all
         three lengths within the filter, or None when the filtered cube
         exceeds ASSOCIATIVITY_TRIPLE_BUDGET; observed, never asserted.  Its
-        box rows live in a table local to the call, filled row-major
-        (Richardson rows in turn) over F x F, F the filtered elements, then
-        S x F and F x S, S the support of those rows.
+        box rows live in a table local to the call, over F x F, F the
+        filtered elements, then S x F and F x S, S the support of those
+        rows.  The product is commutative, as the chi rows are (their
+        pairs (w0 u, v) and (w0 v, u) are w0 partners), so only the rows
+        (x, y) with x <= y are computed, in sorted order, one Richardson
+        row after another; row (y, x) is read from (x, y).  In a
+        commutative algebra the associator a(u, v, w) = (u box v) box w -
+        u box (v box w) is -a(w, v, u), so the triple loop runs over
+        u <= w and counts a failure off the diagonal twice.
         """
         els = self.group.elements
         filtered = [w.index for w in els if max_length is None or w.length <= max_length]
@@ -220,18 +226,17 @@ class BoxCalculator:
         table: dict[tuple[int, int], dict[int, int]] = {}
 
         def fill(rows, cols):
-            table.update({(x, y): self.box_product(els[x], els[y]).coeffs
-                          for x in rows for y in cols if (x, y) not in table})
+            keys = {(min(x, y), max(x, y)) for x in rows for y in cols} - table.keys()
+            for x, y in sorted(keys):
+                table[x, y] = table[y, x] = self.box_product(els[x], els[y]).coeffs
 
         fill(filtered, filtered)
-        support = sorted({x for row in table.values() for x in row})
-        fill(support, filtered)
-        fill(filtered, support)
+        fill(sorted({x for row in table.values() for x in row}), filtered)
 
         failures = 0
-        for u in filtered:
+        for i, u in enumerate(filtered):
             for v in filtered:
-                for w in filtered:
+                for w in filtered[i:]:
                     diff: dict[int, int] = {}
                     for x, c in table[u, v].items():        # (u box v) box w
                         for z, d in table[x, w].items():
@@ -239,5 +244,6 @@ class BoxCalculator:
                     for y, c in table[v, w].items():        # u box (v box w)
                         for z, d in table[u, y].items():
                             diff[z] = diff.get(z, 0) - c * d
-                    failures += any(diff.values())
+                    if any(diff.values()):
+                        failures += 1 if u == w else 2
         return failures, total

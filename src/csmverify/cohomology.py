@@ -177,6 +177,7 @@ class FlagCohomology:
 
     def integrate(self, a: CohomologyClass) -> int:
         """Coefficient of the top class (degree = dimension)."""
+        self._check(a)
         return a.coeffs.get(self.group.longest.index, 0)
 
     def pairing(self, a: CohomologyClass, b: CohomologyClass) -> int:

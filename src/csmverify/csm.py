@@ -46,6 +46,7 @@ class CsmCalculator:
     def bgg_A(self, i: int, a: CohomologyClass) -> CohomologyClass:
         """Homological BGG operator: kills ascents, steps down descents."""
         self.coh._check(a)
+        self.group.check_letter(i)
         right, lengths = self.group._right, self.group._lengths
         out: dict[int, int] = {}
         for w, c in a.coeffs.items():
@@ -57,6 +58,7 @@ class CsmCalculator:
     def weyl_action(self, i: int, a: CohomologyClass) -> CohomologyClass:
         """Coinvariant action of the i-th simple reflection (an involution)."""
         self.coh._check(a)
+        self.group.check_letter(i)
         group = self.group
         alpha = self.coh._alpha_table()[i - 1]
         out: dict[int, int] = {}

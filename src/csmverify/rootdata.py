@@ -131,6 +131,42 @@ def canonical_cartan_matrix(series: str, rank: int) -> tuple[tuple[int, ...], ..
     return tuple(tuple(row) for row in mat)
 
 
+def diagram_automorphisms(matrix) -> list[tuple[int, ...]]:
+    """Every permutation p of the simple indices 0..n-1, as the tuple of
+    images, with matrix[p i][p j] = matrix[i][j]: the automorphisms of the
+    Dynkin diagram, arrows included.  One backtracking search for every
+    type, the identity first."""
+    n = len(matrix)
+    found: list[tuple[int, ...]] = []
+
+    def extend(p: list[int]) -> None:
+        i = len(p)
+        if i == n:
+            found.append(tuple(p))
+            return
+        for t in range(n):
+            if t not in p and all(matrix[t][p[j]] == matrix[i][j]
+                                  and matrix[p[j]][t] == matrix[j][i] for j in range(i)):
+                extend(p + [t])
+
+    extend([])
+    return found
+
+
+def permutation_closure(gens, n: int) -> list[tuple[int, ...]]:
+    """The group the permutations gens of 0..n-1 generate, each element once,
+    the identity first."""
+    out = [tuple(range(n))]
+    seen = set(out)
+    for m in out:                       # grows while it is read
+        for g in gens:
+            composed = tuple(m[x] for x in g)
+            if composed not in seen:
+                seen.add(composed)
+                out.append(composed)
+    return out
+
+
 @dataclass(frozen=True)
 class CartanDatum:
     """A validated finite-type Cartan matrix with its series label.
@@ -269,6 +305,17 @@ class WeylGroup:
 
         self._bruhat_cache: dict[tuple[int, int], bool] = {}
         self._refl_right: list[list[int]] | None = None
+
+        # one index map x -> sigma(x) per generator sigma of the diagram
+        # automorphisms, each taken when those before it do not generate
+        # it: each word relabelled letter by letter
+        generators: list[tuple[int, ...]] = []
+        for p in diagram_automorphisms(datum.matrix):
+            if p not in permutation_closure(generators, self.rank):
+                generators.append(p)
+        self.diagram_maps: tuple[tuple[int, ...], ...] = tuple(
+            tuple(self.from_word([p[i - 1] + 1 for i in word]).index for word in self._words)
+            for p in generators)
 
     # -- root system -------------------------------------------------------
 
@@ -425,17 +472,20 @@ class WeylGroup:
                     f"operand of W({x.group.datum}) used with W({self.datum})"
                 )
 
-    def simple_reflection(self, i: int) -> WeylElement:
+    def check_letter(self, i: int) -> None:
+        """A simple index outside 1..rank raises GroupMismatch."""
         if not 1 <= i <= self.rank:
             raise GroupMismatch(f"simple index {i} out of range 1..{self.rank}")
+
+    def simple_reflection(self, i: int) -> WeylElement:
+        self.check_letter(i)
         return self.elements[self._right[0][i - 1]]
 
     def from_word(self, word) -> WeylElement:
         """Product of simple reflections (1-indexed); not required reduced."""
         idx = 0
         for i in word:
-            if not 1 <= i <= self.rank:
-                raise GroupMismatch(f"simple index {i} out of range 1..{self.rank}")
+            self.check_letter(i)
             idx = self._right[idx][i - 1]
         return self.elements[idx]
 

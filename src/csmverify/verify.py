@@ -37,17 +37,33 @@ the CSM table are computed in process before the sweep, so workers inherit
 them; no run reads a table from disk.  A unit holds at most two Richardson
 rows and nothing else; box associativity builds its own table of box rows.
 
-The pair block of theorem-invariants, conjB and conjC runs on one pair of
-each partner pair (u, v) ~ (w0*v, w0*u).  w0 maps the one Richardson cell
-onto the other and acts trivially on cohomology, so the classes are equal;
-the two products of each are the other's with the factors swapped, the
-degree bases l(u) + l(v) and 2N - l(u) - l(v) have the same parity, and
-the lemma-E product and sign are shared, so every check and finding is
-the same.  A pair is computed when its partner is filtered out, is the
-pair itself, or comes after it by index; its entries are recorded at both
-pairs, each under its own u and v, and each pair counts one instance.
-conjD and cross-paths run on every pair.  Entries merge in (row, column)
-order after the sweep, so the report does not depend on jobs.
+Every pair-level suite computes one pair of each symmetry orbit: the
+least filtered member, by (row, column) index, and records its entries at
+every filtered member, each under its own u and v, each counting its
+instances.  Two kinds of map generate the orbits.
+  * A diagram automorphism sigma (``WeylGroup.diagram_maps``) lifts to an
+    automorphism of G fixing B and T, so csm R(sigma u, sigma v) =
+    sigma . csm R(u, v) with eps^x -> eps^{sigma x}, and chi(sigma u,
+    sigma v, sigma w) = chi(u, v, w); a copy's w goes through sigma, and
+    its entries are re-sorted by w.
+  * For theorem-invariants, conjB and conjC, the partner (u, v) ~
+    (w0*v, w0*u): w0 maps the one Richardson cell onto the other and acts
+    trivially on cohomology, so the classes are equal; the two products of
+    each are the other's with the factors swapped, the degree bases
+    l(u) + l(v) and 2N - l(u) - l(v) have the same parity, and the lemma-E
+    product and sign are shared.  For conjD and cross-paths, the swap
+    (u, v) ~ (v, u): the chi rows read R(w0*u, v) and R(w0*v, u), which
+    are partners, and the cup product commutes.
+That is 3,676 of the 14,400 pairs of A4 and, under S3, 3,738 of the 36,864
+of D4; B4, with no automorphism, computes 73,920 of 147,456.  The filter
+--max-length is sigma-invariant but not w0-invariant, so a pair whose
+partner is filtered out may compute itself.  Values and error texts are
+copied as computed.  The partner and swap copies rest on the mirror check
+of the computed pair; the sigma copies rest on ``_equivariance_failures``,
+which checks both tables under each generator once per run in which a
+suite made sigma copies, and records a hard failure in each such suite if
+they are not equivariant.  Entries merge in (row, column) order after the
+sweep, so the report does not depend on jobs.
 ``timings.per_suite_s`` is each suite's record-step time summed over units
 (worker time in a pool), plus theorem-invariants' element and global blocks.
 
@@ -71,7 +87,8 @@ from .cohomology import FlagCohomology
 from .csm import CONVENTION, CsmCalculator
 from .errors import InternalInvariantError, UsageError
 from .richardson import RichardsonCalculator
-from .rootdata import CartanDatum, WeylGroup, DEFAULT_MAX_ORDER, parity_sign, weyl_order
+from .rootdata import (CartanDatum, WeylGroup, DEFAULT_MAX_ORDER, parity_sign,
+                       permutation_closure, weyl_order)
 
 SCHEMA_VERSION = 1
 SUITE_NAMES = ("theorem-invariants", "conjB", "conjC", "conjD", "cross-paths")
@@ -277,15 +294,103 @@ def _record_crosspaths(engines: Engines, out: dict, u, v) -> None:
 _RECORD_STEPS = {"theorem-invariants": _record_theorem_pair, "conjB": _record_conjb,
                  "conjC": _record_conjc, "conjD": _record_conjd,
                  "cross-paths": _record_crosspaths}
-#: suites that check every w for each (u, v) pair; the other suites'
-#: findings on a pair are those on its partner (w0*v, w0*u), since w0 maps
-#: the one Richardson cell onto the other and acts trivially on cohomology
+#: suites that check every w for each (u, v) pair, on the chi row of the
+#: pair; the pair suites check the Richardson pair (u, v) itself
 _TRIPLE_SUITES = frozenset({"conjD", "cross-paths"})
+
+
+# -- symmetry orbits ----------------------------------------------------------------
+
+
+@dataclass
+class _Sweep:
+    """What every unit of one sweep shares.  The k-th automorphism sigma,
+    maps[k], takes the pair (u, v) to (sigma u, sigma v) and, with f =
+    flipped[triple][k], to (f[v], f[u]): f is w0*sigma for the Richardson
+    pairs, whose partner is (w0*v, w0*u), and sigma for the chi rows, which
+    commute.  labels are the elements' words, and index reads them back."""
+
+    names: list[str]
+    filtered: list[int]
+    keep: list[bool]
+    maps: list[tuple[int, ...]]
+    flipped: dict[bool, list[tuple[int, ...]]]
+    labels: list[str]
+    index: dict[str, int]
+
+    @classmethod
+    def of(cls, group: WeylGroup, names, filtered: list[int]) -> "_Sweep":
+        keep = [False] * group.order
+        for i in filtered:
+            keep[i] = True
+        maps, w0 = permutation_closure(group.diagram_maps, group.order), group._w0
+        flipped = {False: [tuple(w0[x] for x in m) for m in maps], True: maps}
+        labels = [str(x) for x in group.elements]
+        return cls(list(names), filtered, keep, maps, flipped, labels,
+                   {label: i for i, label in enumerate(labels)})
+
+    def copies(self, key: tuple[int, int], triple: bool) -> dict | None:
+        """The filtered pairs of key's orbit other than key itself, each with
+        the index of the first automorphism that takes key onto it, or None
+        when one of them comes before key: a pair is computed only when it
+        is the least filtered member of its orbit."""
+        u, v = key
+        keep, out = self.keep, {}
+        for k, (m, f) in enumerate(zip(self.maps, self.flipped[triple])):
+            for image in ((m[u], m[v]), (f[v], f[u])):
+                if keep[image[0]] and keep[image[1]]:
+                    if image < key:
+                        return None
+                    if image != key and image not in out:
+                        out[image] = k
+        return out
+
+    def relabel(self, entries: list[dict], key: tuple[int, int], k: int) -> list[dict]:
+        """A computed pair's entries as its copy at key records them: under
+        key's own u and v, each w through the k-th automorphism, in index
+        order of w as a computed pair emits them (entries without a w last)."""
+        labels, index = self.labels, self.index
+        out = [{**e, "u": labels[key[0]], "v": labels[key[1]]} for e in entries]
+        if k:
+            sigma = self.maps[k]
+            for e in out:
+                if "w" in e:
+                    e["w"] = labels[sigma[index[e["w"]]]]
+            out.sort(key=lambda e: index[e["w"]] if "w" in e else len(labels))
+        return out
+
+
+def _equivariance_failures(engines: Engines) -> list[str]:
+    """For each generator sigma of the diagram automorphisms, where the
+    structure table breaks c_{sigma u, sigma v}^{sigma w} = c_uv^w and where
+    the CSM table breaks csm(cell sigma u) = sigma . csm(cell u); the first
+    pair, resp. element, of each.  The sigma copies of a sweep rest on
+    this: the canonical words are not sigma-images of one another, so the
+    recursions that build the tables do not imply it."""
+    group, table = engines.group, engines.coh._table
+    els, order, failures = group.elements, group.order, []
+    for sigma in group.diagram_maps:
+        name = " ".join(str(els[sigma[group._right[0][i]]]) for i in range(group.rank))
+        bad = next(((u, v) for u in range(order) for v in range(order)
+                    if {sigma[w]: c for w, c in table[u][v].items()}
+                    != table[sigma[u]][sigma[v]]), None)
+        if bad is not None:
+            failures.append(f"structure constants of ({els[bad[0]]}, {els[bad[1]]}) are not "
+                            f"equivariant under the diagram automorphism s1..s{group.rank} "
+                            f"-> {name}")
+        cell = engines.csm._cell_idx
+        bad = next((u for u in range(order) if {sigma[w]: c for w, c in cell(u).coeffs.items()}
+                    != cell(sigma[u]).coeffs), None)
+        if bad is not None:
+            failures.append(f"CSM class of cell {els[bad]} is not equivariant under the "
+                            f"diagram automorphism s1..s{group.rank} -> {name}")
+    return failures
 
 
 # -- the row sweep ----------------------------------------------------------------
 
 _WORKER_ENGINES: Engines | None = None
+_WORKER_SWEEP: _Sweep | None = None
 
 
 def _row_units(group: WeylGroup, filtered: list[int]) -> list[list[int]]:
@@ -302,46 +407,47 @@ def _row_units(group: WeylGroup, filtered: list[int]) -> list[list[int]]:
     return units
 
 
-def _sweep_unit(engines: Engines, names, filtered, rows) -> dict:
+def _sweep_unit(engines: Engines, sweep: _Sweep, rows) -> dict:
     """Every named record step on the pairs (u, v) with u in rows and v
-    filtered.  A pair suite computes a pair only when it represents
-    its partner (w0*v, w0*u): the partner is filtered out, or is the pair
-    itself, or comes after it by index.  A distinct filtered partner is
-    counted as the pair is and gets its entries, relabelled with its own u
-    and v.  Returns {suite: (counts, found)}: counts holds the instances,
-    the hard-failure count and the record-step time; found lists
-    ((row, column), violations, hard failures) of the pairs with any
-    entries, in pair order, with the hard failures after the first
-    HARD_FAILURE_LIST_CAP of the unit dropped (no later one is reported)."""
-    group, clock = engines.group, time.perf_counter
-    els, w0, keep = group.elements, group._w0, set(filtered)
-    steps = [(name, _RECORD_STEPS[name], name not in _TRIPLE_SUITES) for name in names]
-    out = {name: ({"instances": 0, "hard_failure_count": 0, "elapsed": 0.0}, [])
-           for name in names}
+    filtered, on one pair of each orbit (``_Sweep.copies``).  The computed
+    pair is counted once for each filtered member of its orbit, and each
+    other member gets its entries, relabelled.  Returns {suite: (counts,
+    found)}: counts holds the instances, the hard-failure count, the
+    record-step time and the copies made through an automorphism other
+    than the identity; found lists ((row, column), violations, hard
+    failures) of the pairs with any entries, in pair order, with the hard
+    failures after the first HARD_FAILURE_LIST_CAP of the unit dropped (no
+    later one is reported)."""
+    els, clock = engines.group.elements, time.perf_counter
+    steps = [(name, _RECORD_STEPS[name], name in _TRIPLE_SUITES) for name in sweep.names]
+    kinds = {triple for _, _, triple in steps}
+    out = {name: ({"instances": 0, "hard_failure_count": 0, "elapsed": 0.0,
+                   "sigma_copies": 0}, []) for name in sweep.names}
     for ui in rows:
         u = els[ui]
-        for vi in filtered:
-            v, key, partner = els[vi], (ui, vi), (w0[vi], w0[ui])
-            twin = partner != key and partner[0] in keep and partner[1] in keep
-            for name, step, pair_suite in steps:
-                copies = 2 if pair_suite and twin else 1
-                if copies == 2 and partner < key:
-                    continue        # recorded by its partner
+        for vi in sweep.filtered:
+            key = (ui, vi)
+            plans = {triple: sweep.copies(key, triple) for triple in kinds}
+            for name, step, triple in steps:
+                copies = plans[triple]
+                if copies is None:
+                    continue        # recorded by the least member of its orbit
                 counts, found = out[name]
                 pair = _new_tally()
                 start = clock()
-                step(engines, pair, u, v)
+                step(engines, pair, u, els[vi])
                 counts["elapsed"] += clock() - start
-                counts["instances"] += copies * pair["instances"]
-                counts["hard_failure_count"] += copies * pair["hard_failure_count"]
+                n = 1 + len(copies)
+                counts["instances"] += n * pair["instances"]
+                counts["hard_failure_count"] += n * pair["hard_failure_count"]
+                counts["sigma_copies"] += sum(k > 0 for k in copies.values())
                 violations, hard = pair["violations"], pair["hard_failures"]
                 if not (violations or hard):
                     continue
                 found.append((key, violations, hard))
-                if copies == 2:
-                    labels = {"u": str(els[partner[0]]), "v": str(els[partner[1]])}
-                    found.append((partner, [{**e, **labels} for e in violations],
-                                  [{**e, **labels} for e in hard]))
+                for image, k in copies.items():
+                    found.append((image, sweep.relabel(violations, image, k),
+                                  sweep.relabel(hard, image, k)))
     for _, found in out.values():
         found.sort(key=itemgetter(0))
         room = HARD_FAILURE_LIST_CAP
@@ -351,8 +457,8 @@ def _sweep_unit(engines: Engines, names, filtered, rows) -> dict:
     return out
 
 
-def _pooled_unit(task) -> dict:
-    return _sweep_unit(_WORKER_ENGINES, *task)
+def _pooled_unit(rows) -> dict:
+    return _sweep_unit(_WORKER_ENGINES, _WORKER_SWEEP, rows)
 
 
 def _run_suites(engines: Engines, names, max_length: int | None,
@@ -360,6 +466,9 @@ def _run_suites(engines: Engines, names, max_length: int | None,
     """The named suites in one sweep over the filtered rows, in-process or
     in one fork pool.  Each suite's entries are merged in (row, column)
     order, the serial pair order, so the result does not depend on jobs.
+    A suite that made copies through a diagram automorphism gets a hard
+    failure, ahead of its pair entries, for each table and generator under
+    which the table is not equivariant; the check adds no instance.
     theorem-invariants' tally is its element block, then its pair tally,
     then its global block."""
     group, clock = engines.group, time.perf_counter
@@ -374,30 +483,37 @@ def _run_suites(engines: Engines, names, max_length: int | None,
         start = clock()
         _theorem_elements(engines, theorem, filtered)
         theorem["elapsed"] += clock() - start
+    sweep = _Sweep.of(group, names, filtered)
     units = _row_units(group, filtered)
-    tasks = [(names, filtered, rows) for rows in units]
     workers = pool_size(jobs, len(units))
     try:
         ctx = multiprocessing.get_context("fork") if workers > 1 else None
     except ValueError:
         ctx = None
     if ctx is None:
-        parts = [_sweep_unit(engines, *task) for task in tasks]
+        parts = [_sweep_unit(engines, sweep, rows) for rows in units]
     else:
-        global _WORKER_ENGINES
-        _WORKER_ENGINES = engines
+        global _WORKER_ENGINES, _WORKER_SWEEP
+        _WORKER_ENGINES, _WORKER_SWEEP = engines, sweep
         try:
             with ctx.Pool(workers) as pool:
-                parts = pool.map(_pooled_unit, tasks, chunksize=1)
+                parts = pool.map(_pooled_unit, units, chunksize=1)
         finally:
-            _WORKER_ENGINES = None
+            _WORKER_ENGINES = _WORKER_SWEEP = None
+    equivariance = None
     for name in names:
-        tally, found = tallies[name], []
+        tally, found, sigma_copies = tallies[name], [], 0
         for part in parts:
             counts, items = part[name]
+            sigma_copies += counts.pop("sigma_copies")
             for k, x in counts.items():
                 tally[k] += x
             found.extend(items)
+        if sigma_copies:
+            if equivariance is None:
+                equivariance = _equivariance_failures(engines)
+            for error in equivariance:
+                _record_hard(tally, _entry("diagram-equivariance", error=error))
         found.sort(key=itemgetter(0))
         listed = tally["hard_failures"]
         for _, violations, hard in found:

@@ -189,6 +189,17 @@ def test_multiplier_matches_double_loop(engines, product_oracle, a, b, c):
     assert coh.cup(b, c) == product_oracle(coh, b, c)
 
 
+def test_integrate_group_mismatch(engines):
+    """integrate refuses a class of another group, as pairing does: the A3
+    class eps^w with w of index 5 (length 2) sits at A2's top index."""
+    a2, a3 = _coh(engines, "A", 2), _coh(engines, "A", 3)
+    foreign = a3.schubert_class(a3.group.elements[5])
+    assert a3.group.elements[5].length == 2 and a2.group.longest.index == 5
+    for read in (a2.integrate, lambda cls: a2.pairing(cls, a2.unit())):
+        with pytest.raises(GroupMismatch):
+            read(foreign)
+
+
 def test_cup_group_mismatch(engines):
     a = _coh(engines, "A", 2)
     b = _coh(engines, "B", 2)

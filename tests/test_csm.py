@@ -2,7 +2,7 @@ from functools import reduce
 
 import pytest
 
-from csmverify.errors import CalibrationFailure
+from csmverify.errors import CalibrationFailure, CsmVerifyError, GroupMismatch
 
 
 def _csm(engines, series, rank):
@@ -16,6 +16,19 @@ def _along_word(csm, word):
 
 
 # -- operators ------------------------------------------------------------------
+
+@pytest.mark.parametrize("op", ["bgg_A", "weyl_action", "dl_operator"])
+@pytest.mark.parametrize("i", [0, 3])
+def test_operator_letter_out_of_range(engines, op, i):
+    """On A2 a letter outside 1..2 is refused with an error naming it and
+    the range: i = 0 does not act as the last letter, and i = 3 raises no
+    bare IndexError."""
+    csm = _csm(engines, "A", 2)
+    point = csm.coh.schubert_class(csm.group.longest)
+    with pytest.raises(GroupMismatch, match=f"simple index {i} out of range 1..2") as info:
+        getattr(csm, op)(i, point)
+    assert isinstance(info.value, CsmVerifyError)
+
 
 def test_bgg_examples(engines):
     c1 = _csm(engines, "A", 1)

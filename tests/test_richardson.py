@@ -72,8 +72,8 @@ def test_mirror_agreement_is_enforced(engines, monkeypatch):
 def test_partner_pairs_have_equal_classes(key):
     """w0 maps the Richardson cell of (u, v) onto that of (w0*v, w0*u) and
     acts trivially on cohomology, so the two classes are equal; the pair
-    suites compute one pair of each partner pair on this.  Every class is
-    computed on a fresh calculator, row by row."""
+    suites copy a computed pair's entries to its partner on this.  Every
+    class is computed on a fresh calculator, row by row."""
     stack = build_engines(*key)
     materialize_tables(stack)
     g, rich = stack.group, RichardsonCalculator(stack.csm)

@@ -190,10 +190,12 @@ def test_hard_failure_cap_across_units(monkeypatch):
 
 
 def test_pair_suite_computes_each_class_once(monkeypatch):
-    """conjB on A3 computes one Richardson class per partner pair
-    (u, v) ~ (w0*v, w0*u): (576 + 24 fixed pairs) / 2 = 300 main products,
-    each reading the opposite-cell class of its v once, and still counts
-    576 instances."""
+    """conjB on A3 computes one Richardson class per orbit of the partner
+    map (u, v) -> (w0*v, w0*u) and the diagram flip sigma: by Burnside,
+    (576 + 24 + 64 + 24) / 4 = 172 main products, each reading the
+    opposite-cell class of its v once, and still counts 576 instances.
+    The partner fixes the 24 pairs (u, w0*u), sigma the 8^2 pairs of its
+    8 fixed elements, and the partner through sigma 24 pairs."""
     from csmverify.csm import CsmCalculator
     real, calls = CsmCalculator.csm_opposite_cell, []
 
@@ -205,7 +207,7 @@ def test_pair_suite_computes_each_class_once(monkeypatch):
     report = run_verification("A", 3, suites=["conjB"])
     assert report.exit_code == 0
     assert report.suites["conjB"].instances == 576
-    assert len(calls) == 300
+    assert len(calls) == 172
 
 
 @pytest.mark.parametrize("max_length", [None, 1, 3])
@@ -287,7 +289,9 @@ def test_injected_fault_gives_internal_failure(monkeypatch):
 def test_unreadable_pair_fails_at_every_w(monkeypatch):
     """A Richardson class that raises fails its pair's triples one by one:
     conjD and cross-paths record one hard failure per w with the error's
-    message, and still count every instance."""
+    message, and still count every instance.  The chi row of (s1, s2) is
+    computed, and its swap (s2, s1), also its image under the diagram flip,
+    records the same failures under its own u and v."""
     engines = build_engines("A", 2)
     materialize_tables(engines)
     g = engines.group
@@ -302,13 +306,15 @@ def test_unreadable_pair_fails_at_every_w(monkeypatch):
         return real(self, u, v)
 
     monkeypatch.setattr(RichardsonCalculator, "csm_richardson", failing)
-    pair = {"u": str(u0), "v": str(v0)}
+    pairs = [{"u": str(u0), "v": str(v0)}, {"u": str(v0), "v": str(u0)}]
     for name, check, tail in (
-            ("conjD", "chi", [{"check": "pairwise-equivalence", **pair, "error": message}]),
+            ("conjD", "chi", [{"check": "pairwise-equivalence", "error": message}]),
             ("cross-paths", "chi-paths", [])):
         result = run_suite(engines, name)
         assert result.instances == result.predicted_instances == g.order ** 3
-        expected = [{"check": check, **pair, "w": str(w), "error": message} for w in g] + tail
+        expected = [e for pair in pairs for e in
+                    [{"check": check, **pair, "w": str(w), "error": message} for w in g]
+                    + [{**e, **pair} for e in tail]]
         assert result.hard_failures == expected
         assert result.hard_failure_count == len(expected)
         assert result.status == "FAIL"
