@@ -18,7 +18,6 @@ from .errors import (
     InvalidCartan,
     LemmaViolation,
     MirrorMismatch,
-    NotARoot,
     NotFiniteType,
     ParityViolation,
     PathDisagreement,

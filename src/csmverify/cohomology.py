@@ -9,7 +9,8 @@ Kostant-Kumar 1986): for a right descent i of w,
 
 and the Leibniz rule for d_i expands the right side into at most three
 products of lower total length, one of them multiplied by the simple root
-alpha_i through the degree-2 product rule (chevalley_multiply).  Every
+alpha_i through the degree-2 product rule (``_chevalley_idx``, on the
+pairings ``_pairings`` reads off the coroot table by root index).  Every
 constant is an exact sum of earlier ones, with no division; a negative one
 raises.
 
@@ -35,7 +36,7 @@ from .rootdata import DEFAULT_MAX_ORDER, WeylElement, WeylGroup
 
 class CohomologyClass:
     """A finite integer combination of basis classes eps^w (sparse, graded),
-    keyed by element index; ``coefficient`` reads it by group element."""
+    keyed by element index."""
 
     __slots__ = ("group", "coeffs")
 
@@ -44,10 +45,6 @@ class CohomologyClass:
         self.coeffs: dict[int, int] = {} if coeffs is None else {
             w: c for w, c in coeffs.items() if c != 0
         }
-
-    def coefficient(self, w: WeylElement) -> int:
-        self._check(w)
-        return self.coeffs.get(w.index, 0)
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         self._check(other)
@@ -211,37 +208,30 @@ class FlagCohomology:
                 out[wi] = out.get(wi, 0) + cu * c
         return out
 
-    def chevalley_multiply(self, lam, v: WeylElement, basis: str = "root") -> CohomologyClass:
-        """Degree-2 product rule: c1(L_lam) . eps^v, read off the roots alone.
-
-        Sums over positive roots beta with l(v s_beta) = l(v) + 1, with
-        coefficient the pairing of lam against the coroot of beta.
-        """
-        self._check(v)
-        pairings = self._pairings(lam, basis)
-        return CohomologyClass(self.group, self._chevalley_idx(pairings, v.index))
-
     def chevalley_agreement(self):
         """Yield (i, v, agree) for every simple reflection s_i and element v:
         whether cup(eps^{s_i}, eps^v) equals the degree-2 rule's product."""
         group = self.group
         for i in range(1, group.rank + 1):
-            omega = tuple(1 if k == i - 1 else 0 for k in range(group.rank))
-            pairings = self._pairings(omega, basis="weight")
+            pairings = [cor[i - 1] for cor in group._coroot_coords]   # <omega_i, beta^v>
             si = self.schubert_class(group.simple_reflection(i))
             for v in group.elements:
                 yield i, v, (self.cup(si, self.schubert_class(v)).coeffs
                              == self._chevalley_idx(pairings, v.index))
 
-    def _pairings(self, lam, basis: str = "root") -> list[int]:
-        """The pairing of lam against the coroot of every positive root, in
-        root order: the coefficients of the degree-2 rule for lam."""
+    def _pairings(self, lam) -> list[int]:
+        """<lam, beta^v> for every positive root beta in root order, lam in
+        the simple-root basis: the coefficients of the degree-2 rule for lam."""
         group = self.group
-        return [group.pair(lam, beta, basis=basis) for beta in group.positive_roots]
+        C, n = group.datum.matrix, group.rank
+        simple = [sum(lam[i] * C[j][i] for i in range(n)) for j in range(n)]  # <lam, a_j^v>
+        return [sum(c * p for c, p in zip(cor, simple)) for cor in group._coroot_coords]
 
     def _chevalley_idx(self, pairings: list[int], vi: int) -> dict[int, int]:
-        """The degree-2 rule on element indices, for the coefficients
-        ``_pairings`` gives; distinct roots reach distinct elements."""
+        """The degree-2 rule on element indices: c1(L_lam) . eps^v is the sum
+        of <lam, beta^v> eps^{v s_beta} over the positive roots beta with
+        l(v s_beta) = l(v) + 1, for the pairings ``_pairings`` gives;
+        distinct roots reach distinct elements."""
         group = self.group
         target = group._lengths[vi] + 1
         out: dict[int, int] = {}

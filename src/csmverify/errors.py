@@ -32,10 +32,6 @@ class GroupMismatch(CsmVerifyError):
     """Operands belong to different Weyl groups."""
 
 
-class NotARoot(CsmVerifyError):
-    """Vector is not a root of the system."""
-
-
 class CacheCorrupt(CsmVerifyError):
     """An on-disk table file is not a JSON envelope or fails its checksum."""
 

@@ -1,8 +1,13 @@
 """Finite root systems and Weyl groups built from Cartan data.
 
-Everything here is exact integer arithmetic.  Roots are integer vectors in
-the simple-root basis, group elements are identified by their action on the
-simple roots, and the canonical reduced word of an element is the
+Everything here is exact integer arithmetic.  The positive roots form one
+table in root order, each with its coroot (``_root_coords``,
+``_coroot_coords``, the simple-root and simple-coroot bases) and its
+reflection, read by root index; ``positive_roots`` is the same list as
+``RootVector`` values for display.  Group elements are identified by their
+action on the simple roots and read by element index, with
+``WeylElement`` at the API edge; products are ``from_word`` of the
+concatenated words.  The canonical reduced word of an element is the
 lexicographically smallest one.  One breadth-first search by length over
 right multiplication, expanding each length class in index order and
 trying the letters in ascending order, reaches every element first from
@@ -29,7 +34,6 @@ from .errors import (
     CapacityExceeded,
     GroupMismatch,
     InvalidCartan,
-    NotARoot,
     NotFiniteType,
 )
 
@@ -202,20 +206,6 @@ class RootVector:
 
     coords: tuple[int, ...]
 
-    @property
-    def is_positive(self) -> bool:
-        return any(c > 0 for c in self.coords) and all(c >= 0 for c in self.coords)
-
-    @property
-    def is_negative(self) -> bool:
-        return (-self).is_positive
-
-    def __neg__(self) -> "RootVector":
-        return RootVector(tuple(-c for c in self.coords))
-
-    def __add__(self, other: "RootVector") -> "RootVector":
-        return RootVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
     def __str__(self):
         parts = []
         for i, c in enumerate(self.coords):
@@ -284,7 +274,6 @@ class WeylGroup:
 
         self._build_roots()
         self._enumerate()
-        self._index_roots_and_reflections()
 
         self.elements: tuple[WeylElement, ...] = tuple(
             WeylElement(self, k, self._words[k], self._lengths[k])
@@ -354,40 +343,6 @@ class WeylGroup:
         self.positive_roots: tuple[RootVector, ...] = tuple(RootVector(r) for r in ordered)
         self._root_coords: tuple[tuple[int, ...], ...] = tuple(ordered)
         self._coroot_coords: tuple[tuple[int, ...], ...] = tuple(roots[r] for r in ordered)
-        self._root_index = {r: i for i, r in enumerate(ordered)}
-
-    def _root_position(self, beta: RootVector) -> tuple[int, int]:
-        """Position of beta or of -beta among the positive roots, and which
-        sign it carries; NotARoot if neither is a root."""
-        for sign in (1, -1):
-            pos = self._root_index.get(tuple(sign * c for c in beta.coords))
-            if pos is not None:
-                return pos, sign
-        raise NotARoot(f"{beta} is not a root of {self.datum}")
-
-    def coroot_coords(self, beta: RootVector) -> tuple[int, ...]:
-        """Coordinates of beta's coroot in the simple-coroot basis."""
-        pos, sign = self._root_position(beta)
-        return tuple(sign * c for c in self._coroot_coords[pos])
-
-    def pair(self, lam, beta: RootVector, basis: str = "root") -> int:
-        """Pairing of a weight against the coroot of ``beta``.
-
-        ``lam`` is a coordinate vector either in the simple-root basis
-        (``basis="root"``) or in the fundamental-weight basis
-        (``basis="weight"``).
-        """
-        lam = tuple(lam.coords) if isinstance(lam, RootVector) else tuple(lam)
-        if len(lam) != self.rank:
-            raise NotARoot("weight vector has wrong length")
-        cor = self.coroot_coords(beta)
-        C = self.datum.matrix
-        if basis == "root":
-            return sum(cor[j] * sum(lam[i] * C[j][i] for i in range(self.rank))
-                       for j in range(self.rank))
-        if basis == "weight":
-            return sum(cor[j] * lam[j] for j in range(self.rank))
-        raise ValueError(f"basis must be 'root' or 'weight', got {basis!r}")
 
     # -- enumeration -------------------------------------------------------
 
@@ -441,25 +396,22 @@ class WeylGroup:
                 cur = right[cur][i - 1]
             inverse.append(cur)
         self._actions = actions
-        self._action_index = index
         self._words = words
         self._lengths = lengths
         self._right = right
         # s_i x = (x^-1 s_i)^-1
         self._left = [[inverse[j] for j in right[inverse[x]]] for x in range(self.order)]
-        self._inverse = inverse
         self._by_length = by_length
-
-    def _index_roots_and_reflections(self):
+        # the reflection in each positive root, found by its action
+        # s_b(a_j) = a_j - <a_j, b^v> b
         C = self.datum.matrix
-        n = self.rank
         refl = []
         for b, cor in zip(self._root_coords, self._coroot_coords):
             cols = []
             for j in range(n):
                 p = sum(cor[k] * C[k][j] for k in range(n))
                 cols.append(tuple((1 if k == j else 0) - p * b[k] for k in range(n)))
-            refl.append(self._action_index[tuple(cols)])
+            refl.append(index[tuple(cols)])
         self._reflection_index = refl
 
     # -- group operations ----------------------------------------------------
@@ -501,44 +453,11 @@ class WeylGroup:
             word.append(int(tok[1:]))
         return self.from_word(word)
 
-    def multiply(self, x: WeylElement, y: WeylElement) -> WeylElement:
-        self._check_same(x, y)
-        idx = x.index
-        for i in y.word:
-            idx = self._right[idx][i - 1]
-        return self.elements[idx]
-
-    def inverse(self, x: WeylElement) -> WeylElement:
-        self._check_same(x)
-        return self.elements[self._inverse[x.index]]
-
     def indices_of_length(self, l: int) -> list[int]:
         return self._by_length.get(l, [])
 
     def elements_of_length(self, l: int) -> list[WeylElement]:
         return [self.elements[i] for i in self.indices_of_length(l)]
-
-    def apply(self, x: WeylElement, v: RootVector) -> RootVector:
-        """Image of a root-basis vector under the element's action."""
-        self._check_same(x)
-        cols = self._actions[x.index]
-        return RootVector(tuple(
-            sum(v.coords[j] * cols[j][k] for j in range(self.rank))
-            for k in range(self.rank)
-        ))
-
-    def inversions(self, x: WeylElement) -> tuple[RootVector, ...]:
-        """Positive roots sent negative by ``x``; size equals the length."""
-        self._check_same(x)
-        out = []
-        for beta in self.positive_roots:
-            if self.apply(x, beta).is_negative:
-                out.append(beta)
-        return tuple(out)
-
-    def reflection(self, beta: RootVector) -> WeylElement:
-        """The reflection in a root as a group element."""
-        return self.elements[self._reflection_index[self._root_position(beta)[0]]]
 
     def right_reflection_index(self, idx: int, root_idx: int) -> int:
         """Index of (element idx) * s_beta for the root with index root_idx."""

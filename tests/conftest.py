@@ -43,3 +43,28 @@ def _double_loop_product(coh, a, b):
 @pytest.fixture(scope="session")
 def product_oracle():
     return _double_loop_product
+
+
+def _root_image(group, x, coords):
+    """x(beta) in the simple-root basis, for beta given by its simple-root
+    coordinates, read off x's images of the simple roots (``_actions``):
+    the root action the checks of reflections, inversions and the Billey
+    diagonal share, independent of the reflection tables."""
+    cols = group._actions[x]
+    return tuple(sum(c * col[k] for c, col in zip(coords, cols)) for k in range(group.rank))
+
+
+@pytest.fixture(scope="session")
+def root_image():
+    return _root_image
+
+
+def _inversions(group, x):
+    """The positive roots, as coordinates, that the element of index x
+    sends negative."""
+    return [b for b in group._root_coords if any(c < 0 for c in _root_image(group, x, b))]
+
+
+@pytest.fixture(scope="session")
+def inversions():
+    return _inversions

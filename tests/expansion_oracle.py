@@ -49,14 +49,15 @@ class EquivariantClass:
         two restrictions must agree modulo beta.
         """
         group = self.group
+        reflections = [group._words[r] for r in group._reflection_index]
         for w in group:
             pw = self.restriction(w)
-            for beta in group.positive_roots:
-                t = group.multiply(group.reflection(beta), w)
+            for beta, word in zip(group._root_coords, reflections):
+                t = group.from_word(word + w.word)
                 if t.index < w.index:
                     continue
                 diff = pw - self.restriction(t)
-                if diff and not diff.divisible_by_linear(beta.coords):
+                if diff and not diff.divisible_by_linear(beta):
                     return False
         return True
 

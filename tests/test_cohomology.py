@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from csmverify.cohomology import CohomologyClass, FlagCohomology, Multiplier
 from csmverify.errors import GroupMismatch
-from csmverify.rootdata import WeylGroup
+from csmverify.rootdata import CartanDatum, WeylGroup
 from expansion_oracle import EquivariantClass, ExpansionOracle
 from localization_oracle import LocalizationOracle
 from polynomial import InexactDivision, IntPolynomial
@@ -38,14 +39,14 @@ def test_billey_examples(engines):
     assert oracle1.billey_restriction(s, s) == IntPolynomial.linear((1,))
 
 
-def test_billey_diagonal_is_inversion_product(engines):
+def test_billey_diagonal_is_inversion_product(engines, inversions):
     for key in [("A", 2), ("B", 2), ("G", 2)]:
         oracle = _oracle(engines, *key)
         g = oracle.group
         for w in g:
             prod = IntPolynomial.constant(g.rank, 1)
-            for beta in g.inversions(g.inverse(w)):
-                prod = prod * IntPolynomial.linear(beta.coords)
+            for beta in inversions(g, g.from_word(reversed(w.word)).index):
+                prod = prod * IntPolynomial.linear(beta)
             assert oracle.billey_restriction(w, w) == prod
 
 
@@ -215,16 +216,20 @@ def test_cup_group_mismatch(engines):
 
 # -- Chevalley rule --------------------------------------------------------------------
 
+def _omega_pairings(g, i):
+    """<omega_i, beta^v> for every positive root beta, in root order."""
+    return [cor[i - 1] for cor in g._coroot_coords]
+
+
 def test_chevalley_examples(engines):
     coh = _coh(engines, "A", 2)
     g = coh.group
-    e = g.identity
-    assert coh.chevalley_multiply((1, 0), e, basis="weight") == coh.schubert_class(
-        g.simple_reflection(1))
-    assert coh.chevalley_multiply((1, 0), g.from_word([1, 2])) == coh.from_dict(
-        {g.longest: 2})
-    assert coh.chevalley_multiply((0, 1), g.from_word([2, 1]), basis="weight") == \
-        coh.schubert_class(g.longest)
+    assert coh._chevalley_idx(_omega_pairings(g, 1), g.identity.index) == {
+        g.simple_reflection(1).index: 1}
+    assert coh._chevalley_idx(coh._pairings((1, 0)), g.from_word([1, 2]).index) == {
+        g.longest.index: 2}
+    assert coh._chevalley_idx(_omega_pairings(g, 2), g.from_word([2, 1]).index) == {
+        g.longest.index: 1}
 
 
 def test_chevalley_matches_cup_on_degree_two(engines):
@@ -232,11 +237,47 @@ def test_chevalley_matches_cup_on_degree_two(engines):
         coh = _coh(engines, *key)
         g = coh.group
         for i in range(1, g.rank + 1):
-            omega = tuple(1 if k == i - 1 else 0 for k in range(g.rank))
+            pairings = _omega_pairings(g, i)
             si = coh.schubert_class(g.simple_reflection(i))
             for v in g:
-                assert coh.cup(si, coh.schubert_class(v)) == \
-                    coh.chevalley_multiply(omega, v, basis="weight")
+                assert coh.cup(si, coh.schubert_class(v)).coeffs == \
+                    coh._chevalley_idx(pairings, v.index)
+
+
+def _symmetrizer(matrix):
+    """d_i = (a_i, a_i) / 2 up to one common factor, so that the form
+    (a_i, a_j) = d_i matrix[i][j] is symmetric; spread along the diagram."""
+    n = len(matrix)
+    d = {0: Fraction(1)}
+    while len(d) < n:
+        for i, j in [(i, j) for i in list(d) for j in range(n) if j not in d and matrix[j][i]]:
+            d[j] = d[i] * matrix[i][j] / matrix[j][i]
+    return [d[i] for i in range(n)]
+
+
+@pytest.mark.parametrize("series,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("D", 4), ("G", 2), ("F", 4),
+])
+def test_pairings_match_the_invariant_form(series, rank):
+    """Both pairings the degree-2 rule reads, against <lam, beta^v> =
+    2 (lam, beta) / (beta, beta) from the positive roots and the Cartan
+    matrix alone: ``_pairings`` for lam a simple root (the alpha table) or
+    a positive root (the tangent Chern class), and <omega_i, beta^v> =
+    beta_i d_i / d_beta for ``chevalley_agreement``."""
+    g = WeylGroup(CartanDatum.from_series(series, rank))
+    coh, C = FlagCohomology(g), g.datum.matrix
+    d = _symmetrizer(C)
+
+    def form(x, y):
+        return sum(x[i] * y[j] * d[i] * C[i][j] for i in range(rank) for j in range(rank))
+
+    roots = [beta.coords for beta in g.positive_roots]
+    simple = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    for lam in simple + roots:
+        assert coh._pairings(lam) == [2 * form(lam, b) / form(b, b) for b in roots]
+    for i in range(1, rank + 1):
+        assert _omega_pairings(g, i) == [2 * b[i - 1] * d[i - 1] / form(b, b) for b in roots]
 
 
 # -- integration ------------------------------------------------------------------------
@@ -389,7 +430,7 @@ def test_class_arithmetic(engines):
     b = coh.schubert_class(g.simple_reflection(2))
     assert (a + b) - a == b
     assert 0 * a == coh.zero()
-    assert (2 * a).coefficient(g.simple_reflection(1)) == 2
+    assert (2 * a).coeffs == {g.simple_reflection(1).index: 2}
     assert a != b
 
 

@@ -8,8 +8,8 @@ from csmverify.errors import (
     CapacityExceeded,
     GroupMismatch,
     InvalidCartan,
-    NotARoot,
 )
+from csmverify.cohomology import FlagCohomology
 from csmverify.rootdata import (
     CartanDatum,
     RootVector,
@@ -69,7 +69,7 @@ def test_g2_convention():
 def test_root_closure_a1():
     g = WeylGroup(CartanDatum.from_series("A", 1))
     assert [r.coords for r in g.positive_roots] == [(1,)]
-    assert g.reflection(g.positive_roots[0]).length == 1
+    assert g.elements[g._reflection_index[0]] == g.simple_reflection(1)
 
 
 def test_root_closure_a2():
@@ -85,19 +85,19 @@ def test_root_closure_g2():
     assert highest.coords == (3, 2)
 
 
-def test_reflections_are_involutions(group):
+def test_reflections_are_involutions(group, root_image):
     g = group("B", 2)
-    for beta in g.positive_roots:
-        s = g.reflection(beta)
-        assert g.multiply(s, s) == g.identity
-        assert g.apply(s, beta).coords == (-beta).coords
+    for b, beta in enumerate(g._root_coords):
+        s = g.elements[g._reflection_index[b]]
+        assert g.from_word(s.word + s.word) == g.identity
+        assert root_image(g, s.index, beta) == tuple(-c for c in beta)
 
 
-def test_root_vector_signs():
-    assert RootVector((1, 0)).is_positive
-    assert RootVector((-1, -1)).is_negative
-    assert not RootVector((1, -1)).is_positive
-    assert not RootVector((0, 0)).is_positive
+def test_root_vector_str():
+    assert str(RootVector((1, 0))) == "a1"
+    assert str(RootVector((3, 2))) == "3a1+2a2"
+    assert str(RootVector((-1, 2))) == "-a1+2a2"
+    assert str(RootVector((0, 0))) == "0"
 
 
 # -- enumeration --------------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_longest_element(group):
         g = group(*key)
         w0 = g.longest
         assert w0.length == len(g.positive_roots)
-        assert g.multiply(w0, w0) == g.identity
+        assert g.from_word(w0.word + w0.word) == g.identity
         for w in g:
             assert g.w0_times(w).length == w0.length - w.length
 
@@ -156,7 +156,7 @@ def _all_reduced_words(g, w):
         return [()]
     out = []
     for i in range(1, g.rank + 1):
-        rest = g.multiply(g.simple_reflection(i), w)
+        rest = g.from_word((i,) + w.word)
         if rest.length < w.length:
             out.extend([(i,) + tail for tail in _all_reduced_words(g, rest)])
     return out
@@ -261,20 +261,21 @@ def test_action_determines_element(group):
 def test_multiply_examples(group):
     g1 = group("A", 1)
     s = g1.simple_reflection(1)
-    assert g1.multiply(s, s) == g1.identity
+    assert g1.from_word(s.word + s.word) == g1.identity
 
     g2 = group("A", 2)
     s1 = g2.simple_reflection(1)
-    assert g2.multiply(g2.from_word([1, 2]), s1) == g2.longest
-    assert g2.multiply(g2.longest, g2.from_word([2, 1])) == g2.simple_reflection(2)
+    assert g2.from_word(g2.from_word([1, 2]).word + s1.word) == g2.longest
+    assert g2.from_word(g2.longest.word + (2, 1)) == g2.simple_reflection(2)
 
 
 def test_inverse(group):
     for key in [("A", 2), ("B", 2), ("G", 2)]:
         g = group(*key)
         for w in g:
-            assert g.multiply(w, g.inverse(w)) == g.identity
-            assert g.inverse(w).length == w.length
+            inv = g.from_word(reversed(w.word))
+            assert g.from_word(w.word + inv.word) == g.identity
+            assert inv.length == w.length
 
 
 def test_length_changes_by_one(group):
@@ -282,22 +283,22 @@ def test_length_changes_by_one(group):
         g = group(*key)
         for w in g:
             for i in range(1, g.rank + 1):
-                t = g.multiply(w, g.simple_reflection(i))
+                t = g.from_word(w.word + (i,))
                 assert abs(t.length - w.length) == 1
 
 
-def test_inversion_count_is_length(group):
+def test_inversion_count_is_length(group, inversions):
     for key in [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)]:
         g = group(*key)
         for w in g:
-            assert len(g.inversions(w)) == w.length
-            assert len(g.inversions(g.inverse(w))) == w.length
+            assert len(inversions(g, w.index)) == w.length
+            assert len(inversions(g, g.from_word(reversed(w.word)).index)) == w.length
 
 
 def test_group_mismatch(group):
     a, b = group("A", 2), group("B", 2)
     with pytest.raises(GroupMismatch):
-        a.multiply(a.identity, b.identity)
+        a.w0_times(b.identity)
     with pytest.raises(GroupMismatch):
         a.bruhat_leq(a.identity, b.longest)
 
@@ -326,24 +327,13 @@ def test_bruhat_agrees_with_subword_oracle(group):
 
 def test_pair_examples(group):
     g = group("A", 2)
-    a1, a2 = RootVector((1, 0)), RootVector((0, 1))
-    assert g.pair((1, 0), a1) == 2
-    assert g.pair((1, 0), a2) == -1
-    assert g.pair((1, 0), RootVector((1, 1)), basis="weight") == 1
-
-
-def test_pair_not_a_root(group):
-    g = group("A", 2)
-    with pytest.raises(NotARoot):
-        g.pair((1, 0), RootVector((2, 0)))
-    with pytest.raises(NotARoot):
-        g.coroot_coords(RootVector((1, -1)))
-
-
-def test_pair_negative_root(group):
-    g = group("B", 2)
-    beta = g.positive_roots[-1]
-    assert g.pair((1, 0), -beta) == -g.pair((1, 0), beta)
+    coh = FlagCohomology(g)
+    # <a1, beta^v> for each positive root beta
+    assert dict(zip(g._root_coords, coh._pairings((1, 0)))) == {
+        (1, 0): 2, (0, 1): -1, (1, 1): 1}
+    # <omega_1, beta^v>: the coefficient of a1^v in beta^v
+    assert dict(zip(g._root_coords, (cor[0] for cor in g._coroot_coords))) == {
+        (1, 0): 1, (0, 1): 0, (1, 1): 1}
 
 
 # -- randomized properties -----------------------------------------------------------------
@@ -362,8 +352,10 @@ def test_word_products_canonicalize(word):
 def test_multiplication_associates(word1, word2):
     g = _A3()
     x, y = g.from_word(word1), g.from_word(word2)
-    assert g.multiply(x, y) == g.from_word(tuple(word1) + tuple(word2))
-    assert g.inverse(g.multiply(x, y)) == g.multiply(g.inverse(y), g.inverse(x))
+    xy = g.from_word(x.word + y.word)
+    assert xy == g.from_word(tuple(word1) + tuple(word2))
+    # (xy)^-1 = y^-1 x^-1, each inverse the reversed word
+    assert g.from_word(reversed(xy.word)) == g.from_word(y.word[::-1] + x.word[::-1])
 
 
 _A3_CACHE = None

@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from csmverify import cli
+from csmverify.boxproduct import BoxCalculator, ChiRow
 from csmverify.cache import TableCache, payload_checksum
 from csmverify.cohomology import FlagCohomology
 from csmverify.errors import MirrorMismatch, ParityViolation, UsageError
@@ -49,6 +50,11 @@ def test_empty_suite_list_is_refused():
     # no suite would pass on zero instances
     with pytest.raises(UsageError, match="no suite requested"):
         run_verification("A", 1, suites=())
+
+
+def test_run_suite_refuses_an_unknown_name(engines):
+    with pytest.raises(UsageError, match="unknown suite 'conjZ'"):
+        run_suite(engines("A", 1), "conjZ")
 
 
 def test_instance_counts_a2(engines):
@@ -705,6 +711,40 @@ def test_cli_verify_internal_failure_exit(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 2
     assert "INTERNAL FAILURE" in out
+
+
+def test_associativity_disagreement_fails_the_meta_check(tmp_path, monkeypatch, capsys):
+    """A box row whose chi paths disagree fails the observed-only
+    box-associativity meta-check instead of aborting the run: the report
+    is written with the suites' entries, the meta-check reads FAIL, the
+    run exits 2 and the disagreement is printed on stderr."""
+    real = BoxCalculator.chi_row
+
+    def skewed(self, u, v):
+        # the pairing path one too high at every w of length 3, for the
+        # pairs of lengths {1, 2}
+        row = real(self, u, v)
+        if {u.length, v.length} != {1, 2}:
+            return row
+        pairing = dict(row.pairing)
+        for wi in self.group.indices_of_length(3):
+            pairing[wi] = pairing.get(wi, 0) + 1
+        return ChiRow(row.triple_sum, pairing, row.expansion)
+
+    monkeypatch.setattr(BoxCalculator, "chi_row", skewed)
+    out = tmp_path / "report.json"
+    rc = cli.main(["verify", "--type", "A", "--rank", "3", "--suite", "conjD",
+                   "--suite", "cross-paths", "--output", str(out)])
+    assert rc == 2
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["meta_checks"]["box-associativity"] == "FAIL"
+    assert report["exit_code"] == 2
+    assert report["suites"]["conjD"]["status"] == "PASS"
+    crosspaths = report["suites"]["cross-paths"]
+    assert crosspaths["status"] == "FAIL"
+    assert crosspaths["hard_failures"][0]["check"] == "chi-paths"
+    assert ("box associativity: chi(s1, s1 s2, s1 s2 s1): triple-sum 1, pairing 2, "
+            "expansion 1") in capsys.readouterr().err
 
 
 def test_cli_csv_to_stdout(tmp_path, capsys):
