@@ -27,7 +27,6 @@ from .errors import (
 from .richardson import Coefficients, RichardsonCalculator
 from .rootdata import (
     CartanDatum,
-    RootVector,
     WeylElement,
     WeylGroup,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "CsmCalculator",
     "FlagCohomology",
     "RichardsonCalculator",
-    "RootVector",
     "WeylElement",
     "WeylGroup",
     "__version__",

@@ -19,7 +19,7 @@ is seg(cell w0 u), as ``segre_schubert_cell`` enforces, so its product
 with csm(cell w0 v) is the Richardson class R of (w0 u, v).
 
 Every w of a pair (u, v) is read off one row, ``chi_row``: R and its
-expansion d sit in the Richardson calculator's two-row window, and the
+expansion d sit in the Richardson calculator's held row, w0 u, and the
 CSM calculator holds two column indexes of its cell tables, x -> [(w, c)]
 with c the coefficient at eps^x of csm(cell w), resp. seg(cell w).  The
 triple-sum row adds R[y] c over (w, c) in the CSM column at w0 y, for y
@@ -60,6 +60,10 @@ class ChiProvenance:
     def value(self) -> int:
         return self.expansion
 
+    def __str__(self):
+        return (f"triple-sum {self.triple_sum}, pairing {self.pairing}, "
+                f"expansion {self.expansion}")
+
 
 @dataclass
 class ChiRow:
@@ -80,8 +84,7 @@ class ChiRow:
 
 
 def _disagreement(u, v, w, prov: ChiProvenance) -> PathDisagreement:
-    return PathDisagreement(f"chi({u}, {v}, {w}): triple-sum {prov.triple_sum}, "
-                            f"pairing {prov.pairing}, expansion {prov.expansion}")
+    return PathDisagreement(f"chi({u}, {v}, {w}): {prov}")
 
 
 class BoxCalculator:

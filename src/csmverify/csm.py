@@ -127,8 +127,8 @@ class CsmCalculator:
         if self._tangent is None:
             coh = self.coh
             cls = coh.unit()
-            for beta in self.group.positive_roots:
-                pairings = coh._pairings(beta.coords)
+            for beta in self.group._root_coords:
+                pairings = coh._pairings(beta)
                 add: dict[int, int] = {}
                 for w, c in cls.coeffs.items():
                     for t, m in coh._chevalley_idx(pairings, w).items():

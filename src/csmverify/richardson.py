@@ -11,8 +11,8 @@ through two multipliers (see ``cohomology.Multiplier``): L_u, times
 seg(cell u), for the class and the twisted Segre product, and M_u, times
 csm(cell u), for the mirror product.  Their columns fill on first use and
 are reused across the row.  A row's record holds them and the classes
-and expansions of its pairs; only the two rows of one sweep unit are
-held, so memory grows with |W|, not with the pairs a run visits.
+and expansions of its pairs; only one row is held, the row of the current
+sweep unit, so memory grows with |W|, not with the pairs a run visits.
 
 Proved facts are hard assertions here: the parity constraint on the
 coefficients against the Schubert-variety basis, and the sign condition on
@@ -51,12 +51,11 @@ class RichardsonCalculator:
         self._rows: dict[int, tuple] = {}
 
     def _row(self, ui: int) -> tuple[Multiplier, Multiplier, dict, dict]:
-        """Row u's record (L_u, M_u, classes by v, expansions by v).  Only two
-        are held, the rows u and w0*u of a sweep unit: a third drops both."""
+        """Row u's record (L_u, M_u, classes by v, expansions by v).  Only one
+        is held: asking for another row drops it."""
         rec = self._rows.get(ui)
         if rec is None:
-            if len(self._rows) >= 2:
-                self._rows.clear()
+            self._rows.clear()
             u = self.group.elements[ui]
             rec = self._rows[ui] = (Multiplier(self.coh, self.csm.segre_schubert_cell(u)),
                                     Multiplier(self.coh, self.csm.csm_schubert_cell(u)), {}, {})

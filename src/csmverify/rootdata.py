@@ -3,8 +3,7 @@
 Everything here is exact integer arithmetic.  The positive roots form one
 table in root order, each with its coroot (``_root_coords``,
 ``_coroot_coords``, the simple-root and simple-coroot bases) and its
-reflection, read by root index; ``positive_roots`` is the same list as
-``RootVector`` values for display.  Group elements are identified by their
+reflection, read by root index.  Group elements are identified by their
 action on the simple roots and read by element index, with
 ``WeylElement`` at the API edge; products are ``from_word`` of the
 concatenated words.  The canonical reduced word of an element is the
@@ -200,25 +199,6 @@ class CartanDatum:
         return f"{self.series}{self.rank}"
 
 
-@dataclass(frozen=True)
-class RootVector:
-    """An integer vector in the simple-root basis."""
-
-    coords: tuple[int, ...]
-
-    def __str__(self):
-        parts = []
-        for i, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            term = f"a{i + 1}" if abs(c) == 1 else f"{abs(c)}a{i + 1}"
-            parts.append(("+" if c > 0 else "-") + term)
-        if not parts:
-            return "0"
-        out = "".join(parts)
-        return out[1:] if out.startswith("+") else out
-
-
 class WeylElement:
     """A Weyl group element in canonical form.
 
@@ -340,7 +320,6 @@ class WeylGroup:
                 f"root closure produced {len(roots)} roots, expected {self.num_positive}"
             )
         ordered = sorted(roots, key=lambda r: (sum(r), r))
-        self.positive_roots: tuple[RootVector, ...] = tuple(RootVector(r) for r in ordered)
         self._root_coords: tuple[tuple[int, ...], ...] = tuple(ordered)
         self._coroot_coords: tuple[tuple[int, ...], ...] = tuple(roots[r] for r in ordered)
 

@@ -29,41 +29,43 @@ conjD and cross-paths read every w of a pair off one chi row
 (``BoxCalculator.expansion_row``, resp. ``chi_row``), and still count one
 instance per w; a row that cannot be built records one hard failure per w.
 
-Each pair-level check is a record step on one pair (u, v).  One sweep per
-run calls the steps of every requested suite, in units of the row pair
-{u, w0*u} (conjD and cross-paths on row u read the classes of (w0*u, v));
-with jobs above 1 the units go to one fork pool.  Both the structure and
-the CSM table are computed in process before the sweep, so workers inherit
-them; no run reads a table from disk.  A unit holds at most two Richardson
-rows and nothing else; box associativity builds its own table of box rows.
+Each pair-level check is a record step keyed by its Richardson pair
+(r, v): (u, v) itself for theorem-invariants, conjB and conjC, and
+(w0*u, v) for conjD and cross-paths, whose chi rows read R(w0*u, v).  One
+sweep per run calls the steps of every requested suite, one unit per
+Richardson row r, the chi steps at u = w0*r; with jobs above 1 the units
+go to one fork pool.  Both the structure and the CSM table are computed in
+process before the sweep, so workers inherit them; no run reads a table
+from disk.  A unit holds one Richardson row and nothing else; box
+associativity builds its own table of box rows.
 
 Every pair-level suite computes one pair of each symmetry orbit: the
-least filtered member, by (row, column) index, and records its entries at
-every filtered member, each under its own u and v, each counting its
-instances.  Two kinds of map generate the orbits.
+least kept Richardson pair, by (row, column) index, and records its
+entries at every kept member, each under its own u and v, each counting
+its instances.  A pair suite keeps (r, v) with r and v filtered, a chi
+suite with w0*r and v filtered.  Two kinds of map generate the orbits.
   * A diagram automorphism sigma (``WeylGroup.diagram_maps``) lifts to an
-    automorphism of G fixing B and T, so csm R(sigma u, sigma v) =
-    sigma . csm R(u, v) with eps^x -> eps^{sigma x}, and chi(sigma u,
-    sigma v, sigma w) = chi(u, v, w); a copy's w goes through sigma, and
-    its entries are re-sorted by w.
-  * For theorem-invariants, conjB and conjC, the partner (u, v) ~
-    (w0*v, w0*u): w0 maps the one Richardson cell onto the other and acts
-    trivially on cohomology, so the classes are equal; the two products of
-    each are the other's with the factors swapped, the degree bases
-    l(u) + l(v) and 2N - l(u) - l(v) have the same parity, and the lemma-E
-    product and sign are shared.  For conjD and cross-paths, the swap
-    (u, v) ~ (v, u): the chi rows read R(w0*u, v) and R(w0*v, u), which
-    are partners, and the cup product commutes.
-That is 3,676 of the 14,400 pairs of A4 and, under S3, 3,738 of the 36,864
-of D4; B4, with no automorphism, computes 73,920 of 147,456.  The filter
---max-length is sigma-invariant but not w0-invariant, so a pair whose
-partner is filtered out may compute itself.  Values and error texts are
-copied as computed.  The partner and swap copies rest on the mirror check
-of the computed pair; the sigma copies rest on ``_equivariance_failures``,
-which checks both tables under each generator once per run in which a
-suite made sigma copies, and records a hard failure in each such suite if
-they are not equivariant.  Entries merge in (row, column) order after the
-sweep, so the report does not depend on jobs.
+    automorphism of G fixing B and T and commuting with w0, so csm
+    R(sigma r, sigma v) = sigma . csm R(r, v) with eps^x -> eps^{sigma x},
+    and chi(sigma u, sigma v, sigma w) = chi(u, v, w); a copy's w goes
+    through sigma, and its entries are re-sorted by w.
+  * The partner (r, v) ~ (w0*v, w0*r): w0 maps the one Richardson cell
+    onto the other and acts trivially on cohomology, so the classes are
+    equal; the two products of each are the other's with the factors
+    swapped, the degree bases l(r) + l(v) and 2N - l(r) - l(v) have the
+    same parity, and the lemma-E product and sign are shared.  On the chi
+    rows it is the swap (u, v) ~ (v, u), and the cup product commutes.
+Unfiltered, both kinds keep every pair, so a run of every suite computes
+each orbit once: 3,676 of the 14,400 pairs of A4 and, under S3, 3,738 of
+the 36,864 of D4; B4, with no automorphism, computes 73,920 of 147,456.
+The filter --max-length is sigma-invariant but not w0-invariant, so a pair
+suite's pair whose partner is filtered out may compute itself.  Values and
+error texts are copied as computed.  The partner copies rest on the mirror
+check of the computed pair; the sigma copies rest on
+``_equivariance_failures``, which checks both tables under each generator
+once per run in which a suite made sigma copies, and records a hard
+failure in each such suite if they are not equivariant.  Entries merge in
+(u, v) order after the sweep, so the report does not depend on jobs.
 ``timings.per_suite_s`` is each suite's record-step time summed over units
 (worker time in a pool), plus theorem-invariants' element and global blocks.
 
@@ -78,6 +80,7 @@ import multiprocessing
 import os
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -284,10 +287,7 @@ def _record_crosspaths(engines: Engines, out: dict, u, v) -> None:
     for w in els:
         prov = row.provenance(w.index)
         if not prov.agree:
-            _record_hard(out, _entry(
-                "chi-paths", u, v, w,
-                error=f"triple-sum {prov.triple_sum}, pairing {prov.pairing}, "
-                      f"expansion {prov.expansion}"))
+            _record_hard(out, _entry("chi-paths", u, v, w, error=str(prov)))
 
 
 #: the pair-level record step of each suite; theorem-invariants also has
@@ -305,17 +305,20 @@ _TRIPLE_SUITES = frozenset({"conjD", "cross-paths"})
 
 @dataclass
 class _Sweep:
-    """What every unit of one sweep shares.  The k-th automorphism sigma,
-    maps[k], takes the pair (u, v) to (sigma u, sigma v) and, with f =
-    flipped[triple][k], to (f[v], f[u]): f is w0*sigma for the Richardson
-    pairs, whose partner is (w0*v, w0*u), and sigma for the chi rows, which
-    commute.  labels are the elements' words, and index reads them back."""
+    """What every unit of one sweep shares.  A pair is keyed by its
+    Richardson pair (r, v), and its steps run at u = us[triple][r]: r for
+    the pair suites, w0*r for the chi rows.  A kind keeps the pairs whose
+    u and v are filtered.  The k-th automorphism sigma, maps[k], takes
+    (r, v) to (sigma r, sigma v) and, with f = flipped[k] = w0*sigma, to the
+    partner (f[v], f[r]).  labels are the elements' words, and index reads
+    them back."""
 
     names: list[str]
     filtered: list[int]
     keep: list[bool]
+    us: dict[bool, Sequence[int]]
     maps: list[tuple[int, ...]]
-    flipped: dict[bool, list[tuple[int, ...]]]
+    flipped: list[tuple[int, ...]]
     labels: list[str]
     index: dict[str, int]
 
@@ -325,21 +328,34 @@ class _Sweep:
         for i in filtered:
             keep[i] = True
         maps, w0 = permutation_closure(group.diagram_maps, group.order), group._w0
-        flipped = {False: [tuple(w0[x] for x in m) for m in maps], True: maps}
+        flipped = [tuple(w0[x] for x in m) for m in maps]
         labels = [str(x) for x in group.elements]
-        return cls(list(names), filtered, keep, maps, flipped, labels,
-                   {label: i for i, label in enumerate(labels)})
+        return cls(list(names), filtered, keep, {False: range(group.order), True: w0},
+                   maps, flipped, labels, {label: i for i, label in enumerate(labels)})
+
+    @property
+    def kinds(self) -> set[bool]:
+        """Whether each requested kind reads chi rows."""
+        return {name in _TRIPLE_SUITES for name in self.names}
+
+    def units(self) -> list[int]:
+        """The units of work: the Richardson rows some requested kind keeps."""
+        us = [self.us[triple] for triple in self.kinds]
+        return [r for r in range(len(self.keep)) if any(self.keep[u[r]] for u in us)]
 
     def copies(self, key: tuple[int, int], triple: bool) -> dict | None:
-        """The filtered pairs of key's orbit other than key itself, each with
-        the index of the first automorphism that takes key onto it, or None
-        when one of them comes before key: a pair is computed only when it
-        is the least filtered member of its orbit."""
-        u, v = key
-        keep, out = self.keep, {}
-        for k, (m, f) in enumerate(zip(self.maps, self.flipped[triple])):
-            for image in ((m[u], m[v]), (f[v], f[u])):
-                if keep[image[0]] and keep[image[1]]:
+        """The kept pairs of key's orbit other than key itself, each with the
+        index of the first automorphism that takes key onto it, or None when
+        the kind does not keep key's row or one of them comes before key: a
+        pair is computed only when it is the least kept member of its
+        orbit."""
+        r, v = key
+        us, keep, out = self.us[triple], self.keep, {}
+        if not keep[us[r]]:
+            return None
+        for k, (m, f) in enumerate(zip(self.maps, self.flipped)):
+            for image in ((m[r], m[v]), (f[v], f[r])):
+                if keep[us[image[0]]] and keep[image[1]]:
                     if image < key:
                         return None
                     if image != key and image not in out:
@@ -394,61 +410,47 @@ _WORKER_ENGINES: Engines | None = None
 _WORKER_SWEEP: _Sweep | None = None
 
 
-def _row_units(group: WeylGroup, filtered: list[int]) -> list[list[int]]:
-    """The units of work: each filtered row u together with row w0*u when
-    that is filtered too, since conjD and cross-paths on row u read the
-    classes of (w0*u, v)."""
-    keep, units = set(filtered), []
-    for ui in filtered:
-        partner = group._w0[ui]
-        if partner not in keep:
-            units.append([ui])
-        elif ui < partner:
-            units.append([ui, partner])
-    return units
-
-
-def _sweep_unit(engines: Engines, sweep: _Sweep, rows) -> dict:
-    """Every named record step on the pairs (u, v) with u in rows and v
-    filtered, on one pair of each orbit (``_Sweep.copies``).  The computed
-    pair is counted once for each filtered member of its orbit, and each
-    other member gets its entries, relabelled.  Returns {suite: (counts,
-    found)}: counts holds the instances, the hard-failure count, the
-    record-step time and the copies made through an automorphism other
-    than the identity; found lists ((row, column), violations, hard
-    failures) of the pairs with any entries, in pair order, with the hard
-    failures after the first HARD_FAILURE_LIST_CAP of the unit dropped (no
-    later one is reported)."""
+def _sweep_unit(engines: Engines, sweep: _Sweep, r: int) -> dict:
+    """Every named record step on the Richardson pairs (r, v), v filtered,
+    on one pair of each orbit (``_Sweep.copies``): the pair suites' steps
+    at (r, v), the chi rows' at (w0*r, v).  The computed pair is counted
+    once for each kept member of its orbit, and each other member gets its
+    entries, relabelled.  Returns {suite: (counts, found)}: counts holds
+    the instances, the hard-failure count, the record-step time and the
+    copies made through an automorphism other than the identity; found
+    lists ((u, v), violations, hard failures) of the pairs with any
+    entries, in (u, v) order, with the hard failures after the first
+    HARD_FAILURE_LIST_CAP of the unit dropped (no later one is
+    reported)."""
     els, clock = engines.group.elements, time.perf_counter
     steps = [(name, _RECORD_STEPS[name], name in _TRIPLE_SUITES) for name in sweep.names]
-    kinds = {triple for _, _, triple in steps}
+    kinds = sweep.kinds
     out = {name: ({"instances": 0, "hard_failure_count": 0, "elapsed": 0.0,
                    "sigma_copies": 0}, []) for name in sweep.names}
-    for ui in rows:
-        u = els[ui]
-        for vi in sweep.filtered:
-            key = (ui, vi)
-            plans = {triple: sweep.copies(key, triple) for triple in kinds}
-            for name, step, triple in steps:
-                copies = plans[triple]
-                if copies is None:
-                    continue        # recorded by the least member of its orbit
-                counts, found = out[name]
-                pair = _new_tally()
-                start = clock()
-                step(engines, pair, u, els[vi])
-                counts["elapsed"] += clock() - start
-                n = 1 + len(copies)
-                counts["instances"] += n * pair["instances"]
-                counts["hard_failure_count"] += n * pair["hard_failure_count"]
-                counts["sigma_copies"] += sum(k > 0 for k in copies.values())
-                violations, hard = pair["violations"], pair["hard_failures"]
-                if not (violations or hard):
-                    continue
-                found.append((key, violations, hard))
-                for image, k in copies.items():
-                    found.append((image, sweep.relabel(violations, image, k),
-                                  sweep.relabel(hard, image, k)))
+    for vi in sweep.filtered:
+        plans = {triple: sweep.copies((r, vi), triple) for triple in kinds}
+        for name, step, triple in steps:
+            copies = plans[triple]
+            if copies is None:
+                continue        # recorded by the least member of its orbit
+            us = sweep.us[triple]
+            counts, found = out[name]
+            pair = _new_tally()
+            start = clock()
+            step(engines, pair, els[us[r]], els[vi])
+            counts["elapsed"] += clock() - start
+            n = 1 + len(copies)
+            counts["instances"] += n * pair["instances"]
+            counts["hard_failure_count"] += n * pair["hard_failure_count"]
+            counts["sigma_copies"] += sum(k > 0 for k in copies.values())
+            violations, hard = pair["violations"], pair["hard_failures"]
+            if not (violations or hard):
+                continue
+            found.append(((us[r], vi), violations, hard))
+            for (x, y), k in copies.items():
+                image = (us[x], y)
+                found.append((image, sweep.relabel(violations, image, k),
+                              sweep.relabel(hard, image, k)))
     for _, found in out.values():
         found.sort(key=itemgetter(0))
         room = HARD_FAILURE_LIST_CAP
@@ -458,15 +460,15 @@ def _sweep_unit(engines: Engines, sweep: _Sweep, rows) -> dict:
     return out
 
 
-def _pooled_unit(rows) -> dict:
-    return _sweep_unit(_WORKER_ENGINES, _WORKER_SWEEP, rows)
+def _pooled_unit(r: int) -> dict:
+    return _sweep_unit(_WORKER_ENGINES, _WORKER_SWEEP, r)
 
 
 def _run_suites(engines: Engines, names, max_length: int | None,
                 jobs: int) -> dict[str, SuiteResult]:
-    """The named suites in one sweep over the filtered rows, in-process or
-    in one fork pool.  Each suite's entries are merged in (row, column)
-    order, the serial pair order, so the result does not depend on jobs.
+    """The named suites in one sweep over the Richardson rows, in-process or
+    in one fork pool.  Each suite's entries are merged in (u, v) order, by
+    index, so the result does not depend on jobs.
     A suite that made copies through a diagram automorphism gets a hard
     failure, ahead of its pair entries, for each table and generator under
     which the table is not equivariant; the check adds no instance.
@@ -485,14 +487,14 @@ def _run_suites(engines: Engines, names, max_length: int | None,
         _theorem_elements(engines, theorem, filtered)
         theorem["elapsed"] += clock() - start
     sweep = _Sweep.of(group, names, filtered)
-    units = _row_units(group, filtered)
+    units = sweep.units()
     workers = pool_size(jobs, len(units))
     try:
         ctx = multiprocessing.get_context("fork") if workers > 1 else None
     except ValueError:
         ctx = None
     if ctx is None:
-        parts = [_sweep_unit(engines, sweep, rows) for rows in units]
+        parts = [_sweep_unit(engines, sweep, r) for r in units]
     else:
         global _WORKER_ENGINES, _WORKER_SWEEP
         _WORKER_ENGINES, _WORKER_SWEEP = engines, sweep

@@ -335,11 +335,11 @@ def test_associativity_matches_class_level_oracle(engines, monkeypatch, key, max
 
 def test_associativity_holds_no_box_rows(engines):
     """The box rows associativity reads live only inside the call: the
-    calculator keeps no state of its own, the Richardson calculator two
-    rows, and the engine no triple-integral memo."""
+    calculator keeps no state of its own, the Richardson calculator one
+    row, and the engine no triple-integral memo."""
     stack = engines("B", 2)
     box = BoxCalculator(stack.rich)
     assert box.associativity_status() == (0, stack.group.order ** 3)
     assert set(vars(box)) == {"rich", "csm", "coh", "group"}
-    assert len(stack.rich._rows) <= 2
+    assert len(stack.rich._rows) == 1
     assert set(vars(stack.coh)) == {"group", "_alpha", "_table"}

@@ -272,7 +272,7 @@ def test_pairings_match_the_invariant_form(series, rank):
     def form(x, y):
         return sum(x[i] * y[j] * d[i] * C[i][j] for i in range(rank) for j in range(rank))
 
-    roots = [beta.coords for beta in g.positive_roots]
+    roots = list(g._root_coords)
     simple = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
     for lam in simple + roots:
         assert coh._pairings(lam) == [2 * form(lam, b) / form(b, b) for b in roots]

@@ -102,21 +102,20 @@ def test_row_operators_match_double_loop(engines, product_oracle, key):
             assert rich.verify_lemma_e(u, v) == csm.phi_involution(segre).coeffs
 
 
-def test_row_operators_held_for_two_rows(engines):
+def test_second_row_drops_the_first(engines):
     """A row record holds L_u, M_u and the row's classes and expansions;
-    a third row drops both held records, whatever they hold."""
+    asking for a second row drops the held one, whatever it holds."""
     rich = _rich(engines, "A", 3)
     g = rich.group
     rich._rows.clear()
-    for ui in (3, g._w0[3], 3):
-        for v in g:
-            rich.csm_basis_coeffs(g.elements[ui], v)
-    assert sorted(rich._rows) == sorted([3, g._w0[3]])
-    assert all(len(classes) == len(expansions) == g.order
-               for _, _, classes, expansions in rich._rows.values())
-    rich.verify_lemma_e(g.elements[5], g.identity)
-    assert list(rich._rows) == [5]
-    assert rich._rows[5][2:] == ({}, {})
+    for v in g:
+        rich.csm_basis_coeffs(g.elements[3], v)
+    assert list(rich._rows) == [3]
+    _, _, classes, expansions = rich._rows[3]
+    assert len(classes) == len(expansions) == g.order
+    rich.verify_lemma_e(g.elements[g._w0[3]], g.identity)
+    assert list(rich._rows) == [g._w0[3]]
+    assert rich._rows[g._w0[3]][2:] == ({}, {})
 
 
 def test_corrupt_mirror_operator_is_caught(monkeypatch, tmp_path, capsys):

@@ -12,6 +12,7 @@ from csmverify.richardson import RichardsonCalculator
 from csmverify.rootdata import (CartanDatum, WeylGroup, canonical_cartan_matrix,
                                 diagram_automorphisms, permutation_closure)
 from csmverify.verify import (
+    SUITE_NAMES,
     _RECORD_STEPS,
     _Sweep,
     _new_tally,
@@ -67,24 +68,53 @@ def test_diagram_maps_are_group_automorphisms(series, rank, generators, closure)
     ("A", 3, None, 172), ("A", 4, None, 3_676), ("D", 4, None, 3_738),
     ("B", 4, None, 73_920), ("A", 4, 3, None), ("D", 4, 2, None)])
 def test_orbit_rule_covers_every_pair_once(series, rank, max_length, computed):
-    """Under the orbit rule each filtered pair is the least member of its
-    orbit or a copy of exactly one such pair, for the Richardson pairs and
-    the chi rows alike.  With every element kept, the numbers computed are
-    the orbit counts: by Burnside, (576 + 24 + 64 + 24) / 4 on A3, and on
-    B4, whose only map is the partner (or the swap), (384^2 + 384) / 2."""
+    """Under the orbit rule, in Richardson keys (r, v), each pair a kind
+    keeps is the least kept member of its orbit or a copy of exactly one
+    such pair: the pair suites keep r filtered, the chi rows w0*r, and no
+    other row has a representative.  With every element kept, the numbers
+    computed are the orbit counts, the same for both kinds: by Burnside,
+    (576 + 24 + 64 + 24) / 4 on A3, and on B4, whose only map is the
+    partner, (384^2 + 384) / 2."""
     g = WeylGroup(CartanDatum.from_series(series, rank))
     filtered = [x for x in range(g.order) if max_length is None or g._lengths[x] <= max_length]
-    sweep = _Sweep.of(g, ["conjB"], filtered)
-    for triple in (False, True):
+    sweep = _Sweep.of(g, ["conjB", "conjD"], filtered)
+    rows = {False: filtered, True: sorted(g._w0[x] for x in filtered)}
+    all_reps = {}
+    for triple, kept_rows in rows.items():
         reps = {}
-        for u in filtered:
+        for r in range(g.order):
             for v in filtered:
-                copies = sweep.copies((u, v), triple)
+                copies = sweep.copies((r, v), triple)
                 if copies is not None:
-                    reps[u, v] = copies
+                    reps[r, v] = copies
         covered = [key for rep, copies in reps.items() for key in (rep, *copies)]
-        assert sorted(covered) == [(u, v) for u in filtered for v in filtered]
+        assert sorted(covered) == [(r, v) for r in kept_rows for v in filtered]
         assert computed is None or len(reps) == computed
+        all_reps[triple] = reps
+    if max_length is None:
+        assert all_reps[False] == all_reps[True]
+    assert sweep.units() == sorted(set(rows[False]) | set(rows[True]))
+
+
+@pytest.mark.parametrize("key,computed", [(("A", 3), 172), (("B", 3), 1_176)],
+                         ids=["A3", "B3"])
+def test_each_orbit_computed_once_across_kinds(key, computed, monkeypatch):
+    """A sweep of every suite computes one Richardson class per orbit, as
+    many as a sweep of either kind alone: the pair suites and the chi rows
+    share one orbit rule and its representatives.  Each class computed
+    reads one opposite cell."""
+    stack = build_engines(*key)
+    materialize_tables(stack)
+    calls = []
+    real = CsmCalculator.csm_opposite_cell
+
+    def counted(self, v):
+        calls.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(CsmCalculator, "csm_opposite_cell", counted)
+    _run_suites(stack, SUITE_NAMES, None, 1)
+    assert len(calls) == computed
 
 
 def _every_pair(stack):

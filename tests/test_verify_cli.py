@@ -70,8 +70,8 @@ def test_instance_counts_a2(engines):
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_sweep_holds_one_unit(monkeypatch, name):
-    """During and after a suite's sweep on A3, at most two Richardson rows
-    (one unit's) are held; the deformed product holds nothing of its own."""
+    """During and after a suite's sweep on A3, one Richardson row (one
+    unit's) is held; the deformed product holds nothing of its own."""
     stack = build_engines("A", 3)
     materialize_tables(stack)
     peak = {"rich": 0}
@@ -84,8 +84,8 @@ def test_sweep_holds_one_unit(monkeypatch, name):
 
     monkeypatch.setattr(RichardsonCalculator, "_row", row)
     assert run_suite(stack, name).status == "PASS"
-    assert peak["rich"] == 2
-    assert len(stack.rich._rows) <= 2
+    assert peak["rich"] == 1
+    assert len(stack.rich._rows) == 1
     assert set(vars(stack.box)) == {"rich", "csm", "coh", "group"}
 
 
