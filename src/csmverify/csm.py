@@ -101,8 +101,11 @@ class CsmCalculator:
         return out
 
     def _check_cell_invariants(self, u: WeylElement, cls: CohomologyClass) -> None:
-        group, els = self.group, self.group.elements
-        dual = group._w0[u.index]
+        """Leading and top coefficients 1, no negative coefficient, and
+        support in the Schubert variety of u: w >= w0*u, asked as w0*w <= u,
+        since x -> w0*x reverses the order, so only u's own interval is read."""
+        group, els, w0 = self.group, self.group.elements, self.group._w0
+        dual = w0[u.index]
         if cls.coeffs.get(dual) != 1:
             raise CalibrationFailure(f"cell class of {u}: leading coefficient != 1")
         if cls.coeffs.get(group.longest.index) != 1:
@@ -110,7 +113,7 @@ class CsmCalculator:
         for w, c in cls.coeffs.items():
             if c < 0:
                 raise CalibrationFailure(f"cell class of {u}: negative coefficient at {els[w]}")
-            if not group._bruhat_leq_idx(dual, w):
+            if not group._bruhat_leq_idx(w0[w], u.index):
                 raise CalibrationFailure(f"cell class of {u}: support below {els[dual]}")
 
     def csm_opposite_cell(self, v: WeylElement) -> CohomologyClass:

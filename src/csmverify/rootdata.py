@@ -12,9 +12,12 @@ right multiplication, expanding each length class in index order and
 trying the letters in ascending order, reaches every element first from
 the parent whose word plus one letter is that lex-first word; so elements
 come out in canonical order, each with its word.  The left multiplication
-table is read off the right one through inverses.  Bruhat order uses the
-descent recursion; the brute-force subword oracle is ``subword_products``,
-which the ``bruhat-subword`` theorem check reads.
+table is read off the right one through inverses.  Bruhat order is held
+as one lower interval [e, w] per element, a bitmask over element indices
+filled on first use by the descent recursion; the brute-force subword
+oracle is ``subword_products``, which the ``bruhat-subword`` theorem check
+reads.  The Dynkin diagram automorphisms are held as one closed list of
+index maps on the elements, the identity first.
 
 Conventions (fixed once, covariant throughout):
 
@@ -156,20 +159,6 @@ def diagram_automorphisms(matrix) -> list[tuple[int, ...]]:
     return found
 
 
-def permutation_closure(gens, n: int) -> list[tuple[int, ...]]:
-    """The group the permutations gens of 0..n-1 generate, each element once,
-    the identity first."""
-    out = [tuple(range(n))]
-    seen = set(out)
-    for m in out:                       # grows while it is read
-        for g in gens:
-            composed = tuple(m[x] for x in g)
-            if composed not in seen:
-                seen.add(composed)
-                out.append(composed)
-    return out
-
-
 @dataclass(frozen=True)
 class CartanDatum:
     """A validated finite-type Cartan matrix with its series label.
@@ -239,8 +228,10 @@ class WeylElement:
 class WeylGroup:
     """A fully enumerated finite Weyl group with its root system.
 
-    Construction is single-threaded; afterwards the object is immutable and
-    all operations are pure, so concurrent reads are safe.  Elements are
+    Construction is single-threaded.  Afterwards the element tables are
+    fixed; only the lower Bruhat intervals (``_below``) and the right
+    reflection table fill on first use, and fork workers inherit whatever
+    the parent had filled before the fork.  Elements are
     indexed in canonical order: increasing length, ties broken by the lex
     order of canonical words.  Index 0 is the identity and the last index is
     the longest element.
@@ -272,19 +263,19 @@ class WeylGroup:
                 cur = self._right[cur][i - 1]
             self._w0.append(cur)
 
-        self._bruhat_cache: dict[tuple[int, int], bool] = {}
+        # [e, w] as a bitmask over element indices, for each w asked so far
+        self._below: dict[int, int] = {0: 1}
         self._refl_right: list[list[int]] | None = None
 
-        # one index map x -> sigma(x) per generator sigma of the diagram
-        # automorphisms, each taken when those before it do not generate
-        # it: each word relabelled letter by letter
-        generators: list[tuple[int, ...]] = []
+        # the index map x -> sigma(x) of every diagram automorphism sigma, the
+        # identity first: sigma(y s_i) = sigma(y) s_p(i), y before y s_i
+        self.diagram_maps: tuple[tuple[int, ...], ...] = ()
         for p in diagram_automorphisms(datum.matrix):
-            if p not in permutation_closure(generators, self.rank):
-                generators.append(p)
-        self.diagram_maps: tuple[tuple[int, ...], ...] = tuple(
-            tuple(self.from_word([p[i - 1] + 1 for i in word]).index for word in self._words)
-            for p in generators)
+            sigma = [0] * self.order
+            for x in range(1, self.order):
+                i = self._words[x][-1] - 1
+                sigma[x] = self._right[sigma[self._right[x][i]]][p[i]]
+            self.diagram_maps += (tuple(sigma),)
 
     # -- root system -------------------------------------------------------
 
@@ -463,32 +454,34 @@ class WeylGroup:
     # -- Bruhat order --------------------------------------------------------
 
     def bruhat_leq(self, v: WeylElement, w: WeylElement) -> bool:
-        """Bruhat order by the descent recursion.
-
-        If i is a left descent of w, then v <= w iff min(v, s_i v) <= s_i w;
-        the base case is v = e.
-        """
+        """Bruhat order by the descent recursion, read off the lower interval
+        of w (``_interval``); the cases v = e, v = w and l(v) >= l(w) need
+        none."""
         self._check_same(v, w)
         return self._bruhat_leq_idx(v.index, w.index)
 
     def _bruhat_leq_idx(self, vi: int, wi: int) -> bool:
-        if vi == 0:
+        if vi == 0 or vi == wi:
             return True
-        if self._lengths[vi] > self._lengths[wi]:
+        if self._lengths[vi] >= self._lengths[wi]:
             return False
-        key = (vi, wi)
-        cached = self._bruhat_cache.get(key)
-        if cached is not None:
-            return cached
-        i = next(k for k in range(self.rank)
-                 if self._lengths[self._left[wi][k]] < self._lengths[wi])
-        wn = self._left[wi][i]
-        vn = self._left[vi][i]
-        if self._lengths[vn] > self._lengths[vi]:
-            vn = vi
-        out = self._bruhat_leq_idx(vn, wn)
-        self._bruhat_cache[key] = out
-        return out
+        return self._interval(wi) >> vi & 1 == 1
+
+    def _interval(self, wi: int) -> int:
+        """[e, w] as a bitmask, filled on first use down a chain of left
+        descents: for a left descent i of w, v <= w iff min(v, s_i v) <= s_i w,
+        so [e, w] = [e, s_i w] | s_i [e, s_i w]."""
+        below = self._below.get(wi)
+        if below is None:
+            left, lengths = self._left, self._lengths
+            i = next(k for k in range(self.rank) if lengths[left[wi][k]] < lengths[wi])
+            below = rest = self._interval(left[wi][i])
+            while rest:
+                low = rest & -rest
+                below |= 1 << left[low.bit_length() - 1][i]
+                rest ^= low
+            self._below[wi] = below
+        return below
 
     def subword_products(self, w: WeylElement) -> set[int]:
         """Indices of all products of subwords of w's canonical word."""

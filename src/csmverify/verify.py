@@ -62,7 +62,7 @@ The filter --max-length is sigma-invariant but not w0-invariant, so a pair
 suite's pair whose partner is filtered out may compute itself.  Values and
 error texts are copied as computed.  The partner copies rest on the mirror
 check of the computed pair; the sigma copies rest on
-``_equivariance_failures``, which checks both tables under each generator
+``_equivariance_failures``, which checks both tables under each automorphism
 once per run in which a suite made sigma copies, and records a hard
 failure in each such suite if they are not equivariant.  Entries merge in
 (u, v) order after the sweep, so the report does not depend on jobs.
@@ -91,8 +91,7 @@ from .cohomology import FlagCohomology
 from .csm import CONVENTION, CsmCalculator
 from .errors import InternalInvariantError, UsageError
 from .richardson import RichardsonCalculator
-from .rootdata import (CartanDatum, WeylGroup, DEFAULT_MAX_ORDER, parity_sign,
-                       permutation_closure, weyl_order)
+from .rootdata import CartanDatum, WeylGroup, DEFAULT_MAX_ORDER, parity_sign, weyl_order
 
 SCHEMA_VERSION = 1
 SUITE_NAMES = ("theorem-invariants", "conjB", "conjC", "conjD", "cross-paths")
@@ -146,13 +145,23 @@ def materialize_tables(engines: Engines, cache: TableCache | None = None) -> dic
 
 @dataclass
 class SuiteResult:
+    """One suite's tally, which record steps, unit totals and the merge
+    write into."""
+
     name: str
-    instances: int
-    predicted_instances: int
+    instances: int = 0
+    predicted_instances: int = 0
     violations: list = field(default_factory=list)
     hard_failures: list = field(default_factory=list)
     hard_failure_count: int = 0
     elapsed: float = 0.0
+
+    def hard(self, entry: dict) -> None:
+        """Count a hard failure; list it while fewer than
+        HARD_FAILURE_LIST_CAP are listed."""
+        self.hard_failure_count += 1
+        if len(self.hard_failures) < HARD_FAILURE_LIST_CAP:
+            self.hard_failures.append(entry)
 
     @property
     def status(self) -> str:
@@ -164,18 +173,6 @@ class SuiteResult:
         keys = ("instances", "predicted_instances", "violations", "hard_failures",
                 "hard_failure_count")
         return {**{k: getattr(self, k) for k in keys}, "status": self.status}
-
-
-def _new_tally() -> dict:
-    """An empty tally; its keys are the tallied SuiteResult fields."""
-    return {"instances": 0, "violations": [], "hard_failures": [], "hard_failure_count": 0,
-            "elapsed": 0.0}
-
-
-def _record_hard(result_dict: dict, entry: dict) -> None:
-    result_dict["hard_failure_count"] += 1
-    if len(result_dict["hard_failures"]) < HARD_FAILURE_LIST_CAP:
-        result_dict["hard_failures"].append(entry)
 
 
 def _entry(check: str, *elements, **detail) -> dict:
@@ -194,53 +191,52 @@ def pool_size(jobs: int, units: int) -> int:
 # -- record steps: one (u, v) pair of one suite into the tally of row u ---------
 
 
-def _record_theorem_pair(engines: Engines, out: dict, u, v) -> None:
+def _record_theorem_pair(engines: Engines, out: SuiteResult, u, v) -> None:
     group, rich = engines.group, engines.rich
-    out["instances"] += 1
+    out.instances += 1
     try:
         cls = rich.csm_richardson(u, v)           # mirror agreement inside
         rich.richardson_coeffs(u, v)              # parity inside
         rich.verify_lemma_e(u, v)                 # sign condition inside
         if not group.bruhat_leq(v, u) and cls:
-            _record_hard(out, _entry("empty-cell", u, v,
-                                     error="empty Richardson cell has nonzero class"))
+            out.hard(_entry("empty-cell", u, v, error="empty Richardson cell has nonzero class"))
         if u == v and cls != engines.coh.schubert_class(group.longest):
-            _record_hard(out, _entry("diagonal-point", u, v,
-                                     error="diagonal cell class is not the point class"))
+            out.hard(_entry("diagonal-point", u, v,
+                            error="diagonal cell class is not the point class"))
     except InternalInvariantError as exc:
-        _record_hard(out, _entry("richardson-pair", u, v, error=str(exc)))
+        out.hard(_entry("richardson-pair", u, v, error=str(exc)))
 
 
-def _record_conjb(engines: Engines, out: dict, u, v) -> None:
-    out["instances"] += 1
+def _record_conjb(engines: Engines, out: SuiteResult, u, v) -> None:
+    out.instances += 1
     try:
         coeffs = engines.rich.richardson_coeffs(u, v)
     except InternalInvariantError as exc:
-        _record_hard(out, _entry("richardson", u, v, error=str(exc)))
+        out.hard(_entry("richardson", u, v, error=str(exc)))
         return
     for w, val in coeffs.violations:
-        out["violations"].append(_entry("conjB", u, v, w, value=val))
+        out.violations.append(_entry("conjB", u, v, w, value=val))
 
 
-def _record_conjc(engines: Engines, out: dict, u, v) -> None:
-    out["instances"] += 1
+def _record_conjc(engines: Engines, out: SuiteResult, u, v) -> None:
+    out.instances += 1
     try:
         coeffs = engines.rich.csm_basis_coeffs(u, v)
     except InternalInvariantError as exc:
-        _record_hard(out, _entry("csm-basis-expansion", u, v, error=str(exc)))
+        out.hard(_entry("csm-basis-expansion", u, v, error=str(exc)))
         return
     for w, val in coeffs.violations:
-        out["violations"].append(_entry("conjC", u, v, w, value=val))
+        out.violations.append(_entry("conjC", u, v, w, value=val))
 
 
-def _record_row_failure(out: dict, check: str, u, v, elements, exc: Exception) -> None:
+def _record_row_failure(out: SuiteResult, check: str, u, v, elements, exc: Exception) -> None:
     """A pair whose row could not be read fails at every w, one instance each."""
     for w in elements:
-        out["instances"] += 1
-        _record_hard(out, _entry(check, u, v, w, error=str(exc)))
+        out.instances += 1
+        out.hard(_entry(check, u, v, w, error=str(exc)))
 
 
-def _record_conjd(engines: Engines, out: dict, u, v) -> None:
+def _record_conjd(engines: Engines, out: SuiteResult, u, v) -> None:
     group = engines.group
     floor = u.length + v.length
     pair_sign_ok = True
@@ -249,45 +245,45 @@ def _record_conjd(engines: Engines, out: dict, u, v) -> None:
     except InternalInvariantError as exc:
         _record_row_failure(out, "chi", u, v, group.elements, exc)
     else:
-        out["instances"] += group.order
+        out.instances += group.order
         cup = engines.coh.structure_constants_idx(u.index, v.index)
         for wi in sorted(row.keys() | cup.keys()):
             w, chi, cup_c = group.elements[wi], row.get(wi, 0), cup.get(wi, 0)
             if w.length < floor:
                 # below the dimension threshold: reported, not fatal
-                out["violations"].append(_entry("below-threshold", u, v, w, value=chi))
+                out.violations.append(_entry("below-threshold", u, v, w, value=chi))
                 continue
             if w.length == floor and chi != cup_c:
-                _record_hard(out, _entry("graded-vs-cup", u, v, w, value=chi, expected=cup_c))
+                out.hard(_entry("graded-vs-cup", u, v, w, value=chi, expected=cup_c))
             if parity_sign(w.length - floor) * chi < 0:
                 pair_sign_ok = False
-                out["violations"].append(_entry("conjD", u, v, w, value=chi))
+                out.violations.append(_entry("conjD", u, v, w, value=chi))
     # the per-pair verdict must match the CSM-basis sign verdict for the
     # mirrored Richardson pair
     try:
         c_ok = not engines.rich.csm_basis_coeffs(group.w0_times(u), v).violations
         if c_ok != pair_sign_ok:
-            _record_hard(out, _entry(
+            out.hard(_entry(
                 "pairwise-equivalence", u, v,
                 error=f"sign verdicts disagree: chi {pair_sign_ok}, expansion {c_ok}"))
     except InternalInvariantError as exc:
-        _record_hard(out, _entry("pairwise-equivalence", u, v, error=str(exc)))
+        out.hard(_entry("pairwise-equivalence", u, v, error=str(exc)))
 
 
-def _record_crosspaths(engines: Engines, out: dict, u, v) -> None:
+def _record_crosspaths(engines: Engines, out: SuiteResult, u, v) -> None:
     els = engines.group.elements
     try:
         row = engines.box.chi_row(u, v)
     except InternalInvariantError as exc:
         _record_row_failure(out, "chi-paths", u, v, els, exc)
         return
-    out["instances"] += len(els)
+    out.instances += len(els)
     if row.agree:
         return
     for w in els:
         prov = row.provenance(w.index)
         if not prov.agree:
-            _record_hard(out, _entry("chi-paths", u, v, w, error=str(prov)))
+            out.hard(_entry("chi-paths", u, v, w, error=str(prov)))
 
 
 #: the pair-level record step of each suite; theorem-invariants also has
@@ -317,7 +313,7 @@ class _Sweep:
     filtered: list[int]
     keep: list[bool]
     us: dict[bool, Sequence[int]]
-    maps: list[tuple[int, ...]]
+    maps: tuple[tuple[int, ...], ...]
     flipped: list[tuple[int, ...]]
     labels: list[str]
     index: dict[str, int]
@@ -327,7 +323,7 @@ class _Sweep:
         keep = [False] * group.order
         for i in filtered:
             keep[i] = True
-        maps, w0 = permutation_closure(group.diagram_maps, group.order), group._w0
+        maps, w0 = group.diagram_maps, group._w0
         flipped = [tuple(w0[x] for x in m) for m in maps]
         labels = [str(x) for x in group.elements]
         return cls(list(names), filtered, keep, {False: range(group.order), True: w0},
@@ -378,7 +374,7 @@ class _Sweep:
 
 
 def _equivariance_failures(engines: Engines) -> list[str]:
-    """For each generator sigma of the diagram automorphisms, where the
+    """For each diagram automorphism sigma but the identity, where the
     structure table breaks c_{sigma u, sigma v}^{sigma w} = c_uv^w and where
     the CSM table breaks csm(cell sigma u) = sigma . csm(cell u); the first
     pair, resp. element, of each.  The sigma copies of a sweep rest on
@@ -386,7 +382,7 @@ def _equivariance_failures(engines: Engines) -> list[str]:
     recursions that build the tables do not imply it."""
     group, table = engines.group, engines.coh._table
     els, order, failures = group.elements, group.order, []
-    for sigma in group.diagram_maps:
+    for sigma in group.diagram_maps[1:]:
         name = " ".join(str(els[sigma[group._right[0][i]]]) for i in range(group.rank))
         bad = next(((u, v) for u in range(order) for v in range(order)
                     if {sigma[w]: c for w, c in table[u][v].items()}
@@ -410,40 +406,42 @@ _WORKER_ENGINES: Engines | None = None
 _WORKER_SWEEP: _Sweep | None = None
 
 
-def _sweep_unit(engines: Engines, sweep: _Sweep, r: int) -> dict:
+def _sweep_unit(engines: Engines, sweep: _Sweep, r: int) -> tuple[dict, dict]:
     """Every named record step on the Richardson pairs (r, v), v filtered,
     on one pair of each orbit (``_Sweep.copies``): the pair suites' steps
     at (r, v), the chi rows' at (w0*r, v).  The computed pair is counted
     once for each kept member of its orbit, and each other member gets its
-    entries, relabelled.  Returns {suite: (counts, found)}: counts holds
-    the instances, the hard-failure count, the record-step time and the
-    copies made through an automorphism other than the identity; found
-    lists ((u, v), violations, hard failures) of the pairs with any
+    entries, relabelled.  Returns ({suite: (counts, found)}, sigma): counts
+    holds the instances, the hard-failure count and the record-step time;
+    found lists ((u, v), violations, hard failures) of the pairs with any
     entries, in (u, v) order, with the hard failures after the first
-    HARD_FAILURE_LIST_CAP of the unit dropped (no later one is
-    reported)."""
+    HARD_FAILURE_LIST_CAP of the unit dropped (no later one is reported);
+    sigma counts, for each kind, the copies made through an automorphism
+    other than the identity."""
     els, clock = engines.group.elements, time.perf_counter
     steps = [(name, _RECORD_STEPS[name], name in _TRIPLE_SUITES) for name in sweep.names]
     kinds = sweep.kinds
-    out = {name: ({"instances": 0, "hard_failure_count": 0, "elapsed": 0.0,
-                   "sigma_copies": 0}, []) for name in sweep.names}
+    out = {name: (SuiteResult(name), []) for name in sweep.names}
+    sigma = dict.fromkeys(kinds, 0)
     for vi in sweep.filtered:
         plans = {triple: sweep.copies((r, vi), triple) for triple in kinds}
+        for triple, copies in plans.items():
+            if copies:
+                sigma[triple] += sum(k > 0 for k in copies.values())
         for name, step, triple in steps:
             copies = plans[triple]
             if copies is None:
                 continue        # recorded by the least member of its orbit
             us = sweep.us[triple]
             counts, found = out[name]
-            pair = _new_tally()
+            pair = SuiteResult(name)
             start = clock()
             step(engines, pair, els[us[r]], els[vi])
-            counts["elapsed"] += clock() - start
+            counts.elapsed += clock() - start
             n = 1 + len(copies)
-            counts["instances"] += n * pair["instances"]
-            counts["hard_failure_count"] += n * pair["hard_failure_count"]
-            counts["sigma_copies"] += sum(k > 0 for k in copies.values())
-            violations, hard = pair["violations"], pair["hard_failures"]
+            counts.instances += n * pair.instances
+            counts.hard_failure_count += n * pair.hard_failure_count
+            violations, hard = pair.violations, pair.hard_failures
             if not (violations or hard):
                 continue
             found.append(((us[r], vi), violations, hard))
@@ -457,10 +455,10 @@ def _sweep_unit(engines: Engines, sweep: _Sweep, r: int) -> dict:
         for _, _, hard in found:
             del hard[room:]
             room -= len(hard)
-    return out
+    return out, sigma
 
 
-def _pooled_unit(r: int) -> dict:
+def _pooled_unit(r: int) -> tuple[dict, dict]:
     return _sweep_unit(_WORKER_ENGINES, _WORKER_SWEEP, r)
 
 
@@ -470,22 +468,22 @@ def _run_suites(engines: Engines, names, max_length: int | None,
     in one fork pool.  Each suite's entries are merged in (u, v) order, by
     index, so the result does not depend on jobs.
     A suite that made copies through a diagram automorphism gets a hard
-    failure, ahead of its pair entries, for each table and generator under
-    which the table is not equivariant; the check adds no instance.
+    failure, ahead of its pair entries, for each table and automorphism
+    under which the table is not equivariant; the check adds no instance.
     theorem-invariants' tally is its element block, then its pair tally,
     then its global block."""
     group, clock = engines.group, time.perf_counter
     filtered = [i for i in range(group.order)
                 if max_length is None or group._lengths[i] <= max_length]
-    tallies = {name: _new_tally() for name in names}
-    predicted = {name: len(filtered) ** 2 * (group.order if name in _TRIPLE_SUITES else 1)
-                 for name in names}
-    theorem = tallies.get("theorem-invariants")
+    results = {name: SuiteResult(name, predicted_instances=len(filtered) ** 2
+                                 * (group.order if name in _TRIPLE_SUITES else 1))
+               for name in names}
+    theorem = results.get("theorem-invariants")
     if theorem is not None:
         # before any fork, so that workers inherit the per-element classes
         start = clock()
         _theorem_elements(engines, theorem, filtered)
-        theorem["elapsed"] += clock() - start
+        theorem.elapsed += clock() - start
     sweep = _Sweep.of(group, names, filtered)
     units = sweep.units()
     workers = pool_size(jobs, len(units))
@@ -504,31 +502,30 @@ def _run_suites(engines: Engines, names, max_length: int | None,
         finally:
             _WORKER_ENGINES = _WORKER_SWEEP = None
     equivariance = None
-    for name in names:
-        tally, found, sigma_copies = tallies[name], [], 0
-        for part in parts:
-            counts, items = part[name]
-            sigma_copies += counts.pop("sigma_copies")
-            for k, x in counts.items():
-                tally[k] += x
+    for name, result in results.items():
+        found, triple = [], name in _TRIPLE_SUITES
+        for totals, _ in parts:
+            counts, items = totals[name]
+            result.instances += counts.instances
+            result.hard_failure_count += counts.hard_failure_count
+            result.elapsed += counts.elapsed
             found.extend(items)
-        if sigma_copies:
+        if any(sigma[triple] for _, sigma in parts):
             if equivariance is None:
                 equivariance = _equivariance_failures(engines)
             for error in equivariance:
-                _record_hard(tally, _entry("diagram-equivariance", error=error))
+                result.hard(_entry("diagram-equivariance", error=error))
         found.sort(key=itemgetter(0))
-        listed = tally["hard_failures"]
+        listed = result.hard_failures
         for _, violations, hard in found:
-            tally["violations"].extend(violations)
+            result.violations.extend(violations)
             listed.extend(hard[:HARD_FAILURE_LIST_CAP - len(listed)])
 
     if theorem is not None:
         start = clock()
-        predicted["theorem-invariants"] += len(filtered) + _theorem_globals(engines, theorem)
-        theorem["elapsed"] += clock() - start
-    return {name: SuiteResult(name=name, predicted_instances=predicted[name], **tallies[name])
-            for name in names}
+        theorem.predicted_instances += len(filtered) + _theorem_globals(engines, theorem)
+        theorem.elapsed += clock() - start
+    return results
 
 
 def run_suite(engines: Engines, name: str, max_length: int | None = None,
@@ -542,32 +539,32 @@ def run_suite(engines: Engines, name: str, max_length: int | None = None,
 # -- theorem-invariants: the element and global blocks ------------------------
 
 
-def _theorem_elements(engines: Engines, out: dict, filtered: list[int]) -> None:
+def _theorem_elements(engines: Engines, out: SuiteResult, filtered: list[int]) -> None:
     """Cell-class identities on every filtered element, recorded into out."""
     group, csm, rich = engines.group, engines.csm, engines.rich
     for ui in filtered:
         u = group.elements[ui]
-        out["instances"] += 1
+        out.instances += 1
         try:
             cell = csm.csm_schubert_cell(u)       # positivity/support/normalization
             csm.segre_schubert_cell(u)            # sign twist
             if rich.expand_in_csm_basis(cell) != {ui: 1}:
-                _record_hard(out, _entry("csm-basis-unitriangular", u,
-                                         error="cell class does not expand to itself"))
+                out.hard(_entry("csm-basis-unitriangular", u,
+                                error="cell class does not expand to itself"))
         except InternalInvariantError as exc:
-            _record_hard(out, _entry("cell-invariants", u, error=str(exc)))
+            out.hard(_entry("cell-invariants", u, error=str(exc)))
 
 
-def _theorem_globals(engines: Engines, out: dict) -> int:
+def _theorem_globals(engines: Engines, out: SuiteResult) -> int:
     """Whole-group identities, recorded into out; returns how many ran."""
     group, coh, csm = engines.group, engines.coh, engines.csm
-    before = out["instances"]
+    before = out.instances
 
     def check(ok: bool, name: str, detail=""):
-        out["instances"] += 1
+        out.instances += 1
         if not ok:      # detail: a message, or a function formatting it
             text = detail() if callable(detail) else detail
-            _record_hard(out, _entry(name, error=text or "identity fails"))
+            out.hard(_entry(name, error=text or "identity fails"))
 
     try:
         check(csm.completeness_check(), "completeness",
@@ -627,7 +624,7 @@ def _theorem_globals(engines: Engines, out: dict) -> int:
         for v in group.elements:
             check(group.bruhat_leq(v, w) == (v.index in reachable),
                   "bruhat-subword", lambda: f"order disagrees at ({v}, {w})")
-    return out["instances"] - before
+    return out.instances - before
 
 
 # -- reports ---------------------------------------------------------------------
@@ -774,7 +771,7 @@ def run_verification(
                     else f"fails on {failures}/{total} filtered triples")
     meta_elapsed = time.perf_counter() - meta_start
     return VerificationReport(
-        series=series, rank=rank, order=engines.group.order, suites=results,
+        series=engines.series, rank=rank, order=engines.group.order, suites=results,
         meta_checks=meta,
         options={"suites": suite_names, "max_length": max_length, "jobs": jobs,
                  "max_order": max_order, "table_checksums": checksums},

@@ -149,6 +149,22 @@ def test_cell_invariants_exhaustive(engines, key):
             assert g.bruhat_leq(dual, g.elements[w])
 
 
+def test_support_outside_schubert_variety_fails(engines):
+    """A cell class with one extra positive coefficient outside the
+    Schubert variety of u, its leading and top coefficients still 1, fails
+    the support check: on A3, u = s1 s2 s3 and w = w0 s2 s1, where
+    w0*w = s2 s1 is not below u though shorter than it."""
+    stack = engines("A", 3)
+    g, csm = stack.group, stack.csm
+    u = g.from_word([1, 2, 3])
+    outside = g.w0_times(g.from_word([2, 1]))
+    cell = csm.csm_schubert_cell(u)
+    assert outside.index not in cell.coeffs
+    assert not g.bruhat_leq(g.w0_times(u), outside)
+    with pytest.raises(CalibrationFailure, match=f"cell class of {u}: support below"):
+        csm._check_cell_invariants(u, cell + stack.coh.schubert_class(outside))
+
+
 @pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
 def test_completeness(engines, key):
     csm = _csm(engines, *key)

@@ -1,3 +1,5 @@
+import ast
+import sys
 from pathlib import Path
 
 import csmverify
@@ -17,3 +19,21 @@ def test_readme_library_example_runs(capsys):
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.count("\n") == 3
+
+
+def test_package_imports_only_the_standard_library():
+    """Every absolute import in the package names a standard-library module
+    or csmverify itself: the package has no runtime dependency, and one
+    installed here (numpy, say) would not show in any other test."""
+    stray = []
+    for path in sorted(Path(csmverify.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            stray += [f"{path.name}: {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names | {"csmverify"}]
+    assert stray == []

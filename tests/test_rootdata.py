@@ -305,13 +305,34 @@ def test_bruhat_examples(group):
     assert not g.bruhat_leq(g.from_word([1, 2]), g.from_word([2, 1]))
 
 
-def test_bruhat_agrees_with_subword_oracle(group):
-    for key in [("A", 2), ("B", 2), ("A", 3)]:
-        g = group(*key)
-        for w in g:
-            below = g.subword_products(w)
-            for v in g:
-                assert g.bruhat_leq(v, w) == (v.index in below)
+def _check_bruhat_against_subwords(series, rank):
+    g = WeylGroup(CartanDatum.from_series(series, rank))
+    for w in g:
+        below = g.subword_products(w)
+        for v in g:
+            assert g.bruhat_leq(v, w) == (v.index in below)
+
+
+def test_bruhat_agrees_with_subword_oracle():
+    """The lower intervals, filled on first use, agree with the subword
+    products on every pair."""
+    for key in [("A", 2), ("B", 2), ("A", 3), ("B", 4), ("D", 4)]:
+        _check_bruhat_against_subwords(*key)
+
+
+@pytest.mark.long
+def test_bruhat_agrees_with_subword_oracle_f4():
+    _check_bruhat_against_subwords("F", 4)
+
+
+@pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("D", 4), ("G", 2)])
+def test_left_w0_reverses_bruhat_order(key):
+    """x <= w iff w0*w <= w0*x: the cell support check asks the second form,
+    so that it reads only the interval of the cell's own element."""
+    g = WeylGroup(CartanDatum.from_series(*key))
+    for w in g:
+        for x in g:
+            assert g.bruhat_leq(x, w) == g.bruhat_leq(g.w0_times(w), g.w0_times(x))
 
 
 # -- pairings ------------------------------------------------------------------------------

@@ -10,12 +10,12 @@ from csmverify.cohomology import FlagCohomology
 from csmverify.csm import CsmCalculator
 from csmverify.richardson import RichardsonCalculator
 from csmverify.rootdata import (CartanDatum, WeylGroup, canonical_cartan_matrix,
-                                diagram_automorphisms, permutation_closure)
+                                diagram_automorphisms)
 from csmverify.verify import (
     SUITE_NAMES,
+    SuiteResult,
     _RECORD_STEPS,
     _Sweep,
-    _new_tally,
     _run_suites,
     build_engines,
     materialize_tables,
@@ -43,17 +43,22 @@ def test_diagram_automorphisms_by_type(series, rank, count):
                    for i in range(rank) for j in range(rank))
 
 
-@pytest.mark.parametrize("series,rank,generators,closure", [
-    ("A", 3, 1, 2), ("A", 4, 1, 2), ("D", 4, 2, 6), ("B", 3, 0, 1), ("G", 2, 0, 1)])
-def test_diagram_maps_are_group_automorphisms(series, rank, generators, closure):
-    """Each generator's index map is a length-preserving bijection that maps
-    each simple reflection onto one, is multiplicative, and commutes with
-    w0; the generators close to the whole automorphism group."""
+@pytest.mark.parametrize("series,rank,involutions,size", [
+    ("A", 3, 1, 2), ("A", 4, 1, 2), ("D", 4, 3, 6), ("B", 3, 0, 1), ("G", 2, 0, 1)])
+def test_diagram_maps_are_group_automorphisms(series, rank, involutions, size):
+    """The index maps are the whole automorphism group, each once, the
+    identity first, closed under composition; on D4 it is S3, with three
+    involutions.  Each is a length-preserving bijection that maps each
+    simple reflection onto one, is multiplicative, and commutes with w0."""
     g = WeylGroup(CartanDatum.from_series(series, rank))
-    assert len(g.diagram_maps) == generators
-    assert len(permutation_closure(g.diagram_maps, g.order)) == closure
+    maps = g.diagram_maps
+    identity = tuple(range(g.order))
+    assert len(maps) == len(set(maps)) == size
+    assert maps[0] == identity
+    assert {tuple(a[x] for x in b) for a in maps for b in maps} == set(maps)
+    assert sum(tuple(m[x] for x in m) == identity for m in maps[1:]) == involutions
     simple = [g._right[0][i] for i in range(rank)]
-    for sigma in g.diagram_maps:
+    for sigma in maps:
         assert sorted(sigma) == list(range(g.order))
         letters = [simple.index(sigma[s]) for s in simple]
         assert sorted(letters) == list(range(rank))
@@ -136,7 +141,7 @@ def _every_pair(stack):
 def _check_copies(stack):
     g, w0 = stack.group, stack.group._w0
     classes, expansions, chi = _every_pair(stack)
-    maps = permutation_closure(g.diagram_maps, g.order)
+    maps = g.diagram_maps
     assert len(maps) > 1
     for (u, v), cls in classes.items():
         # the partner map, for the Richardson classes and their expansions
@@ -208,16 +213,15 @@ def _check_against_every_pair(series, rank, max_length, monkeypatch):
         == {n: r.to_dict() for n, r in pooled.items()}
     kept = [w for w in stack.group if max_length is None or w.length <= max_length]
     for name in names:
-        tally = _new_tally()
+        tally = SuiteResult(name)
         for u in kept:
             for v in kept:
                 _RECORD_STEPS[name](stack, tally, u, v)
         result = serial[name]
-        assert tally["hard_failures" if name == "cross-paths" else "violations"], name
+        assert tally.hard_failures if name == "cross-paths" else tally.violations, name
         assert (result.instances, result.violations, result.hard_failures,
-                result.hard_failure_count) == (tally["instances"], tally["violations"],
-                                               tally["hard_failures"],
-                                               tally["hard_failure_count"])
+                result.hard_failure_count) == (tally.instances, tally.violations,
+                                               tally.hard_failures, tally.hard_failure_count)
 
 
 @pytest.mark.parametrize("series,rank,max_length", [("A", 3, None), ("D", 4, 2)])
@@ -262,7 +266,7 @@ def _structure_constant_raised(monkeypatch):
     def raised(self):
         table = real(self)
         g = self.group
-        sigma = g.diagram_maps[0]
+        sigma = g.diagram_maps[1]
         u, v = next((u, v) for u in range(g.order) for v in range(u, g.order)
                     if min(g._lengths[u], g._lengths[v]) >= 2 and sigma[u] != u and table[u][v])
         w = min(table[u][v])
@@ -293,18 +297,18 @@ def _cell_coefficient_raised(monkeypatch):
 @pytest.mark.parametrize("key", [("A", 3), ("D", 4)], ids=["A3", "D4"])
 def test_tables_off_equivariance_fail_the_run(mutate, key, monkeypatch):
     """A table that is not sigma-equivariant ends the run with a hard
-    failure in every suite that made sigma copies, one for each generator
-    the table breaks, and adds no instance."""
+    failure in every suite that made sigma copies, one for each
+    automorphism the table breaks, and adds no instance."""
     mutate(monkeypatch)
     max_length = 2 if key == ("D", 4) else None
     report = run_verification(*key, suites=["conjB", "cross-paths"], max_length=max_length)
     assert report.exit_code == 2
     table = "structure constants" if mutate is _structure_constant_raised else "CSM class"
-    generators = len(WeylGroup(CartanDatum.from_series(*key)).diagram_maps)
+    automorphisms = len(WeylGroup(CartanDatum.from_series(*key)).diagram_maps) - 1
     for result in report.suites.values():
         assert result.instances == result.predicted_instances
         found = [e for e in result.hard_failures if e["check"] == "diagram-equivariance"]
-        assert 1 <= len(found) <= generators
+        assert 1 <= len(found) <= automorphisms
         for e in found:
             assert e["error"].startswith(table)
             assert "not equivariant under the diagram automorphism s1.." in e["error"]
@@ -335,5 +339,5 @@ def test_equivariant_tables_pass(engines):
 
     for key in [("A", 3), ("A", 4), ("D", 4)]:
         stack = engines(*key)
-        assert stack.group.diagram_maps
+        assert len(stack.group.diagram_maps) > 1
         assert _equivariance_failures(stack) == []

@@ -15,6 +15,7 @@ from csmverify.rootdata import CartanDatum, WeylGroup
 from csmverify.verify import (
     HARD_FAILURE_LIST_CAP,
     SUITE_NAMES,
+    _run_suites,
     build_engines,
     materialize_tables,
     pool_size,
@@ -122,6 +123,25 @@ def test_report_determinism():
     assert _strip_timings(a) == _strip_timings(b)
     assert json.dumps(_strip_timings(a), sort_keys=True) == \
         json.dumps(_strip_timings(b), sort_keys=True)
+
+
+def test_report_names_the_series_in_capitals():
+    """The series is reported as the datum's, however it was typed."""
+    lower, upper = (run_verification(series, 2, suites=["conjB"]) for series in ("a", "A"))
+    assert _strip_timings(lower.to_json()) == _strip_timings(upper.to_json())
+    assert lower.summary_lines()[0].startswith("group A2 ")
+
+
+def test_bruhat_state_is_one_interval_per_element():
+    """After an exhaustive A4 theorem-invariants run, which asks the Bruhat
+    order on every pair, the group holds at most one lower interval per
+    element, each one int."""
+    stack = build_engines("A", 4)
+    materialize_tables(stack)
+    _run_suites(stack, ["theorem-invariants"], None, 1)
+    g = stack.group
+    assert len(g._below) <= g.order
+    assert all(type(mask) is int for mask in g._below.values())
 
 
 def test_pool_size_is_clamped(monkeypatch):
