@@ -25,7 +25,8 @@ The structure constants form one complete table, computed in process and
 checked before the first product; it is never read from the cache, which
 alone encodes it for its checksum.  Triple integrals read it by element
 index, and products one column a . eps^v at a time (``Multiplier``, which
-keeps the columns of a factor used again).
+keeps the columns of a factor used again and skips, exactly, every pair of
+terms whose lengths add up to more than the dimension).
 """
 
 from __future__ import annotations
@@ -112,26 +113,38 @@ class Multiplier:
     v, factor . eps^v, is read off the structure table on first use and
     kept.  A product through a fresh multiplier reads the table entries the
     term-by-term double loop would read, once each; every later product
-    reuses the columns already filled."""
+    reuses the columns already filled.
 
-    __slots__ = ("coh", "factor", "columns")
+    Both loops are cut by degree, exactly: c_uv^w vanishes unless
+    l(u) + l(v) <= N, so a term eps^v of b longer than N minus the factor's
+    least length (``reach``) contributes nothing and fills no column, and a
+    column stops at the first factor term longer than N - l(v).  The
+    factor's terms are held sorted by length, as (l(u), u, c)."""
+
+    __slots__ = ("coh", "factor", "terms", "reach", "columns")
 
     def __init__(self, coh: "FlagCohomology", factor: CohomologyClass):
         coh._check(factor)
         coh.build_structure_table()
+        group = coh.group
         self.coh = coh
         self.factor = factor
+        self.terms = sorted((group._lengths[u], u, c) for u, c in factor.coeffs.items())
+        self.reach = group.num_positive - self.terms[0][0] if self.terms else -1
         self.columns: dict[int, dict[int, int]] = {}
 
     def __call__(self, b: CohomologyClass) -> CohomologyClass:
         """factor . b"""
-        coh, columns, a = self.coh, self.columns, self.factor.coeffs
+        coh, columns, terms, reach = self.coh, self.columns, self.terms, self.reach
         coh._check(b)
+        lengths = coh.group._lengths
         out: dict[int, int] = {}
         for vi, cv in b.coeffs.items():
+            if lengths[vi] > reach:
+                continue
             col = columns.get(vi)
             if col is None:
-                col = columns[vi] = coh._column(a, vi)
+                col = columns[vi] = coh._column(terms, vi)
             for wi, c in col.items():
                 out[wi] = out.get(wi, 0) + cv * c
         return CohomologyClass(coh.group, out)
@@ -148,7 +161,7 @@ class FlagCohomology:
 
     def __init__(self, group: WeylGroup):
         self.group = group
-        self._alpha: list[list[dict[int, int]]] | None = None
+        self._alpha: dict[int, list[dict[int, int]]] = {}
         self._table: list[list[dict[int, int]]] | None = None
 
     # -- basic class constructors ---------------------------------------------
@@ -199,11 +212,15 @@ class FlagCohomology:
         """A one-off product: b through a throwaway multiplier of a."""
         return Multiplier(self, a)(b)
 
-    def _column(self, a: dict[int, int], vi: int) -> dict[int, int]:
-        """a . eps^v by element index: the one loop every product runs."""
-        table = self._table
+    def _column(self, terms: list[tuple[int, int, int]], vi: int) -> dict[int, int]:
+        """factor . eps^v by element index, for the factor's terms sorted by
+        length (``Multiplier.terms``): the one loop every product runs,
+        stopped at the first term too long to meet eps^v below the top."""
+        table, limit = self._table, self.group.num_positive - self.group._lengths[vi]
         out: dict[int, int] = {}
-        for ui, cu in a.items():
+        for lu, ui, cu in terms:
+            if lu > limit:
+                break
             for wi, c in table[ui][vi].items():
                 out[wi] = out.get(wi, 0) + cu * c
         return out
@@ -265,7 +282,7 @@ class FlagCohomology:
         group = self.group
         table = self._new_table()
         n, lengths, right = group.num_positive, group._lengths, group._right
-        alpha = self._alpha_table()
+        alpha = [self._alpha_row(i) for i in range(group.rank)]
         descents = [{i: t for i, t in enumerate(right[x]) if lengths[t] < lengths[x]}
                     for x in range(group.order)]
         for vi in range(group.order):
@@ -297,16 +314,16 @@ class FlagCohomology:
                 table[ui][vi] = table[vi][ui] = dict(sorted(out.items()))
         return table
 
-    def _alpha_table(self) -> list[list[dict[int, int]]]:
-        """alpha_i . eps^y for every letter i (from 0) and element y, by the
-        degree-2 rule; built once per engine."""
-        if self._alpha is None:
+    def _alpha_row(self, i: int) -> list[dict[int, int]]:
+        """alpha_i . eps^y for every element y, for the letter i (from 0), by
+        the degree-2 rule; built on the letter's first use, one letter at a
+        time."""
+        row = self._alpha.get(i)
+        if row is None:
             group = self.group
-            self._alpha = []
-            for i in range(group.rank):
-                pairings = self._pairings(tuple(int(k == i) for k in range(group.rank)))
-                self._alpha.append([self._chevalley_idx(pairings, y) for y in range(group.order)])
-        return self._alpha
+            pairings = self._pairings(tuple(int(k == i) for k in range(group.rank)))
+            row = self._alpha[i] = [self._chevalley_idx(pairings, y) for y in range(group.order)]
+        return row
 
     def _new_table(self) -> list[list[dict[int, int]]]:
         """An all-empty |W| x |W| table, refused above the cap before it is

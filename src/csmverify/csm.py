@@ -11,9 +11,14 @@ cannot pass silently.
 
 Also here: the total Chern class of the tangent bundle (a product of
 degree-2 factors over the positive roots, so it needs only the Chevalley
-rule), its inverse via the nilpotent geometric series, Segre classes (one
-multiplier of the inverse for every class), the sign involution, and
-opposite-cell classes via translation by the longest element.
+rule), its inverse via the nilpotent geometric series, the Segre classes
+of the cells, the sign involution, and opposite-cell classes via
+translation by the longest element.  The Segre class of a cell,
+c(T)^-1 . csm(cell u), is built as the sign twist of its CSM class (AMSS,
+arXiv:1709.08697) and checked as c(T) . seg = csm(cell u), through one
+multiplier of c(T) for every class, whose columns the inverse's series
+reuses; c(T) is invertible, so this is the same identity, and only the
+``chern-inverse`` check of theorem-invariants computes the inverse.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ class CsmCalculator:
         self._cells: dict[int, CohomologyClass] = {}
         self._tangent: CohomologyClass | None = None
         self._tangent_inverse: CohomologyClass | None = None
-        self._segre_op: Multiplier | None = None
+        self._tangent_op: Multiplier | None = None
         self._segre_cells: dict[int, CohomologyClass] = {}
         self._cell_columns: list | None = None
         self._segre_columns: list | None = None
@@ -60,7 +65,7 @@ class CsmCalculator:
         self.coh._check(a)
         self.group.check_letter(i)
         group = self.group
-        alpha = self.coh._alpha_table()[i - 1]
+        alpha = self.coh._alpha_row(i - 1)
         out: dict[int, int] = {}
         for w, c in a.coeffs.items():
             out[w] = out.get(w, 0) + c
@@ -142,45 +147,44 @@ class CsmCalculator:
             self._tangent = cls
         return self._tangent
 
+    def _times_tangent(self, a: CohomologyClass) -> CohomologyClass:
+        """c(T) . a, through one multiplier of the tangent Chern class kept
+        for the calculator's life."""
+        if self._tangent_op is None:
+            self._tangent_op = Multiplier(self.coh, self.tangent_chern())
+        return self._tangent_op(a)
+
     def chern_inverse(self) -> CohomologyClass:
         """Inverse of the total Chern class via the geometric series of its
-        nilpotent part; exact after dim-many terms."""
+        nilpotent part c(T) - 1, exact after dim-many terms; its products
+        reuse the columns of ``_times_tangent``."""
         if self._tangent_inverse is None:
             coh = self.coh
-            times_nil = Multiplier(coh, self.tangent_chern() - coh.unit())
-            inv = coh.unit()
-            term = coh.unit()
+            inv = term = coh.unit()
             for _ in range(self.group.num_positive):
-                term = -1 * times_nil(term)
+                term = term - self._times_tangent(term)      # -(c(T) - 1) . term
                 if not term:
                     break
                 inv = inv + term
-            if coh.cup(self.tangent_chern(), inv) != coh.unit():
+            if self._times_tangent(inv) != coh.unit():
                 raise InternalInvariantError("Chern class inverse failed")
             self._tangent_inverse = inv
         return self._tangent_inverse
 
-    def segre_sm(self, a: CohomologyClass) -> CohomologyClass:
-        """Segre transform: product with the inverse total Chern class,
-        through one multiplier kept for the calculator's life."""
-        if self._segre_op is None:
-            self._segre_op = Multiplier(self.coh, self.chern_inverse())
-        return self._segre_op(a)
-
     def segre_schubert_cell(self, u: WeylElement) -> CohomologyClass:
-        """Segre class of a Schubert cell, with the sign-twist identity
-        (alternating signs relative to the leading term) enforced."""
+        """Segre class of a Schubert cell: the sign twist of its CSM class
+        (alternating signs relative to the leading term), with
+        c(T) . seg = csm(cell u) enforced through ``_times_tangent``."""
         self.coh._check(u)
         cached = self._segre_cells.get(u.index)
         if cached is not None:
             return cached
         cls = self.csm_schubert_cell(u)
-        seg = self.segre_sm(cls)
         base = self.group.w0_times(u).length
-        twisted = CohomologyClass(self.group, {
+        seg = CohomologyClass(self.group, {
             w: parity_sign(self.group._lengths[w] - base) * c for w, c in cls.coeffs.items()
         })
-        if seg != twisted:
+        if self._times_tangent(seg) != cls:
             raise InternalInvariantError(
                 f"Segre class of cell {u} does not match the sign-twisted CSM class"
             )

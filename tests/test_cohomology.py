@@ -186,8 +186,42 @@ def test_multiplier_matches_double_loop(engines, product_oracle, a, b, c):
     times_a = Multiplier(coh, a)
     assert times_a(b) == product_oracle(coh, a, b)     # fills columns
     assert times_a(c) == product_oracle(coh, a, c)     # reuses them
-    assert set(times_a.columns) == set(b.coeffs) | set(c.coeffs)
+    # only the terms within reach of the factor's shortest term fill a column
+    lengths, top = coh.group._lengths, coh.group.num_positive
+    reach = top - min((lengths[u] for u in a.coeffs), default=top + 1)
+    assert set(times_a.columns) == {v for v in set(b.coeffs) | set(c.coeffs)
+                                    if lengths[v] <= reach}
+    for v, col in times_a.columns.items():
+        assert CohomologyClass(coh.group, col) == product_oracle(
+            coh, a, CohomologyClass(coh.group, {v: 1}))
     assert coh.cup(b, c) == product_oracle(coh, b, c)
+
+
+@pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("G", 2)])
+def test_degree_cut_is_exact(engines, product_oracle, key):
+    """The degree cut rests on c_uv^w = 0 for l(u) + l(v) > N: every such
+    table entry is empty.  Through it, products by the dense factors (c(T),
+    its inverse, the CSM and Segre cell classes) equal the double loop on
+    every basis class and on the dense classes, and eps^u still reaches the
+    top at the edge l(u) + l(v) = N."""
+    stack = engines(*key)
+    coh, csm, g = stack.coh, stack.csm, stack.group
+    top, lengths = g.num_positive, g._lengths
+    coh.build_structure_table()
+    assert all(not coh._table[u][v] for u in range(g.order) for v in range(g.order)
+               if lengths[u] + lengths[v] > top)
+    dense = [csm.tangent_chern(), csm.chern_inverse()]
+    cells = [cell(u) for u in g for cell in (csm.csm_schubert_cell, csm.segre_schubert_cell)]
+    basis = [coh.schubert_class(v) for v in g]
+    for factor in dense + cells:
+        times = Multiplier(coh, factor)
+        for b in basis + dense:
+            assert times(b) == product_oracle(coh, factor, b)
+    point = coh.schubert_class(g.longest)
+    for u in g:
+        times_u = Multiplier(coh, coh.schubert_class(u))
+        assert times_u.reach == top - u.length
+        assert times_u(coh.schubert_class(g.w0_times(u))) == point
 
 
 def test_integrate_group_mismatch(engines):

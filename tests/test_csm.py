@@ -225,9 +225,9 @@ def test_segre_examples_a1(engines):
     csm = _csm(engines, "A", 1)
     g = csm.group
     s, e = g.simple_reflection(1), g.identity
-    assert csm.segre_sm(csm.csm_schubert_cell(s)) == csm.coh.from_dict({e: 1, s: -1})
-    assert csm.segre_sm(csm.csm_schubert_cell(e)) == csm.coh.schubert_class(s)
-    assert csm.segre_sm(csm.coh.unit()) == csm.chern_inverse()
+    assert csm.segre_schubert_cell(s) == csm.coh.from_dict({e: 1, s: -1})
+    assert csm.segre_schubert_cell(e) == csm.coh.schubert_class(s)
+    assert csm.chern_inverse() == csm.coh.from_dict({e: 1, s: -2})   # (1 + 2h)^-1, h^2 = 0
 
 
 @pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])

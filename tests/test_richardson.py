@@ -3,6 +3,7 @@ import json
 import pytest
 
 from csmverify import cli
+from csmverify.cohomology import CohomologyClass
 from csmverify.errors import (
     GroupMismatch,
     LemmaViolation,
@@ -119,17 +120,15 @@ def test_second_row_drops_the_first(engines):
 
 
 def test_corrupt_mirror_operator_is_caught(monkeypatch, tmp_path, capsys):
-    """A wrong column of M_u fails every Richardson class: the mirror check
-    is not vacuous, in process or through the command."""
+    """A wrong M_u fails every Richardson class: the mirror check is not
+    vacuous, in process or through the command."""
     real = RichardsonCalculator._row
 
     def corrupted(self, ui):
-        rec = real(self, ui)
-        top = self.group.longest.index
-        # csm(u) . eps^{w0} is at most eps^{w0}, and seg(w0 v) always has a
-        # nonzero eps^{w0} term, so every product M_u . seg(w0 v) goes wrong
-        rec[1].columns[top] = {top: 7}
-        return rec
+        times_seg, times_csm, classes, expansions = real(self, ui)
+        off = CohomologyClass(self.group, {self.group.longest.index: 7})
+        # every mirror product M_u . seg(w0 v) gains 7 eps^{w0}
+        return times_seg, lambda b: times_csm(b) + off, classes, expansions
 
     monkeypatch.setattr(RichardsonCalculator, "_row", corrupted)
     stack = build_engines("A", 2)

@@ -8,7 +8,9 @@ import pytest
 from csmverify import cli
 from csmverify.boxproduct import BoxCalculator, ChiRow
 from csmverify.cache import TableCache, payload_checksum
-from csmverify.cohomology import FlagCohomology
+from csmverify import csm as csm_module
+from csmverify.cohomology import FlagCohomology, Multiplier
+from csmverify.csm import CsmCalculator
 from csmverify.errors import MirrorMismatch, ParityViolation, UsageError
 from csmverify.richardson import RichardsonCalculator
 from csmverify.rootdata import CartanDatum, WeylGroup
@@ -346,20 +348,23 @@ def test_unreadable_pair_fails_at_every_w(monkeypatch):
         assert result.status == "FAIL"
 
 
-def test_perturbed_segre_class_fails_theorem_invariants(tmp_path, monkeypatch):
-    """The sign twist of the Segre cell classes stays a hard check: it is
-    enforced where each class is computed, so one perturbed class fails
-    theorem-invariants as a cell invariant."""
-    from csmverify.csm import CsmCalculator
-    real = CsmCalculator.segre_sm
+def _perturb_chern_product(monkeypatch, series, rank, word):
+    """Make one Chern product wrong: c(T) . seg(cell u), for u of the
+    given word, gains the unit; every other product stays exact."""
+    plain = build_engines(series, rank)
+    materialize_tables(plain)
+    tangent = plain.csm.tangent_chern()
+    seg = plain.csm.segre_schubert_cell(plain.group.parse(word))
+    real = Multiplier.__call__
 
-    def perturbed(self, a):
-        out = real(self, a)
-        if a == self.csm_schubert_cell(self.group.simple_reflection(1)):
-            return out + self.coh.unit()
-        return out
+    def perturbed(self, b):
+        out = real(self, b)
+        return out + self.coh.unit() if self.factor == tangent and b == seg else out
 
-    monkeypatch.setattr(CsmCalculator, "segre_sm", perturbed)
+    monkeypatch.setattr(Multiplier, "__call__", perturbed)
+
+
+def _assert_segre_cell_s1_fails(tmp_path):
     out_path = tmp_path / "report.json"
     rc = cli.main(["verify", "--type", "A", "--rank", "2", "--suite", "theorem-invariants",
                    "--cache-dir", str(tmp_path / "cache"), "--output", str(out_path)])
@@ -369,6 +374,105 @@ def test_perturbed_segre_class_fails_theorem_invariants(tmp_path, monkeypatch):
     assert {"check": "cell-invariants", "u": "s1",
             "error": "Segre class of cell s1 does not match the sign-twisted CSM class"} \
         in suite["hard_failures"]
+
+
+def test_perturbed_segre_class_fails_theorem_invariants(tmp_path, monkeypatch):
+    """The Segre identity stays a hard check: each Segre cell class is the
+    sign twist of its CSM class, checked as c(T) . seg = csm(cell u) where
+    it is computed, so a wrong Chern product for s1 alone fails
+    theorem-invariants as a cell invariant of s1."""
+    _perturb_chern_product(monkeypatch, "A", 2, "s1")
+    _assert_segre_cell_s1_fails(tmp_path)
+
+
+def test_untwisted_segre_class_fails_theorem_invariants(tmp_path, monkeypatch):
+    """A twist with no signs leaves each Segre class equal to its CSM
+    class, which the Chern product check refuses."""
+    monkeypatch.setattr(csm_module, "parity_sign", lambda k: 1)
+    _assert_segre_cell_s1_fails(tmp_path)
+
+
+def test_wrong_chern_product_fails_conjb_alone(monkeypatch):
+    """The pair sweeps build the Segre classes they read, and check each as
+    it is built: a wrong Chern product for s1 alone fails conjB by itself."""
+    _perturb_chern_product(monkeypatch, "A", 2, "s1")
+    report = run_verification("A", 2, suites=["conjB"])
+    assert report.exit_code == 2
+    suite = report.suites["conjB"]
+    assert suite.status == "FAIL"
+    error = "Segre class of cell s1 does not match the sign-twisted CSM class"
+    assert suite.hard_failures and all(f["error"] == error for f in suite.hard_failures)
+
+
+def test_wrong_chern_inverse_fails_theorem_invariants(monkeypatch):
+    """The inverse Chern class stays a hard check: a wrong class fails the
+    global chern-inverse check, and a wrong term of its geometric series
+    fails the check inside chern_inverse (chern-machinery)."""
+    real_inverse = CsmCalculator.chern_inverse
+
+    def wrong_inverse(self):
+        return real_inverse(self) + self.coh.schubert_class(self.group.longest)
+
+    monkeypatch.setattr(CsmCalculator, "chern_inverse", wrong_inverse)
+    suite = run_verification("A", 2, suites=["theorem-invariants"]).suites["theorem-invariants"]
+    assert suite.status == "FAIL"
+    assert suite.hard_failures == [{"check": "chern-inverse", "error": "inverse Chern class fails"}]
+    monkeypatch.undo()
+
+    plain = build_engines("A", 2)
+    materialize_tables(plain)
+    tangent = plain.csm.tangent_chern()
+    real_call = Multiplier.__call__
+
+    def wrong_first_term(self, b):      # c(T) . 1, the series' first product
+        out = real_call(self, b)
+        return out + self.coh.schubert_class(self.coh.group.longest) \
+            if self.factor == tangent and b == self.coh.unit() else out
+
+    monkeypatch.setattr(Multiplier, "__call__", wrong_first_term)
+    report = run_verification("A", 2, suites=["theorem-invariants"])
+    assert report.exit_code == 2
+    assert report.suites["theorem-invariants"].hard_failures == [
+        {"check": "chern-machinery", "error": "Chern class inverse failed"}]
+
+
+def test_pair_sweeps_never_compute_the_chern_inverse(monkeypatch):
+    """Only theorem-invariants' chern-inverse check computes the inverse:
+    with chern_inverse raising, a conjB conjC sweep still passes."""
+    def refuse(self):
+        raise AssertionError("inverse Chern class computed by a pair sweep")
+
+    monkeypatch.setattr(CsmCalculator, "chern_inverse", refuse)
+    report = run_verification("A", 3, suites=["conjB", "conjC"])
+    assert report.exit_code == 0
+    assert all(s.status == "PASS" for s in report.suites.values())
+
+
+def test_reach_one_degree_short_fails_poincare_duality(monkeypatch):
+    """The degree cut is exact, and a cut one degree too deep is caught:
+    with every multiplier made after the table's self-check short by one
+    degree, theorem-invariants exits 2 with poincare-duality failures."""
+    real_init, real_check = Multiplier.__init__, FlagCohomology._check_table
+    checking = []
+
+    def short(self, coh, factor):
+        real_init(self, coh, factor)
+        if not checking:
+            self.reach -= 1
+
+    def check_table(self):
+        checking.append(True)
+        try:
+            real_check(self)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(Multiplier, "__init__", short)
+    monkeypatch.setattr(FlagCohomology, "_check_table", check_table)
+    report = run_verification("A", 2, suites=["theorem-invariants"])
+    assert report.exit_code == 2
+    failures = report.suites["theorem-invariants"].hard_failures
+    assert "poincare-duality" in {f["check"] for f in failures}
 
 
 def test_violation_exit_code(monkeypatch):
