@@ -9,9 +9,10 @@ show     print a single class (csm / richardson / box) in both bases
 
 Exit codes: 0 all checks pass; 1 a conjecture violation was found (with
 witnesses in the report); 2 a proved identity failed (implementation bug);
-3 usage error, which includes --jobs below 1, a negative --max-length and
-an output or cache path that cannot be written; such a path is refused
-before any table is built.
+3 usage error, which includes --jobs below 1, a negative --max-length, an
+output or cache path that cannot be written, and a group above the one
+size cap of 10,000 elements; such a path or group is refused before any
+table is built.
 
 Every run computes both tables; none reads a table from disk.  Only table
 writes a file, and only under --cache-dir: without it, table prints the
@@ -30,7 +31,7 @@ from pathlib import Path
 
 from .cache import TableCache
 from .errors import CsmVerifyError, InternalInvariantError, UsageError
-from .rootdata import DEFAULT_MAX_ORDER, SERIES
+from .rootdata import MAX_ORDER, SERIES
 from .verify import (
     SUITE_NAMES,
     build_engines,
@@ -54,14 +55,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_group_args(p):
     p.add_argument("--type", required=True, metavar="SERIES",
-                   help=f"series letter, one of {''.join(SERIES)}")
+                   help=f"series letter, one of {''.join(SERIES)}; a group above "
+                        f"{MAX_ORDER} elements is refused")
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--cache-dir", default=None,
                    help="where table writes the CSM table (default: nowhere); "
                         "verify and show read and write nothing there")
-    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
-                   help="refuse groups larger than this (default %(default)s); "
-                        "structure tables stay refused above the default")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,10 +102,6 @@ def _refuse_unwritable(folder: Path, may_create: bool) -> None:
         raise UsageError(f"cannot write under {folder}: {probe} is not a writable directory")
 
 
-def _engines_from_args(args):
-    return build_engines(args.type.upper(), args.rank, max_order=args.max_order)
-
-
 def cmd_verify(args) -> int:
     if args.output:
         if Path(args.output).is_dir():
@@ -118,7 +113,6 @@ def cmd_verify(args) -> int:
         suites=suites,
         max_length=args.max_length,
         jobs=args.jobs,
-        max_order=args.max_order,
     )
     for line in report.summary_lines():
         print(line)
@@ -141,7 +135,7 @@ def cmd_table(args) -> int:
     cache = TableCache(args.cache_dir) if args.cache_dir else None
     if cache is not None:
         _refuse_unwritable(cache.folder(args.type.upper(), args.rank), may_create=True)
-    checksums = materialize_tables(_engines_from_args(args), cache=cache)
+    checksums = materialize_tables(build_engines(args.type.upper(), args.rank), cache=cache)
     for kind in sorted(checksums):
         print(f"{kind} table for {args.type.upper()}{args.rank}: computed, "
               f"checksum {checksums[kind]}")
@@ -153,7 +147,7 @@ def cmd_show(args) -> int:
         raise UsageError("csm takes no --v")
     if args.kind != "csm" and args.v is None:
         raise UsageError(f"{args.kind} requires --v")
-    engines = _engines_from_args(args)
+    engines = build_engines(args.type.upper(), args.rank)
     if args.kind != "csm":
         engines.coh.build_structure_table()
         engines.csm.build_table()

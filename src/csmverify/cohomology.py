@@ -31,8 +31,8 @@ terms whose lengths add up to more than the dimension).
 
 from __future__ import annotations
 
-from .errors import CapacityExceeded, InternalInvariantError
-from .rootdata import DEFAULT_MAX_ORDER, WeylElement, WeylGroup
+from .errors import InternalInvariantError
+from .rootdata import WeylElement, WeylGroup
 
 
 class CohomologyClass:
@@ -278,9 +278,11 @@ class FlagCohomology:
         rule gives d_i(eps^u . eps^v) from at most three earlier rows, and
         its eps^y term is the constant at y s_i.  A letter outside
         desc(u) | desc(v) has d_i(eps^u . eps^v) = 0, so it is no right
-        descent of any w in the product."""
+        descent of any w in the product.  Every empty pair shares one empty
+        dict."""
         group = self.group
-        table = self._new_table()
+        empty: dict[int, int] = {}
+        table = [[empty] * group.order for _ in range(group.order)]
         n, lengths, right = group.num_positive, group._lengths, group._right
         alpha = [self._alpha_row(i) for i in range(group.rank)]
         descents = [{i: t for i, t in enumerate(right[x]) if lengths[t] < lengths[x]}
@@ -324,15 +326,6 @@ class FlagCohomology:
             pairings = self._pairings(tuple(int(k == i) for k in range(group.rank)))
             row = self._alpha[i] = [self._chevalley_idx(pairings, y) for y in range(group.order)]
         return row
-
-    def _new_table(self) -> list[list[dict[int, int]]]:
-        """An all-empty |W| x |W| table, refused above the cap before it is
-        allocated; every empty pair shares one empty dict."""
-        order = self.group.order
-        if order > DEFAULT_MAX_ORDER:
-            raise CapacityExceeded(f"|W| = {order} exceeds the table cap {DEFAULT_MAX_ORDER}")
-        empty: dict[int, int] = {}
-        return [[empty] * order for _ in range(order)]
 
     def _check_table(self) -> None:
         """The unit row, and the degree-2 product rule on every pair (simple

@@ -11,13 +11,17 @@ lexicographically smallest one.  One breadth-first search by length over
 right multiplication, expanding each length class in index order and
 trying the letters in ascending order, reaches every element first from
 the parent whose word plus one letter is that lex-first word; so elements
-come out in canonical order, each with its word.  The left multiplication
-table is read off the right one through inverses.  Bruhat order is held
-as one lower interval [e, w] per element, a bitmask over element indices
-filled on first use by the descent recursion; the brute-force subword
+come out in canonical order, each with its word.  There is one
+multiplication table, by simple reflections on the right.  Bruhat order
+is held as one lower interval [e, w] per element, a bitmask over element
+indices filled on first use down right descents; the brute-force subword
 oracle is ``subword_products``, which the ``bruhat-subword`` theorem check
 reads.  The Dynkin diagram automorphisms are held as one closed list of
 index maps on the elements, the identity first.
+
+One size cap, ``MAX_ORDER``, bounds every group: |W| is read from the
+invariant degrees, and a group above the cap is refused before anything
+of its size is built.
 
 Conventions (fixed once, covariant throughout):
 
@@ -41,7 +45,7 @@ from .errors import (
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
-DEFAULT_MAX_ORDER = 10_000
+MAX_ORDER = 10_000
 
 # Minimum rank per series for an irreducible (simple) diagram.  Smaller
 # ranks either do not exist or duplicate an earlier series.
@@ -64,9 +68,9 @@ def _check_series_rank(series: str, rank: int) -> None:
 def invariant_degrees(series: str, rank: int) -> Iterator[int]:
     """Degrees of the fundamental invariants of the Weyl group, lazily.
 
-    They determine the group order (their product), the number of positive
-    roots (sum of degree-1 terms), and the Poincare polynomial
-    factorization used by the enumeration self-checks.
+    They give the group order (their product), which the size cap
+    ``MAX_ORDER`` is checked against before anything is built, and the
+    number of positive roots N (the sum of degree-1 terms).
     """
     _check_series_rank(series, rank)
     if series == "A":
@@ -82,15 +86,15 @@ def invariant_degrees(series: str, rank: int) -> Iterator[int]:
                     ("G", 2): (2, 6)}[series, rank]
 
 
-def weyl_order(series: str, rank: int, max_order: int | None = None) -> int:
-    """|W|, the product of the invariant degrees.  Given max_order, raises
+def weyl_order(series: str, rank: int, cap: int | None = None) -> int:
+    """|W|, the product of the invariant degrees.  Given a cap, raises
     CapacityExceeded as soon as the running product passes it, so refusing
     a large rank costs a few multiplications."""
     order = 1
     for d in invariant_degrees(series, rank):
         order *= d
-        if max_order is not None and order > max_order:
-            raise CapacityExceeded(f"|W({series}{rank})| exceeds the cap {max_order}")
+        if cap is not None and order > cap:
+            raise CapacityExceeded(f"|W({series}{rank})| exceeds the cap {cap}")
     return order
 
 
@@ -228,19 +232,21 @@ class WeylElement:
 class WeylGroup:
     """A fully enumerated finite Weyl group with its root system.
 
+    A group above ``MAX_ORDER`` is refused before its roots are built.
     Construction is single-threaded.  Afterwards the element tables are
     fixed; only the lower Bruhat intervals (``_below``) and the right
     reflection table fill on first use, and fork workers inherit whatever
-    the parent had filled before the fork.  Elements are
+    the parent had filled before the fork.  The one multiplication table
+    is ``_right``, x s_i by index; there is no left table.  Elements are
     indexed in canonical order: increasing length, ties broken by the lex
-    order of canonical words.  Index 0 is the identity and the last index is
-    the longest element.
+    order of canonical words.  Index 0 is the identity and the last index
+    is the longest element.
     """
 
-    def __init__(self, datum: CartanDatum, max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, datum: CartanDatum):
         self.datum = datum
         self.rank = datum.rank
-        self.order = weyl_order(datum.series, datum.rank, max_order)
+        self.order = weyl_order(datum.series, datum.rank, MAX_ORDER)
         self.num_positive = num_positive_roots(datum.series, datum.rank)
 
         self._build_roots()
@@ -359,18 +365,10 @@ class WeylGroup:
             raise NotFiniteType(
                 f"enumerated {len(actions)} elements, expected {self.order}"
             )
-        inverse = []
-        for word in words:
-            cur = 0
-            for i in reversed(word):
-                cur = right[cur][i - 1]
-            inverse.append(cur)
         self._actions = actions
         self._words = words
         self._lengths = lengths
         self._right = right
-        # s_i x = (x^-1 s_i)^-1
-        self._left = [[inverse[j] for j in right[inverse[x]]] for x in range(self.order)]
         self._by_length = by_length
         # the reflection in each positive root, found by its action
         # s_b(a_j) = a_j - <a_j, b^v> b
@@ -468,17 +466,17 @@ class WeylGroup:
         return self._interval(wi) >> vi & 1 == 1
 
     def _interval(self, wi: int) -> int:
-        """[e, w] as a bitmask, filled on first use down a chain of left
-        descents: for a left descent i of w, v <= w iff min(v, s_i v) <= s_i w,
-        so [e, w] = [e, s_i w] | s_i [e, s_i w]."""
+        """[e, w] as a bitmask, filled on first use down right descents: the
+        last letter i of w's canonical word is a right descent, and by the
+        lifting property v <= w iff min(v, v s_i) <= w s_i, so
+        [e, w] = [e, w s_i] | [e, w s_i] s_i."""
         below = self._below.get(wi)
         if below is None:
-            left, lengths = self._left, self._lengths
-            i = next(k for k in range(self.rank) if lengths[left[wi][k]] < lengths[wi])
-            below = rest = self._interval(left[wi][i])
+            right, i = self._right, self._words[wi][-1] - 1
+            below = rest = self._interval(right[wi][i])
             while rest:
                 low = rest & -rest
-                below |= 1 << left[low.bit_length() - 1][i]
+                below |= 1 << right[low.bit_length() - 1][i]
                 rest ^= low
             self._below[wi] = below
         return below
@@ -493,9 +491,6 @@ class WeylGroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __len__(self):
-        return self.order
 
     def __repr__(self):
         return f"WeylGroup({self.datum}, order={self.order})"

@@ -91,7 +91,7 @@ from .cohomology import FlagCohomology
 from .csm import CONVENTION, CsmCalculator
 from .errors import InternalInvariantError, UsageError
 from .richardson import RichardsonCalculator
-from .rootdata import CartanDatum, WeylGroup, DEFAULT_MAX_ORDER, parity_sign, weyl_order
+from .rootdata import MAX_ORDER, CartanDatum, WeylGroup, parity_sign, weyl_order
 
 SCHEMA_VERSION = 1
 SUITE_NAMES = ("theorem-invariants", "conjB", "conjC", "conjD", "cross-paths")
@@ -117,12 +117,13 @@ class Engines:
         return self.group.datum.rank
 
 
-def build_engines(series: str, rank: int, max_order: int = DEFAULT_MAX_ORDER) -> Engines:
-    """Construct the stack; no table is read from disk.  A group over
-    max_order is refused before its Cartan datum is built."""
-    weyl_order(series.upper(), rank, max_order)
+def build_engines(series: str, rank: int) -> Engines:
+    """Construct the stack; no table is read from disk.  A group over the
+    one size cap, MAX_ORDER, is refused from its invariant degrees, before
+    its Cartan datum, its elements or any table is built."""
+    weyl_order(series.upper(), rank, MAX_ORDER)
     datum = CartanDatum.from_series(series, rank)
-    group = WeylGroup(datum, max_order=max_order)
+    group = WeylGroup(datum)
     coh = FlagCohomology(group)
     csm = CsmCalculator(coh)
     rich = RichardsonCalculator(csm)
@@ -691,11 +692,14 @@ class VerificationReport:
             rows.append(["summary", self.series, self.rank, name, s.instances,
                          s.predicted_instances, len(s.violations),
                          s.hard_failure_count, s.status, "", "", "", "", ""])
-        for name, s in self._ordered():
-            for v in s.violations:
-                rows.append(["witness", self.series, self.rank, name, "", "", "", "",
-                             "", v.get("check", ""), v.get("u", ""), v.get("v", ""),
-                             v.get("w", ""), v.get("value", "")])
+        # a witness row per violation, then a hard-failure row per listed
+        # hard failure, with its error (or, lacking one, its value)
+        for record, entries in (("witness", "violations"), ("hard-failure", "hard_failures")):
+            for name, s in self._ordered():
+                for e in getattr(s, entries):
+                    rows.append([record, self.series, self.rank, name, "", "", "", "", "",
+                                 e.get("check", ""), e.get("u", ""), e.get("v", ""),
+                                 e.get("w", ""), e.get("error", e.get("value", ""))])
         return rows
 
 
@@ -724,7 +728,6 @@ def run_verification(
     suites=("all",),
     max_length: int | None = None,
     jobs: int = 1,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> VerificationReport:
     """Run the requested suites on one group and assemble the report.
 
@@ -738,7 +741,7 @@ def run_verification(
         raise UsageError(f"--max-length must be nonnegative, got {max_length}")
     suite_names = resolve_suites(suites)
     t0 = time.perf_counter()
-    engines = build_engines(series, rank, max_order=max_order)
+    engines = build_engines(series, rank)
     checksums = materialize_tables(engines)
     build_elapsed = time.perf_counter() - t0
 
@@ -774,7 +777,7 @@ def run_verification(
         series=engines.series, rank=rank, order=engines.group.order, suites=results,
         meta_checks=meta,
         options={"suites": suite_names, "max_length": max_length, "jobs": jobs,
-                 "max_order": max_order, "table_checksums": checksums},
+                 "max_order": MAX_ORDER, "table_checksums": checksums},
         timings={"table_build_s": round(build_elapsed, 6),
                  "per_suite_s": {n: round(r.elapsed, 6) for n, r in results.items()},
                  "meta_s": round(meta_elapsed, 6),

@@ -1,8 +1,10 @@
 import ast
+import shlex
 import sys
 from pathlib import Path
 
 import csmverify
+from csmverify import cli
 
 
 def test_public_names_resolve_once():
@@ -19,6 +21,20 @@ def test_readme_library_example_runs(capsys):
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.count("\n") == 3
+
+
+def test_readme_command_lines_parse():
+    """Every csmverify line of the README's "Command line" block, with its
+    backslash continuations joined, parses with the CLI's own parser, so a
+    retired option or a renamed subcommand in the docs fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("csmverify ")]
+    assert len(lines) == 7
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_package_imports_only_the_standard_library():

@@ -9,6 +9,7 @@ from csmverify.errors import (
     GroupMismatch,
     InvalidCartan,
 )
+from csmverify import rootdata
 from csmverify.cohomology import FlagCohomology
 from csmverify.rootdata import (
     CartanDatum,
@@ -122,12 +123,20 @@ def test_poincare_polynomial_factorizes(series, rank):
     assert Counter(w.length for w in g) == dict(enumerate(poly))
 
 
-def test_capacity_cap():
-    with pytest.raises(CapacityExceeded):
-        WeylGroup(CartanDatum.from_series("A", 5), max_order=100)
-    with pytest.raises(CapacityExceeded):
-        WeylGroup(CartanDatum.from_series("E", 6))  # 51840 > default cap
-    assert WeylGroup(CartanDatum.from_series("A", 5), max_order=720).order == 720
+def test_capacity_cap(monkeypatch):
+    """The one cap, read from the invariant degrees before any root or
+    element is built."""
+    def refuse(self):
+        raise AssertionError("built a group above the cap")
+
+    with pytest.raises(CapacityExceeded, match=r"\|W\(E6\)\| exceeds the cap 10000"):
+        WeylGroup(CartanDatum.from_series("E", 6))  # 51840 > the cap
+    monkeypatch.setattr(rootdata, "MAX_ORDER", 720)
+    assert WeylGroup(CartanDatum.from_series("A", 5)).order == 720
+    monkeypatch.setattr(rootdata, "MAX_ORDER", 100)
+    monkeypatch.setattr(WeylGroup, "_build_roots", refuse)
+    with pytest.raises(CapacityExceeded, match=r"\|W\(A5\)\| exceeds the cap 100"):
+        WeylGroup(CartanDatum.from_series("A", 5))
 
 
 def test_longest_element(group):
@@ -222,7 +231,6 @@ def _reference_construction(g):
         "_words": [words[x] for x in order],
         "_right": [[rank[found[_right_action(C, elems[x], i)]] for i in range(n)]
                    for x in order],
-        "_left": [[rank[y] for y in left[x]] for x in order],
         "_w0": w0,
         "_reflection_index": reflections,
     }
@@ -314,9 +322,10 @@ def _check_bruhat_against_subwords(series, rank):
 
 
 def test_bruhat_agrees_with_subword_oracle():
-    """The lower intervals, filled on first use, agree with the subword
-    products on every pair."""
-    for key in [("A", 2), ("B", 2), ("A", 3), ("B", 4), ("D", 4)]:
+    """The lower intervals, filled on first use down right descents, agree
+    with the subword products on every pair; G2 has the longest braid
+    relation."""
+    for key in [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("B", 4), ("D", 4)]:
         _check_bruhat_against_subwords(*key)
 
 

@@ -642,6 +642,34 @@ def test_cli_verify_csv(tmp_path):
     assert summary[0][3] == "conjB" and summary[0][8] == "PASS"
 
 
+def test_cli_csv_names_every_hard_failure(tmp_path, monkeypatch):
+    """A failing run's CSV has one hard-failure row per listed hard failure,
+    with its error in the value column: richardson_coeffs raising at the
+    pairs (u, e), l(u) = 1, on A2 fails conjB at those two pairs and at
+    their two partners."""
+    real = RichardsonCalculator.richardson_coeffs
+
+    def faulty(self, u, v):
+        if u.length == 1 and v.length == 0:
+            raise ParityViolation(f"injected fault at ({u}, {v})")
+        return real(self, u, v)
+
+    monkeypatch.setattr(RichardsonCalculator, "richardson_coeffs", faulty)
+    out_path = tmp_path / "report.csv"
+    rc = cli.main(["verify", "--type", "A", "--rank", "2", "--suite", "conjB",
+                   "--output", str(out_path), "--format", "csv"])
+    assert rc == 2
+    rows = list(csv.reader(io.StringIO(out_path.read_text())))
+    assert rows[0][-5:] == ["check", "u", "v", "w", "value"]
+    assert [r[7] for r in rows if r[0] == "summary"] == ["4"]
+    hard = [r for r in rows if r[0] == "hard-failure"]
+    assert [r[3] for r in hard] == ["conjB"] * 4
+    assert [r[9] for r in hard] == ["richardson"] * 4
+    assert [(r[10], r[11]) for r in hard] == [
+        ("s1", "e"), ("s2", "e"), ("s1 s2 s1", "s1 s2"), ("s1 s2 s1", "s2 s1")]
+    assert hard[0][13] == "injected fault at (s1, e)"
+
+
 def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main(["verify", "--type", "Z", "--rank", "9",
                      "--cache-dir", str(tmp_path)]) == 3
@@ -727,17 +755,38 @@ def test_show_csm_refuses_v(tmp_path, capsys):
 
 
 def test_table_refused_above_default_cap(tmp_path, monkeypatch, capsys):
-    # --max-order lets a group through, never a structure table above the
-    # default cap; a command that takes no product still runs
-    from csmverify import cohomology
+    """One cap for every command: with it lowered to 10, A3 (24 elements)
+    is refused by table, verify and both kinds of show, and nothing is
+    written under --cache-dir."""
+    from csmverify import rootdata, verify
 
-    monkeypatch.setattr(cohomology, "DEFAULT_MAX_ORDER", 10)
+    for module in (rootdata, verify):
+        monkeypatch.setattr(module, "MAX_ORDER", 10)
     group = ["--type", "A", "--rank", "3", "--cache-dir", str(tmp_path)]
-    assert cli.main(["table"] + group) == 3
-    assert cli.main(["verify", "--suite", "conjB"] + group) == 3
-    assert "|W| = 24 exceeds the table cap 10" in capsys.readouterr().err
-    assert cli.main(["show", "csm", "--u", "s1"] + group) == 0
+    for argv in (["table"], ["verify", "--suite", "conjB"], ["show", "csm", "--u", "s1"],
+                 ["show", "box", "--u", "s1", "--v", "s2"]):
+        assert cli.main(argv + group) == 3, argv
+        assert capsys.readouterr().err == "csmverify: error: |W(A3)| exceeds the cap 10\n"
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+def test_e6_refused_by_every_command_before_enumeration(monkeypatch, capsys):
+    """|W(E6)| = 51,840 is over the cap: every command refuses it from the
+    invariant degrees, before any element is enumerated, and no option
+    raises the cap."""
+    def refuse(self):
+        raise AssertionError("enumerated a group above the cap")
+
+    monkeypatch.setattr(WeylGroup, "_enumerate", refuse)
+    e6 = ["--type", "E", "--rank", "6"]
+    commands = (["verify"], ["table"], ["show", "csm", "--u", "s1"],
+                ["show", "box", "--u", "s1", "--v", "s2"])
+    for argv in commands:
+        assert cli.main(argv + e6) == 3, argv
+        assert capsys.readouterr().err == "csmverify: error: |W(E6)| exceeds the cap 10000\n"
+    for argv in commands:
+        assert cli.main(argv + e6 + ["--max-order", "60000"]) == 3, argv
+        assert "unrecognized arguments: --max-order 60000" in capsys.readouterr().err
 
 
 def test_cli_show_box_golden(tmp_path, capsys):
