@@ -27,8 +27,9 @@ in R, and signs each entry by l(w) - l(u) - l(v); the pairing row is the
 same pass over the Segre columns; the expansion row is {w0 x: d[x]}.
 cross-paths compares the three rows at every w, conjD reads the expansion
 row alone, and ``box_product`` reads one row, cross-validated at every w
-of length at least l(u) + l(v).  ``chi`` and the per-path readers read
-one triple of a row.  This calculator holds no state.
+of length at least l(u) + l(v); both find the w where the paths disagree
+by one scan, ``ChiRow.disagreements``.  ``chi`` and the per-path readers
+read one triple of a row.  This calculator holds no state.
 """
 
 from __future__ import annotations
@@ -81,6 +82,14 @@ class ChiRow:
     def provenance(self, wi: int) -> ChiProvenance:
         return ChiProvenance(self.triple_sum.get(wi, 0), self.pairing.get(wi, 0),
                              self.expansion.get(wi, 0))
+
+    def disagreements(self) -> list[tuple[int, ChiProvenance]]:
+        """(index of w, provenance) at every w where the paths disagree, in
+        index order."""
+        if self.agree:
+            return []
+        keys = self.triple_sum.keys() | self.pairing.keys() | self.expansion.keys()
+        return [(wi, prov) for wi in sorted(keys) if not (prov := self.provenance(wi)).agree]
 
 
 def _disagreement(u, v, w, prov: ChiProvenance) -> PathDisagreement:
@@ -184,11 +193,9 @@ class BoxCalculator:
         """
         row = self.chi_row(u, v)
         lengths, floor = self.group._lengths, u.length + v.length
-        if not row.agree:
-            for wi in sorted(row.triple_sum.keys() | row.pairing.keys() | row.expansion.keys()):
-                prov = row.provenance(wi)
-                if lengths[wi] >= floor and not prov.agree:
-                    raise _disagreement(u, v, self.group.elements[wi], prov)
+        for wi, prov in row.disagreements():
+            if lengths[wi] >= floor:
+                raise _disagreement(u, v, self.group.elements[wi], prov)
         return CohomologyClass(self.group, {
             wi: c for wi, c in row.expansion.items() if lengths[wi] >= floor
         })

@@ -190,12 +190,6 @@ class FlagCohomology:
         self._check(a)
         return a.coeffs.get(self.group.longest.index, 0)
 
-    def pairing(self, a: CohomologyClass, b: CohomologyClass) -> int:
-        """int a . b = sum of a[x] b[w0 x] by Poincare duality; no product formed."""
-        self._check(a, b)
-        w0, bc = self.group._w0, b.coeffs
-        return sum(c * bc.get(w0[x], 0) for x, c in a.coeffs.items())
-
     def triple_integral(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
         """int eps^u . eps^v . eps^w, read off the table by Poincare duality
         as c_uv^{w0 w}; zero unless the lengths add up to the dimension."""
@@ -308,8 +302,9 @@ class FlagCohomology:
                                 d[z] = d.get(z, 0) - c * m
                 for y, c in d.items():
                     if c < 0:
-                        raise InternalInvariantError(
-                            f"negative cup structure constant at ({ui},{vi},{right[y][i]})")
+                        els = group.elements
+                        raise InternalInvariantError("negative cup structure constant at "
+                                                     f"({els[ui]}, {els[vi]}, {els[right[y][i]]})")
                     if c:
                         out[right[y][i]] = c
             if out:

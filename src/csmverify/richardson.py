@@ -34,11 +34,12 @@ from .rootdata import WeylElement, parity_sign
 @dataclass
 class Coefficients:
     """Coefficients of a Richardson class by the index of w, and the
-    (w, coefficient) entries that break the sign conjecture on them, in
-    index order; the conjecture holds for the pair iff there are none."""
+    (index of w, coefficient) entries that break the sign conjecture on
+    them, in index order; the conjecture holds for the pair iff there are
+    none."""
 
     coeffs: dict[int, int]
-    violations: list[tuple[WeylElement, int]]
+    violations: list[tuple[int, int]]
 
 
 class RichardsonCalculator:
@@ -100,8 +101,7 @@ class RichardsonCalculator:
             if (group._lengths[w] + u.length + v.length) % 2 != 0:
                 raise ParityViolation(f"odd-parity coefficient in Richardson cell ({u}, {v})")
             c[w] = val
-        negative = sorted((w, val) for w, val in c.items() if val < 0)
-        return Coefficients(c, [(group.elements[w], val) for w, val in negative])
+        return Coefficients(c, sorted((w, val) for w, val in c.items() if val < 0))
 
     def expand_in_csm_basis(self, a: CohomologyClass) -> dict[int, int]:
         """Solve a = sum d_w . csm(cell w) by the unitriangular peel.
@@ -149,7 +149,7 @@ class RichardsonCalculator:
         d = self._expansion(u, v)
         group = self.group
         base = u.length + v.length
-        violations = [(group.elements[w], val) for w, val in sorted(d.items())
+        violations = [(w, val) for w, val in sorted(d.items())
                       if parity_sign(group._lengths[w] - base) * val < 0]
         return Coefficients(dict(d), violations)
 

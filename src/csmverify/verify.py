@@ -11,10 +11,10 @@ Suite semantics
   the cell class in the CSM basis; the opposite-cell class is by definition
   the cell class of w0*u, so it is not compared with it.
 * ``conjB``: nonnegativity of the Richardson coefficients against the
-  Schubert-variety basis.  All |W|^2 pairs are recorded; negatives are
-  findings.
+  Schubert-variety basis.  Every filtered pair is recorded (|F|^2 for F the
+  filtered elements); negatives are findings.
 * ``conjC``: alternating signs of the CSM-basis expansions of Richardson
-  classes.  All |W|^2 pairs are recorded; violations are findings.
+  classes.  Every filtered pair is recorded; violations are findings.
 * ``conjD``: sign of the deformed-product structure constants against the
   intersection dimension, over all filtered triples, plus the graded
   comparison with the cup product (hard) and the per-pair equivalence with
@@ -63,14 +63,18 @@ suite's pair whose partner is filtered out may compute itself.  Values and
 error texts are copied as computed.  The partner copies rest on the mirror
 check of the computed pair; the sigma copies rest on
 ``_equivariance_failures``, which checks both tables under each automorphism
-once per run in which a suite made sigma copies, and records a hard
-failure in each such suite if they are not equivariant.  Entries merge in
-(u, v) order after the sweep, so the report does not depend on jobs.
+once per run, before the sweep, on any group with a diagram automorphism
+other than the identity; a table that is not equivariant heads every
+suite's hard failures.  Entries merge in (u, v) order after the sweep, so
+the report does not depend on jobs.
 ``timings.per_suite_s`` is each suite's record-step time summed over units
 (worker time in a pool), plus theorem-invariants' element and global blocks.
 
-Findings carry full witnesses (reduced words, never internal indices).
-Reports are byte-deterministic apart from the ``timings`` block.
+A witness (u, v, w), or a prefix of it, is held as element indices from the
+record step through the copies, the pool and the merge; ``_run_suites``
+writes it as reduced words once, before it returns, so every result and
+report names elements by words, never by internal indices.  Reports are
+byte-deterministic apart from the ``timings`` block.
 """
 
 from __future__ import annotations
@@ -176,10 +180,16 @@ class SuiteResult:
         return {**{k: getattr(self, k) for k in keys}, "status": self.status}
 
 
-def _entry(check: str, *elements, **detail) -> dict:
+def _entry(check: str, *elements: int, **detail) -> dict:
     """A violation or hard-failure record; the elements it names, (u, v, w)
-    or a prefix, are written as reduced words."""
-    return {"check": check, **{k: str(x) for k, x in zip("uvw", elements)}, **detail}
+    or a prefix, are held as indices until ``_run_suites`` writes them."""
+    return {"check": check, **dict(zip("uvw", elements)), **detail}
+
+
+def _in_pair_order(entries: list[dict], cap: int | None = None) -> list[dict]:
+    """Pair-level entries stably sorted by the indices of (u, v), the first
+    cap of them (all, with no cap)."""
+    return sorted(entries, key=itemgetter("u", "v"))[:cap]
 
 
 def pool_size(jobs: int, units: int) -> int:
@@ -193,19 +203,19 @@ def pool_size(jobs: int, units: int) -> int:
 
 
 def _record_theorem_pair(engines: Engines, out: SuiteResult, u, v) -> None:
-    group, rich = engines.group, engines.rich
+    group, rich, pair = engines.group, engines.rich, (u.index, v.index)
     out.instances += 1
     try:
         cls = rich.csm_richardson(u, v)           # mirror agreement inside
         rich.richardson_coeffs(u, v)              # parity inside
         rich.verify_lemma_e(u, v)                 # sign condition inside
         if not group.bruhat_leq(v, u) and cls:
-            out.hard(_entry("empty-cell", u, v, error="empty Richardson cell has nonzero class"))
+            out.hard(_entry("empty-cell", *pair, error="empty Richardson cell has nonzero class"))
         if u == v and cls != engines.coh.schubert_class(group.longest):
-            out.hard(_entry("diagonal-point", u, v,
+            out.hard(_entry("diagonal-point", *pair,
                             error="diagonal cell class is not the point class"))
     except InternalInvariantError as exc:
-        out.hard(_entry("richardson-pair", u, v, error=str(exc)))
+        out.hard(_entry("richardson-pair", *pair, error=str(exc)))
 
 
 def _record_conjb(engines: Engines, out: SuiteResult, u, v) -> None:
@@ -213,10 +223,10 @@ def _record_conjb(engines: Engines, out: SuiteResult, u, v) -> None:
     try:
         coeffs = engines.rich.richardson_coeffs(u, v)
     except InternalInvariantError as exc:
-        out.hard(_entry("richardson", u, v, error=str(exc)))
+        out.hard(_entry("richardson", u.index, v.index, error=str(exc)))
         return
     for w, val in coeffs.violations:
-        out.violations.append(_entry("conjB", u, v, w, value=val))
+        out.violations.append(_entry("conjB", u.index, v.index, w, value=val))
 
 
 def _record_conjc(engines: Engines, out: SuiteResult, u, v) -> None:
@@ -224,67 +234,63 @@ def _record_conjc(engines: Engines, out: SuiteResult, u, v) -> None:
     try:
         coeffs = engines.rich.csm_basis_coeffs(u, v)
     except InternalInvariantError as exc:
-        out.hard(_entry("csm-basis-expansion", u, v, error=str(exc)))
+        out.hard(_entry("csm-basis-expansion", u.index, v.index, error=str(exc)))
         return
     for w, val in coeffs.violations:
-        out.violations.append(_entry("conjC", u, v, w, value=val))
+        out.violations.append(_entry("conjC", u.index, v.index, w, value=val))
 
 
-def _record_row_failure(out: SuiteResult, check: str, u, v, elements, exc: Exception) -> None:
+def _record_row_failure(engines: Engines, out: SuiteResult, check: str, u, v,
+                        exc: Exception) -> None:
     """A pair whose row could not be read fails at every w, one instance each."""
-    for w in elements:
+    for w in range(engines.group.order):
         out.instances += 1
-        out.hard(_entry(check, u, v, w, error=str(exc)))
+        out.hard(_entry(check, u.index, v.index, w, error=str(exc)))
 
 
 def _record_conjd(engines: Engines, out: SuiteResult, u, v) -> None:
-    group = engines.group
-    floor = u.length + v.length
+    group, pair = engines.group, (u.index, v.index)
+    floor, lengths = u.length + v.length, group._lengths
     pair_sign_ok = True
     try:
         row = engines.box.expansion_row(u, v)
     except InternalInvariantError as exc:
-        _record_row_failure(out, "chi", u, v, group.elements, exc)
+        _record_row_failure(engines, out, "chi", u, v, exc)
     else:
         out.instances += group.order
-        cup = engines.coh.structure_constants_idx(u.index, v.index)
-        for wi in sorted(row.keys() | cup.keys()):
-            w, chi, cup_c = group.elements[wi], row.get(wi, 0), cup.get(wi, 0)
-            if w.length < floor:
+        cup = engines.coh.structure_constants_idx(*pair)
+        for w in sorted(row.keys() | cup.keys()):
+            chi, cup_c = row.get(w, 0), cup.get(w, 0)
+            if lengths[w] < floor:
                 # below the dimension threshold: reported, not fatal
-                out.violations.append(_entry("below-threshold", u, v, w, value=chi))
+                out.violations.append(_entry("below-threshold", *pair, w, value=chi))
                 continue
-            if w.length == floor and chi != cup_c:
-                out.hard(_entry("graded-vs-cup", u, v, w, value=chi, expected=cup_c))
-            if parity_sign(w.length - floor) * chi < 0:
+            if lengths[w] == floor and chi != cup_c:
+                out.hard(_entry("graded-vs-cup", *pair, w, value=chi, expected=cup_c))
+            if parity_sign(lengths[w] - floor) * chi < 0:
                 pair_sign_ok = False
-                out.violations.append(_entry("conjD", u, v, w, value=chi))
+                out.violations.append(_entry("conjD", *pair, w, value=chi))
     # the per-pair verdict must match the CSM-basis sign verdict for the
     # mirrored Richardson pair
     try:
         c_ok = not engines.rich.csm_basis_coeffs(group.w0_times(u), v).violations
         if c_ok != pair_sign_ok:
             out.hard(_entry(
-                "pairwise-equivalence", u, v,
+                "pairwise-equivalence", *pair,
                 error=f"sign verdicts disagree: chi {pair_sign_ok}, expansion {c_ok}"))
     except InternalInvariantError as exc:
-        out.hard(_entry("pairwise-equivalence", u, v, error=str(exc)))
+        out.hard(_entry("pairwise-equivalence", *pair, error=str(exc)))
 
 
 def _record_crosspaths(engines: Engines, out: SuiteResult, u, v) -> None:
-    els = engines.group.elements
     try:
         row = engines.box.chi_row(u, v)
     except InternalInvariantError as exc:
-        _record_row_failure(out, "chi-paths", u, v, els, exc)
+        _record_row_failure(engines, out, "chi-paths", u, v, exc)
         return
-    out.instances += len(els)
-    if row.agree:
-        return
-    for w in els:
-        prov = row.provenance(w.index)
-        if not prov.agree:
-            out.hard(_entry("chi-paths", u, v, w, error=str(prov)))
+    out.instances += engines.group.order
+    for w, prov in row.disagreements():
+        out.hard(_entry("chi-paths", u.index, v.index, w, error=str(prov)))
 
 
 #: the pair-level record step of each suite; theorem-invariants also has
@@ -307,8 +313,8 @@ class _Sweep:
     the pair suites, w0*r for the chi rows.  A kind keeps the pairs whose
     u and v are filtered.  The k-th automorphism sigma, maps[k], takes
     (r, v) to (sigma r, sigma v) and, with f = flipped[k] = w0*sigma, to the
-    partner (f[v], f[r]).  labels are the elements' words, and index reads
-    them back."""
+    partner (f[v], f[r]).  Every witness is an element index here, so a
+    copy maps w through sigma directly."""
 
     names: list[str]
     filtered: list[int]
@@ -316,8 +322,6 @@ class _Sweep:
     us: dict[bool, Sequence[int]]
     maps: tuple[tuple[int, ...], ...]
     flipped: list[tuple[int, ...]]
-    labels: list[str]
-    index: dict[str, int]
 
     @classmethod
     def of(cls, group: WeylGroup, names, filtered: list[int]) -> "_Sweep":
@@ -326,9 +330,8 @@ class _Sweep:
             keep[i] = True
         maps, w0 = group.diagram_maps, group._w0
         flipped = [tuple(w0[x] for x in m) for m in maps]
-        labels = [str(x) for x in group.elements]
         return cls(list(names), filtered, keep, {False: range(group.order), True: w0},
-                   maps, flipped, labels, {label: i for i, label in enumerate(labels)})
+                   maps, flipped)
 
     @property
     def kinds(self) -> set[bool]:
@@ -363,14 +366,13 @@ class _Sweep:
         """A computed pair's entries as its copy at key records them: under
         key's own u and v, each w through the k-th automorphism, in index
         order of w as a computed pair emits them (entries without a w last)."""
-        labels, index = self.labels, self.index
-        out = [{**e, "u": labels[key[0]], "v": labels[key[1]]} for e in entries]
+        out = [{**e, "u": key[0], "v": key[1]} for e in entries]
         if k:
             sigma = self.maps[k]
             for e in out:
                 if "w" in e:
-                    e["w"] = labels[sigma[index[e["w"]]]]
-            out.sort(key=lambda e: index[e["w"]] if "w" in e else len(labels))
+                    e["w"] = sigma[e["w"]]
+            out.sort(key=lambda e: e.get("w", len(sigma)))
         return out
 
 
@@ -407,59 +409,44 @@ _WORKER_ENGINES: Engines | None = None
 _WORKER_SWEEP: _Sweep | None = None
 
 
-def _sweep_unit(engines: Engines, sweep: _Sweep, r: int) -> tuple[dict, dict]:
+def _sweep_unit(engines: Engines, sweep: _Sweep, r: int) -> dict[str, SuiteResult]:
     """Every named record step on the Richardson pairs (r, v), v filtered,
     on one pair of each orbit (``_Sweep.copies``): the pair suites' steps
     at (r, v), the chi rows' at (w0*r, v).  The computed pair is counted
-    once for each kept member of its orbit, and each other member gets its
-    entries, relabelled.  Returns ({suite: (counts, found)}, sigma): counts
-    holds the instances, the hard-failure count and the record-step time;
-    found lists ((u, v), violations, hard failures) of the pairs with any
-    entries, in (u, v) order, with the hard failures after the first
-    HARD_FAILURE_LIST_CAP of the unit dropped (no later one is reported);
-    sigma counts, for each kind, the copies made through an automorphism
-    other than the identity."""
+    once for each kept member of its orbit, and each member gets its
+    entries, relabelled.  Returns {suite: tally}: the instances, the
+    hard-failure count, the record-step time and the entries, whose
+    witnesses are still indices, in (u, v) order, with the hard failures
+    after the first HARD_FAILURE_LIST_CAP of the unit dropped (no later
+    one is reported)."""
     els, clock = engines.group.elements, time.perf_counter
     steps = [(name, _RECORD_STEPS[name], name in _TRIPLE_SUITES) for name in sweep.names]
-    kinds = sweep.kinds
-    out = {name: (SuiteResult(name), []) for name in sweep.names}
-    sigma = dict.fromkeys(kinds, 0)
+    kinds, out = sweep.kinds, {name: SuiteResult(name) for name in sweep.names}
     for vi in sweep.filtered:
         plans = {triple: sweep.copies((r, vi), triple) for triple in kinds}
-        for triple, copies in plans.items():
-            if copies:
-                sigma[triple] += sum(k > 0 for k in copies.values())
         for name, step, triple in steps:
             copies = plans[triple]
             if copies is None:
                 continue        # recorded by the least member of its orbit
-            us = sweep.us[triple]
-            counts, found = out[name]
-            pair = SuiteResult(name)
+            us, tally, pair = sweep.us[triple], out[name], SuiteResult(name)
             start = clock()
             step(engines, pair, els[us[r]], els[vi])
-            counts.elapsed += clock() - start
+            tally.elapsed += clock() - start
             n = 1 + len(copies)
-            counts.instances += n * pair.instances
-            counts.hard_failure_count += n * pair.hard_failure_count
-            violations, hard = pair.violations, pair.hard_failures
-            if not (violations or hard):
-                continue
-            found.append(((us[r], vi), violations, hard))
-            for (x, y), k in copies.items():
-                image = (us[x], y)
-                found.append((image, sweep.relabel(violations, image, k),
-                              sweep.relabel(hard, image, k)))
-    for _, found in out.values():
-        found.sort(key=itemgetter(0))
-        room = HARD_FAILURE_LIST_CAP
-        for _, _, hard in found:
-            del hard[room:]
-            room -= len(hard)
-    return out, sigma
+            tally.instances += n * pair.instances
+            tally.hard_failure_count += n * pair.hard_failure_count
+            if pair.violations or pair.hard_failures:
+                for (x, y), k in [((r, vi), 0), *copies.items()]:
+                    image = (us[x], y)
+                    tally.violations += sweep.relabel(pair.violations, image, k)
+                    tally.hard_failures += sweep.relabel(pair.hard_failures, image, k)
+    for tally in out.values():
+        tally.violations = _in_pair_order(tally.violations)
+        tally.hard_failures = _in_pair_order(tally.hard_failures, HARD_FAILURE_LIST_CAP)
+    return out
 
 
-def _pooled_unit(r: int) -> tuple[dict, dict]:
+def _pooled_unit(r: int) -> dict[str, SuiteResult]:
     return _sweep_unit(_WORKER_ENGINES, _WORKER_SWEEP, r)
 
 
@@ -468,17 +455,22 @@ def _run_suites(engines: Engines, names, max_length: int | None,
     """The named suites in one sweep over the Richardson rows, in-process or
     in one fork pool.  Each suite's entries are merged in (u, v) order, by
     index, so the result does not depend on jobs.
-    A suite that made copies through a diagram automorphism gets a hard
-    failure, ahead of its pair entries, for each table and automorphism
+    On a group with a diagram automorphism other than the identity, every
+    suite's hard failures start with one for each table and automorphism
     under which the table is not equivariant; the check adds no instance.
     theorem-invariants' tally is its element block, then its pair tally,
-    then its global block."""
+    then its global block.  Witnesses stay indices until the last step,
+    which writes each as its reduced word."""
     group, clock = engines.group, time.perf_counter
     filtered = [i for i in range(group.order)
                 if max_length is None or group._lengths[i] <= max_length]
     results = {name: SuiteResult(name, predicted_instances=len(filtered) ** 2
                                  * (group.order if name in _TRIPLE_SUITES else 1))
                for name in names}
+    equivariance = _equivariance_failures(engines) if len(group.diagram_maps) > 1 else []
+    for result in results.values():
+        for error in equivariance:
+            result.hard(_entry("diagram-equivariance", error=error))
     theorem = results.get("theorem-invariants")
     if theorem is not None:
         # before any fork, so that workers inherit the per-element classes
@@ -502,30 +494,25 @@ def _run_suites(engines: Engines, names, max_length: int | None,
                 parts = pool.map(_pooled_unit, units, chunksize=1)
         finally:
             _WORKER_ENGINES = _WORKER_SWEEP = None
-    equivariance = None
     for name, result in results.items():
-        found, triple = [], name in _TRIPLE_SUITES
-        for totals, _ in parts:
-            counts, items = totals[name]
-            result.instances += counts.instances
-            result.hard_failure_count += counts.hard_failure_count
-            result.elapsed += counts.elapsed
-            found.extend(items)
-        if any(sigma[triple] for _, sigma in parts):
-            if equivariance is None:
-                equivariance = _equivariance_failures(engines)
-            for error in equivariance:
-                result.hard(_entry("diagram-equivariance", error=error))
-        found.sort(key=itemgetter(0))
-        listed = result.hard_failures
-        for _, violations, hard in found:
-            result.violations.extend(violations)
-            listed.extend(hard[:HARD_FAILURE_LIST_CAP - len(listed)])
+        tallies = [part[name] for part in parts]
+        for tally in tallies:
+            result.instances += tally.instances
+            result.hard_failure_count += tally.hard_failure_count
+            result.elapsed += tally.elapsed
+        result.violations += _in_pair_order([e for t in tallies for e in t.violations])
+        result.hard_failures += _in_pair_order(
+            [e for t in tallies for e in t.hard_failures],
+            HARD_FAILURE_LIST_CAP - len(result.hard_failures))
 
     if theorem is not None:
         start = clock()
         theorem.predicted_instances += len(filtered) + _theorem_globals(engines, theorem)
         theorem.elapsed += clock() - start
+    words = [str(x) for x in group.elements]
+    for result in results.values():
+        for e in (*result.violations, *result.hard_failures):
+            e.update((k, words[e[k]]) for k in "uvw" if k in e)
     return results
 
 
@@ -550,10 +537,10 @@ def _theorem_elements(engines: Engines, out: SuiteResult, filtered: list[int]) -
             cell = csm.csm_schubert_cell(u)       # positivity/support/normalization
             csm.segre_schubert_cell(u)            # sign twist
             if rich.expand_in_csm_basis(cell) != {ui: 1}:
-                out.hard(_entry("csm-basis-unitriangular", u,
+                out.hard(_entry("csm-basis-unitriangular", ui,
                                 error="cell class does not expand to itself"))
         except InternalInvariantError as exc:
-            out.hard(_entry("cell-invariants", u, error=str(exc)))
+            out.hard(_entry("cell-invariants", ui, error=str(exc)))
 
 
 def _theorem_globals(engines: Engines, out: SuiteResult) -> int:

@@ -12,11 +12,13 @@ from csmverify.richardson import RichardsonCalculator
 from csmverify.rootdata import (CartanDatum, WeylGroup, canonical_cartan_matrix,
                                 diagram_automorphisms)
 from csmverify.verify import (
+    HARD_FAILURE_LIST_CAP,
     SUITE_NAMES,
     SuiteResult,
     _RECORD_STEPS,
     _Sweep,
     _run_suites,
+    _sweep_unit,
     build_engines,
     materialize_tables,
     run_verification,
@@ -200,7 +202,9 @@ def _findings_everywhere(monkeypatch):
 def _check_against_every_pair(series, rank, max_length, monkeypatch):
     """The suites' results, serial and under --jobs 2, against each record
     step run on every filtered pair in (row, column) order: the same
-    instances and entries, the copies' witnesses included."""
+    instances and entries, the copies' witnesses included.  A record step
+    names elements by index, and the results by word, so the tally's
+    witnesses are written as words before they are compared."""
     import csmverify.verify as verify_mod
 
     _findings_everywhere(monkeypatch)
@@ -212,6 +216,11 @@ def _check_against_every_pair(series, rank, max_length, monkeypatch):
     assert {n: r.to_dict() for n, r in serial.items()} \
         == {n: r.to_dict() for n, r in pooled.items()}
     kept = [w for w in stack.group if max_length is None or w.length <= max_length]
+    words = [str(w) for w in stack.group]
+
+    def written(entries):
+        return [{**e, **{k: words[e[k]] for k in "uvw" if k in e}} for e in entries]
+
     for name in names:
         tally = SuiteResult(name)
         for u in kept:
@@ -220,8 +229,9 @@ def _check_against_every_pair(series, rank, max_length, monkeypatch):
         result = serial[name]
         assert tally.hard_failures if name == "cross-paths" else tally.violations, name
         assert (result.instances, result.violations, result.hard_failures,
-                result.hard_failure_count) == (tally.instances, tally.violations,
-                                               tally.hard_failures, tally.hard_failure_count)
+                result.hard_failure_count) == (tally.instances, written(tally.violations),
+                                               written(tally.hard_failures),
+                                               tally.hard_failure_count)
 
 
 @pytest.mark.parametrize("series,rank,max_length", [("A", 3, None), ("D", 4, 2)])
@@ -252,6 +262,43 @@ def test_pair_suites_pool_equals_serial(key, monkeypatch):
         d["options"].pop("jobs")
     assert reports[0] == reports[1]
     assert reports[0]["exit_code"] == 0
+
+
+def test_units_return_index_witnesses(monkeypatch):
+    """A unit returns one tally per suite and no other count: its witnesses
+    are element indices, in (u, v) order, its hard failures within the list
+    cap, and a forked worker returns the same as the unit in process.  Words
+    are written by the merge alone."""
+    import multiprocessing
+
+    import csmverify.verify as verify_mod
+
+    _findings_everywhere(monkeypatch)
+    names = list(SUITE_NAMES)
+    stack = build_engines("A", 3)
+    materialize_tables(stack)
+    sweep = _Sweep.of(stack.group, names, list(range(stack.group.order)))
+    units = sweep.units()
+    serial = [_sweep_unit(stack, sweep, r) for r in units]
+    monkeypatch.setattr(verify_mod, "_WORKER_ENGINES", stack)
+    monkeypatch.setattr(verify_mod, "_WORKER_SWEEP", sweep)
+    with multiprocessing.get_context("fork").Pool(2) as pool:
+        pooled = pool.map(verify_mod._pooled_unit, units, chunksize=1)
+    for parts in (serial, pooled):
+        entries = 0
+        for part in parts:
+            assert list(part) == names
+            for name, tally in part.items():
+                assert type(tally) is SuiteResult and tally.name == name
+                assert len(tally.hard_failures) <= HARD_FAILURE_LIST_CAP
+                for listed in (tally.violations, tally.hard_failures):
+                    keys = [(e["u"], e["v"]) for e in listed]
+                    assert keys == sorted(keys)
+                    assert all(type(e[k]) is int for e in listed for k in "uvw" if k in e)
+                    entries += len(listed)
+        assert entries
+    assert [{n: t.to_dict() for n, t in part.items()} for part in serial] \
+        == [{n: t.to_dict() for n, t in part.items()} for part in pooled]
 
 
 # -- the equivariance check -------------------------------------------------------------
@@ -297,8 +344,8 @@ def _cell_coefficient_raised(monkeypatch):
 @pytest.mark.parametrize("key", [("A", 3), ("D", 4)], ids=["A3", "D4"])
 def test_tables_off_equivariance_fail_the_run(mutate, key, monkeypatch):
     """A table that is not sigma-equivariant ends the run with a hard
-    failure in every suite that made sigma copies, one for each
-    automorphism the table breaks, and adds no instance."""
+    failure at the head of every suite's list, one for each automorphism
+    the table breaks, and adds no instance."""
     mutate(monkeypatch)
     max_length = 2 if key == ("D", 4) else None
     report = run_verification(*key, suites=["conjB", "cross-paths"], max_length=max_length)
@@ -309,6 +356,7 @@ def test_tables_off_equivariance_fail_the_run(mutate, key, monkeypatch):
         assert result.instances == result.predicted_instances
         found = [e for e in result.hard_failures if e["check"] == "diagram-equivariance"]
         assert 1 <= len(found) <= automorphisms
+        assert result.hard_failures[:len(found)] == found
         for e in found:
             assert e["error"].startswith(table)
             assert "not equivariant under the diagram automorphism s1.." in e["error"]
@@ -316,12 +364,13 @@ def test_tables_off_equivariance_fail_the_run(mutate, key, monkeypatch):
 
 @pytest.mark.parametrize("key,max_length,suites,calls", [
     (("A", 3), None, ["conjB", "conjD"], 1), (("A", 3), 1, ["conjB"], 1),
-    (("A", 3), 0, ["conjB", "conjD"], 0), (("B", 3), None, ["conjB"], 0)])
-def test_equivariance_check_runs_once_with_sigma_copies(key, max_length, suites, calls,
-                                                        monkeypatch):
-    """The check runs once per run, and only when a suite made sigma copies:
-    on A3 under length 0 the one pair (e, e) is its own orbit, and B3 has
-    no diagram automorphism."""
+    (("A", 3), 0, ["conjB", "conjD"], 1), (("B", 3), None, ["conjB"], 0)])
+def test_equivariance_check_runs_once_with_an_automorphism(key, max_length, suites, calls,
+                                                           monkeypatch):
+    """The check runs once per run on a group with a diagram automorphism
+    other than the identity, whatever the filter: on A3 under length 0 too,
+    where the one pair (e, e) is its own orbit and no sigma copy is made.
+    B3 has no diagram automorphism."""
     import csmverify.verify as verify_mod
 
     real, seen = verify_mod._equivariance_failures, []

@@ -268,13 +268,12 @@ def test_partners_under_filter_and_pool(monkeypatch, max_length):
     assert serial.suites["theorem-invariants"].hard_failures == [
         {"check": "diagonal-point", "u": str(w), "v": str(w),
          "error": "diagonal cell class is not the point class"} for w in kept]
-    expected = {"conjB": [], "conjC": []}
+    expected, els = {"conjB": [], "conjC": []}, rich.group.elements
     for u in kept:
         for v in kept:
-            expected["conjB"] += [{"check": "conjB", "u": str(u), "v": str(v), "w": str(w),
-                                   "value": c} for w, c in rich.richardson_coeffs(u, v).violations]
-            expected["conjC"] += [{"check": "conjC", "u": str(u), "v": str(v), "w": str(w),
-                                   "value": d} for w, d in rich.csm_basis_coeffs(u, v).violations]
+            for name, read in (("conjB", rich.richardson_coeffs), ("conjC", rich.csm_basis_coeffs)):
+                expected[name] += [{"check": name, "u": str(u), "v": str(v), "w": str(els[w]),
+                                    "value": c} for w, c in read(u, v).violations]
     for name, result in serial.suites.items():
         assert result.instances == result.predicted_instances
         if name in expected:
@@ -512,7 +511,8 @@ def test_report_witnesses_use_words(monkeypatch):
     plain = build_engines("A", 2).rich
     g, found = plain.group, {}
     for u in (g.parse("s1"), g.parse("s2")):
-        found[u] = [(str(w), c) for w, c in plain.richardson_coeffs(u, g.identity).violations]
+        found[u] = [(str(g.elements[w]), c)
+                    for w, c in plain.richardson_coeffs(u, g.identity).violations]
         assert found[u]
     rows = [(u, g.identity, found[u]) for u in found]
     rows += sorted(((g.longest, g.w0_times(u), found[u]) for u in found),
