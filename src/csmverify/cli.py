@@ -14,10 +14,10 @@ output or cache path that cannot be written, and a group above the one
 size cap of 10,000 elements; such a path or group is refused before any
 table is built.
 
-Every run computes both tables; none reads a table from disk.  Only table
-writes a file, and only under --cache-dir: without it, table prints the
-checksums and writes nothing.  Weyl group elements are written as reduced
-words like "s1 s2 s1", with "e" for the identity.
+verify, table, show richardson and show box compute both tables, show csm
+only the cell class it prints; none reads a table from disk.  Only table
+writes a file, only under --cache-dir.  Weyl group elements are written as
+reduced words like "s1 s2 s1", with "e" for the identity.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import os
 import sys
 from pathlib import Path
 
-from .cache import TableCache
+from .cache import TableCache, csm_chunks
 from .errors import CsmVerifyError, InternalInvariantError, UsageError
 from .rootdata import MAX_ORDER, SERIES
 from .verify import (
@@ -132,10 +132,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    """Print both tables' checksums; with --cache-dir, write the CSM export."""
     cache = TableCache(args.cache_dir) if args.cache_dir else None
     if cache is not None:
         _refuse_unwritable(cache.folder(args.type.upper(), args.rank), may_create=True)
-    checksums = materialize_tables(build_engines(args.type.upper(), args.rank), cache=cache)
+    engines = build_engines(args.type.upper(), args.rank)
+    checksums = materialize_tables(engines)
+    if cache is not None:
+        datum = engines.group.datum
+        cache.store(datum.series, datum.rank, "csm", csm_chunks(engines.csm), checksums["csm"])
     for kind in sorted(checksums):
         print(f"{kind} table for {args.type.upper()}{args.rank}: computed, "
               f"checksum {checksums[kind]}")

@@ -12,7 +12,7 @@ products of lower total length, one of them multiplied by the simple root
 alpha_i through the degree-2 product rule (``_chevalley_idx``, on the
 pairings ``_pairings`` reads off the coroot table by root index).  Every
 constant is an exact sum of earlier ones, with no division; a negative one
-raises.
+raises, and so does a nonzero term at a y that s_i shortens.
 
 The recursion rests on the degree-2 rule, so the table's self-check (the
 unit row and the degree-2 rule on every pair of a simple reflection and an
@@ -272,12 +272,12 @@ class FlagCohomology:
         rule gives d_i(eps^u . eps^v) from at most three earlier rows, and
         its eps^y term is the constant at y s_i.  A letter outside
         desc(u) | desc(v) has d_i(eps^u . eps^v) = 0, so it is no right
-        descent of any w in the product.  Every empty pair shares one empty
-        dict."""
+        descent of any w in the product; a nonzero term at a y that s_i
+        shortens raises.  Every empty pair shares one empty dict."""
         group = self.group
         empty: dict[int, int] = {}
         table = [[empty] * group.order for _ in range(group.order)]
-        n, lengths, right = group.num_positive, group._lengths, group._right
+        n, lengths, right, els = group.num_positive, group._lengths, group._right, group.elements
         alpha = [self._alpha_row(i) for i in range(group.rank)]
         descents = [{i: t for i, t in enumerate(right[x]) if lengths[t] < lengths[x]}
                     for x in range(group.order)]
@@ -301,12 +301,17 @@ class FlagCohomology:
                             for z, m in a[y].items():
                                 d[z] = d.get(z, 0) - c * m
                 for y, c in d.items():
+                    if not c:
+                        continue
+                    w = right[y][i]
+                    if lengths[w] < lengths[y]:
+                        raise InternalInvariantError(
+                            f"d_{i + 1}(eps^u . eps^v) has a term at {els[y]}, whose s{i + 1} "
+                            f"is a descent, for ({els[ui]}, {els[vi]})")
                     if c < 0:
-                        els = group.elements
                         raise InternalInvariantError("negative cup structure constant at "
-                                                     f"({els[ui]}, {els[vi]}, {els[right[y][i]]})")
-                    if c:
-                        out[right[y][i]] = c
+                                                     f"({els[ui]}, {els[vi]}, {els[w]})")
+                    out[w] = c
             if out:
                 table[ui][vi] = table[vi][ui] = dict(sorted(out.items()))
         return table

@@ -41,9 +41,11 @@ associativity builds its own table of box rows.
 
 Every pair-level suite computes one pair of each symmetry orbit: the
 least kept Richardson pair, by (row, column) index, and records its
-entries at every kept member, each under its own u and v, each counting
-its instances.  A pair suite keeps (r, v) with r and v filtered, a chi
-suite with w0*r and v filtered.  Two kinds of map generate the orbits.
+entries at every kept member, each under its own u and v.  The sweep, not
+a step, counts instances, by the rule that predicts them: a computed pair
+adds n * (1, or |W| on a chi row), n the kept members of its orbit.  A
+pair suite keeps (r, v) with r and v filtered, a chi suite with w0*r and
+v filtered.  Two kinds of map generate the orbits.
   * A diagram automorphism sigma (``WeylGroup.diagram_maps``) lifts to an
     automorphism of G fixing B and T and commuting with w0, so csm
     R(sigma r, sigma v) = sigma . csm R(r, v) with eps^x -> eps^{sigma x},
@@ -86,11 +88,12 @@ import sys
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 
 from . import __version__
 from .boxproduct import BoxCalculator
-from .cache import FORMAT_VERSION, TableCache, chunks_checksum, csm_chunks, structure_chunks
+from .cache import FORMAT_VERSION, chunks_checksum, csm_chunks, structure_chunks
 from .cohomology import FlagCohomology
 from .csm import CONVENTION, CsmCalculator
 from .errors import InternalInvariantError, UsageError
@@ -112,14 +115,6 @@ class Engines:
     rich: RichardsonCalculator
     box: BoxCalculator
 
-    @property
-    def series(self) -> str:
-        return self.group.datum.series
-
-    @property
-    def rank(self) -> int:
-        return self.group.datum.rank
-
 
 def build_engines(series: str, rank: int) -> Engines:
     """Construct the stack; no table is read from disk.  A group over the
@@ -134,18 +129,12 @@ def build_engines(series: str, rank: int) -> Engines:
     return Engines(group, coh, csm, rich, BoxCalculator(rich))
 
 
-def materialize_tables(engines: Engines, cache: TableCache | None = None) -> dict[str, str]:
-    """Build the full structure and CSM tables; given a cache, write the
-    CSM table to it as the table's checksummed export.  Returns the payload
-    checksums by kind.  Each payload is streamed, never held whole: the
-    export encodes the CSM table a second time, under the checksum taken
-    of the first."""
-    checksums = {"structure": chunks_checksum(structure_chunks(engines.coh)),
-                 "csm": chunks_checksum(csm_chunks(engines.csm))}
-    if cache is not None:
-        cache.store(engines.series, engines.rank, "csm", csm_chunks(engines.csm),
-                    checksums["csm"])
-    return checksums
+def materialize_tables(engines: Engines) -> dict[str, str]:
+    """Build the full structure and CSM tables and return their payload
+    checksums by kind.  Each payload is streamed, never held whole, and
+    nothing is written."""
+    return {"structure": chunks_checksum(structure_chunks(engines.coh)),
+            "csm": chunks_checksum(csm_chunks(engines.csm))}
 
 
 @dataclass
@@ -204,7 +193,6 @@ def pool_size(jobs: int, units: int) -> int:
 
 def _record_theorem_pair(engines: Engines, out: SuiteResult, u, v) -> None:
     group, rich, pair = engines.group, engines.rich, (u.index, v.index)
-    out.instances += 1
     try:
         cls = rich.csm_richardson(u, v)           # mirror agreement inside
         rich.richardson_coeffs(u, v)              # parity inside
@@ -218,33 +206,23 @@ def _record_theorem_pair(engines: Engines, out: SuiteResult, u, v) -> None:
         out.hard(_entry("richardson-pair", *pair, error=str(exc)))
 
 
-def _record_conjb(engines: Engines, out: SuiteResult, u, v) -> None:
-    out.instances += 1
+def _record_signs(suite: str, method: str, check: str, engines: Engines, out: SuiteResult,
+                  u, v) -> None:
+    """conjB or conjC: the sign findings of the Richardson calculator's
+    method at (u, v); a failure to compute them is the hard failure check."""
     try:
-        coeffs = engines.rich.richardson_coeffs(u, v)
+        coeffs = getattr(engines.rich, method)(u, v)
     except InternalInvariantError as exc:
-        out.hard(_entry("richardson", u.index, v.index, error=str(exc)))
+        out.hard(_entry(check, u.index, v.index, error=str(exc)))
         return
     for w, val in coeffs.violations:
-        out.violations.append(_entry("conjB", u.index, v.index, w, value=val))
-
-
-def _record_conjc(engines: Engines, out: SuiteResult, u, v) -> None:
-    out.instances += 1
-    try:
-        coeffs = engines.rich.csm_basis_coeffs(u, v)
-    except InternalInvariantError as exc:
-        out.hard(_entry("csm-basis-expansion", u.index, v.index, error=str(exc)))
-        return
-    for w, val in coeffs.violations:
-        out.violations.append(_entry("conjC", u.index, v.index, w, value=val))
+        out.violations.append(_entry(suite, u.index, v.index, w, value=val))
 
 
 def _record_row_failure(engines: Engines, out: SuiteResult, check: str, u, v,
                         exc: Exception) -> None:
-    """A pair whose row could not be read fails at every w, one instance each."""
+    """A pair whose row could not be read fails at every w."""
     for w in range(engines.group.order):
-        out.instances += 1
         out.hard(_entry(check, u.index, v.index, w, error=str(exc)))
 
 
@@ -257,7 +235,6 @@ def _record_conjd(engines: Engines, out: SuiteResult, u, v) -> None:
     except InternalInvariantError as exc:
         _record_row_failure(engines, out, "chi", u, v, exc)
     else:
-        out.instances += group.order
         cup = engines.coh.structure_constants_idx(*pair)
         for w in sorted(row.keys() | cup.keys()):
             chi, cup_c = row.get(w, 0), cup.get(w, 0)
@@ -288,16 +265,17 @@ def _record_crosspaths(engines: Engines, out: SuiteResult, u, v) -> None:
     except InternalInvariantError as exc:
         _record_row_failure(engines, out, "chi-paths", u, v, exc)
         return
-    out.instances += engines.group.order
     for w, prov in row.disagreements():
         out.hard(_entry("chi-paths", u.index, v.index, w, error=str(prov)))
 
 
 #: the pair-level record step of each suite; theorem-invariants also has
 #: an element block before the sweep and a global block after it
-_RECORD_STEPS = {"theorem-invariants": _record_theorem_pair, "conjB": _record_conjb,
-                 "conjC": _record_conjc, "conjD": _record_conjd,
-                 "cross-paths": _record_crosspaths}
+_RECORD_STEPS = {"theorem-invariants": _record_theorem_pair,
+                 "conjB": partial(_record_signs, "conjB", "richardson_coeffs", "richardson"),
+                 "conjC": partial(_record_signs, "conjC", "csm_basis_coeffs",
+                                  "csm-basis-expansion"),
+                 "conjD": _record_conjd, "cross-paths": _record_crosspaths}
 #: suites that check every w for each (u, v) pair, on the chi row of the
 #: pair; the pair suites check the Richardson pair (u, v) itself
 _TRIPLE_SUITES = frozenset({"conjD", "cross-paths"})
@@ -433,7 +411,7 @@ def _sweep_unit(engines: Engines, sweep: _Sweep, r: int) -> dict[str, SuiteResul
             step(engines, pair, els[us[r]], els[vi])
             tally.elapsed += clock() - start
             n = 1 + len(copies)
-            tally.instances += n * pair.instances
+            tally.instances += n * (len(els) if triple else 1)
             tally.hard_failure_count += n * pair.hard_failure_count
             if pair.violations or pair.hard_failures:
                 for (x, y), k in [((r, vi), 0), *copies.items()]:
@@ -761,7 +739,7 @@ def run_verification(
                     else f"fails on {failures}/{total} filtered triples")
     meta_elapsed = time.perf_counter() - meta_start
     return VerificationReport(
-        series=engines.series, rank=rank, order=engines.group.order, suites=results,
+        series=engines.group.datum.series, rank=rank, order=engines.group.order, suites=results,
         meta_checks=meta,
         options={"suites": suite_names, "max_length": max_length, "jobs": jobs,
                  "max_order": MAX_ORDER, "table_checksums": checksums},

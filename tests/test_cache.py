@@ -129,12 +129,10 @@ def test_stored_bytes_are_the_canonical_envelope(engines, tmp_path):
         assert path.read_bytes() == canonical_json_bytes(envelope("B", 2, kind, oracle(engine))), kind
 
 
-def test_materialize_checksums_each_payload_once(tmp_path, monkeypatch):
-    """The table step streams each payload once for its checksum and the
-    CSM one once more for the export, under the checksum it took: the cache
-    computes none of its own, and no dict payload is checksummed."""
+def _count_streams(monkeypatch, *modules) -> list[str]:
+    """The names of the encoders the modules stream from, one per stream; a
+    dict payload checksummed fails the test."""
     import csmverify.cache as cache_mod
-    import csmverify.verify as verify_mod
 
     streams = []
 
@@ -148,20 +146,45 @@ def test_materialize_checksums_each_payload_once(tmp_path, monkeypatch):
         raise AssertionError("dict payload checksummed")
 
     monkeypatch.setattr(cache_mod, "payload_checksum", refuse)
-    for encoder in (structure_chunks, csm_chunks):
-        monkeypatch.setattr(verify_mod, encoder.__name__, counted(encoder))
+    for module in modules:
+        for encoder in (structure_chunks, csm_chunks):
+            if hasattr(module, encoder.__name__):
+                monkeypatch.setattr(module, encoder.__name__, counted(encoder))
+    return streams
+
+
+def test_materialize_checksums_each_payload_once(tmp_path, monkeypatch):
+    """materialize_tables streams each payload once, for its checksum, and
+    writes nothing."""
+    import csmverify.verify as verify_mod
+
+    streams = _count_streams(monkeypatch, verify_mod)
     stack = build_engines("A", 2)
+    monkeypatch.chdir(tmp_path)
     checksums = materialize_tables(stack)
     assert sorted(streams) == ["csm_chunks", "structure_chunks"]
-    streams.clear()
-    cache = TableCache(tmp_path)
-    assert materialize_tables(stack, cache=cache) == checksums
-    assert sorted(streams) == ["csm_chunks", "csm_chunks", "structure_chunks"]
+    assert list(tmp_path.iterdir()) == []
     monkeypatch.undo()
     assert checksums == {"structure": payload_checksum(structure_payload(stack.coh)),
                          "csm": payload_checksum(csm_payload(stack.csm))}
+
+
+def test_table_export_streams_the_csm_payload_twice(tmp_path, monkeypatch, capsys):
+    """table --cache-dir streams the CSM payload once for its checksum and
+    once more into the export, under the checksum it printed: the cache
+    computes none of its own."""
+    import csmverify.verify as verify_mod
+
+    streams = _count_streams(monkeypatch, verify_mod, cli)
+    assert cli.main(["table", "--type", "A", "--rank", "2", "--cache-dir", str(tmp_path)]) == 0
+    assert sorted(streams) == ["csm_chunks", "csm_chunks", "structure_chunks"]
+    monkeypatch.undo()
+    stack = build_engines("A", 2)
+    checksum = payload_checksum(csm_payload(stack.csm))
+    assert f"csm table for A2: computed, checksum {checksum}" in capsys.readouterr().out
+    cache = TableCache(tmp_path)
     assert cache.load("A", 2, "csm") == csm_payload(stack.csm)
-    assert json.loads(cache._path("A", 2, "csm").read_text())["checksum"] == checksums["csm"]
+    assert json.loads(cache._path("A", 2, "csm").read_text())["checksum"] == checksum
 
 
 def test_materialize_holds_no_payload():

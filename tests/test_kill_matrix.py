@@ -6,13 +6,19 @@ that caught the fault; a check that stops the run before the report is
 written names itself on stderr instead.
 """
 
+import ast
 import json
+import re
+from pathlib import Path
 
 from csmverify import cli, verify
 from csmverify.boxproduct import BoxCalculator
 from csmverify.cohomology import CohomologyClass, FlagCohomology
 from csmverify.csm import CsmCalculator
+from csmverify.errors import SingularSystem
 from csmverify.richardson import Coefficients, RichardsonCalculator
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _main(tmp_path, *suites) -> int:
@@ -28,6 +34,11 @@ def _run(tmp_path, *suites):
     """Exit code and JSON report of an A2 verify run of the given suites."""
     rc = _main(tmp_path, *suites)
     return rc, json.loads((tmp_path / "report.json").read_text())
+
+
+def _checks(report, suite) -> set[str]:
+    """The checks named by a suite's listed hard failures."""
+    return {f["check"] for f in report["suites"][suite]["hard_failures"]}
 
 
 def _stopped(tmp_path, capsys, message: str) -> None:
@@ -95,23 +106,26 @@ def test_raised_top_degree_chi_fails_graded_vs_cup(tmp_path, monkeypatch):
 
 
 def test_uncounted_pair_fails_the_instance_guard(tmp_path, monkeypatch):
-    """A record step that records a pair without counting its instance
-    leaves conjB with no violation and no hard failure, and still FAIL:
-    its instances fall short of the prediction."""
-    real = verify._RECORD_STEPS["conjB"]
+    """Orbit copies that miss the first image of the Richardson pair (e, e)
+    leave conjB one pair short and conjD one chi row short.  No record step
+    sees the fault, so neither suite records an entry, and both FAIL on the
+    instance count alone."""
+    real = verify._Sweep.copies
 
-    def uncounted(engines, out, u, v):
-        real(engines, out, u, v)
-        if u.length == 0 and v.length == 0:
-            out.instances -= 1
+    def dropped(self, key, triple):
+        out = real(self, key, triple)
+        if key == (0, 0) and out:
+            del out[next(iter(out))]
+        return out
 
-    monkeypatch.setitem(verify._RECORD_STEPS, "conjB", uncounted)
-    rc, report = _run(tmp_path, "conjB")
-    suite = report["suites"]["conjB"]
+    monkeypatch.setattr(verify._Sweep, "copies", dropped)
+    rc, report = _run(tmp_path, "conjB", "conjD")
     assert rc == 2
-    assert suite["status"] == "FAIL"
-    assert suite["violations"] == suite["hard_failures"] == []
-    assert suite["instances"] < suite["predicted_instances"] == 36
+    for name, counts in (("conjB", (35, 36)), ("conjD", (210, 216))):
+        suite = report["suites"][name]
+        assert suite["status"] == "FAIL"
+        assert suite["violations"] == suite["hard_failures"] == []
+        assert (suite["instances"], suite["predicted_instances"]) == counts
 
 
 def test_sign_break_with_conjb_passing_fails_b_implies_c(tmp_path, monkeypatch):
@@ -192,13 +206,208 @@ def test_raised_degree_two_constant_fails_the_table_check(tmp_path, monkeypatch,
     _stopped(tmp_path, capsys, "degree-2 products disagree at (s1, s2)")
 
 
-def test_tripled_alpha_rows_raise_a_negative_constant(tmp_path, monkeypatch, capsys):
-    """Every alpha_i . eps^y tripled drives a constant of the BGG recursion
-    negative, and the raise names its (u, v, w) by reduced words."""
+def _alpha_rows_mapped(monkeypatch, f) -> None:
+    """Every coefficient m of every alpha_i . eps^y replaced by f(m)."""
     real = FlagCohomology._alpha_row
+    monkeypatch.setattr(FlagCohomology, "_alpha_row", lambda self, i: [
+        {z: f(m) for z, m in row.items()} for row in real(self, i)])
 
-    def tripled(self, i):
-        return [{z: 3 * m for z, m in row.items()} for row in real(self, i)]
 
-    monkeypatch.setattr(FlagCohomology, "_alpha_row", tripled)
-    _stopped(tmp_path, capsys, "negative cup structure constant at (s1, s1, e)")
+def test_tripled_alpha_rows_raise_a_descent_term(tmp_path, monkeypatch, capsys):
+    """Every alpha_i . eps^y tripled leaves d_1(eps^s1 . eps^s1) a nonzero
+    term at s1, which s1 shortens: the recursion stops there and names the
+    letter, y and (u, v), before it writes a constant at a w of the wrong
+    length."""
+    _alpha_rows_mapped(monkeypatch, lambda m: 3 * m)
+    _stopped(tmp_path, capsys,
+             "d_1(eps^u . eps^v) has a term at s1, whose s1 is a descent, for (s1, s1)")
+
+
+def test_absolute_alpha_rows_raise_a_negative_constant(tmp_path, monkeypatch, capsys):
+    """Every alpha_i . eps^y by its absolute values drives a constant of the
+    BGG recursion negative, and the raise names its (u, v, w) by reduced
+    words, w of length l(u) + l(v)."""
+    _alpha_rows_mapped(monkeypatch, abs)
+    _stopped(tmp_path, capsys, "negative cup structure constant at (s1, s1, s2 s1)")
+
+
+def test_odd_parity_term_fails_richardson_pair(tmp_path, monkeypatch):
+    """The class of (s1, e) with eps^{w0} ([X_e]) added has a term of the
+    wrong parity: the pair block records the raise as richardson-pair, at
+    the pair and at its orbit's copies, under the computed pair's words."""
+    real = RichardsonCalculator.csm_richardson
+
+    def odd(self, u, v):
+        out = real(self, u, v)
+        if u.word == (1,) and v.length == 0:
+            return out + self.coh.schubert_class(self.group.longest)
+        return out
+
+    monkeypatch.setattr(RichardsonCalculator, "csm_richardson", odd)
+    rc, report = _run(tmp_path, "theorem-invariants")
+    assert rc == 2
+    assert _checks(report, "theorem-invariants") == {"richardson-pair"}
+    assert {"check": "richardson-pair", "u": "s1", "v": "e",
+            "error": "odd-parity coefficient in Richardson cell (s1, e)"} \
+        in report["suites"]["theorem-invariants"]["hard_failures"]
+
+
+def test_failed_expansion_fails_csm_basis_expansion(tmp_path, monkeypatch):
+    """A CSM-basis expansion of the point class that fails its residual
+    check fails conjC alone through csm-basis-expansion, at the pairs whose
+    class it is: (u, u) for every u."""
+    real = RichardsonCalculator.expand_in_csm_basis
+
+    def failing(self, a):
+        if a == self.coh.schubert_class(self.group.longest):
+            raise SingularSystem("CSM-basis expansion residual is nonzero")
+        return real(self, a)
+
+    monkeypatch.setattr(RichardsonCalculator, "expand_in_csm_basis", failing)
+    rc, report = _run(tmp_path, "conjC")
+    assert rc == 2
+    words = ["e", "s1", "s2", "s1 s2", "s2 s1", "s1 s2 s1"]
+    assert report["suites"]["conjC"]["hard_failures"] == [
+        {"check": "csm-basis-expansion", "u": w, "v": w,
+         "error": "CSM-basis expansion residual is nonzero"} for w in words]
+
+
+def test_unbalanced_tangent_class_fails_completeness(tmp_path, monkeypatch):
+    """c(T) + eps^{s1} - eps^{s2} keeps its integral and its inverse
+    identity, and is no longer the sum of the cell classes: completeness
+    fails (and so do the Segre checks that multiply by it)."""
+    real = CsmCalculator.tangent_chern
+
+    def unbalanced(self):
+        s1, s2 = (self.coh.schubert_class(self.group.parse(w)) for w in ("s1", "s2"))
+        return real(self) + s1 - s2
+
+    monkeypatch.setattr(CsmCalculator, "tangent_chern", unbalanced)
+    rc, report = _run(tmp_path, "theorem-invariants")
+    assert rc == 2
+    assert {"check": "completeness", "error": "cell classes do not sum to the tangent Chern class"} \
+        in report["suites"]["theorem-invariants"]["hard_failures"]
+    assert "chern-integral" not in _checks(report, "theorem-invariants")
+
+
+def test_dropped_root_fails_the_chern_integral_in_chern_machinery(tmp_path, monkeypatch):
+    """With the pairings of every non-simple root zeroed, c(T) loses the
+    factor of the highest root and does not integrate to |W|.  tangent_chern
+    checks that integral as it builds the class and raises, so the global
+    block records chern-machinery, and chern-integral, which asks the same
+    of the returned class, never runs."""
+    real = FlagCohomology._pairings
+
+    def dropped(self, lam):
+        out = real(self, lam)
+        return out if sum(lam) == 1 else [0] * len(out)
+
+    monkeypatch.setattr(FlagCohomology, "_pairings", dropped)
+    rc, report = _run(tmp_path, "theorem-invariants")
+    assert rc == 2
+    assert {"check": "chern-machinery", "error": "tangent Chern class does not integrate to |W|"} \
+        in report["suites"]["theorem-invariants"]["hard_failures"]
+    assert "chern-integral" not in _checks(report, "theorem-invariants")
+
+
+def test_wrong_bgg_of_the_unit_fails_the_bgg_and_dl_relations(tmp_path, monkeypatch):
+    """A_i(eps^e) made eps^{w0} in place of 0, on a class that no cell
+    recursion reaches, fails A_i^2 = 0 and the braid relation of the A_i,
+    and those of T_i = A_i - s_i."""
+    real = CsmCalculator.bgg_A
+
+    def wrong(self, i, a):
+        return self.coh.schubert_class(self.group.longest) if a == self.coh.unit() \
+            else real(self, i, a)
+
+    monkeypatch.setattr(CsmCalculator, "bgg_A", wrong)
+    rc, report = _run(tmp_path, "theorem-invariants")
+    assert rc == 2
+    assert _checks(report, "theorem-invariants") \
+        == {"bgg-quadratic", "braid-bgg", "dl-quadratic", "braid-dl"}
+
+
+def test_wrong_reflection_of_the_unit_fails_the_weyl_and_dl_relations(tmp_path, monkeypatch):
+    """s_1(eps^e) given an extra eps^{w0} fails s_1^2 = id and the braid
+    relation of the s_i, and those of the T_i."""
+    real = CsmCalculator.weyl_action
+
+    def wrong(self, i, a):
+        out = real(self, i, a)
+        return out + self.coh.schubert_class(self.group.longest) \
+            if i == 1 and a == self.coh.unit() else out
+
+    monkeypatch.setattr(CsmCalculator, "weyl_action", wrong)
+    rc, report = _run(tmp_path, "theorem-invariants")
+    assert rc == 2
+    assert _checks(report, "theorem-invariants") \
+        == {"weyl-involution", "braid-weyl", "dl-quadratic", "braid-dl"}
+
+
+# -- the README's table of hard checks ----------------------------------------------
+
+
+def _hard_check_names() -> tuple[set[str], list[re.Pattern]]:
+    """The check names verify.py gives hard failures: the literal first
+    argument of each ``.hard(_entry(...))`` and, where that argument is a
+    parameter of the enclosing function, the literal each caller passes for
+    it (through ``partial`` too).  An f-string name is a pattern."""
+    tree = ast.parse((ROOT / "src" / "csmverify" / "verify.py").read_text(encoding="utf-8"))
+    names, patterns, params = set(), [], {}
+
+    def take(node):
+        if isinstance(node, ast.Constant):
+            names.add(node.value)
+        elif isinstance(node, ast.JoinedStr):
+            patterns.append(re.compile("".join(
+                re.escape(part.value) if isinstance(part, ast.Constant) else ".+"
+                for part in node.values)))
+
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        args = [a.arg for a in fn.args.args]
+        for call in ast.walk(fn):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "hard" and isinstance(call.args[0], ast.Call)
+                    and getattr(call.args[0].func, "id", None) == "_entry"):
+                first = call.args[0].args[0]
+                if isinstance(first, ast.Name) and first.id in args:
+                    params[fn.name] = args.index(first.id)
+                else:
+                    take(first)
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+            if call.func.id in params:
+                take(call.args[params[call.func.id]])
+            elif call.func.id == "partial" and getattr(call.args[0], "id", None) in params:
+                take(call.args[1 + params[call.args[0].id]])
+    return names, patterns
+
+
+def _readme_hard_checks() -> dict[str, str]:
+    """The README's table of hard checks: each row's check name and the
+    test that shows it firing."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("### Hard checks", 1)[1].split("\n\n|", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        rows[cells[0].strip("`")] = cells[2].strip("`")
+    return rows
+
+
+def test_readme_lists_every_hard_check():
+    """Every hard-failure check name in verify.py has a row in the README
+    table, every row names such a check, and the test each row names
+    exists."""
+    names, patterns = _hard_check_names()
+    rows = _readme_hard_checks()
+    assert len(names) >= 20 and patterns
+    assert names <= rows.keys()
+    for pattern in patterns:
+        assert any(pattern.fullmatch(row) for row in rows), pattern.pattern
+    for row, test in rows.items():
+        assert row in names or any(p.fullmatch(row) for p in patterns), row
+        path, name = test.split("::")
+        assert re.search(rf"^def {name}\(", (ROOT / path).read_text(encoding="utf-8"), re.M), test

@@ -202,8 +202,9 @@ def _findings_everywhere(monkeypatch):
 def _check_against_every_pair(series, rank, max_length, monkeypatch):
     """The suites' results, serial and under --jobs 2, against each record
     step run on every filtered pair in (row, column) order: the same
-    instances and entries, the copies' witnesses included.  A record step
-    names elements by index, and the results by word, so the tally's
+    entries, the copies' witnesses included, and one instance per pair, or
+    per triple in a chi suite (steps count none; the sweep does).  A record
+    step names elements by index, and the results by word, so the tally's
     witnesses are written as words before they are compared."""
     import csmverify.verify as verify_mod
 
@@ -228,8 +229,10 @@ def _check_against_every_pair(series, rank, max_length, monkeypatch):
                 _RECORD_STEPS[name](stack, tally, u, v)
         result = serial[name]
         assert tally.hard_failures if name == "cross-paths" else tally.violations, name
+        per_pair = stack.group.order if name in CHI_SUITES else 1
         assert (result.instances, result.violations, result.hard_failures,
-                result.hard_failure_count) == (tally.instances, written(tally.violations),
+                result.hard_failure_count) == (len(kept) ** 2 * per_pair,
+                                               written(tally.violations),
                                                written(tally.hard_failures),
                                                tally.hard_failure_count)
 
@@ -268,7 +271,8 @@ def test_units_return_index_witnesses(monkeypatch):
     """A unit returns one tally per suite and no other count: its witnesses
     are element indices, in (u, v) order, its hard failures within the list
     cap, and a forked worker returns the same as the unit in process.  Words
-    are written by the merge alone."""
+    are written by the merge alone.  The units' instances sum to each
+    suite's prediction for the pair sweep: 24^2 pairs, 24^3 triples."""
     import multiprocessing
 
     import csmverify.verify as verify_mod
@@ -284,7 +288,11 @@ def test_units_return_index_witnesses(monkeypatch):
     monkeypatch.setattr(verify_mod, "_WORKER_SWEEP", sweep)
     with multiprocessing.get_context("fork").Pool(2) as pool:
         pooled = pool.map(verify_mod._pooled_unit, units, chunksize=1)
+    order = stack.group.order
     for parts in (serial, pooled):
+        for name in names:
+            assert sum(part[name].instances for part in parts) \
+                == order ** 2 * (order if name in CHI_SUITES else 1), name
         entries = 0
         for part in parts:
             assert list(part) == names
