@@ -226,9 +226,11 @@ class BoxCalculator:
         row after another; row (y, x) is read from (x, y).  In a
         commutative algebra the associator a(u, v, w) = (u box v) box w -
         u box (v box w) is -a(w, v, u), so the triple loop runs over
-        u <= w and counts a failure off the diagonal twice.
+        u <= w and counts a failure off the diagonal twice.  Both are cut by
+        degree: a row with l(x) + l(y) > N is empty, stored with no product
+        made, and a triple with l(u) + l(v) + l(w) > N, both sides 0, skipped.
         """
-        els = self.group.elements
+        els, lengths, top = self.group.elements, self.group._lengths, self.group.num_positive
         filtered = [w.index for w in els if max_length is None or w.length <= max_length]
         total = len(filtered) ** 3
         if total > ASSOCIATIVITY_TRIPLE_BUDGET:
@@ -238,7 +240,8 @@ class BoxCalculator:
         def fill(rows, cols):
             keys = {(min(x, y), max(x, y)) for x in rows for y in cols} - table.keys()
             for x, y in sorted(keys):
-                table[x, y] = table[y, x] = self.box_product(els[x], els[y]).coeffs
+                table[x, y] = table[y, x] = (self.box_product(els[x], els[y]).coeffs
+                                             if lengths[x] + lengths[y] <= top else {})
 
         fill(filtered, filtered)
         fill(sorted({x for row in table.values() for x in row}), filtered)
@@ -247,6 +250,8 @@ class BoxCalculator:
         for i, u in enumerate(filtered):
             for v in filtered:
                 for w in filtered[i:]:
+                    if lengths[u] + lengths[v] + lengths[w] > top:
+                        continue
                     diff: dict[int, int] = {}
                     for x, c in table[u, v].items():        # (u box v) box w
                         for z, d in table[x, w].items():

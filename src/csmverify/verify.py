@@ -37,7 +37,10 @@ Richardson row r, the chi steps at u = w0*r; with jobs above 1 the units
 go to one fork pool.  Both the structure and the CSM table are computed in
 process before the sweep, so workers inherit them; no run reads a table
 from disk.  A unit holds one Richardson row and nothing else; box
-associativity builds its own table of box rows.
+associativity builds its own table of box rows.  Before a pool forks, the
+parent builds what every unit reads and none owns, so that no worker builds
+it again: seg(cell w0*v), v filtered, which fills the c(T) multiplier's
+columns, and for cross-paths both cell tables by column.
 
 Every pair-level suite computes one pair of each symmetry orbit: the
 least kept Richardson pair, by (row, column) index, and records its
@@ -87,6 +90,7 @@ import os
 import sys
 import time
 from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
@@ -465,6 +469,14 @@ def _run_suites(engines: Engines, names, max_length: int | None,
     if ctx is None:
         parts = [_sweep_unit(engines, sweep, r) for r in units]
     else:
+        # what every unit reads and none owns (see the module docstring); a
+        # build that raises is left to the steps that read it, to record
+        builds = [partial(engines.csm.segre_opposite_cell, group.elements[v]) for v in filtered]
+        if "cross-paths" in names:
+            builds += [engines.csm.cell_columns, engines.csm.segre_columns]
+        for build in builds:
+            with suppress(InternalInvariantError):
+                build()
         global _WORKER_ENGINES, _WORKER_SWEEP
         _WORKER_ENGINES, _WORKER_SWEEP = engines, sweep
         try:

@@ -333,6 +333,24 @@ def test_associativity_matches_class_level_oracle(engines, monkeypatch, key, max
     assert status[0] > 0
 
 
+def test_associativity_builds_no_degree_empty_row(engines, monkeypatch):
+    """u box v keeps only w of length at least l(u) + l(v), so a box row
+    (x, y) with l(x) + l(y) > N is empty: associativity stores it empty
+    without calling box_product, and still counts every triple of A3."""
+    stack = engines("A", 3)
+    box, g = BoxCalculator(stack.rich), stack.group
+    real, calls = box.box_product, []
+
+    def counted(x, y):
+        calls.append(x.length + y.length)
+        return real(x, y)
+
+    monkeypatch.setattr(box, "box_product", counted)
+    assert box.associativity_status() == (0, g.order ** 3)
+    assert calls and max(calls) == g.num_positive
+    assert not real(g.longest, g.simple_reflection(1)).coeffs
+
+
 def test_associativity_holds_no_box_rows(engines):
     """The box rows associativity reads live only inside the call: the
     calculator keeps no state of its own, the Richardson calculator one

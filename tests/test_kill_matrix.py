@@ -290,12 +290,12 @@ def test_unbalanced_tangent_class_fails_completeness(tmp_path, monkeypatch):
     assert "chern-integral" not in _checks(report, "theorem-invariants")
 
 
-def test_dropped_root_fails_the_chern_integral_in_chern_machinery(tmp_path, monkeypatch):
+def test_dropped_root_fails_the_chern_integral(tmp_path, monkeypatch):
     """With the pairings of every non-simple root zeroed, c(T) loses the
-    factor of the highest root and does not integrate to |W|.  tangent_chern
-    checks that integral as it builds the class and raises, so the global
-    block records chern-machinery, and chern-integral, which asks the same
-    of the returned class, never runs."""
+    factor of the highest root and does not integrate to |W|.  The global
+    chern-integral check is the one place that asks it; tangent_chern
+    returns the class unchecked, so chern-machinery stays silent, and the
+    Segre twists and completeness, which read c(T), fail with it."""
     real = FlagCohomology._pairings
 
     def dropped(self, lam):
@@ -305,9 +305,10 @@ def test_dropped_root_fails_the_chern_integral_in_chern_machinery(tmp_path, monk
     monkeypatch.setattr(FlagCohomology, "_pairings", dropped)
     rc, report = _run(tmp_path, "theorem-invariants")
     assert rc == 2
-    assert {"check": "chern-machinery", "error": "tangent Chern class does not integrate to |W|"} \
+    assert {"check": "chern-integral", "error": "tangent Chern class does not integrate to |W|"} \
         in report["suites"]["theorem-invariants"]["hard_failures"]
-    assert "chern-integral" not in _checks(report, "theorem-invariants")
+    assert _checks(report, "theorem-invariants") \
+        == {"cell-invariants", "richardson-pair", "completeness", "chern-integral"}
 
 
 def test_wrong_bgg_of_the_unit_fails_the_bgg_and_dl_relations(tmp_path, monkeypatch):

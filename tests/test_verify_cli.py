@@ -217,6 +217,63 @@ def test_hard_failure_cap_across_units(monkeypatch):
     assert serial.suites["conjC"].to_dict() == pooled.suites["conjC"].to_dict()
 
 
+def test_workers_build_no_shared_segre_class(tmp_path, monkeypatch):
+    """Under --jobs 2 the parent builds seg(cell w0*v) for every filtered v
+    before it forks, so no worker computes one: every Segre cache miss of
+    a B3 conjB conjC sweep of length <= 2 is logged with its process."""
+    import os
+
+    import csmverify.verify as verify_mod
+
+    log, real = tmp_path / "misses", CsmCalculator.segre_schubert_cell
+
+    def logged(self, u):
+        if u.index not in self._segre_cells:
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {u.index}\n")
+        return real(self, u)
+
+    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(CsmCalculator, "segre_schubert_cell", logged)
+    report = run_verification("B", 3, suites=["conjB", "conjC"], max_length=2, jobs=2)
+    assert report.exit_code == 0
+    group = WeylGroup(CartanDatum.from_series("B", 3))
+    shared = {group._w0[w.index] for w in group if w.length <= 2}
+    misses = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    in_workers = {i for pid, i in misses if pid != os.getpid()}
+    assert in_workers                   # each unit's own row, seg(cell r)
+    assert not in_workers & shared
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_unbuilt_segre_class_fails_the_same_pairs(tmp_path, monkeypatch, jobs):
+    """seg(cell w0*s1) made to raise on A3: the parent's build before the
+    fork leaves it unbuilt, so serially and pooled the steps that read it
+    list the same hard failures, the sigma copies at v = s3 included."""
+    import csmverify.verify as verify_mod
+    from csmverify.errors import InternalInvariantError
+
+    real = CsmCalculator.segre_schubert_cell
+
+    def faulty(self, u):
+        if self.group.w0_times(u).word == (1,):
+            raise InternalInvariantError(f"injected at the Segre class of {u}")
+        return real(self, u)
+
+    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(CsmCalculator, "segre_schubert_cell", faulty)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--type", "A", "--rank", "3", "--suite", "conjB", "--suite",
+                     "conjC", "--max-length", "1", "--jobs", jobs, "--output", str(out)]) == 2
+    suites = json.loads(out.read_text())["suites"]
+    pairs = [("e", "s1"), ("e", "s3"), ("s1", "s1"), ("s2", "s1"), ("s2", "s3"), ("s3", "s3")]
+    for name, check in (("conjB", "richardson"), ("conjC", "csm-basis-expansion")):
+        assert suites[name]["hard_failure_count"] == len(pairs)
+        assert suites[name]["hard_failures"] == [
+            {"check": check, "error": "injected at the Segre class of s1 s2 s1 s3 s2",
+             "u": u, "v": v} for u, v in pairs]
+
+
 def test_pair_suite_computes_each_class_once(monkeypatch):
     """conjB on A3 computes one Richardson class per orbit of the partner
     map (u, v) -> (w0*v, w0*u) and the diagram flip sigma: by Burnside,
