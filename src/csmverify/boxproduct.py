@@ -3,33 +3,35 @@
 The structure constant chi(u, v, w) of the deformed product is the Euler
 characteristic of the intersection of two opposite cells with a general
 translate of a third.  No general translate is ever materialized: chi is
-computed by three proved identities,
+computed by two proved identities,
 
 * a triple sum of CSM coefficients against triple integrals,
-* the pairing of a Richardson class against a Segre cell class,
 * a single coefficient of the CSM-basis expansion of a Richardson class,
 
-and the three results must agree.  Disagreement is an internal failure.
-Only two are independent: given the enforced Segre-twist identity and that
-the sign involution phi is a ring map, the pairing and the triple sum are
-one formula, so agreement with the expansion is the substantive check.
-All three stay hard checks.  The triple sum's factor for u, the sum of
-(-1)^(l(u) - l(u1)) c_u1 eps^u1 with c the coefficients of csm(cell w0 u),
-is seg(cell w0 u), as ``segre_schubert_cell`` enforces, so its product
-with csm(cell w0 v) is the Richardson class R of (w0 u, v).
+and the two results must agree.  Disagreement is an internal failure.  A
+third identity, the pairing of the Richardson class against a Segre cell
+class, would add no check: every Segre cell class is built as the sign
+twist of its CSM class (AMSS, arXiv:1709.08697), so under the enforced
+parity check the pairing equals the triple sum term by term, and by AMSS
+duality it equals the expansion coefficient.  The triple sum against the
+expansion catches every fault a comparison with the pairing would.  The
+triple sum's factor for u, the sum of (-1)^(l(u) - l(u1)) c_u1 eps^u1 with
+c the coefficients of csm(cell w0 u), is seg(cell w0 u), as
+``segre_schubert_cell`` enforces, so its product with csm(cell w0 v) is
+the Richardson class R of (w0 u, v).
 
 Every w of a pair (u, v) is read off one row, ``chi_row``: R and its
 expansion d sit in the Richardson calculator's held row, w0 u, and the
-CSM calculator holds two column indexes of its cell tables, x -> [(w, c)]
-with c the coefficient at eps^x of csm(cell w), resp. seg(cell w).  The
-triple-sum row adds R[y] c over (w, c) in the CSM column at w0 y, for y
-in R, and signs each entry by l(w) - l(u) - l(v); the pairing row is the
-same pass over the Segre columns; the expansion row is {w0 x: d[x]}.
-cross-paths compares the three rows at every w, conjD reads the expansion
-row alone, and ``box_product`` reads one row, cross-validated at every w
-of length at least l(u) + l(v); both find the w where the paths disagree
-by one scan, ``ChiRow.disagreements``.  ``chi`` and the per-path readers
-read one triple of a row.  This calculator holds no state.
+CSM calculator holds a column index of its cell table, x -> [(w, c)] with
+c the coefficient at eps^x of csm(cell w).  The triple-sum row adds
+R[y] c over (w, c) in the column at w0 y, for y in R, and signs each entry
+by l(w) - l(u) - l(v); the expansion row is {w0 x: d[x]}.  cross-paths
+compares the two rows at every w, conjD reads the expansion row alone, and
+``box_product`` reads one row, cross-validated at every w of length at
+least l(u) + l(v); both find the w where the paths disagree by one scan,
+``ChiRow.disagreements``.  ``chi`` and the per-path readers read one
+triple of a row; ``chi_via_pairing`` alone pairs R with seg(cell w)
+directly, and no check reads it.  This calculator holds no state.
 """
 
 from __future__ import annotations
@@ -47,48 +49,44 @@ ASSOCIATIVITY_TRIPLE_BUDGET = 250_000
 
 @dataclass
 class ChiProvenance:
-    """The three path values for one triple and their agreement flag."""
+    """The two path values for one triple and their agreement flag."""
 
     triple_sum: int
-    pairing: int
     expansion: int
 
     @property
     def agree(self) -> bool:
-        return self.triple_sum == self.pairing == self.expansion
+        return self.triple_sum == self.expansion
 
     @property
     def value(self) -> int:
         return self.expansion
 
     def __str__(self):
-        return (f"triple-sum {self.triple_sum}, pairing {self.pairing}, "
-                f"expansion {self.expansion}")
+        return f"triple-sum {self.triple_sum}, expansion {self.expansion}"
 
 
 @dataclass
 class ChiRow:
-    """The three path values of chi(u, v, w) for every w of one pair
-    (u, v): each path's nonzero entries, keyed by the index of w."""
+    """The two path values of chi(u, v, w) for every w of one pair (u, v):
+    each path's nonzero entries, keyed by the index of w."""
 
     triple_sum: dict[int, int]
-    pairing: dict[int, int]
     expansion: dict[int, int]
 
     @property
     def agree(self) -> bool:
-        return self.triple_sum == self.pairing == self.expansion
+        return self.triple_sum == self.expansion
 
     def provenance(self, wi: int) -> ChiProvenance:
-        return ChiProvenance(self.triple_sum.get(wi, 0), self.pairing.get(wi, 0),
-                             self.expansion.get(wi, 0))
+        return ChiProvenance(self.triple_sum.get(wi, 0), self.expansion.get(wi, 0))
 
     def disagreements(self) -> list[tuple[int, ChiProvenance]]:
         """(index of w, provenance) at every w where the paths disagree, in
         index order."""
         if self.agree:
             return []
-        keys = self.triple_sum.keys() | self.pairing.keys() | self.expansion.keys()
+        keys = self.triple_sum.keys() | self.expansion.keys()
         return [(wi, prov) for wi in sorted(keys) if not (prov := self.provenance(wi)).agree]
 
 
@@ -105,36 +103,25 @@ class BoxCalculator:
         self.coh = rich.coh
         self.group = rich.group
 
-    # -- the three paths, each over every w of a pair, by element index -----------
+    # -- the two paths, each over every w of a pair, by element index -------------
 
     def _richardson(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
-        """The Richardson class of (w0 u, v), which the triple sum and the
-        pairing read."""
+        """The Richardson class of (w0 u, v), which the triple sum reads."""
         return self.rich.csm_richardson(self.group.w0_times(u), v).coeffs
-
-    def _read_columns(self, cls: dict[int, int], columns) -> dict[int, int]:
-        """The pairing of cls with every class of a column index, sum over y
-        of cls[y] c for (w, c) in the column at w0 y; nonzero entries by w."""
-        w0 = self.group._w0
-        out: dict[int, int] = {}
-        for y, r in cls.items():
-            for w, c in columns[w0[y]]:
-                out[w] = out.get(w, 0) + r * c
-        return {w: c for w, c in out.items() if c}
 
     def _triple_sum_row(self, u: WeylElement, v: WeylElement,
                         cls: dict[int, int]) -> dict[int, int]:
         """Triple sum of CSM coefficients against triple integrals: the pairing
-        of csm(cell w) with the Richardson class, signed by the dimension
-        l(w) - l(u) - l(v)."""
-        lengths, base = self.group._lengths, u.length + v.length
-        return {w: parity_sign(lengths[w] - base) * c
-                for w, c in self._read_columns(cls, self.csm.cell_columns()).items()}
-
-    def _pairing_row(self, cls: dict[int, int]) -> dict[int, int]:
-        """Integral of the Richardson class against the Segre class of the
-        cell of w."""
-        return self._read_columns(cls, self.csm.segre_columns())
+        of csm(cell w) with the Richardson class, sum over y of cls[y] c for
+        (w, c) in the CSM column at w0 y, signed by the dimension
+        l(w) - l(u) - l(v); nonzero entries by w."""
+        group, columns = self.group, self.csm.cell_columns()
+        w0, lengths, base = group._w0, group._lengths, u.length + v.length
+        out: dict[int, int] = {}
+        for y, r in cls.items():
+            for w, c in columns[w0[y]]:
+                out[w] = out.get(w, 0) + r * c
+        return {w: parity_sign(lengths[w] - base) * c for w, c in out.items() if c}
 
     def expansion_row(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
         """Coefficient at w0*w of the CSM-basis expansion of the Richardson
@@ -144,10 +131,9 @@ class BoxCalculator:
         return {w0[x]: c for x, c in self.rich._expansion(self.group.w0_times(u), v).items()}
 
     def chi_row(self, u: WeylElement, v: WeylElement) -> ChiRow:
-        """All three paths for every w of the pair (u, v), unconditionally."""
+        """Both paths for every w of the pair (u, v), unconditionally."""
         self.coh._check(u, v)
-        cls = self._richardson(u, v)
-        return ChiRow(self._triple_sum_row(u, v, cls), self._pairing_row(cls),
+        return ChiRow(self._triple_sum_row(u, v, self._richardson(u, v)),
                       self.expansion_row(u, v))
 
     # -- per-triple readers ----------------------------------------------------------
@@ -158,9 +144,12 @@ class BoxCalculator:
         return self._triple_sum_row(u, v, self._richardson(u, v)).get(w.index, 0)
 
     def chi_via_pairing(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
-        """The pairing path at one triple."""
+        """Integral of the Richardson class of (w0 u, v) against the Segre
+        class of the cell of w, the sum of R[y] seg(cell w)[w0 y]; the
+        triple sum given the Segre twist, so no check reads it."""
         self.coh._check(u, v, w)
-        return self._pairing_row(self._richardson(u, v)).get(w.index, 0)
+        seg, w0 = self.csm.segre_schubert_cell(w).coeffs, self.group._w0
+        return sum(r * seg.get(w0[y], 0) for y, r in self._richardson(u, v).items())
 
     def chi_via_richardson(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
         """The expansion path at one triple."""
@@ -168,19 +157,15 @@ class BoxCalculator:
         return self.expansion_row(u, v).get(w.index, 0)
 
     def chi(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
-        """The stored chi value (expansion path), if all three paths agree."""
+        """The stored chi value (expansion path), if both paths agree."""
         prov = self.chi_provenance(u, v, w)
         if not prov.agree:
             raise _disagreement(u, v, w, prov)
         return prov.value
 
     def chi_provenance(self, u: WeylElement, v: WeylElement, w: WeylElement) -> ChiProvenance:
-        """All three path values, unconditionally."""
-        return ChiProvenance(
-            self.chi_via_triple_sum(u, v, w),
-            self.chi_via_pairing(u, v, w),
-            self.chi_via_richardson(u, v, w),
-        )
+        """Both path values, unconditionally."""
+        return ChiProvenance(self.chi_via_triple_sum(u, v, w), self.chi_via_richardson(u, v, w))
 
     # -- the product ---------------------------------------------------------------------
 
@@ -188,7 +173,7 @@ class BoxCalculator:
         """The deformed product of two basis classes.
 
         Sum of chi(u, v, w) eps^w over w of length at least l(u) + l(v),
-        read off one row whose three paths must agree at each such w; its
+        read off one row whose two paths must agree at each such w; its
         lowest-degree part is the cup product.
         """
         row = self.chi_row(u, v)

@@ -44,7 +44,6 @@ class CsmCalculator:
         self._tangent_op: Multiplier | None = None
         self._segre_cells: dict[int, CohomologyClass] = {}
         self._cell_columns: list | None = None
-        self._segre_columns: list | None = None
 
     # -- operators -------------------------------------------------------------
 
@@ -217,18 +216,9 @@ class CsmCalculator:
         """The CSM cell table by column: entry x lists (w, c) for every
         nonzero coefficient c at eps^x of csm(cell w), w ascending."""
         if self._cell_columns is None:
-            self._cell_columns = self._columns(self.csm_schubert_cell)
+            columns: list[list[tuple[int, int]]] = [[] for _ in range(self.group.order)]
+            for u in self.group:
+                for x, c in self.csm_schubert_cell(u).coeffs.items():
+                    columns[x].append((u.index, c))
+            self._cell_columns = [tuple(col) for col in columns]
         return self._cell_columns
-
-    def segre_columns(self) -> list[tuple[tuple[int, int], ...]]:
-        """The Segre cell classes by column, as ``cell_columns``."""
-        if self._segre_columns is None:
-            self._segre_columns = self._columns(self.segre_schubert_cell)
-        return self._segre_columns
-
-    def _columns(self, cell_class) -> list[tuple[tuple[int, int], ...]]:
-        columns: list[list[tuple[int, int]]] = [[] for _ in range(self.group.order)]
-        for u in self.group:
-            for x, c in cell_class(u).coeffs.items():
-                columns[x].append((u.index, c))
-        return [tuple(col) for col in columns]

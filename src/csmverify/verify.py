@@ -4,8 +4,10 @@ Suite semantics
 ---------------
 * ``theorem-invariants``: proved identities only.  Any failure here is an
   implementation bug; it is recorded as a hard failure and maps to exit
-  code 2.  Given the Segre twist and the ring map phi, the mirror check on
-  each Richardson class is equivalent to the parity check; both stay.  Its
+  code 2.  For a correct product, the Segre twist and the ring map phi
+  make the mirror check on each Richardson class follow from parity, but
+  as a guard against faults it is the only per-pair recomputation of the
+  class: a same-parity fault in one class passes every other check.  Its
   element block computes each cell's CSM and Segre classes, which check
   their invariants and the sign twist where they are computed, and expands
   the cell class in the CSM basis; the opposite-cell class is by definition
@@ -22,8 +24,10 @@ Suite semantics
   expansion, of R(w0*u, v), with a sign base of the same parity term by
   term, so it fails only where an entry below the threshold
   (l(w) < l(u) + l(v)) has the wrong sign; no pair of A3, B3 or G2 has one.
-* ``cross-paths``: the three Euler-characteristic formulas agree on every
-  filtered triple (hard); only two are independent (see ``boxproduct``).
+* ``cross-paths``: the two Euler-characteristic formulas, the triple sum
+  and the CSM-basis expansion, agree on every filtered triple (hard); the
+  pairing with a Segre cell class equals both by the Segre twist and
+  duality, so it is not compared (see ``boxproduct``).
 
 conjD and cross-paths read every w of a pair off one chi row
 (``BoxCalculator.expansion_row``, resp. ``chi_row``), and still count one
@@ -40,7 +44,7 @@ from disk.  A unit holds one Richardson row and nothing else; box
 associativity builds its own table of box rows.  Before a pool forks, the
 parent builds what every unit reads and none owns, so that no worker builds
 it again: seg(cell w0*v), v filtered, which fills the c(T) multiplier's
-columns, and for cross-paths both cell tables by column.
+columns, and for cross-paths the CSM cell table by column.
 
 Every pair-level suite computes one pair of each symmetry orbit: the
 least kept Richardson pair, by (row, column) index, and records its
@@ -473,7 +477,7 @@ def _run_suites(engines: Engines, names, max_length: int | None,
         # build that raises is left to the steps that read it, to record
         builds = [partial(engines.csm.segre_opposite_cell, group.elements[v]) for v in filtered]
         if "cross-paths" in names:
-            builds += [engines.csm.cell_columns, engines.csm.segre_columns]
+            builds.append(engines.csm.cell_columns)
         for build in builds:
             with suppress(InternalInvariantError):
                 build()
@@ -734,7 +738,7 @@ def run_verification(
         else:
             meta[key] = "PASS"
     if "conjD" in results:
-        # observed, never asserted; only a box row whose three chi paths
+        # observed, never asserted; only a box row whose two chi paths
         # disagree makes it FAIL, and so exit 2, with the report still written
         try:
             status = engines.box.associativity_status(max_length=max_length)

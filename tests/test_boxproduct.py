@@ -10,6 +10,7 @@ from csmverify.cohomology import CohomologyClass, Multiplier
 from csmverify.csm import CsmCalculator
 from csmverify.errors import PathDisagreement
 from csmverify.rootdata import parity_sign
+from csmverify.verify import _run_suites, build_engines, materialize_tables
 
 
 def _box(engines, series, rank):
@@ -37,7 +38,7 @@ def test_a1_chi_table(engines):
                 assert box.chi_via_triple_sum(u, v, w) == want
                 assert box.chi_via_pairing(u, v, w) == want
                 assert box.chi_via_richardson(u, v, w) == want
-                assert box.chi_provenance(u, v, w) == ChiProvenance(want, want, want)
+                assert box.chi_provenance(u, v, w) == ChiProvenance(want, want)
                 assert box.chi(u, v, w) == want
 
 
@@ -53,12 +54,16 @@ def test_box_product_examples_a1(engines):
 
 @pytest.mark.parametrize("key", [("A", 1), ("A", 2), ("B", 2)])
 def test_three_paths_agree_exhaustive(engines, key):
+    """The two checked paths agree on every triple, and the pairing with
+    seg(cell w), which no check reads, gives the same value."""
     box = _box(engines, *key)
     g = box.group
     for u in g:
         for v in g:
             for w in g:
-                assert box.chi_provenance(u, v, w).agree
+                prov = box.chi_provenance(u, v, w)
+                assert prov.agree
+                assert box.chi_via_pairing(u, v, w) == prov.value
 
 
 @pytest.mark.parametrize("key", [("A", 2), ("B", 2)])
@@ -108,10 +113,11 @@ def test_chi_equals_mirrored_expansion_coefficient(engines):
 
 
 def test_chi_provenance_object():
-    p = ChiProvenance(1, 1, 1)
+    p = ChiProvenance(1, 1)
     assert p.agree and p.value == 1
-    q = ChiProvenance(1, 2, 1)
-    assert not q.agree
+    q = ChiProvenance(2, 1)
+    assert not q.agree and q.value == 1
+    assert str(q) == "triple-sum 2, expansion 1"
 
 
 def test_path_disagreement_raises(engines, monkeypatch):
@@ -128,7 +134,7 @@ def test_path_disagreement_raises(engines, monkeypatch):
 def test_box_product_validates_every_w_above_order_48(engines, monkeypatch):
     """On A4 (|W| = 120) box_product reads one row, from the Richardson row
     of w0*u, and cross-validates each w of length at least l(u) + l(v):
-    one unit more in the triple sum or the pairing at any such w raises,
+    one unit more in the triple sum or the expansion at any such w raises,
     at a w below that floor it does not."""
     stack = engines("A", 4)
     box = BoxCalculator(stack.rich)
@@ -148,7 +154,7 @@ def test_box_product_validates_every_w_above_order_48(engines, monkeypatch):
 
     row = real(u, v)
     for w in g:
-        for path in ("triple_sum", "pairing"):
+        for path in ("triple_sum", "expansion"):
             entries = dict(getattr(row, path))
             entries[w.index] = entries.get(w.index, 0) + 1
             perturbed = replace(row, **{path: entries})
@@ -163,42 +169,46 @@ def test_box_product_validates_every_w_above_order_48(engines, monkeypatch):
 @pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2), ("A", 3)],
                          ids=lambda key: f"{key[0]}{key[1]}")
 def test_chi_row_matches_the_per_triple_oracle(engines, key):
-    """Every path of every pair's row equals its per-triple formula at every
-    w, zeros included; a row holds nonzero entries only."""
+    """Both paths of every pair's row equal their per-triple formulas at
+    every w, zeros included, and so does the pairing of the Richardson
+    class with seg(cell w); a row holds nonzero entries only."""
     stack = engines(*key)
     box, g = stack.box, stack.group
     for u in g:
         for v in g:
             row = box.chi_row(u, v)
             assert [row.provenance(w.index) for w in g] == chi_paths(stack, u, v)
-            assert all(all(path.values()) for path in (row.triple_sum, row.pairing,
-                                                       row.expansion))
+            assert [box.chi_via_pairing(u, v, w) for w in g] \
+                == [row.triple_sum.get(w.index, 0) for w in g]
+            assert all(all(path.values()) for path in (row.triple_sum, row.expansion))
 
 
-def test_segre_column_mutation_fails_cross_paths(engines, monkeypatch, tmp_path):
-    """One unit more in one entry of the Segre column index, the coefficient
-    at eps^x of seg(cell w) for x = s1 s2, w = s1 s2 s1, moves the pairing
-    path at exactly the triples (u, v, w) whose Richardson class of
-    (w0 u, v) is nonzero at w0 x: cross-paths fails there and nowhere else,
-    and box_product on such a pair raises."""
+def test_cell_column_mutation_fails_cross_paths(engines, monkeypatch, tmp_path):
+    """One unit more in one entry of the CSM cell column index, the
+    coefficient at eps^x of csm(cell w) for x = s1 s2, w = s1 s2 s1, moves
+    the triple sum by the signed R[w0 x] at exactly the triples (u, v, w)
+    whose Richardson class R of (w0 u, v) is nonzero at w0 x: cross-paths
+    fails there and nowhere else, and box_product on such a pair raises.
+    The expansion path reads the cell classes, not the column index, so the
+    check is independent of it."""
     stack = engines("B", 2)
     g, rich = stack.group, stack.rich
     x, w = g.parse("s1 s2"), g.parse("s1 s2 s1")
-    columns = list(stack.csm.segre_columns())
+    columns = list(stack.csm.cell_columns())
     columns[x.index] = tuple((wi, c + (wi == w.index)) for wi, c in columns[x.index])
-    assert columns != stack.csm.segre_columns()
+    assert columns != stack.csm.cell_columns()
     expected = []
     for u in g:
         for v in g:
             r = rich.csm_richardson(g.w0_times(u), v).coeffs.get(g.w0_times(x).index, 0)
             if r:
                 chi = stack.box.chi(u, v, w)
+                moved = chi + parity_sign(w.length - u.length - v.length) * r
                 expected.append({"check": "chi-paths", "u": str(u), "v": str(v), "w": str(w),
-                                 "error": f"triple-sum {chi}, pairing {chi + r}, "
-                                          f"expansion {chi}"})
+                                 "error": f"triple-sum {moved}, expansion {chi}"})
     assert 0 < len(expected) < len(g.elements) ** 2
 
-    monkeypatch.setattr(CsmCalculator, "segre_columns", lambda self: columns)
+    monkeypatch.setattr(CsmCalculator, "cell_columns", lambda self: columns)
     out = tmp_path / "report.json"
     assert cli.main(["verify", "--type", "B", "--rank", "2", "--suite", "cross-paths",
                      "--output", str(out)]) == 2
@@ -210,8 +220,20 @@ def test_segre_column_mutation_fails_cross_paths(engines, monkeypatch, tmp_path)
     u, v = g.parse(expected[0]["u"]), g.parse(expected[0]["v"])
     assert w.length >= u.length + v.length
     with pytest.raises(PathDisagreement, match=rf"^chi\({u}, {v}, {w}\): triple-sum -?\d+, "
-                                               r"pairing -?\d+, expansion -?\d+$"):
+                                               r"expansion -?\d+$"):
         BoxCalculator(rich).box_product(u, v)
+
+
+def test_cross_paths_builds_only_the_segre_classes_it_reads():
+    """A serial cross-paths sweep up to length 1 on B3 builds seg(cell w0 x)
+    for the filtered x alone: the mirror products read seg(cell w0 v) and
+    the Richardson rows seg(cell w0 u), and no chi path reads a Segre class
+    of its own."""
+    stack = build_engines("B", 3)
+    materialize_tables(stack)
+    _run_suites(stack, ["cross-paths"], 1, 1)
+    g = stack.group
+    assert set(stack.csm._segre_cells) == {g._w0[x.index] for x in g if x.length <= 1}
 
 
 @pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("C", 3), ("G", 2),

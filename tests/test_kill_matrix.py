@@ -1,9 +1,9 @@
 """Fault injections for hard checks that no other test shows firing.
 
-Each test breaks one computation with a monkeypatch, runs the CLI on A2,
-and asserts that the run exits 2 and that its report names the check
-that caught the fault; a check that stops the run before the report is
-written names itself on stderr instead.
+Each test breaks one computation with a monkeypatch, runs the CLI on A2
+(A3 where it says so), and asserts that the run exits 2 and that its
+report names the check that caught the fault; a check that stops the run
+before the report is written names itself on stderr instead.
 """
 
 import ast
@@ -250,6 +250,61 @@ def test_odd_parity_term_fails_richardson_pair(tmp_path, monkeypatch):
     assert {"check": "richardson-pair", "u": "s1", "v": "e",
             "error": "odd-parity coefficient in Richardson cell (s1, e)"} \
         in report["suites"]["theorem-invariants"]["hard_failures"]
+
+
+def _same_parity_fault(monkeypatch, blind_mirror: bool) -> None:
+    """+2 eps^{w0} in the class of (s1 s2 s1, s1) on A3, a term of the pair's
+    parity: added to L_u . csm(w0 v) after the product and before the mirror
+    comparison, and, when blind_mirror, to M_u . seg(w0 v) as well, so that
+    the mirror product agrees with the faulty class."""
+    real = RichardsonCalculator._row
+
+    def faulty(self, ui):
+        rec = real(self, ui)
+        g, csm = self.group, self.csm
+        if ui != g.parse("s1 s2 s1").index:
+            return rec
+        times_seg, times_csm, classes, expansions = rec
+        v0, top = g.simple_reflection(1), 2 * self.coh.schubert_class(g.longest)
+
+        def shifted(op, arg):
+            return lambda a: op(a) + top if a == arg else op(a)
+
+        return (shifted(times_seg, csm.csm_opposite_cell(v0)),
+                shifted(times_csm, csm.segre_opposite_cell(v0)) if blind_mirror
+                else times_csm, classes, expansions)
+
+    monkeypatch.setattr(RichardsonCalculator, "_row", faulty)
+
+
+def _run_a3_all(tmp_path):
+    out = tmp_path / "report.json"
+    rc = cli.main(["verify", "--type", "A", "--rank", "3", "--suite", "all",
+                   "--output", str(out)])
+    return rc, json.loads(out.read_text())
+
+
+def test_same_parity_class_fault_is_seen_by_the_mirror_alone(tmp_path, monkeypatch):
+    """A fault in one Richardson class that keeps its parity is caught by the
+    mirror product and by nothing else.  With the mirror, verify --suite all
+    on A3 exits 2: theorem-invariants names richardson-pair, and every hard
+    failure of every suite is the mirror's raise, recorded by the steps that
+    read the class.  With the mirror product given the same fault, every
+    suite passes with no finding, so no other check guards it."""
+    _same_parity_fault(monkeypatch, blind_mirror=False)
+    rc, report = _run_a3_all(tmp_path)
+    assert rc == 2
+    assert _checks(report, "theorem-invariants") == {"richardson-pair"}
+    failures = [f for s in report["suites"].values() for f in s["hard_failures"]]
+    assert failures
+    assert {f["error"] for f in failures} \
+        == {"mirror product mismatch for Richardson cell (s1 s2 s1, s1)"}
+
+    monkeypatch.undo()
+    _same_parity_fault(monkeypatch, blind_mirror=True)
+    rc, report = _run_a3_all(tmp_path)
+    assert rc == 0
+    assert all(s["status"] == "PASS" for s in report["suites"].values())
 
 
 def test_failed_expansion_fails_csm_basis_expansion(tmp_path, monkeypatch):

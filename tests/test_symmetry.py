@@ -136,7 +136,7 @@ def _every_pair(stack):
     for u in g:
         for v in g:
             row = box.chi_row(u, v)
-            chi[u.index, v.index] = (row.triple_sum, row.pairing, row.expansion)
+            chi[u.index, v.index] = (row.triple_sum, row.expansion)
     return classes, expansions, chi
 
 
@@ -149,7 +149,7 @@ def _check_copies(stack):
         # the partner map, for the Richardson classes and their expansions
         assert classes[w0[v], w0[u]] == cls
         assert expansions[w0[v], w0[u]] == expansions[u, v]
-        # the swap, for the three paths of the chi rows
+        # the swap, for the two paths of the chi rows
         assert chi[v, u] == chi[u, v]
         for sigma in maps[1:]:
             image = (sigma[u], sigma[v])
@@ -177,7 +177,7 @@ def _findings_everywhere(monkeypatch):
     """Findings in every suite, on sets of pairs closed under sigma, the
     partner map and the swap: the Richardson classes of the pairs with
     l(u) + l(v) odd are negated, which breaks conjB and conjC and adds
-    conjD findings, and the pairing path of the chi rows of the pairs of
+    conjD findings, and the triple-sum path of the chi rows of the pairs of
     lengths {1, 2} is raised by 1 at each w of length 2, which fails
     cross-paths there (and not the box products, which read the row from
     length 3 up)."""
@@ -191,8 +191,8 @@ def _findings_everywhere(monkeypatch):
     def raised(self, u, v):
         row = real_row(self, u, v)
         if sorted((u.length, v.length)) == [1, 2]:
-            row.pairing = {**row.pairing, **{w: row.pairing.get(w, 0) + 1
-                                             for w in self.group.indices_of_length(2)}}
+            row.triple_sum = {**row.triple_sum, **{w: row.triple_sum.get(w, 0) + 1
+                                                   for w in self.group.indices_of_length(2)}}
         return row
 
     monkeypatch.setattr(RichardsonCalculator, "csm_richardson", negated)

@@ -951,15 +951,15 @@ def test_associativity_disagreement_fails_the_meta_check(tmp_path, monkeypatch, 
     real = BoxCalculator.chi_row
 
     def skewed(self, u, v):
-        # the pairing path one too high at every w of length 3, for the
+        # the triple-sum path one too high at every w of length 3, for the
         # pairs of lengths {1, 2}
         row = real(self, u, v)
         if {u.length, v.length} != {1, 2}:
             return row
-        pairing = dict(row.pairing)
+        triple_sum = dict(row.triple_sum)
         for wi in self.group.indices_of_length(3):
-            pairing[wi] = pairing.get(wi, 0) + 1
-        return ChiRow(row.triple_sum, pairing, row.expansion)
+            triple_sum[wi] = triple_sum.get(wi, 0) + 1
+        return ChiRow(triple_sum, row.expansion)
 
     monkeypatch.setattr(BoxCalculator, "chi_row", skewed)
     out = tmp_path / "report.json"
@@ -973,8 +973,8 @@ def test_associativity_disagreement_fails_the_meta_check(tmp_path, monkeypatch, 
     crosspaths = report["suites"]["cross-paths"]
     assert crosspaths["status"] == "FAIL"
     assert crosspaths["hard_failures"][0]["check"] == "chi-paths"
-    assert ("box associativity: chi(s1, s1 s2, s1 s2 s1): triple-sum 1, pairing 2, "
-            "expansion 1") in capsys.readouterr().err
+    assert ("box associativity: chi(s1, s1 s2, s1 s2 s1): triple-sum 2, expansion 1"
+            in capsys.readouterr().err)
 
 
 def test_cli_csv_to_stdout(tmp_path, capsys):
