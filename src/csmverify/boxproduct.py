@@ -32,6 +32,13 @@ least l(u) + l(v); both find the w where the paths disagree by one scan,
 ``ChiRow.disagreements``.  ``chi`` and the per-path readers read one
 triple of a row; ``chi_via_pairing`` alone pairs R with seg(cell w)
 directly, and no check reads it.  This calculator holds no state.
+
+``associativity_status`` packs each box row of its table into one int, once
+per call: a signed k-bit slot per element some row reaches, numbered in
+sorted order, k one more than the bit length of 2 l1 big (l1 the largest L1
+norm of a row, big its largest entry), which keeps every slot of an
+associator below 2^(k-1) in size.  So each associator term is one
+multiply-add, and the associator is 0 exactly when its packed int is.
 """
 
 from __future__ import annotations
@@ -43,8 +50,18 @@ from .errors import PathDisagreement
 from .richardson import RichardsonCalculator
 from .rootdata import WeylElement, parity_sign
 
-#: associativity is not computed when the filtered cube exceeds this
+#: associativity is not computed when the filtered cube exceeds this; it
+#: stays at 250,000, because moving it would change which reports read
+#: "not computed at this scale"
 ASSOCIATIVITY_TRIPLE_BUDGET = 250_000
+
+
+def _slot_bits(l1: int, big: int) -> int:
+    """Slot width for packed box rows.  Each side of an associator is a sum
+    of c row with sum |c| <= l1, the largest L1 norm of a row, over entries
+    of size at most big, so every slot of the difference is below
+    2 l1 big < 2^(k-1), and the packed difference is 0 exactly when it is."""
+    return (2 * l1 * big).bit_length() + 1
 
 
 @dataclass
@@ -203,47 +220,61 @@ class BoxCalculator:
         Returns (failures, triples checked) over basis triples with all
         three lengths within the filter, or None when the filtered cube
         exceeds ASSOCIATIVITY_TRIPLE_BUDGET; observed, never asserted.  Its
-        box rows live in a table local to the call, over F x F, F the
-        filtered elements, then S x F and F x S, S the support of those
-        rows.  The product is commutative, as the chi rows are (their
-        pairs (w0 u, v) and (w0 v, u) are w0 partners), so only the rows
-        (x, y) with x <= y are computed, in sorted order, one Richardson
-        row after another; row (y, x) is read from (x, y).  In a
-        commutative algebra the associator a(u, v, w) = (u box v) box w -
-        u box (v box w) is -a(w, v, u), so the triple loop runs over
-        u <= w and counts a failure off the diagonal twice.  Both are cut by
-        degree: a row with l(x) + l(y) > N is empty, stored with no product
-        made, and a triple with l(u) + l(v) + l(w) > N, both sides 0, skipped.
+        box rows live in a table local to the call, indexed by row
+        (table[x][y]), over F x F, F the filtered elements, then S x F and
+        F x S, S the support of those rows.  The product is commutative, as
+        the chi rows are (their pairs (w0 u, v) and (w0 v, u) are w0
+        partners), so only the rows (x, y) with x <= y are computed, in
+        sorted order, one Richardson row after another; row (y, x) is read
+        from (x, y).  Once filled, every row is packed into one int, a
+        signed k-bit slot per element that some row reaches (slot numbers
+        from the sorted union of the supports), k from ``_slot_bits``, so
+        the associator of a triple is one multiply-add per term and is 0
+        exactly when every slot is.  In a commutative algebra the
+        associator a(u, v, w) = (u box v) box w - u box (v box w) is
+        -a(w, v, u), so the triple loop runs over u <= w and counts a
+        failure off the diagonal twice.  Both are cut by degree: a row with
+        l(x) + l(y) > N is empty, stored with no product made, and a triple
+        with l(u) + l(v) + l(w) > N, both sides 0, skipped.
         """
         els, lengths, top = self.group.elements, self.group._lengths, self.group.num_positive
         filtered = [w.index for w in els if max_length is None or w.length <= max_length]
         total = len(filtered) ** 3
         if total > ASSOCIATIVITY_TRIPLE_BUDGET:
             return None
-        table: dict[tuple[int, int], dict[int, int]] = {}
+        table: dict[int, dict[int, dict[int, int]]] = {}
 
         def fill(rows, cols):
-            keys = {(min(x, y), max(x, y)) for x in rows for y in cols} - table.keys()
-            for x, y in sorted(keys):
-                table[x, y] = table[y, x] = (self.box_product(els[x], els[y]).coeffs
-                                             if lengths[x] + lengths[y] <= top else {})
+            for x, y in sorted({(min(x, y), max(x, y)) for x in rows for y in cols}):
+                if y not in table.get(x, ()):
+                    table.setdefault(x, {})[y] = table.setdefault(y, {})[x] = (
+                        self.box_product(els[x], els[y]).coeffs
+                        if lengths[x] + lengths[y] <= top else {})
 
         fill(filtered, filtered)
-        fill(sorted({x for row in table.values() for x in row}), filtered)
+        fill(sorted({x for u in filtered for row in table[u].values() for x in row}), filtered)
+
+        rows = [row for by_y in table.values() for row in by_y.values()]
+        slot = {z: i for i, z in enumerate(sorted({z for row in rows for z in row}))}
+        k = _slot_bits(max((sum(map(abs, row.values())) for row in rows), default=0),
+                       max((abs(c) for row in rows for c in row.values()), default=0))
+        packed = {x: {y: sum(c << k * slot[z] for z, c in row.items()) for y, row in by_y.items()}
+                  for x, by_y in table.items()}
 
         failures = 0
         for i, u in enumerate(filtered):
+            pu = packed[u]
             for v in filtered:
+                room = top - lengths[u] - lengths[v]
+                uv = [(c, packed[x]) for x, c in table[u][v].items()]
                 for w in filtered[i:]:
-                    if lengths[u] + lengths[v] + lengths[w] > top:
+                    if lengths[w] > room:
                         continue
-                    diff: dict[int, int] = {}
-                    for x, c in table[u, v].items():        # (u box v) box w
-                        for z, d in table[x, w].items():
-                            diff[z] = diff.get(z, 0) + c * d
-                    for y, c in table[v, w].items():        # u box (v box w)
-                        for z, d in table[u, y].items():
-                            diff[z] = diff.get(z, 0) - c * d
-                    if any(diff.values()):
+                    diff = 0
+                    for c, px in uv:                        # (u box v) box w
+                        diff += c * px[w]
+                    for y, c in table[v][w].items():        # u box (v box w)
+                        diff -= c * pu[y]
+                    if diff:
                         failures += 1 if u == w else 2
         return failures, total

@@ -4,8 +4,8 @@ from dataclasses import replace
 import pytest
 
 from chi_oracle import chi_paths
-from csmverify import cli
-from csmverify.boxproduct import BoxCalculator, ChiProvenance
+from csmverify import boxproduct, cli
+from csmverify.boxproduct import BoxCalculator, ChiProvenance, _slot_bits
 from csmverify.cohomology import CohomologyClass, Multiplier
 from csmverify.csm import CsmCalculator
 from csmverify.errors import PathDisagreement
@@ -319,40 +319,76 @@ def _class_level_associativity(stack, max_length, monkeypatch, perturb=None):
     return failures, len(els) ** 3
 
 
-def _perturbed(box, u0, v0):
-    """box_product with the rows of (u0, v0) and (v0, u0) doubled, so that
-    it stays commutative."""
-    real = box.box_product
+def _perturbed(stack, monkeypatch, max_length, change=lambda out: 2 * out):
+    """A BoxCalculator whose rows of (s1, s2) and (s2, s1) are changed alike
+    (doubled unless told otherwise), so that the product stays commutative,
+    and the class-level associativity count of that product."""
+    g = stack.group
+    pair = {g.simple_reflection(1), g.simple_reflection(2)}
 
-    def perturbed(u, v):
-        out = real(u, v)
-        return 2 * out if {u, v} == {u0, v0} else out
+    def perturbed_product():
+        real = BoxCalculator(stack.rich).box_product
+        return lambda u, v: change(real(u, v)) if {u, v} == pair else real(u, v)
 
-    return perturbed
+    oracle = _class_level_associativity(stack, max_length, monkeypatch, perturbed_product())
+    box = BoxCalculator(stack.rich)
+    monkeypatch.setattr(box, "box_product", perturbed_product())
+    return box, oracle
 
 
-@pytest.mark.parametrize("key,max_length", [(("A", 3), None), (("A", 3), 2),
-                                            (("B", 2), None), (("B", 2), 1)])
+@pytest.mark.parametrize("key,max_length", [
+    (("A", 3), None), (("A", 3), 2), (("B", 2), None), (("B", 2), 1),
+    (("G", 2), None), (("G", 2), 1), (("B", 3), None)])
 def test_associativity_matches_class_level_oracle(engines, monkeypatch, key, max_length):
     """The index-space count equals the class-level one, as given and with
     one pair of swapped box rows perturbed, where both must see failures.
     The index-space count computes only the rows (x, y) with x <= y and
     halves the triple loop by commutativity, so the perturbation keeps the
-    product commutative."""
+    product commutative.  G2 is the rank-2 type with a triple bond, and
+    unfiltered B3 is the shape of the b3-triples bench workload."""
     stack = engines(*key)
-    box = BoxCalculator(stack.rich)
-    g = box.group
-    status = box.associativity_status(max_length)
+    status = BoxCalculator(stack.rich).associativity_status(max_length)
     assert status == _class_level_associativity(stack, max_length, monkeypatch)
     assert status[0] == 0
 
-    u0, v0 = g.simple_reflection(1), g.simple_reflection(2)
-    perturbed = _perturbed(BoxCalculator(stack.rich), u0, v0)
-    oracle = _class_level_associativity(stack, max_length, monkeypatch, perturbed)
-    monkeypatch.setattr(box, "box_product", _perturbed(BoxCalculator(stack.rich), u0, v0))
+    box, oracle = _perturbed(stack, monkeypatch, max_length)
     status = box.associativity_status(max_length)
     assert status == oracle
     assert status[0] > 0
+
+
+@pytest.mark.parametrize("key", [("A", 3), ("B", 2)])
+def test_packed_associativity_is_exact_beyond_a_machine_word(engines, monkeypatch, key):
+    """With one swapped pair of box rows scaled by 2^70, every packed slot
+    holds values beyond any machine word; the slot width follows the
+    entries, so the count still equals the class-level oracle."""
+    box, oracle = _perturbed(engines(*key), monkeypatch, None, lambda out: 2 ** 70 * out)
+    widths = []
+    monkeypatch.setattr(boxproduct, "_slot_bits",
+                        lambda l1, big: widths.append(_slot_bits(l1, big)) or widths[-1])
+    assert box.associativity_status() == oracle
+    assert oracle[0] > 0
+    assert widths and widths[0] > 70
+
+
+@pytest.mark.parametrize("key", [("A", 3), ("B", 2)])
+def test_narrow_packing_slot_misses_failures(engines, monkeypatch, key):
+    """A slot too narrow for its table lets one slot carry into the next.
+    One swapped pair of box rows gains 2^70 eps^a - eps^(a+1), a the first
+    element of length 2, so it stays within degree; box(e, e) reaches every
+    element, so slots are element indices, and at 70 bits the gain packs to
+    0: the count misses failures the class-level oracle sees, while the
+    shipped width, wider than 70 bits here, agrees with the oracle."""
+    stack = engines(*key)
+    g = stack.group
+    assert len(BoxCalculator(stack.rich).box_product(g.identity, g.identity).coeffs) == g.order
+    a = next(w.index for w in g if w.length == 2)
+    bump = CohomologyClass(g, {a: 2 ** 70, a + 1: -1})
+    box, oracle = _perturbed(stack, monkeypatch, None, lambda out: out + bump)
+    assert box.associativity_status() == oracle
+    assert oracle[0] > 0
+    monkeypatch.setattr(boxproduct, "_slot_bits", lambda l1, big: 70)
+    assert box.associativity_status()[0] < oracle[0]
 
 
 def test_associativity_builds_no_degree_empty_row(engines, monkeypatch):
