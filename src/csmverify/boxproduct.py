@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import CohomologyClass
+from .cohomology import CohomologyClass, _slot_bits
 from .errors import PathDisagreement
 from .richardson import RichardsonCalculator
 from .rootdata import WeylElement, parity_sign
@@ -54,14 +54,6 @@ from .rootdata import WeylElement, parity_sign
 #: stays at 250,000, because moving it would change which reports read
 #: "not computed at this scale"
 ASSOCIATIVITY_TRIPLE_BUDGET = 250_000
-
-
-def _slot_bits(l1: int, big: int) -> int:
-    """Slot width for packed box rows.  Each side of an associator is a sum
-    of c row with sum |c| <= l1, the largest L1 norm of a row, over entries
-    of size at most big, so every slot of the difference is below
-    2 l1 big < 2^(k-1), and the packed difference is 0 exactly when it is."""
-    return (2 * l1 * big).bit_length() + 1
 
 
 @dataclass

@@ -35,6 +35,15 @@ from .errors import InternalInvariantError
 from .rootdata import WeylElement, WeylGroup
 
 
+def _slot_bits(l1: int, big: int) -> int:
+    """Width k of the signed slots when classes are packed into one int per
+    element, P[y] = sum_j b_j[y] 2^(k j): if every slot of a packed
+    difference is at most 2 l1 big in size, l1 an L1 norm and big an entry
+    or operator-norm bound, it is below 2^(k-1), so the packed difference is
+    0 exactly when every slot is."""
+    return (2 * l1 * big).bit_length() + 1
+
+
 class CohomologyClass:
     """A finite integer combination of basis classes eps^w (sparse, graded),
     keyed by element index."""
@@ -243,15 +252,10 @@ class FlagCohomology:
         of <lam, beta^v> eps^{v s_beta} over the positive roots beta with
         l(v s_beta) = l(v) + 1, for the pairings ``_pairings`` gives;
         distinct roots reach distinct elements."""
-        group = self.group
-        target = group._lengths[vi] + 1
-        out: dict[int, int] = {}
-        for b_idx, coef in enumerate(pairings):
-            if coef:
-                t = group.right_reflection_index(vi, b_idx)
-                if group._lengths[t] == target:
-                    out[t] = coef
-        return out
+        lengths = self.group._lengths
+        target = lengths[vi] + 1
+        return {t: coef for coef, t in zip(pairings, self.group.right_reflections(vi))
+                if coef and lengths[t] == target}
 
     # -- full table ------------------------------------------------------------------
 

@@ -9,21 +9,23 @@ positivity, support and normalization invariants as it is built, and the
 transposed order already fails them in A2 at s1 s2, so a wrong order
 cannot pass silently.
 
-Also here: the total Chern class of the tangent bundle (a product of
-degree-2 factors over the positive roots, so it needs only the Chevalley
-rule), its inverse via the nilpotent geometric series, the Segre classes
-of the cells, the sign involution, and opposite-cell classes via
-translation by the longest element.  The Segre class of a cell,
-c(T)^-1 . csm(cell u), is built as the sign twist of its CSM class (AMSS,
-arXiv:1709.08697) and checked as c(T) . seg = csm(cell u), through one
-multiplier of c(T) for every class, whose columns the inverse's series
-reuses; c(T) is invertible, so this is the same identity, and only the
-``chern-inverse`` check of theorem-invariants computes the inverse.
+Also here: the total Chern class of the tangent bundle, its inverse via
+the nilpotent geometric series, the Segre classes of the cells, the sign
+involution, and opposite-cell classes via translation by the longest
+element.  c(T) multiplies one way only, as the product over positive roots
+beta of the degree-2 factors 1 + c1(L_beta), each one pass of the
+Chevalley rule over a dense integer vector, with no structure table.  The
+Segre class of a cell, c(T)^-1 . csm(cell u), is built as the sign twist
+of its CSM class (AMSS, arXiv:1709.08697) and checked as
+c(T) . seg = csm(cell u), a batch of classes packed into signed slots of
+one int per element (Kronecker substitution; D. Harvey, J. Symbolic
+Comput. 44, 2009); c(T) is invertible, so this is the same identity, and
+only the ``chern-inverse`` check of theorem-invariants computes the inverse.
 """
 
 from __future__ import annotations
 
-from .cohomology import CohomologyClass, FlagCohomology, Multiplier
+from .cohomology import CohomologyClass, FlagCohomology, _slot_bits
 from .errors import CalibrationFailure, InternalInvariantError
 from .rootdata import WeylElement, parity_sign
 
@@ -41,7 +43,7 @@ class CsmCalculator:
         self._cells: dict[int, CohomologyClass] = {}
         self._tangent: CohomologyClass | None = None
         self._tangent_inverse: CohomologyClass | None = None
-        self._tangent_op: Multiplier | None = None
+        self._factors: tuple[list, int] | None = None
         self._segre_cells: dict[int, CohomologyClass] = {}
         self._cell_columns: list | None = None
 
@@ -128,65 +130,113 @@ class CsmCalculator:
 
     # -- Chern/Segre machinery ------------------------------------------------------
 
-    def tangent_chern(self) -> CohomologyClass:
-        """Total Chern class of the tangent bundle: product over positive
-        roots of (1 + c1(L_root)), computed with the Chevalley rule only."""
-        if self._tangent is None:
-            coh = self.coh
-            cls = coh.unit()
+    def _root_factors(self) -> tuple[list, int]:
+        """The factors 1 + c1(L_beta) of c(T), one per positive root beta, as
+        the nonzero columns (y, {t: m}) of c1(L_beta) by the Chevalley rule,
+        y in decreasing length; and B, the product of 1 plus the largest
+        column L1 norm of each, which bounds the L1 operator norm of c(T)."""
+        if self._factors is None:
+            coh, bound, factors = self.coh, 1, []
             for beta in self.group._root_coords:
                 pairings = coh._pairings(beta)
-                add: dict[int, int] = {}
-                for w, c in cls.coeffs.items():
-                    for t, m in coh._chevalley_idx(pairings, w).items():
-                        add[t] = add.get(t, 0) + c * m
-                cls = cls + CohomologyClass(self.group, add)
-            self._tangent = cls
-        return self._tangent
+                cols = [(y, col) for y in reversed(range(self.group.order))
+                        if (col := coh._chevalley_idx(pairings, y))]
+                bound *= 1 + max((sum(map(abs, col.values())) for _, col in cols), default=0)
+                factors.append(cols)
+            self._factors = factors, bound
+        return self._factors
 
-    def _times_tangent(self, a: CohomologyClass) -> CohomologyClass:
-        """c(T) . a, through one multiplier of the tangent Chern class kept
-        for the calculator's life."""
-        if self._tangent_op is None:
-            self._tangent_op = Multiplier(self.coh, self.tangent_chern())
-        return self._tangent_op(a)
+    def _times_tangent(self, vec: list[int]) -> list[int]:
+        """c(T) . vec in place, vec a class by element index or classes
+        packed into one int per element: each root factor is one pass over
+        its covers y -> t, l(t) = l(y) + 1, in decreasing length, so every
+        vec[y] is read before the pass adds to it."""
+        for factor in self._root_factors()[0]:
+            for y, col in factor:
+                c = vec[y]
+                if c:
+                    for t, m in col.items():
+                        vec[t] += m * c
+        return vec
+
+    def _dense(self, coeffs: dict[int, int]) -> list[int]:
+        vec = [0] * self.group.order
+        for w, c in coeffs.items():
+            vec[w] = c
+        return vec
+
+    def tangent_chern(self) -> CohomologyClass:
+        """Total Chern class of the tangent bundle: the product over positive
+        roots of (1 + c1(L_root)), applied to the unit."""
+        if self._tangent is None:
+            tangent = self._times_tangent(self._dense({0: 1}))
+            self._tangent = CohomologyClass(self.group, dict(enumerate(tangent)))
+        return self._tangent
 
     def chern_inverse(self) -> CohomologyClass:
         """Inverse of the total Chern class via the geometric series of its
-        nilpotent part c(T) - 1, exact after dim-many terms; its products
-        reuse the columns of ``_times_tangent``."""
+        nilpotent part c(T) - 1, exact after dim-many terms, each multiplied
+        by the root factors."""
         if self._tangent_inverse is None:
-            coh = self.coh
-            inv = term = coh.unit()
+            unit = self._dense({0: 1})
+            inv, term = list(unit), unit
             for _ in range(self.group.num_positive):
-                term = term - self._times_tangent(term)      # -(c(T) - 1) . term
-                if not term:
+                term = [a - b for a, b in zip(term, self._times_tangent(list(term)))]
+                if not any(term):
                     break
-                inv = inv + term
-            if self._times_tangent(inv) != coh.unit():
+                inv = [a + b for a, b in zip(inv, term)]
+            if self._times_tangent(list(inv)) != unit:
                 raise InternalInvariantError("Chern class inverse failed")
-            self._tangent_inverse = inv
+            self._tangent_inverse = CohomologyClass(self.group, dict(enumerate(inv)))
         return self._tangent_inverse
+
+    def segre_cells(self, indices) -> None:
+        """Build and keep the Segre classes of the cells of the given element
+        indices, each the sign twist of its CSM class, checked in one pass as
+        c(T) . seg = csm(cell u): the j-th twist fills a signed k-bit slot of
+        one int per element, P[y] = sum_j seg_j[y] 2^(k j), and c(T) . P is
+        compared with the CSM classes packed the same way.  Each slot of the
+        difference is at most (B + 1) l1, B from ``_root_factors`` and l1 the
+        largest L1 norm of a class of the batch, faulty or not, so with
+        k = ``_slot_bits(l1, B)`` the sides are equal exactly when every
+        class passes.  Else each class is checked alone: those that pass are
+        kept, and the first that fails raises."""
+        group = self.group
+        todo = [u for u in dict.fromkeys(indices) if u not in self._segre_cells]
+        if not todo:
+            return
+        lengths, w0 = group._lengths, group._w0
+        cells = [self._cell_idx(u).coeffs for u in todo]
+        twists = [{w: parity_sign(lengths[w] - lengths[w0[u]]) * c for w, c in cell.items()}
+                  for u, cell in zip(todo, cells)]
+        k = _slot_bits(max(sum(map(abs, c.values())) for c in (*cells, *twists)),
+                       self._root_factors()[1])
+
+        def packed(classes):        # joined by halves, so that no int grows slot by slot
+            if len(classes) == 1:
+                return self._dense(classes[0])
+            half = len(classes) // 2
+            return [a + (b << k * half)
+                    for a, b in zip(packed(classes[:half]), packed(classes[half:]))]
+
+        whole = self._times_tangent(packed(twists)) == packed(cells)
+        failed = []
+        for u, seg, cell in zip(todo, twists, cells):
+            if whole or self._times_tangent(self._dense(seg)) == self._dense(cell):
+                self._segre_cells[u] = CohomologyClass(group, seg)
+            else:
+                failed.append(u)
+        if failed:
+            raise InternalInvariantError(f"Segre class of cell {group.elements[failed[0]]} "
+                                         "does not match the sign-twisted CSM class")
 
     def segre_schubert_cell(self, u: WeylElement) -> CohomologyClass:
         """Segre class of a Schubert cell: the sign twist of its CSM class
-        (alternating signs relative to the leading term), with
-        c(T) . seg = csm(cell u) enforced through ``_times_tangent``."""
+        (alternating signs relative to the leading term), checked by
+        ``segre_cells`` as a batch of one."""
         self.coh._check(u)
-        cached = self._segre_cells.get(u.index)
-        if cached is not None:
-            return cached
-        cls = self.csm_schubert_cell(u)
-        base = self.group.w0_times(u).length
-        seg = CohomologyClass(self.group, {
-            w: parity_sign(self.group._lengths[w] - base) * c for w, c in cls.coeffs.items()
-        })
-        if self._times_tangent(seg) != cls:
-            raise InternalInvariantError(
-                f"Segre class of cell {u} does not match the sign-twisted CSM class"
-            )
-        self._segre_cells[u.index] = seg
-        return seg
+        self.segre_cells((u.index,))
+        return self._segre_cells[u.index]
 
     def segre_opposite_cell(self, v: WeylElement) -> CohomologyClass:
         return self.segre_schubert_cell(self.group.w0_times(v))

@@ -427,8 +427,9 @@ class WeylGroup:
     def elements_of_length(self, l: int) -> list[WeylElement]:
         return [self.elements[i] for i in self.indices_of_length(l)]
 
-    def right_reflection_index(self, idx: int, root_idx: int) -> int:
-        """Index of (element idx) * s_beta for the root with index root_idx."""
+    def right_reflections(self, idx: int) -> list[int]:
+        """Index of (element idx) * s_beta for every positive root beta, in
+        root order."""
         if self._refl_right is None:
             table = []
             words = [self._words[self._reflection_index[b]]
@@ -442,7 +443,7 @@ class WeylGroup:
                     row.append(cur)
                 table.append(row)
             self._refl_right = table
-        return self._refl_right[idx][root_idx]
+        return self._refl_right[idx]
 
     def w0_times(self, x: WeylElement) -> WeylElement:
         """Left multiplication by the longest element."""

@@ -41,10 +41,11 @@ Richardson row r, the chi steps at u = w0*r; with jobs above 1 the units
 go to one fork pool.  Both the structure and the CSM table are computed in
 process before the sweep, so workers inherit them; no run reads a table
 from disk.  A unit holds one Richardson row and nothing else; box
-associativity builds its own table of box rows.  Before a pool forks, the
-parent builds what every unit reads and none owns, so that no worker builds
-it again: seg(cell w0*v), v filtered, which fills the c(T) multiplier's
-columns, and for cross-paths the CSM cell table by column.
+associativity builds its own table of box rows.  Before the sweep the
+parent builds the Segre classes the units read in one batch
+(``CsmCalculator.segre_cells``), seg(cell r) for every unit row r and
+seg(cell w0*v) for every filtered v, and before a pool forks the CSM cell
+table by column for cross-paths, so no worker builds what every unit reads.
 
 Every pair-level suite computes one pair of each symmetry orbit: the
 least kept Richardson pair, by (row, column) index, and records its
@@ -89,7 +90,6 @@ byte-deterministic apart from the ``timings`` block.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -465,22 +465,23 @@ def _run_suites(engines: Engines, names, max_length: int | None,
         theorem.elapsed += clock() - start
     sweep = _Sweep.of(group, names, filtered)
     units = sweep.units()
+    # the Segre classes the units read, in one batch; a failing one is left to its steps
+    with suppress(InternalInvariantError):
+        engines.csm.segre_cells([*units, *(group._w0[v] for v in filtered)])
     workers = pool_size(jobs, len(units))
-    try:
-        ctx = multiprocessing.get_context("fork") if workers > 1 else None
-    except ValueError:
-        ctx = None
+    ctx = None
+    if workers > 1:
+        import multiprocessing
+        with suppress(ValueError):
+            ctx = multiprocessing.get_context("fork")
     if ctx is None:
         parts = [_sweep_unit(engines, sweep, r) for r in units]
     else:
         # what every unit reads and none owns (see the module docstring); a
         # build that raises is left to the steps that read it, to record
-        builds = [partial(engines.csm.segre_opposite_cell, group.elements[v]) for v in filtered]
         if "cross-paths" in names:
-            builds.append(engines.csm.cell_columns)
-        for build in builds:
             with suppress(InternalInvariantError):
-                build()
+                engines.csm.cell_columns()
         global _WORKER_ENGINES, _WORKER_SWEEP
         _WORKER_ENGINES, _WORKER_SWEEP = engines, sweep
         try:
@@ -524,12 +525,14 @@ def run_suite(engines: Engines, name: str, max_length: int | None = None,
 def _theorem_elements(engines: Engines, out: SuiteResult, filtered: list[int]) -> None:
     """Cell-class identities on every filtered element, recorded into out."""
     group, csm, rich = engines.group, engines.csm, engines.rich
+    with suppress(InternalInvariantError):
+        csm.segre_cells(filtered)                # a failing class raises again below
     for ui in filtered:
         u = group.elements[ui]
         out.instances += 1
         try:
             cell = csm.csm_schubert_cell(u)       # positivity/support/normalization
-            csm.segre_schubert_cell(u)            # sign twist
+            csm.segre_schubert_cell(u)            # sign twist, kept or checked alone
             if rich.expand_in_csm_basis(cell) != {ui: 1}:
                 out.hard(_entry("csm-basis-unitriangular", ui,
                                 error="cell class does not expand to itself"))

@@ -2,6 +2,7 @@ from functools import reduce
 
 import pytest
 
+from csmverify.cohomology import CohomologyClass, Multiplier
 from csmverify.errors import CalibrationFailure, CsmVerifyError, GroupMismatch
 
 
@@ -210,6 +211,22 @@ def test_tangent_chern_integrates_to_order(engines, key, order):
     g = csm.group
     top = [c for w, c in csm.tangent_chern().coeffs.items() if g._lengths[w] == g.num_positive]
     assert top  # top part nonzero
+
+
+@pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("G", 2)])
+def test_root_factors_multiply_as_the_table(engines, key):
+    """c(T) . eps^w through the root factors, the one c(T) product of the
+    calculator, equals the product through the structure table,
+    Multiplier(coh, c(T)), for every basis class; a run compares the two
+    routes only through chern-inverse and completeness."""
+    stack = engines(*key)
+    g, csm = stack.group, stack.csm
+    times_t = Multiplier(stack.coh, csm.tangent_chern())
+    for w in g:
+        vec = [0] * g.order
+        vec[w.index] = 1
+        product = CohomologyClass(g, dict(enumerate(csm._times_tangent(vec))))
+        assert product == times_t(stack.coh.schubert_class(w))
 
 
 def test_chern_inverse(engines):

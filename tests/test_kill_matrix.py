@@ -328,9 +328,11 @@ def test_failed_expansion_fails_csm_basis_expansion(tmp_path, monkeypatch):
 
 
 def test_unbalanced_tangent_class_fails_completeness(tmp_path, monkeypatch):
-    """c(T) + eps^{s1} - eps^{s2} keeps its integral and its inverse
-    identity, and is no longer the sum of the cell classes: completeness
-    fails (and so do the Segre checks that multiply by it)."""
+    """c(T) + eps^{s1} - eps^{s2} keeps its integral and is no longer the sum
+    of the cell classes: completeness fails, and so does chern-inverse,
+    which multiplies this class by the inverse that the series builds from
+    the root factors.  The Segre checks multiply by the root factors, not
+    by this class, so they pass."""
     real = CsmCalculator.tangent_chern
 
     def unbalanced(self):
@@ -342,7 +344,7 @@ def test_unbalanced_tangent_class_fails_completeness(tmp_path, monkeypatch):
     assert rc == 2
     assert {"check": "completeness", "error": "cell classes do not sum to the tangent Chern class"} \
         in report["suites"]["theorem-invariants"]["hard_failures"]
-    assert "chern-integral" not in _checks(report, "theorem-invariants")
+    assert _checks(report, "theorem-invariants") == {"completeness", "chern-inverse"}
 
 
 def test_dropped_root_fails_the_chern_integral(tmp_path, monkeypatch):
@@ -364,6 +366,36 @@ def test_dropped_root_fails_the_chern_integral(tmp_path, monkeypatch):
         in report["suites"]["theorem-invariants"]["hard_failures"]
     assert _checks(report, "theorem-invariants") \
         == {"cell-invariants", "richardson-pair", "completeness", "chern-integral"}
+
+
+def test_wrong_twist_in_one_cell_fails_its_cell_invariants(tmp_path, monkeypatch):
+    """On A3 the sign twist made wrong at length difference 6, in
+    ``segre_cells`` alone: only the cell of w0 has that difference (its top
+    term), so the packed check of the element block's batch of all 24 cells
+    fails, each class is then checked alone, and cell-invariants names w0
+    and no other cell; every hard failure is that class's."""
+    from csmverify import csm as csm_module
+
+    real_sign, real_cells = csm_module.parity_sign, CsmCalculator.segre_cells
+
+    def wrong_at_six(self, indices):
+        csm_module.parity_sign = lambda k: -real_sign(k) if k == 6 else real_sign(k)
+        try:
+            return real_cells(self, indices)
+        finally:
+            csm_module.parity_sign = real_sign
+
+    monkeypatch.setattr(CsmCalculator, "segre_cells", wrong_at_six)
+    rc = cli.main(["verify", "--type", "A", "--rank", "3", "--suite", "theorem-invariants",
+                   "--output", str(tmp_path / "report.json")])
+    assert rc == 2
+    failures = json.loads((tmp_path / "report.json").read_text())["suites"][
+        "theorem-invariants"]["hard_failures"]
+    w0 = str(verify.build_engines("A", 3).group.longest)
+    error = f"Segre class of cell {w0} does not match the sign-twisted CSM class"
+    assert [f for f in failures if f["check"] == "cell-invariants"] == [
+        {"check": "cell-invariants", "u": w0, "error": error}]
+    assert all(f["error"] == error for f in failures)
 
 
 def test_wrong_bgg_of_the_unit_fails_the_bgg_and_dl_relations(tmp_path, monkeypatch):

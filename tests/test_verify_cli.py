@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +15,7 @@ from csmverify.cache import TableCache, payload_checksum
 from csmverify import csm as csm_module
 from csmverify.cohomology import FlagCohomology, Multiplier
 from csmverify.csm import CsmCalculator
-from csmverify.errors import MirrorMismatch, ParityViolation, UsageError
+from csmverify.errors import InternalInvariantError, MirrorMismatch, ParityViolation, UsageError
 from csmverify.richardson import RichardsonCalculator
 from csmverify.rootdata import CartanDatum, WeylGroup
 from csmverify.verify import (
@@ -168,6 +172,19 @@ def test_parallel_equals_serial():
     assert parallel.exit_code == 0
 
 
+def test_serial_run_imports_no_multiprocessing(tmp_path):
+    """Only a run that forks a pool imports multiprocessing, whose import
+    costs start-up time: a serial verify in a fresh process leaves it out."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; from csmverify import cli; "
+            "cli.main(['verify', '--type', 'A', '--rank', '2', '--output', sys.argv[1]]); "
+            "print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "report.json")],
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 def test_one_pool_per_run(monkeypatch):
     """Every requested suite shares one sweep and one pool of at most
     --jobs workers, and the report equals the serial one."""
@@ -218,31 +235,31 @@ def test_hard_failure_cap_across_units(monkeypatch):
 
 
 def test_workers_build_no_shared_segre_class(tmp_path, monkeypatch):
-    """Under --jobs 2 the parent builds seg(cell w0*v) for every filtered v
-    before it forks, so no worker computes one: every Segre cache miss of
-    a B3 conjB conjC sweep of length <= 2 is logged with its process."""
-    import os
-
+    """Under --jobs 2 the parent builds, in one batch before it forks,
+    seg(cell r) for every unit row r and seg(cell w0*v) for every filtered
+    v, so no worker builds any Segre class: every class that
+    ``segre_cells`` builds in a B3 conjB conjC sweep of length <= 2 is
+    logged with its process."""
     import csmverify.verify as verify_mod
 
-    log, real = tmp_path / "misses", CsmCalculator.segre_schubert_cell
+    log, real = tmp_path / "builds", CsmCalculator.segre_cells
 
-    def logged(self, u):
-        if u.index not in self._segre_cells:
-            with open(log, "a") as f:
-                f.write(f"{os.getpid()} {u.index}\n")
-        return real(self, u)
+    def logged(self, indices):
+        with open(log, "a") as f:
+            for u in indices:
+                if u not in self._segre_cells:
+                    f.write(f"{os.getpid()} {u}\n")
+        return real(self, indices)
 
     monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(CsmCalculator, "segre_schubert_cell", logged)
+    monkeypatch.setattr(CsmCalculator, "segre_cells", logged)
     report = run_verification("B", 3, suites=["conjB", "conjC"], max_length=2, jobs=2)
     assert report.exit_code == 0
     group = WeylGroup(CartanDatum.from_series("B", 3))
-    shared = {group._w0[w.index] for w in group if w.length <= 2}
-    misses = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-    in_workers = {i for pid, i in misses if pid != os.getpid()}
-    assert in_workers                   # each unit's own row, seg(cell r)
-    assert not in_workers & shared
+    filtered = {w.index for w in group if w.length <= 2}
+    builds = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert {pid for pid, _ in builds} == {os.getpid()}
+    assert {i for _, i in builds} == filtered | {group._w0[i] for i in filtered}
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -251,7 +268,6 @@ def test_unbuilt_segre_class_fails_the_same_pairs(tmp_path, monkeypatch, jobs):
     fork leaves it unbuilt, so serially and pooled the steps that read it
     list the same hard failures, the sigma copies at v = s3 included."""
     import csmverify.verify as verify_mod
-    from csmverify.errors import InternalInvariantError
 
     real = CsmCalculator.segre_schubert_cell
 
@@ -404,20 +420,48 @@ def test_unreadable_pair_fails_at_every_w(monkeypatch):
         assert result.status == "FAIL"
 
 
-def _perturb_chern_product(monkeypatch, series, rank, word):
-    """Make one Chern product wrong: c(T) . seg(cell u), for u of the
-    given word, gains the unit; every other product stays exact."""
+def _times_tangent_within(monkeypatch, method, fault):
+    """Pass every c(T) product that CsmCalculator.<method> makes through
+    fault(vec, product), vec the vector multiplied; the products made
+    anywhere else stay exact."""
+    real_times, real = CsmCalculator._times_tangent, getattr(CsmCalculator, method)
+
+    def faulty(self, vec):
+        return fault(list(vec), real_times(self, vec))
+
+    def within(self, *args):
+        self._times_tangent = faulty.__get__(self)
+        try:
+            return real(self, *args)
+        finally:
+            del self._times_tangent
+
+    monkeypatch.setattr(CsmCalculator, method, within)
+
+
+def _perturb_chern_product(monkeypatch, series, rank, gains):
+    """Make Chern products of Segre cell classes wrong: c(T) . seg(cell u)
+    gains n times the unit, for each word of u and n in gains, and every
+    other Segre cell class keeps its exact product.  The fault is linear,
+    c(T) . b gains f(b) . 1, with f(b) the sum of n times the integral of
+    csm(cell w0*u) . b, which by AMSS duality is n on seg(cell u) and 0 on
+    every other Segre cell class; so a batch packed into slots gains it
+    slot by slot.  Only the products of ``segre_cells`` are perturbed."""
     plain = build_engines(series, rank)
-    materialize_tables(plain)
-    tangent = plain.csm.tangent_chern()
-    seg = plain.csm.segre_schubert_cell(plain.group.parse(word))
-    real = Multiplier.__call__
+    g, csm = plain.group, plain.csm
+    f: dict[int, int] = {}
+    for word, n in gains.items():
+        for x, c in csm.csm_schubert_cell(g.w0_times(g.parse(word))).coeffs.items():
+            f[g._w0[x]] = f.get(g._w0[x], 0) + n * c
+    for u in g:
+        seg = csm.segre_schubert_cell(u).coeffs
+        assert sum(c * seg.get(y, 0) for y, c in f.items()) == gains.get(str(u), 0)
 
-    def perturbed(self, b):
-        out = real(self, b)
-        return out + self.coh.unit() if self.factor == tangent and b == seg else out
+    def gain(vec, out):
+        out[0] += sum(c * vec[y] for y, c in f.items())
+        return out
 
-    monkeypatch.setattr(Multiplier, "__call__", perturbed)
+    _times_tangent_within(monkeypatch, "segre_cells", gain)
 
 
 def _assert_segre_cell_s1_fails(tmp_path):
@@ -437,7 +481,7 @@ def test_perturbed_segre_class_fails_theorem_invariants(tmp_path, monkeypatch):
     sign twist of its CSM class, checked as c(T) . seg = csm(cell u) where
     it is computed, so a wrong Chern product for s1 alone fails
     theorem-invariants as a cell invariant of s1."""
-    _perturb_chern_product(monkeypatch, "A", 2, "s1")
+    _perturb_chern_product(monkeypatch, "A", 2, {"s1": 1})
     _assert_segre_cell_s1_fails(tmp_path)
 
 
@@ -451,13 +495,37 @@ def test_untwisted_segre_class_fails_theorem_invariants(tmp_path, monkeypatch):
 def test_wrong_chern_product_fails_conjb_alone(monkeypatch):
     """The pair sweeps build the Segre classes they read, and check each as
     it is built: a wrong Chern product for s1 alone fails conjB by itself."""
-    _perturb_chern_product(monkeypatch, "A", 2, "s1")
+    _perturb_chern_product(monkeypatch, "A", 2, {"s1": 1})
     report = run_verification("A", 2, suites=["conjB"])
     assert report.exit_code == 2
     suite = report.suites["conjB"]
     assert suite.status == "FAIL"
     error = "Segre class of cell s1 does not match the sign-twisted CSM class"
     assert suite.hard_failures and all(f["error"] == error for f in suite.hard_failures)
+
+
+def test_one_bit_narrower_slot_passes_cancelling_faults(monkeypatch):
+    """The packed Segre check of a whole A3 batch fails at the width k that
+    ``_slot_bits`` gives and passes one bit narrower, k - 1, when c(T) .
+    seg(cell a) gains 2^(k-1) and c(T) . seg(cell b) loses 1 (times the
+    unit), a and b adjacent in slot order: 2^(k-1) 2^((k-1) a) cancels
+    2^((k-1) b).  Faults in the classes themselves stay below 2^(k-1) in
+    every slot, where k - 1 bits still tell 0 apart, so these are faults of
+    the product."""
+    plain = build_engines("A", 3)
+    g, csm = plain.group, plain.csm
+    l1 = max(sum(map(abs, csm.csm_schubert_cell(u).coeffs.values())) for u in g)
+    k = (2 * l1 * csm._root_factors()[1]).bit_length() + 1
+    a, b = g.elements[5], g.elements[6]
+    _perturb_chern_product(monkeypatch, "A", 3, {str(a): 2 ** (k - 1), str(b): -1})
+    shipped = build_engines("A", 3).csm
+    with pytest.raises(InternalInvariantError, match=f"^Segre class of cell {a} does not"):
+        shipped.segre_cells(range(g.order))
+    assert set(shipped._segre_cells) == set(range(g.order)) - {a.index, b.index}
+    monkeypatch.setattr(csm_module, "_slot_bits", lambda l1, big: k - 1)
+    narrow = build_engines("A", 3).csm
+    narrow.segre_cells(range(g.order))
+    assert len(narrow._segre_cells) == g.order
 
 
 def test_wrong_chern_inverse_fails_theorem_invariants(monkeypatch):
@@ -475,17 +543,12 @@ def test_wrong_chern_inverse_fails_theorem_invariants(monkeypatch):
     assert suite.hard_failures == [{"check": "chern-inverse", "error": "inverse Chern class fails"}]
     monkeypatch.undo()
 
-    plain = build_engines("A", 2)
-    materialize_tables(plain)
-    tangent = plain.csm.tangent_chern()
-    real_call = Multiplier.__call__
+    def wrong_first_term(vec, out):     # c(T) . 1, the series' first product
+        if vec == [1] + [0] * (len(vec) - 1):
+            out[-1] += 1                # the top class, eps^w0
+        return out
 
-    def wrong_first_term(self, b):      # c(T) . 1, the series' first product
-        out = real_call(self, b)
-        return out + self.coh.schubert_class(self.coh.group.longest) \
-            if self.factor == tangent and b == self.coh.unit() else out
-
-    monkeypatch.setattr(Multiplier, "__call__", wrong_first_term)
+    _times_tangent_within(monkeypatch, "chern_inverse", wrong_first_term)
     report = run_verification("A", 2, suites=["theorem-invariants"])
     assert report.exit_code == 2
     assert report.suites["theorem-invariants"].hard_failures == [
