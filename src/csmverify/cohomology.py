@@ -14,6 +14,13 @@ pairings ``_pairings`` reads off the coroot table by root index).  Every
 constant is an exact sum of earlier ones, with no division; a negative one
 raises, and so does a nonzero term at a y that s_i shortens.
 
+The recursion runs only for the pairs with l(u) + l(v) <= T = floor(2N/3).
+The rows above T are filled from a proved identity, the S3 symmetry of
+triple integrals, c_uv^w = c_{u,w0 w}^{w0 v} (``_fill_upper``): of the
+three lengths of a triple, the two smallest add up to at most T.  Where
+the fill meets a row the recursion computed, or a unit row, it compares
+instead of writing, and a mismatch raises.
+
 The recursion rests on the degree-2 rule, so the table's self-check (the
 unit row and the degree-2 rule on every pair of a simple reflection and an
 element) is not independent of it.  The independent oracles live in the
@@ -42,6 +49,13 @@ def _slot_bits(l1: int, big: int) -> int:
     or operator-norm bound, it is below 2^(k-1), so the packed difference is
     0 exactly when every slot is."""
     return (2 * l1 * big).bit_length() + 1
+
+
+def _pairs(by_length: list[list[int]], totals: range, least: int):
+    """The index pairs u <= v with l(u) + l(v) in totals and l(u) >= least,
+    in order of l(u) + l(v), then of l(u), from the indices by length."""
+    return ((ui, vi) for total in totals for lu in range(least, total // 2 + 1)
+            for ui in by_length[lu] for vi in by_length[total - lu] if ui <= vi)
 
 
 class CohomologyClass:
@@ -272,7 +286,9 @@ class FlagCohomology:
 
     def _computed_rows(self) -> list[list[dict[int, int]]]:
         """The table by the BGG recursion, filled for u <= v in order of
-        l(u) + l(v) up to N.  With s_i(a) = a - alpha_i . d_i(a), the Leibniz
+        l(u) + l(v) up to T = floor(2N/3), then above T from the proved
+        symmetry of triple integrals, checked where the two overlap
+        (``_fill_upper``).  With s_i(a) = a - alpha_i . d_i(a), the Leibniz
         rule gives d_i(eps^u . eps^v) from at most three earlier rows, and
         its eps^y term is the constant at y s_i.  A letter outside
         desc(u) | desc(v) has d_i(eps^u . eps^v) = 0, so it is no right
@@ -282,15 +298,14 @@ class FlagCohomology:
         empty: dict[int, int] = {}
         table = [[empty] * group.order for _ in range(group.order)]
         n, lengths, right, els = group.num_positive, group._lengths, group._right, group.elements
+        top = 2 * n // 3
         alpha = [self._alpha_row(i) for i in range(group.rank)]
         descents = [{i: t for i, t in enumerate(right[x]) if lengths[t] < lengths[x]}
                     for x in range(group.order)]
         for vi in range(group.order):
             table[0][vi] = table[vi][0] = {vi: 1}
         by_length = [group.indices_of_length(l) for l in range(n + 1)]
-        pairs = ((ui, vi) for total in range(2, n + 1) for lu in range(1, total // 2 + 1)
-                 for ui in by_length[lu] for vi in by_length[total - lu] if ui <= vi)
-        for ui, vi in pairs:
+        for ui, vi in _pairs(by_length, range(2, top + 1), 1):
             du, dv = descents[ui], descents[vi]
             out: dict[int, int] = {}
             for i in du.keys() | dv.keys():
@@ -318,7 +333,49 @@ class FlagCohomology:
                     out[w] = c
             if out:
                 table[ui][vi] = table[vi][ui] = dict(sorted(out.items()))
+        self._fill_upper(table, top)
         return table
+
+    def _fill_upper(self, table: list[list[dict[int, int]]], top: int) -> None:
+        """Fill every pair of l(u) + l(v) above top, the unit rows aside,
+        from the rows at or below it by the S3 symmetry of triple integrals,
+        c_ab^y = c_{a,x}^{w0 b} = c_{b,x}^{w0 a} with x = w0 y.  An entry
+        above top lies in a triple of lengths l(u), l(v) and N - l(w) whose
+        two smallest add up to at most 2N/3, so some row at or below top
+        holds it.  A target pair at or below top, or a unit row, is compared
+        instead of written, and so is a target constant already filled; a
+        mismatch raises.  Each filled pair gets a fresh dict, sorted by
+        index once the table is full.  A row already in order keeps its
+        dict: copying every row leaves the freed ones behind as heap
+        fragmentation, which raised the peak of an A4 pair sweep by about
+        0.14 MiB."""
+        group = self.group
+        n, lengths, w0, els = group.num_positive, group._lengths, group._w0, group.elements
+        by_length = [group.indices_of_length(l) for l in range(n + 1)]
+        for a, b in _pairs(by_length, range(top + 1), 0):
+            row = table[a][b]
+            for first, second in ((a, b), (b, a)) if a != b else ((a, b),):
+                target, known = w0[second], first == 0 or n - lengths[second] <= top
+                rows = table[first]
+                for y, c in row.items():
+                    x = w0[y]
+                    if known:
+                        if rows[x].get(target) == c:
+                            continue
+                    else:
+                        out = rows[x]
+                        if not out:
+                            out = rows[x] = table[x][first] = {}
+                        if out.setdefault(target, c) == c:
+                            continue
+                    raise InternalInvariantError(
+                        f"cup structure constants at ({els[a]}, {els[b]}, {els[y]}) and "
+                        f"({els[first]}, {els[x]}, {els[target]}) break the symmetry of "
+                        "triple integrals")
+        for ui, vi in _pairs(by_length, range(top + 1, n + 1), 1):
+            row = table[ui][vi]
+            if len(row) > 1 and list(row) != sorted(row):
+                table[ui][vi] = table[vi][ui] = dict(sorted(row.items()))
 
     def _alpha_row(self, i: int) -> list[dict[int, int]]:
         """alpha_i . eps^y for every element y, for the letter i (from 0), by

@@ -437,6 +437,10 @@ def test_table_matches_localization_oracle(key):
     coh = build_engines(*key).coh
     coh.build_structure_table()
     assert coh._table == LocalizationOracle(coh).table()
+    # dict equality ignores order: every row, computed or filled, lists its w
+    # in index order, the order each product iterates, which keeps reports
+    # byte-identical
+    assert all(list(d) == sorted(d) for row in coh._table for d in row)
 
 
 def test_table_build_runs_no_localization(monkeypatch):
@@ -454,6 +458,31 @@ def test_table_build_runs_no_localization(monkeypatch):
         materialize_tables(stack)
         assert stack.coh._table is not None
         assert set(vars(stack.coh)) == {"group", "_alpha", "_table"}
+
+
+def test_recursion_stops_at_two_thirds_of_the_dimension(monkeypatch):
+    """The BGG recursion computes no pair above T = floor(2N/3): a step at
+    l(u) + l(v) = t multiplies alpha_i into row (u s_i, v s_i), whose eps^y
+    have l(y) = t - 2.  With every read of alpha_i . eps^y at l(y) > T - 2
+    raising, the B3 and A4 tables still build, fill and check, and equal
+    the localization oracle's."""
+    real = FlagCohomology._alpha_row
+
+    class Guarded(list):
+        def __getitem__(self, y):
+            assert self.lengths[y] <= self.bound, "recursion step above 2N/3"
+            return super().__getitem__(y)
+
+    def guarded(self, i):
+        row = Guarded(real(self, i))
+        row.lengths, row.bound = self.group._lengths, 2 * self.group.num_positive // 3 - 2
+        return row
+
+    monkeypatch.setattr(FlagCohomology, "_alpha_row", guarded)
+    for key in [("B", 3), ("A", 4)]:
+        coh = FlagCohomology(WeylGroup(CartanDatum.from_series(*key)))
+        coh.build_structure_table()
+        assert coh._table == LocalizationOracle(coh).table()
 
 
 # -- class container ---------------------------------------------------------------------------

@@ -43,14 +43,18 @@ GOLDEN = {
 #: (w0*v, w0*u); the exhaustive pair suites on A4 and D4 compute one pair
 #: of each orbit under the partner map and the diagram automorphisms
 #: (3,676 of 14,400 and, under S3, 3,738 of 36,864), and their digests
-#: were recorded while every pair was computed: (group and label, verify
-#: arguments, report digest, csm checksum, structure checksum)
+#: were recorded while every pair was computed; the exhaustive A5 pair
+#: suites, under --jobs 2, record all 518,400 pairs and read every row of
+#: the A5 structure table: (group and label, verify arguments, report
+#: digest, csm checksum, structure checksum)
 _A4_TABLES = ("ee96cf01017a141af1e780e5af3edd1210db030d7a00daf35400e780ac69ed40",
               "10a7932bbbb30d8393063fbc6d575b0bd6ccb537e6fabe6d433c638eff354ec1")
 _B4_TABLES = ("c51933aaef9637166d6c815cbc3d679993ec1f466e6eee493ce505b838d74ed1",
               "414c02eb410d5eb90ed302b147f0e2a50417f3950500619c5700a878448af36b")
 _D4_TABLES = ("7dca0a77c14726f916d223b8213d6f70818e0c5eff16ec4be6c12eee2618e8ba",
               "dff881b48f85a90417f637d1d714cb680c240db707a05e69b5e60e05e8879f23")
+_A5_TABLES = ("f63511ff6d35d6d8305982ad128721710ccf946e59b6ffa6b1596e419f5fb33a",
+              "51cf6727481531e9fd72487e95ccab8c9ab43409ad96128a50a5feade5f85db7")
 _PAIR_SUITES = ["--suite", "theorem-invariants", "--suite", "conjB", "--suite", "conjC"]
 LONG_GOLDEN = {
     ("A", 4, "length <= 1"): (
@@ -71,15 +75,18 @@ LONG_GOLDEN = {
     ("D", 4, "pair suites"): (
         _PAIR_SUITES,
         "833bcd816c47eae21c0f8f94e7c89b7af3e000f6b1d6cfa9bc718d42aef90e7d", *_D4_TABLES),
+    ("A", 5, "exhaustive"): (
+        [*_PAIR_SUITES, "--jobs", "2"],
+        "9d55e630aa0deb349f86d45f0d3b0f2ba7d76b9ec8774bf4167667520e06c1ca", *_A5_TABLES),
 }
 
 
-#: table checksums alone, on groups whose verify sweeps are too long for a
-#: gate: (csm checksum, structure checksum), recorded from the localization
-#: build the BGG recursion replaced
+#: table checksums and the CSM export alone, on F4, whose verify sweeps are
+#: too long for a gate, and on A5, whose pair suites are one above: (csm
+#: checksum, structure checksum), recorded from the localization build the
+#: BGG recursion replaced
 LONG_TABLES = {
-    ("A", 5): ("f63511ff6d35d6d8305982ad128721710ccf946e59b6ffa6b1596e419f5fb33a",
-               "51cf6727481531e9fd72487e95ccab8c9ab43409ad96128a50a5feade5f85db7"),
+    ("A", 5): _A5_TABLES,
     ("F", 4): ("9ad6e576da0bff307235ae503f03478a0e3a41c3e02da69e2f4fd8c402ff1dda",
                "441c30677d43a78cf78f2519c7e79b6eace14eb373857b5415c46361e54f898d"),
 }

@@ -231,6 +231,30 @@ def test_absolute_alpha_rows_raise_a_negative_constant(tmp_path, monkeypatch, ca
     _stopped(tmp_path, capsys, "negative cup structure constant at (s1, s1, s2 s1)")
 
 
+def test_raised_constant_breaks_the_symmetry_of_triple_integrals(tmp_path, monkeypatch, capsys):
+    """On A3 (N = 6, T = 4) c_uv^w with u = s1 s2, v = s2 s3 and l(w) = 4
+    lies in a triple of lengths 2, 2 and 2, whose three rows the recursion
+    computes.  Raised by 1 before the fill, it disagrees with the partner
+    row the fill compares it with, and the build stops before `table`
+    writes anything."""
+    real = FlagCohomology._fill_upper
+
+    def raised(self, table, top):
+        u, v = self.group.parse("s1 s2").index, self.group.parse("s2 s3").index
+        w = min(table[u][v])
+        table[u][v] = table[v][u] = {**table[u][v], w: table[u][v][w] + 1}
+        real(self, table, top)
+
+    monkeypatch.setattr(FlagCohomology, "_fill_upper", raised)
+    cache = tmp_path / "cache"
+    assert cli.main(["table", "--type", "A", "--rank", "3", "--cache-dir", str(cache)]) == 2
+    assert capsys.readouterr().err == (
+        "csmverify: internal invariant failure: cup structure constants at (s1 s2, s2 s1, "
+        "s1 s3 s2 s1) and (s1 s2, s2 s3, s1 s2 s3 s2) break the symmetry of triple "
+        "integrals\n")
+    assert not cache.exists()
+
+
 def test_odd_parity_term_fails_richardson_pair(tmp_path, monkeypatch):
     """The class of (s1, e) with eps^{w0} ([X_e]) added has a term of the
     wrong parity: the pair block records the raise as richardson-pair, at
