@@ -20,16 +20,18 @@ c the coefficients of csm(cell w0 u), is seg(cell w0 u), as
 ``segre_schubert_cell`` enforces, so its product with csm(cell w0 v) is
 the Richardson class R of (w0 u, v).
 
-Every w of a pair (u, v) is read off one row, ``chi_row``: R and its
-expansion d sit in the Richardson calculator's held row, w0 u, and the
-CSM calculator holds a column index of its cell table, x -> [(w, c)] with
-c the coefficient at eps^x of csm(cell w).  The triple-sum row adds
-R[y] c over (w, c) in the column at w0 y, for y in R, and signs each entry
-by l(w) - l(u) - l(v); the expansion row is {w0 x: d[x]}.  cross-paths
-compares the two rows at every w, conjD reads the expansion row alone, and
-``box_product`` reads one row, cross-validated at every w of length at
-least l(u) + l(v); both find the w where the paths disagree by one scan,
-``ChiRow.disagreements``.  ``chi`` and the per-path readers read one
+Every w of a pair (u, v) is read off one row, ``chi_row``: R, its peeled
+expansion d and its triple sum sit in the Richardson calculator's held
+row, w0 u.  The triple sum adds R[y] c over (w, c) in the column at w0 y
+of the CSM calculator's column index, for y in R (x -> [(w, c)], c the
+coefficient at eps^x of csm(cell w)); conjC's duality read of R shares
+it (``RichardsonCalculator._triple_sum``).  The triple-sum row signs each
+entry by l(w) - l(u) - l(v); the expansion row is {w0 x: d[x]}.
+cross-paths compares the two rows at every w; conjD reads the expansion
+row for its values and compares its sign verdict with the duality read of
+R; and ``box_product`` reads one row, cross-validated at every w of length
+at least l(u) + l(v); both find the w where the paths disagree by one
+scan, ``ChiRow.disagreements``.  ``chi`` and the per-path readers read one
 triple of a row; ``chi_via_pairing`` alone pairs R with seg(cell w)
 directly, and no check reads it.  This calculator holds no state.
 
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from .cohomology import CohomologyClass, _slot_bits
 from .errors import PathDisagreement
 from .richardson import RichardsonCalculator
-from .rootdata import WeylElement, parity_sign
+from .rootdata import WeylElement
 
 #: associativity is not computed when the filtered cube exceeds this; it
 #: stays at 250,000, because moving it would change which reports read
@@ -114,23 +116,15 @@ class BoxCalculator:
 
     # -- the two paths, each over every w of a pair, by element index -------------
 
-    def _richardson(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
-        """The Richardson class of (w0 u, v), which the triple sum reads."""
-        return self.rich.csm_richardson(self.group.w0_times(u), v).coeffs
-
-    def _triple_sum_row(self, u: WeylElement, v: WeylElement,
-                        cls: dict[int, int]) -> dict[int, int]:
+    def _triple_sum_row(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
         """Triple sum of CSM coefficients against triple integrals: the pairing
-        of csm(cell w) with the Richardson class, sum over y of cls[y] c for
-        (w, c) in the CSM column at w0 y, signed by the dimension
-        l(w) - l(u) - l(v); nonzero entries by w."""
-        group, columns = self.group, self.csm.cell_columns()
-        w0, lengths, base = group._w0, group._lengths, u.length + v.length
-        out: dict[int, int] = {}
-        for y, r in cls.items():
-            for w, c in columns[w0[y]]:
-                out[w] = out.get(w, 0) + r * c
-        return {w: parity_sign(lengths[w] - base) * c for w, c in out.items() if c}
+        of csm(cell w) with the Richardson class of (w0 u, v), signed by the
+        dimension l(w) - l(u) - l(v); nonzero entries by w.  Read off the
+        Richardson row's signed sum (``RichardsonCalculator._triple_sum``)
+        at w0*w, whose sign is this one."""
+        r, w0 = self.group.w0_times(u), self.group._w0
+        cls = self.rich.csm_richardson(r, v).coeffs
+        return {w0[x]: c for x, c in self.rich._triple_sum(r, v, cls).items()}
 
     def expansion_row(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
         """Coefficient at w0*w of the CSM-basis expansion of the Richardson
@@ -142,15 +136,14 @@ class BoxCalculator:
     def chi_row(self, u: WeylElement, v: WeylElement) -> ChiRow:
         """Both paths for every w of the pair (u, v), unconditionally."""
         self.coh._check(u, v)
-        return ChiRow(self._triple_sum_row(u, v, self._richardson(u, v)),
-                      self.expansion_row(u, v))
+        return ChiRow(self._triple_sum_row(u, v), self.expansion_row(u, v))
 
     # -- per-triple readers ----------------------------------------------------------
 
     def chi_via_triple_sum(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
         """The triple-sum path at one triple."""
         self.coh._check(u, v, w)
-        return self._triple_sum_row(u, v, self._richardson(u, v)).get(w.index, 0)
+        return self._triple_sum_row(u, v).get(w.index, 0)
 
     def chi_via_pairing(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
         """Integral of the Richardson class of (w0 u, v) against the Segre
@@ -158,7 +151,8 @@ class BoxCalculator:
         triple sum given the Segre twist, so no check reads it."""
         self.coh._check(u, v, w)
         seg, w0 = self.csm.segre_schubert_cell(w).coeffs, self.group._w0
-        return sum(r * seg.get(w0[y], 0) for y, r in self._richardson(u, v).items())
+        cls = self.rich.csm_richardson(self.group.w0_times(u), v)
+        return sum(r * seg.get(w0[y], 0) for y, r in cls.coeffs.items())
 
     def chi_via_richardson(self, u: WeylElement, v: WeylElement, w: WeylElement) -> int:
         """The expansion path at one triple."""

@@ -54,12 +54,14 @@ def chunks_checksum(chunks: Iterable[str]) -> str:
 
 
 class _WordKeys:
-    """Each element's key and its JSON-quoted form, the elements in key
-    order (the order of sort_keys), and each element's place in it."""
+    """Each element's key, its JSON-quoted form and that form as an object
+    member's prefix (``"key":``), the elements in key order (the order of
+    sort_keys), and each element's place in it."""
 
     def __init__(self, group):
         keys = [".".join(map(str, word)) for word in group._words]
         self.quoted = [_canonical_json(key) for key in keys]
+        self.member = [quoted + ":" for quoted in self.quoted]
         self.order = sorted(range(group.order), key=keys.__getitem__)
         self.rank = [0] * group.order
         for place, idx in enumerate(self.order):
@@ -68,9 +70,9 @@ class _WordKeys:
         self.row_order = sorted(range(group.order), key=lambda idx: keys[idx] + "|")
 
     def row(self, entries: dict[int, int]) -> str:
-        quoted, rank = self.quoted, self.rank
-        return "{" + ",".join(f"{quoted[w]}:{c}" for w, c in
-                              sorted(entries.items(), key=lambda item: rank[item[0]])) + "}"
+        member = self.member
+        return "{" + ",".join([member[w] + str(entries[w])
+                               for w in sorted(entries, key=self.rank.__getitem__)]) + "}"
 
 
 def structure_chunks(coh) -> Iterator[str]:

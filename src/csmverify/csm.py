@@ -2,7 +2,9 @@
 
 The cell classes are generated from the point class by the involutive
 operators T_i = A_i - s_i, where A_i is the homological BGG operator and
-s_i the coinvariant Weyl action.  The letters of a reduced word are applied
+s_i the coinvariant Weyl action; T_i is one pass over the class, and the
+theorem checks compare it with A_i and s_i through their relations.  The
+letters of a reduced word are applied
 first to last, building the element by right multiplication; the CSM
 export records this order.  Every cell class is checked against its
 positivity, support and normalization invariants as it is built, and the
@@ -21,6 +23,11 @@ c(T) . seg = csm(cell u), a batch of classes packed into signed slots of
 one int per element (Kronecker substitution; D. Harvey, J. Symbolic
 Comput. 44, 2009); c(T) is invertible, so this is the same identity, and
 only the ``chern-inverse`` check of theorem-invariants computes the inverse.
+
+The cell table is also indexed by column (``cell_columns``), for the
+columns up to a given length, which is what the triple sums read; the
+duality between CSM and Segre cell classes that conjC's read rests on is
+checked through that index, packed the same way (``segre_duality``).
 """
 
 from __future__ import annotations
@@ -45,7 +52,9 @@ class CsmCalculator:
         self._tangent_inverse: CohomologyClass | None = None
         self._factors: tuple[list, int] | None = None
         self._segre_cells: dict[int, CohomologyClass] = {}
-        self._cell_columns: list | None = None
+        self._cell_columns: tuple[int, list] | None = None
+        #: the widest reach at which ``segre_duality`` was asked, None before
+        self.dual_reach: int | None = None
 
     # -- operators -------------------------------------------------------------
 
@@ -77,8 +86,22 @@ class CsmCalculator:
         return CohomologyClass(group, out)
 
     def dl_operator(self, i: int, a: CohomologyClass) -> CohomologyClass:
-        """T_i = A_i - s_i; squares to the identity and satisfies braid."""
-        return self.bgg_A(i, a) - self.weyl_action(i, a)
+        """T_i = A_i - s_i; squares to the identity and satisfies braid.  One
+        pass over the class: T_i eps^w = -eps^w, plus eps^t + alpha_i . eps^t
+        when t = w s_i is shorter."""
+        self.coh._check(a)
+        self.group.check_letter(i)
+        right, lengths = self.group._right, self.group._lengths
+        alpha = self.coh._alpha_row(i - 1)
+        out: dict[int, int] = {}
+        for w, c in a.coeffs.items():
+            out[w] = out.get(w, 0) - c
+            t = right[w][i - 1]
+            if lengths[t] < lengths[w]:
+                out[t] = out.get(t, 0) + c
+                for z, m in alpha[t].items():
+                    out[z] = out.get(z, 0) + c * m
+        return CohomologyClass(self.group, out)
 
     # -- cell classes ------------------------------------------------------------
 
@@ -262,13 +285,68 @@ class CsmCalculator:
         for u in self.group:
             self.csm_schubert_cell(u)
 
-    def cell_columns(self) -> list[tuple[tuple[int, int], ...]]:
-        """The CSM cell table by column: entry x lists (w, c) for every
-        nonzero coefficient c at eps^x of csm(cell w), w ascending."""
-        if self._cell_columns is None:
-            columns: list[list[tuple[int, int]]] = [[] for _ in range(self.group.order)]
-            for u in self.group:
-                for x, c in self.csm_schubert_cell(u).coeffs.items():
-                    columns[x].append((u.index, c))
-            self._cell_columns = [tuple(col) for col in columns]
-        return self._cell_columns
+    def cell_columns(self, reach: int | None = None) -> list[tuple[tuple[int, ...], ...]]:
+        """The CSM cell table by column, for the columns x of length at most
+        reach (N by default): entry x is the pair of tuples (ws, cs), the w
+        ascending and the c, for every nonzero coefficient c at eps^x of
+        csm(cell w), read as zip(ws, cs) (two tuples take a quarter of the
+        memory of one pair per entry); a longer column is empty unless a
+        wider index was built before.  csm(cell w) lives on the x with
+        w0*x <= w, so only the cells of length at least N - reach fill these
+        columns.  The widest index built is kept."""
+        group = self.group
+        top = group.num_positive
+        reach = top if reach is None else min(reach, top)
+        if self._cell_columns is None or self._cell_columns[0] < reach:
+            lengths = group._lengths
+            ws: list[list[int]] = [[] for _ in range(group.order)]
+            cs: list[list[int]] = [[] for _ in range(group.order)]
+            for w in range(group.order):
+                if lengths[w] >= top - reach:
+                    for x, c in self._cell_idx(w).coeffs.items():
+                        if lengths[x] <= reach:
+                            ws[x].append(w)
+                            cs[x].append(c)
+            self._cell_columns = reach, [(tuple(a), tuple(b)) for a, b in zip(ws, cs)]
+        return self._cell_columns[1]
+
+    def segre_duality(self, reach: int | None = None) -> None:
+        """Check AMSS duality, the integral of csm(cell x) . seg(cell w0*z) is
+        1 if x = z and 0 otherwise, for x and z of length at most reach (N by
+        default), through the column index the duality read of
+        ``RichardsonCalculator.csm_basis_coeffs`` uses.  That read pairs a
+        class with every seg(cell w0*z) at once, as the sum over its terms y
+        of (-1)^(l(w0 y) - l(z)) times the entries (w0*z, c) of the column
+        at w0*y; applied to csm(cell x) it must give 1 at z = x and 0
+        elsewhere.  Packed like ``segre_cells``: Q[t], for each column t of
+        length at most reach, holds (-1)^(N - l(w)) c in a signed k-bit
+        slot for each of its entries (w, c), one slot per cell w the
+        columns name, and sum_y (-1)^(l(w0 y)) csm(cell x)[y] Q[w0*y] must
+        be the single 1 in the slot of w0*x.  Each slot of the difference
+        is at most l1 big + 1, l1 the largest L1 norm of those cell classes
+        and big the largest entry of those columns, faulty or not, so
+        k = ``_slot_bits(l1, big)`` keeps it exact.  The cells of length at
+        most reach are a unitriangular basis of the classes whose terms y
+        all have l(w0*y) <= reach, so on such a class the read is the
+        CSM-basis expansion.  Records reach for that read before checking;
+        a failure raises InternalInvariantError naming the first cell x."""
+        group = self.group
+        top, lengths, w0 = group.num_positive, group._lengths, group._w0
+        reach = top if reach is None else min(reach, top)
+        self.dual_reach = max(self.dual_reach or 0, reach)
+        columns = self.cell_columns(reach)
+        ts = [t for t in range(group.order) if lengths[t] <= reach]
+        slot = {w: j for j, w in enumerate(sorted({w for t in ts for w in columns[t][0]}))}
+        cells = [self._cell_idx(x).coeffs for x in ts]
+        k = _slot_bits(max(sum(map(abs, cell.values())) for cell in cells),
+                       max((abs(c) for t in ts for c in columns[t][1]), default=0))
+        packed = [0] * group.order
+        for t in ts:
+            packed[t] = sum(parity_sign(top - lengths[w]) * c << k * slot[w]
+                            for w, c in zip(*columns[t]))
+        for x, cell in zip(ts, cells):
+            got = sum(parity_sign(lengths[w0[y]]) * c * packed[w0[y]] for y, c in cell.items())
+            if w0[x] not in slot or got != 1 << k * slot[w0[x]]:
+                raise InternalInvariantError(
+                    f"CSM and Segre cell classes break AMSS duality at the cell of "
+                    f"{group.elements[x]}")

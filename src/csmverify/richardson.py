@@ -10,15 +10,26 @@ The left factor depends only on the row u, so the products of a row go
 through two multipliers (see ``cohomology.Multiplier``): L_u, times
 seg(cell u), for the class and the twisted Segre product, and M_u, times
 csm(cell u), for the mirror product.  Their columns fill on first use and
-are reused across the row.  A row's record holds them and the classes
-and expansions of its pairs; only one row is held, the row of the current
-sweep unit, so memory grows with |W|, not with the pairs a run visits.
+are reused across the row.  A row's record holds them and the classes,
+peeled expansions and triple sums of its pairs; only one row is held, the
+row of the current sweep unit, so memory grows with |W|, not with the
+pairs a run visits.
+
+A class has two CSM-basis expansions.  ``csm_basis_coeffs``, which conjC
+reads, takes it by AMSS duality (Aluffi, Mihalcea, Schuermann and Su,
+arXiv:1709.08697), the integral of csm(cell x) . seg(cell w0*z) being 1
+if x = z and 0 otherwise: the coefficient of csm(cell x) is a signed
+entry of the class's triple sum, the sum that the chi rows' triple-sum
+path reads too, so each class is summed once.  ``expand_in_csm_basis``,
+the unitriangular peel, stays the independent path of the chi rows'
+expansion and of the cell classes' own expansions.
 
 Proved facts are hard assertions here: the parity constraint on the
-coefficients against the Schubert-variety basis, and the sign condition on
-the twisted Segre expansion.  The nonnegativity of the coefficients and
-the alternating-sign pattern of the CSM-basis expansion are open
-statements: they are recorded on the result, never raised.
+coefficients against the Schubert-variety basis (checked again by the
+duality read, with the length bound of its duality check), and the sign
+condition on the twisted Segre expansion.  The nonnegativity of the
+coefficients and the alternating-sign pattern of the CSM-basis expansion
+are open statements: they are recorded on the result, never raised.
 """
 
 from __future__ import annotations
@@ -51,15 +62,16 @@ class RichardsonCalculator:
         self.group = csm.group
         self._rows: dict[int, tuple] = {}
 
-    def _row(self, ui: int) -> tuple[Multiplier, Multiplier, dict, dict]:
-        """Row u's record (L_u, M_u, classes by v, expansions by v).  Only one
-        is held: asking for another row drops it."""
+    def _row(self, ui: int) -> tuple[Multiplier, Multiplier, dict, dict, dict]:
+        """Row u's record (L_u, M_u, classes by v, expansions by v, triple
+        sums by v).  Only one is held: asking for another row drops it."""
         rec = self._rows.get(ui)
         if rec is None:
             self._rows.clear()
             u = self.group.elements[ui]
             rec = self._rows[ui] = (Multiplier(self.coh, self.csm.segre_schubert_cell(u)),
-                                    Multiplier(self.coh, self.csm.csm_schubert_cell(u)), {}, {})
+                                    Multiplier(self.coh, self.csm.csm_schubert_cell(u)),
+                                    {}, {}, {})
         return rec
 
     def csm_richardson(self, u: WeylElement, v: WeylElement) -> CohomologyClass:
@@ -72,7 +84,7 @@ class RichardsonCalculator:
         product vanishes of its own accord.
         """
         self.coh._check(u, v)
-        times_seg, times_csm, classes, _ = self._row(u.index)
+        times_seg, times_csm, classes, _, _ = self._row(u.index)
         out = classes.get(v.index)
         if out is not None:
             return out
@@ -143,17 +155,69 @@ class RichardsonCalculator:
         return d
 
     def csm_basis_coeffs(self, u: WeylElement, v: WeylElement) -> Coefficients:
-        """Expansion of a Richardson class, with the entries that break the
+        """CSM-basis expansion of a Richardson class, read by duality
+        (``_dual_expansion``), with the entries that break the
         alternating-sign pattern (-1)^(l(w)-l(u)-l(v)) d_w >= 0."""
         self.coh._check(u, v)
-        d = self._expansion(u, v)
-        group = self.group
-        base = u.length + v.length
+        d = self._dual_expansion(u, v)
+        lengths, base = self.group._lengths, u.length + v.length
         violations = [(w, val) for w, val in sorted(d.items())
-                      if parity_sign(group._lengths[w] - base) * val < 0]
+                      if parity_sign(lengths[w] - base) * val < 0]
         return Coefficients(dict(d), violations)
 
+    def _dual_expansion(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
+        """The coefficient d_x of csm(cell x) in the Richardson class R of
+        (u, v), by AMSS duality the integral of R . seg(cell w0*x): by the
+        Segre twist the signed triple sum of R at x (``_triple_sum``), the
+        row record's dict itself.  Exact when every term y of R has the
+        proved parity and l(w0*y) at most the reach of the duality check
+        (``CsmCalculator.segre_duality``, run at N first if no run has asked
+        for it); a term that breaks either raises.  R lives in the
+        Schubert variety of u, so under a length filter its terms stay
+        within it."""
+        csm, group = self.csm, self.group
+        if csm.dual_reach is None:
+            csm.segre_duality()
+        reach, base, lengths, w0 = csm.dual_reach, u.length + v.length, group._lengths, group._w0
+        cls = self.csm_richardson(u, v).coeffs
+        for y in cls:
+            length = lengths[w0[y]]
+            if (length + base) & 1:
+                raise ParityViolation(f"odd-parity coefficient in Richardson cell ({u}, {v})")
+            if length > reach:
+                raise SingularSystem(f"Richardson cell ({u}, {v}) has a term at "
+                                     f"[X_{group.elements[w0[y]]}], beyond the duality "
+                                     f"check's length {reach}")
+        return self._triple_sum(u, v, cls, reach)
+
+    def _triple_sum(self, u: WeylElement, v: WeylElement, cls: dict[int, int],
+                    reach: int | None = None) -> dict[int, int]:
+        """The triple sum of the Richardson class R of (u, v), whose
+        coefficients cls the caller has read, signed and keyed as a
+        CSM-basis expansion: at x, (-1)^(l(u) + l(v) - l(x)) times the sum
+        over the terms y of R of R[y] c, c the coefficient at eps^(w0 y) of
+        csm(cell w0*x), from the column at w0*y of
+        ``CsmCalculator.cell_columns(reach)``, so every term y must have
+        l(w0*y) <= reach; nonzero entries by x.  Relabelled by x -> w0*x it
+        is the chi row's triple-sum row, whose dimension sign is this one.
+        Kept in the row record, where conjC's read and the chi row share
+        it."""
+        sums = self._row(u.index)[4]
+        out = sums.get(v.index)
+        if out is None:
+            group, columns = self.group, self.csm.cell_columns(reach)
+            w0, lengths, base = group._w0, group._lengths, u.length + v.length
+            acc: dict[int, int] = {}
+            for y, r in cls.items():
+                for w, c in zip(*columns[w0[y]]):
+                    acc[w] = acc.get(w, 0) + r * c
+            out = sums[v.index] = {w0[w]: parity_sign(base - lengths[w0[w]]) * c
+                                   for w, c in acc.items() if c}
+        return out
+
     def _expansion(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
+        """The peeled expansion of the Richardson class of (u, v), kept in
+        the row record."""
         expansions = self._row(u.index)[3]
         d = expansions.get(v.index)
         if d is None:

@@ -16,14 +16,18 @@ Suite semantics
   Schubert-variety basis.  Every filtered pair is recorded (|F|^2 for F the
   filtered elements); negatives are findings.
 * ``conjC``: alternating signs of the CSM-basis expansions of Richardson
-  classes.  Every filtered pair is recorded; violations are findings.
+  classes, read by AMSS duality off each class's triple sum
+  (``RichardsonCalculator.csm_basis_coeffs``).  Every filtered pair is
+  recorded; violations are findings.
 * ``conjD``: sign of the deformed-product structure constants against the
   intersection dimension, over all filtered triples, plus the graded
   comparison with the cup product (hard) and the per-pair equivalence with
-  the conjC verdict (hard).  The equivalence reads the sign pass's own
-  expansion, of R(w0*u, v), with a sign base of the same parity term by
-  term, so it fails only where an entry below the threshold
-  (l(w) < l(u) + l(v)) has the wrong sign; no pair of A3, B3 or G2 has one.
+  the conjC verdict (hard).  The sign pass reads the chi row's peeled
+  expansion of R(w0*u, v), the conjC verdict the duality read of the same
+  class, with a sign base of the same parity term by term, so it fails
+  only where an entry below the threshold (l(w) < l(u) + l(v)) has the
+  wrong sign, or where the two computations differ; no pair of A3, B3 or
+  G2 has one.
 * ``cross-paths``: the two Euler-characteristic formulas, the triple sum
   and the CSM-basis expansion, agree on every filtered triple (hard); the
   pairing with a Segre cell class equals both by the Segre twist and
@@ -44,8 +48,13 @@ from disk.  A unit holds one Richardson row and nothing else; box
 associativity builds its own table of box rows.  Before the sweep the
 parent builds the Segre classes the units read in one batch
 (``CsmCalculator.segre_cells``), seg(cell r) for every unit row r and
-seg(cell w0*v) for every filtered v, and before a pool forks the CSM cell
-table by column for cross-paths, so no worker builds what every unit reads.
+seg(cell w0*v) for every filtered v; the CSM cell table by column, for
+the columns of length at most L (the filter when no chi suite runs, N
+otherwise), when a suite reads triple sums; and, when conjC or conjD
+reads the duality, it checks AMSS duality on the cells of length at most
+L (``CsmCalculator.segre_duality``), once per run: a failure is a
+``csm-segre-duality`` hard failure of each of those suites and adds no
+instance.  So no worker builds what every unit reads.
 
 Every pair-level suite computes one pair of each symmetry orbit: the
 least kept Richardson pair, by (row, column) index, and records its
@@ -287,6 +296,8 @@ _RECORD_STEPS = {"theorem-invariants": _record_theorem_pair,
 #: suites that check every w for each (u, v) pair, on the chi row of the
 #: pair; the pair suites check the Richardson pair (u, v) itself
 _TRIPLE_SUITES = frozenset({"conjD", "cross-paths"})
+#: suites that read CSM-basis expansions by duality (``csm_basis_coeffs``)
+_DUALITY_SUITES = frozenset({"conjC", "conjD"})
 
 
 # -- symmetry orbits ----------------------------------------------------------------
@@ -468,6 +479,22 @@ def _run_suites(engines: Engines, names, max_length: int | None,
     # the Segre classes the units read, in one batch; a failing one is left to its steps
     with suppress(InternalInvariantError):
         engines.csm.segre_cells([*units, *(group._w0[v] for v in filtered)])
+    # the column index the triple sums read, up to L, and the duality check
+    # of the read, before any fork (see the module docstring); after the
+    # element block, so the index reuses the memory that block freed
+    # instead of adding to the peak
+    requested = set(names)
+    reach = group.num_positive if max_length is None or requested & _TRIPLE_SUITES \
+        else min(max_length, group.num_positive)
+    if requested & _DUALITY_SUITES:
+        try:
+            engines.csm.segre_duality(reach)        # builds the column index
+        except InternalInvariantError as exc:
+            for name in requested & _DUALITY_SUITES:
+                results[name].hard(_entry("csm-segre-duality", error=str(exc)))
+    elif "cross-paths" in requested:
+        with suppress(InternalInvariantError):      # left to the steps that read it
+            engines.csm.cell_columns(reach)
     workers = pool_size(jobs, len(units))
     ctx = None
     if workers > 1:
@@ -477,11 +504,6 @@ def _run_suites(engines: Engines, names, max_length: int | None,
     if ctx is None:
         parts = [_sweep_unit(engines, sweep, r) for r in units]
     else:
-        # what every unit reads and none owns (see the module docstring); a
-        # build that raises is left to the steps that read it, to record
-        if "cross-paths" in names:
-            with suppress(InternalInvariantError):
-                engines.csm.cell_columns()
         global _WORKER_ENGINES, _WORKER_SWEEP
         _WORKER_ENGINES, _WORKER_SWEEP = engines, sweep
         try:

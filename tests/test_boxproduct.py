@@ -9,6 +9,7 @@ from csmverify.boxproduct import BoxCalculator, ChiProvenance, _slot_bits
 from csmverify.cohomology import CohomologyClass, Multiplier
 from csmverify.csm import CsmCalculator
 from csmverify.errors import PathDisagreement
+from csmverify.richardson import RichardsonCalculator
 from csmverify.rootdata import parity_sign
 from csmverify.verify import _run_suites, build_engines, materialize_tables
 
@@ -190,12 +191,15 @@ def test_cell_column_mutation_fails_cross_paths(engines, monkeypatch, tmp_path):
     whose Richardson class R of (w0 u, v) is nonzero at w0 x: cross-paths
     fails there and nowhere else, and box_product on such a pair raises.
     The expansion path reads the cell classes, not the column index, so the
-    check is independent of it."""
+    check is independent of it.  The last box_product runs on a Richardson
+    calculator of its own, so the triple sums it keeps leave the shared
+    stack's rows as they were."""
     stack = engines("B", 2)
     g, rich = stack.group, stack.rich
     x, w = g.parse("s1 s2"), g.parse("s1 s2 s1")
     columns = list(stack.csm.cell_columns())
-    columns[x.index] = tuple((wi, c + (wi == w.index)) for wi, c in columns[x.index])
+    ws, cs = columns[x.index]
+    columns[x.index] = ws, tuple(c + (wi == w.index) for wi, c in zip(ws, cs))
     assert columns != stack.csm.cell_columns()
     expected = []
     for u in g:
@@ -208,7 +212,7 @@ def test_cell_column_mutation_fails_cross_paths(engines, monkeypatch, tmp_path):
                                  "error": f"triple-sum {moved}, expansion {chi}"})
     assert 0 < len(expected) < len(g.elements) ** 2
 
-    monkeypatch.setattr(CsmCalculator, "cell_columns", lambda self: columns)
+    monkeypatch.setattr(CsmCalculator, "cell_columns", lambda self, reach=None: columns)
     out = tmp_path / "report.json"
     assert cli.main(["verify", "--type", "B", "--rank", "2", "--suite", "cross-paths",
                      "--output", str(out)]) == 2
@@ -221,7 +225,7 @@ def test_cell_column_mutation_fails_cross_paths(engines, monkeypatch, tmp_path):
     assert w.length >= u.length + v.length
     with pytest.raises(PathDisagreement, match=rf"^chi\({u}, {v}, {w}\): triple-sum -?\d+, "
                                                r"expansion -?\d+$"):
-        BoxCalculator(rich).box_product(u, v)
+        BoxCalculator(RichardsonCalculator(stack.csm)).box_product(u, v)
 
 
 def test_cross_paths_builds_only_the_segre_classes_it_reads():

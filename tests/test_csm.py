@@ -3,7 +3,14 @@ from functools import reduce
 import pytest
 
 from csmverify.cohomology import CohomologyClass, Multiplier
-from csmverify.errors import CalibrationFailure, CsmVerifyError, GroupMismatch
+from csmverify.csm import CsmCalculator
+from csmverify.errors import (
+    CalibrationFailure,
+    CsmVerifyError,
+    GroupMismatch,
+    InternalInvariantError,
+)
+from csmverify.verify import build_engines
 
 
 def _csm(engines, series, rank):
@@ -69,6 +76,17 @@ def test_dl_examples(engines):
     assert c2.dl_operator(1, c2.coh.schubert_class(g2.longest)) == c2.coh.from_dict({
         g2.from_word([1, 2]): 1, g2.longest: 1,
     })
+
+
+@pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("G", 2)])
+def test_dl_operator_is_bgg_minus_weyl(engines, key):
+    """T_i, computed in one pass of its own, equals A_i - s_i on every basis
+    class and every letter."""
+    csm = _csm(engines, *key)
+    for i in range(1, csm.group.rank + 1):
+        for w in csm.group:
+            basis = csm.coh.schubert_class(w)
+            assert csm.dl_operator(i, basis) == csm.bgg_A(i, basis) - csm.weyl_action(i, basis)
 
 
 @pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
@@ -301,3 +319,39 @@ def test_opposite_cell_examples(engines):
     # definition unfold: translate by the longest element
     assert c2.csm_opposite_cell(s2) == c2.csm_schubert_cell(g2.w0_times(s2))
     assert g2.w0_times(s2) == g2.from_word([2, 1])
+
+
+# -- the column index and AMSS duality ------------------------------------------------
+
+@pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("G", 2)])
+def test_column_index_is_the_cell_table_cut_by_length(key):
+    """At every reach, a fresh index holds exactly the columns of length at
+    most reach of the CSM cell table, read off the cell classes, and the
+    duality check passes there."""
+    stack = build_engines(*key)
+    g = stack.group
+    cells = [stack.csm.csm_schubert_cell(w).coeffs for w in g]
+    table = [[(w, cell[x]) for w, cell in enumerate(cells) if x in cell] for x in range(g.order)]
+    for reach in range(g.num_positive + 1):
+        csm = CsmCalculator(stack.coh)
+        assert [list(zip(*col)) for col in csm.cell_columns(reach)] \
+            == [col if g._lengths[x] <= reach else [] for x, col in enumerate(table)]
+        csm.segre_duality(reach)
+        assert csm.dual_reach == reach
+    assert csm.cell_columns(1) is csm.cell_columns()
+
+
+def test_one_entry_off_fails_the_duality_check(monkeypatch):
+    """Each entry of the index, one unit off, fails the duality check at
+    every reach that reads its column, naming a cell; on A3 all the same."""
+    stack = build_engines("A", 3)
+    g, real = stack.group, CsmCalculator.cell_columns
+    table = list(real(CsmCalculator(stack.coh)))
+    for x, (ws, cs) in enumerate(table):
+        for j in range(len(ws)):
+            columns = list(table)
+            columns[x] = ws, (*cs[:j], cs[j] + 1, *cs[j + 1:])
+            monkeypatch.setattr(CsmCalculator, "cell_columns", lambda self, reach=None: columns)
+            for reach in range(g._lengths[x], g.num_positive + 1):
+                with pytest.raises(InternalInvariantError, match="break AMSS duality at the cell"):
+                    CsmCalculator(stack.coh).segre_duality(reach)

@@ -288,7 +288,7 @@ def _same_parity_fault(monkeypatch, blind_mirror: bool) -> None:
         g, csm = self.group, self.csm
         if ui != g.parse("s1 s2 s1").index:
             return rec
-        times_seg, times_csm, classes, expansions = rec
+        times_seg, times_csm, *held = rec
         v0, top = g.simple_reflection(1), 2 * self.coh.schubert_class(g.longest)
 
         def shifted(op, arg):
@@ -296,7 +296,7 @@ def _same_parity_fault(monkeypatch, blind_mirror: bool) -> None:
 
         return (shifted(times_seg, csm.csm_opposite_cell(v0)),
                 shifted(times_csm, csm.segre_opposite_cell(v0)) if blind_mirror
-                else times_csm, classes, expansions)
+                else times_csm, *held)
 
     monkeypatch.setattr(RichardsonCalculator, "_row", faulty)
 
@@ -332,23 +332,91 @@ def test_same_parity_class_fault_is_seen_by_the_mirror_alone(tmp_path, monkeypat
 
 
 def test_failed_expansion_fails_csm_basis_expansion(tmp_path, monkeypatch):
-    """A CSM-basis expansion of the point class that fails its residual
-    check fails conjC alone through csm-basis-expansion, at the pairs whose
-    class it is: (u, u) for every u."""
-    real = RichardsonCalculator.expand_in_csm_basis
+    """A CSM-basis expansion of the point class that fails, in conjC's
+    duality read, fails conjC alone through csm-basis-expansion, at the
+    pairs whose class it is: (u, u) for every u."""
+    real = RichardsonCalculator._dual_expansion
 
-    def failing(self, a):
-        if a == self.coh.schubert_class(self.group.longest):
+    def failing(self, u, v):
+        if self.csm_richardson(u, v) == self.coh.schubert_class(self.group.longest):
             raise SingularSystem("CSM-basis expansion residual is nonzero")
-        return real(self, a)
+        return real(self, u, v)
 
-    monkeypatch.setattr(RichardsonCalculator, "expand_in_csm_basis", failing)
+    monkeypatch.setattr(RichardsonCalculator, "_dual_expansion", failing)
     rc, report = _run(tmp_path, "conjC")
     assert rc == 2
     words = ["e", "s1", "s2", "s1 s2", "s2 s1", "s1 s2 s1"]
     assert report["suites"]["conjC"]["hard_failures"] == [
         {"check": "csm-basis-expansion", "u": w, "v": w,
          "error": "CSM-basis expansion residual is nonzero"} for w in words]
+
+
+def test_wrong_column_entry_fails_csm_segre_duality(tmp_path, monkeypatch):
+    """The coefficient at eps^{s1} of csm(cell s1 s2), 1, one unit off in
+    the column index alone: the duality check, which reads the index
+    conjC's read uses, fails once per run, and is conjC's one hard
+    failure."""
+    real = CsmCalculator.cell_columns
+
+    def off(self, reach=None):
+        columns = list(real(self, reach))
+        x, w = self.group.parse("s1").index, self.group.parse("s1 s2").index
+        ws, cs = columns[x]
+        assert (w, 1) in zip(ws, cs)
+        columns[x] = ws, tuple(c + (wi == w) for wi, c in zip(ws, cs))
+        return columns
+
+    monkeypatch.setattr(CsmCalculator, "cell_columns", off)
+    rc, report = _run(tmp_path, "conjC")
+    assert rc == 2
+    assert report["suites"]["conjC"]["hard_failures"] == [
+        {"check": "csm-segre-duality",
+         "error": "CSM and Segre cell classes break AMSS duality at the cell of s1"}]
+
+
+def _extra_term(monkeypatch, label: str) -> None:
+    """The class of (s1, e) on A2 given eps^label in addition, a term the
+    pair block would see but a conjC run does not run."""
+    real = RichardsonCalculator.csm_richardson
+
+    def extra(self, u, v):
+        out = real(self, u, v)
+        if u.word == (1,) and v.length == 0:
+            return out + self.coh.schubert_class(self.group.parse(label))
+        return out
+
+    monkeypatch.setattr(RichardsonCalculator, "csm_richardson", extra)
+
+
+def test_term_beyond_the_filter_fails_csm_basis_expansion(tmp_path, monkeypatch):
+    """Under --max-length 1 the duality is checked on the cells of length at
+    most 1, and the class of (s1, e) lives in the Schubert variety of s1.
+    Given eps^e, [X_w0], a term of the pair's parity beyond the filter, it
+    is refused by conjC's read: a hard failure at the pair and its sigma
+    copy (s2, e), and no finding."""
+    _extra_term(monkeypatch, "e")
+    argv = ["verify", "--type", "A", "--rank", "2", "--suite", "conjC", "--max-length", "1",
+            "--output", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 2
+    suite = json.loads((tmp_path / "report.json").read_text())["suites"]["conjC"]
+    error = ("Richardson cell (s1, e) has a term at [X_s1 s2 s1], beyond the duality "
+             "check's length 1")
+    assert suite["violations"] == []
+    assert suite["hard_failures"] == [
+        {"check": "csm-basis-expansion", "u": u, "v": "e", "error": error} for u in ("s1", "s2")]
+
+
+def test_wrong_parity_term_fails_csm_basis_expansion(tmp_path, monkeypatch):
+    """The class of (s1, e) given eps^{w0}, the point class, a term of the
+    wrong parity: conjC alone refuses it in its read, at the pair and its
+    copies."""
+    _extra_term(monkeypatch, "s1 s2 s1")
+    rc, report = _run(tmp_path, "conjC")
+    assert rc == 2
+    assert _checks(report, "conjC") == {"csm-basis-expansion"}
+    assert {"check": "csm-basis-expansion", "u": "s1", "v": "e",
+            "error": "odd-parity coefficient in Richardson cell (s1, e)"} \
+        in report["suites"]["conjC"]["hard_failures"]
 
 
 def test_unbalanced_tangent_class_fails_completeness(tmp_path, monkeypatch):
@@ -425,14 +493,21 @@ def test_wrong_twist_in_one_cell_fails_its_cell_invariants(tmp_path, monkeypatch
 def test_wrong_bgg_of_the_unit_fails_the_bgg_and_dl_relations(tmp_path, monkeypatch):
     """A_i(eps^e) made eps^{w0} in place of 0, on a class that no cell
     recursion reaches, fails A_i^2 = 0 and the braid relation of the A_i,
-    and those of T_i = A_i - s_i."""
-    real = CsmCalculator.bgg_A
+    and those of T_i = A_i - s_i.  T_i is computed in a pass of its own,
+    so the fault goes into it too: T_i(eps^e) gains eps^{w0}."""
+    real, real_dl = CsmCalculator.bgg_A, CsmCalculator.dl_operator
 
     def wrong(self, i, a):
         return self.coh.schubert_class(self.group.longest) if a == self.coh.unit() \
             else real(self, i, a)
 
+    def wrong_dl(self, i, a):
+        out = real_dl(self, i, a)
+        return out + self.coh.schubert_class(self.group.longest) if a == self.coh.unit() \
+            else out
+
     monkeypatch.setattr(CsmCalculator, "bgg_A", wrong)
+    monkeypatch.setattr(CsmCalculator, "dl_operator", wrong_dl)
     rc, report = _run(tmp_path, "theorem-invariants")
     assert rc == 2
     assert _checks(report, "theorem-invariants") \
@@ -441,15 +516,22 @@ def test_wrong_bgg_of_the_unit_fails_the_bgg_and_dl_relations(tmp_path, monkeypa
 
 def test_wrong_reflection_of_the_unit_fails_the_weyl_and_dl_relations(tmp_path, monkeypatch):
     """s_1(eps^e) given an extra eps^{w0} fails s_1^2 = id and the braid
-    relation of the s_i, and those of the T_i."""
-    real = CsmCalculator.weyl_action
+    relation of the s_i, and those of the T_i.  T_i is computed in a pass
+    of its own, so the fault goes into it too: T_1(eps^e) loses eps^{w0}."""
+    real, real_dl = CsmCalculator.weyl_action, CsmCalculator.dl_operator
 
     def wrong(self, i, a):
         out = real(self, i, a)
         return out + self.coh.schubert_class(self.group.longest) \
             if i == 1 and a == self.coh.unit() else out
 
+    def wrong_dl(self, i, a):
+        out = real_dl(self, i, a)
+        return out - self.coh.schubert_class(self.group.longest) \
+            if i == 1 and a == self.coh.unit() else out
+
     monkeypatch.setattr(CsmCalculator, "weyl_action", wrong)
+    monkeypatch.setattr(CsmCalculator, "dl_operator", wrong_dl)
     rc, report = _run(tmp_path, "theorem-invariants")
     assert rc == 2
     assert _checks(report, "theorem-invariants") \

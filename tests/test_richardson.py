@@ -92,7 +92,7 @@ def test_row_operators_match_double_loop(engines, product_oracle, key):
     rich, csm, coh = stack.rich, stack.csm, stack.coh
     for u in rich.group:
         seg_u, csm_u = csm.segre_schubert_cell(u), csm.csm_schubert_cell(u)
-        times_seg, times_csm, _, _ = rich._row(u.index)
+        times_seg, times_csm, _, _, _ = rich._row(u.index)
         for v in rich.group:
             seg_v, csm_v = csm.segre_opposite_cell(v), csm.csm_opposite_cell(v)
             richardson = product_oracle(coh, seg_u, csm_v)
@@ -104,19 +104,21 @@ def test_row_operators_match_double_loop(engines, product_oracle, key):
 
 
 def test_second_row_drops_the_first(engines):
-    """A row record holds L_u, M_u and the row's classes and expansions;
-    asking for a second row drops the held one, whatever it holds."""
+    """A row record holds L_u, M_u and the row's classes, expansions and
+    triple sums; asking for a second row drops the held one, whatever it
+    holds."""
     rich = _rich(engines, "A", 3)
     g = rich.group
     rich._rows.clear()
     for v in g:
         rich.csm_basis_coeffs(g.elements[3], v)
+        rich._expansion(g.elements[3], v)
     assert list(rich._rows) == [3]
-    _, _, classes, expansions = rich._rows[3]
-    assert len(classes) == len(expansions) == g.order
+    _, _, classes, expansions, sums = rich._rows[3]
+    assert len(classes) == len(expansions) == len(sums) == g.order
     rich.verify_lemma_e(g.elements[g._w0[3]], g.identity)
     assert list(rich._rows) == [g._w0[3]]
-    assert rich._rows[g._w0[3]][2:] == ({}, {})
+    assert rich._rows[g._w0[3]][2:] == ({}, {}, {})
 
 
 def test_corrupt_mirror_operator_is_caught(monkeypatch, tmp_path, capsys):
@@ -125,10 +127,10 @@ def test_corrupt_mirror_operator_is_caught(monkeypatch, tmp_path, capsys):
     real = RichardsonCalculator._row
 
     def corrupted(self, ui):
-        times_seg, times_csm, classes, expansions = real(self, ui)
+        times_seg, times_csm, *held = real(self, ui)
         off = CohomologyClass(self.group, {self.group.longest.index: 7})
         # every mirror product M_u . seg(w0 v) gains 7 eps^{w0}
-        return times_seg, lambda b: times_csm(b) + off, classes, expansions
+        return times_seg, lambda b: times_csm(b) + off, *held
 
     monkeypatch.setattr(RichardsonCalculator, "_row", corrupted)
     stack = build_engines("A", 2)
@@ -259,6 +261,42 @@ def test_expand_unitriangularity(engines):
             for w, c in d.items():
                 if c:
                     assert g.bruhat_leq(g.elements[w], u)
+
+
+@pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("G", 2),
+                                 pytest.param(("A", 4), marks=pytest.mark.long),
+                                 pytest.param(("B", 4), marks=pytest.mark.long)],
+                         ids=lambda key: f"{key[0]}{key[1]}")
+def test_duality_read_equals_the_peel(key):
+    """conjC's expansion, read by duality off the triple sum, equals the
+    unitriangular peel of the same class on every Richardson pair; a fresh
+    stack, so the duality check runs at N."""
+    stack = build_engines(*key)
+    materialize_tables(stack)
+    g, rich = stack.group, stack.rich
+    for u in g:
+        for v in g:
+            assert rich.csm_basis_coeffs(u, v).coeffs \
+                == rich.expand_in_csm_basis(rich.csm_richardson(u, v)), (u, v)
+    assert stack.csm.dual_reach == g.num_positive
+
+
+def test_duality_read_refuses_a_term_beyond_the_check():
+    """Checked at length 1 on A3, the read expands the classes whose terms
+    all lie within length 1 and refuses one with a longer term, and no
+    check at N runs after it."""
+    stack = build_engines("A", 3)
+    materialize_tables(stack)
+    g, rich = stack.group, stack.rich
+    stack.csm.segre_duality(1)
+    s1 = g.simple_reflection(1)
+    assert rich.csm_basis_coeffs(s1, g.identity).coeffs \
+        == rich.expand_in_csm_basis(rich.csm_richardson(s1, g.identity))
+    u = g.parse("s1 s2")
+    with pytest.raises(SingularSystem, match=r"^Richardson cell \(s1 s2, e\) has a term at "
+                                             r"\[X_s1 s2\], beyond the duality check's length 1$"):
+        rich.csm_basis_coeffs(u, g.identity)
+    assert stack.csm.dual_reach == 1
 
 
 @pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("C", 2), ("G", 2)])

@@ -262,6 +262,40 @@ def test_workers_build_no_shared_segre_class(tmp_path, monkeypatch):
     assert {i for _, i in builds} == filtered | {group._w0[i] for i in filtered}
 
 
+@pytest.mark.parametrize("suites,reach", [(["conjB", "conjC"], 2), (["conjC", "cross-paths"], 9),
+                                          (["cross-paths"], None)])
+def test_parent_builds_the_columns_and_checks_duality_once(tmp_path, monkeypatch, suites, reach):
+    """Under --jobs 2 on B3 (N = 9) up to length 2, the parent builds the
+    column index once, before it forks, for the columns of length at most
+    L, L the filter when no chi suite runs and N otherwise, and checks AMSS
+    duality once at L when conjC or conjD reads it; no worker builds a
+    column or checks again.  cross-paths alone checks no duality."""
+    import csmverify.verify as verify_mod
+
+    log = tmp_path / "calls"
+    real_columns, real_duality = CsmCalculator.cell_columns, CsmCalculator.segre_duality
+
+    def columns(self, reach=None):
+        if self._cell_columns is None or self._cell_columns[0] < (reach or 0):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} columns {reach}\n")
+        return real_columns(self, reach)
+
+    def duality(self, reach=None):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} duality {reach}\n")
+        return real_duality(self, reach)
+
+    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(CsmCalculator, "cell_columns", columns)
+    monkeypatch.setattr(CsmCalculator, "segre_duality", duality)
+    report = run_verification("B", 3, suites=suites, max_length=2, jobs=2)
+    assert report.exit_code == 0
+    width = reach or 9
+    assert log.read_text().splitlines() == (
+        [f"{os.getpid()} duality {reach}"] if reach else []) + [f"{os.getpid()} columns {width}"]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_unbuilt_segre_class_fails_the_same_pairs(tmp_path, monkeypatch, jobs):
     """seg(cell w0*s1) made to raise on A3: the parent's build before the
