@@ -123,8 +123,7 @@ class BoxCalculator:
         Richardson row's signed sum (``RichardsonCalculator._triple_sum``)
         at w0*w, whose sign is this one."""
         r, w0 = self.group.w0_times(u), self.group._w0
-        cls = self.rich.csm_richardson(r, v).coeffs
-        return {w0[x]: c for x, c in self.rich._triple_sum(r, v, cls).items()}
+        return {w0[x]: c for x, c in self.rich._triple_sum(r, v).items()}
 
     def expansion_row(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
         """Coefficient at w0*w of the CSM-basis expansion of the Richardson

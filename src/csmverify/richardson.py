@@ -25,8 +25,9 @@ the unitriangular peel, stays the independent path of the chi rows'
 expansion and of the cell classes' own expansions.
 
 Proved facts are hard assertions here: the parity constraint on the
-coefficients against the Schubert-variety basis (checked again by the
-duality read, with the length bound of its duality check), and the sign
+coefficients against the Schubert-variety basis, checked where the class is
+made, before the row keeps it, so every class the row holds has it; the
+length bound of the duality check, at each duality read; and the sign
 condition on the twisted Segre expansion.  The nonnegativity of the
 coefficients and the alternating-sign pattern of the CSM-basis expansion
 are open statements: they are recorded on the result, never raised.
@@ -80,39 +81,35 @@ class RichardsonCalculator:
         Computed as segre(cell u) . csm(opposite cell v) by the row
         operator L_u and cross-checked against the mirror product
         csm(cell u) . segre(opposite cell v) by M_u; disagreement raises
-        MirrorMismatch.  If v is not below u the cell is empty and the
-        product vanishes of its own accord.
+        MirrorMismatch.  Its coefficient c_w against [X_w] = eps^{w0 w}
+        vanishes unless l(w) + l(u) + l(v) is even, a proved constraint: a
+        term that breaks it raises ParityViolation.  Only a class that
+        passes both enters the row.  If v is not below u the cell is empty
+        and the product vanishes of its own accord.
         """
         self.coh._check(u, v)
         times_seg, times_csm, classes, _, _ = self._row(u.index)
         out = classes.get(v.index)
         if out is not None:
             return out
-        csm = self.csm
+        csm, lengths, w0 = self.csm, self.group._lengths, self.group._w0
         out = times_seg(csm.csm_opposite_cell(v))
         mirror = times_csm(csm.segre_opposite_cell(v))
         if out != mirror:
             raise MirrorMismatch(
                 f"mirror product mismatch for Richardson cell ({u}, {v})"
             )
+        if any((lengths[w0[y]] + u.length + v.length) & 1 for y in out.coeffs):
+            raise ParityViolation(f"odd-parity coefficient in Richardson cell ({u}, {v})")
         classes[v.index] = out
         return out
 
     def richardson_coeffs(self, u: WeylElement, v: WeylElement) -> Coefficients:
-        """Read the coefficients c_w against [X_w] = eps^{w0 w}.
-
-        Parity (coefficients vanish unless l(w)+l(u)+l(v) is even) is a
-        proved constraint: a violation raises ParityViolation.  A negative
-        coefficient is a reportable finding, recorded in ``violations``.
-        """
-        cls = self.csm_richardson(u, v)
-        group = self.group
-        c: dict[int, int] = {}
-        for eps_label, val in cls.coeffs.items():
-            w = group._w0[eps_label]
-            if (group._lengths[w] + u.length + v.length) % 2 != 0:
-                raise ParityViolation(f"odd-parity coefficient in Richardson cell ({u}, {v})")
-            c[w] = val
+        """Read the coefficients c_w against [X_w] = eps^{w0 w}, whose
+        parity ``csm_richardson`` checks.  A negative coefficient is a
+        reportable finding, recorded in ``violations``."""
+        w0 = self.group._w0
+        c = {w0[y]: val for y, val in self.csm_richardson(u, v).coeffs.items()}
         return Coefficients(c, sorted((w, val) for w, val in c.items() if val < 0))
 
     def expand_in_csm_basis(self, a: CohomologyClass) -> dict[int, int]:
@@ -170,41 +167,38 @@ class RichardsonCalculator:
         (u, v), by AMSS duality the integral of R . seg(cell w0*x): by the
         Segre twist the signed triple sum of R at x (``_triple_sum``), the
         row record's dict itself.  Exact when every term y of R has the
-        proved parity and l(w0*y) at most the reach of the duality check
-        (``CsmCalculator.segre_duality``, run at N first if no run has asked
-        for it); a term that breaks either raises.  R lives in the
-        Schubert variety of u, so under a length filter its terms stay
-        within it."""
+        proved parity, which ``csm_richardson`` checks, and l(w0*y) at most
+        the reach of the duality check (``CsmCalculator.segre_duality``, run
+        at N first if no run has asked for it); a term beyond it raises here,
+        at each read, since a chi row may have made the sum at full reach.
+        R lives in the Schubert variety of u, so under a length filter its
+        terms stay within it."""
         csm, group = self.csm, self.group
         if csm.dual_reach is None:
             csm.segre_duality()
-        reach, base, lengths, w0 = csm.dual_reach, u.length + v.length, group._lengths, group._w0
-        cls = self.csm_richardson(u, v).coeffs
-        for y in cls:
-            length = lengths[w0[y]]
-            if (length + base) & 1:
-                raise ParityViolation(f"odd-parity coefficient in Richardson cell ({u}, {v})")
-            if length > reach:
+        reach, lengths, w0 = csm.dual_reach, group._lengths, group._w0
+        for y in self.csm_richardson(u, v).coeffs:
+            if lengths[w0[y]] > reach:
                 raise SingularSystem(f"Richardson cell ({u}, {v}) has a term at "
                                      f"[X_{group.elements[w0[y]]}], beyond the duality "
                                      f"check's length {reach}")
-        return self._triple_sum(u, v, cls, reach)
+        return self._triple_sum(u, v, reach)
 
-    def _triple_sum(self, u: WeylElement, v: WeylElement, cls: dict[int, int],
+    def _triple_sum(self, u: WeylElement, v: WeylElement,
                     reach: int | None = None) -> dict[int, int]:
-        """The triple sum of the Richardson class R of (u, v), whose
-        coefficients cls the caller has read, signed and keyed as a
-        CSM-basis expansion: at x, (-1)^(l(u) + l(v) - l(x)) times the sum
-        over the terms y of R of R[y] c, c the coefficient at eps^(w0 y) of
-        csm(cell w0*x), from the column at w0*y of
+        """The triple sum of the Richardson class R of (u, v), signed and
+        keyed as a CSM-basis expansion: at x, (-1)^(l(u) + l(v) - l(x)) times
+        the sum over the terms y of R of R[y] c, c the coefficient at
+        eps^(w0 y) of csm(cell w0*x), from the column at w0*y of
         ``CsmCalculator.cell_columns(reach)``, so every term y must have
         l(w0*y) <= reach; nonzero entries by x.  Relabelled by x -> w0*x it
         is the chi row's triple-sum row, whose dimension sign is this one.
         Kept in the row record, where conjC's read and the chi row share
-        it."""
+        it; R is read from the row only to make it."""
         sums = self._row(u.index)[4]
         out = sums.get(v.index)
         if out is None:
+            cls = self.csm_richardson(u, v).coeffs
             group, columns = self.group, self.csm.cell_columns(reach)
             w0, lengths, base = group._w0, group._lengths, u.length + v.length
             acc: dict[int, int] = {}

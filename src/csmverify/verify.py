@@ -168,11 +168,11 @@ class SuiteResult:
     elapsed: float = 0.0
 
     def hard(self, entry: dict) -> None:
-        """Count a hard failure; list it while fewer than
-        HARD_FAILURE_LIST_CAP are listed."""
+        """Count a hard failure and list it.  A list is cut to the first
+        HARD_FAILURE_LIST_CAP where tallies fold: each copy of a computed
+        pair once it is relabelled, a unit, the merge, and the global block."""
         self.hard_failure_count += 1
-        if len(self.hard_failures) < HARD_FAILURE_LIST_CAP:
-            self.hard_failures.append(entry)
+        self.hard_failures.append(entry)
 
     @property
     def status(self) -> str:
@@ -211,8 +211,7 @@ def pool_size(jobs: int, units: int) -> int:
 def _record_theorem_pair(engines: Engines, out: SuiteResult, u, v) -> None:
     group, rich, pair = engines.group, engines.rich, (u.index, v.index)
     try:
-        cls = rich.csm_richardson(u, v)           # mirror agreement inside
-        rich.richardson_coeffs(u, v)              # parity inside
+        cls = rich.csm_richardson(u, v)           # mirror agreement and parity inside
         rich.verify_lemma_e(u, v)                 # sign condition inside
         if not group.bruhat_leq(v, u) and cls:
             out.hard(_entry("empty-cell", *pair, error="empty Richardson cell has nonzero class"))
@@ -436,7 +435,8 @@ def _sweep_unit(engines: Engines, sweep: _Sweep, r: int) -> dict[str, SuiteResul
                 for (x, y), k in [((r, vi), 0), *copies.items()]:
                     image = (us[x], y)
                     tally.violations += sweep.relabel(pair.violations, image, k)
-                    tally.hard_failures += sweep.relabel(pair.hard_failures, image, k)
+                    tally.hard_failures += sweep.relabel(pair.hard_failures, image,
+                                                         k)[:HARD_FAILURE_LIST_CAP]
     for tally in out.values():
         tally.violations = _in_pair_order(tally.violations)
         tally.hard_failures = _in_pair_order(tally.hard_failures, HARD_FAILURE_LIST_CAP)
@@ -518,9 +518,8 @@ def _run_suites(engines: Engines, names, max_length: int | None,
             result.hard_failure_count += tally.hard_failure_count
             result.elapsed += tally.elapsed
         result.violations += _in_pair_order([e for t in tallies for e in t.violations])
-        result.hard_failures += _in_pair_order(
-            [e for t in tallies for e in t.hard_failures],
-            HARD_FAILURE_LIST_CAP - len(result.hard_failures))
+        result.hard_failures = (result.hard_failures + _in_pair_order(
+            [e for t in tallies for e in t.hard_failures]))[:HARD_FAILURE_LIST_CAP]
 
     if theorem is not None:
         start = clock()
@@ -572,6 +571,7 @@ def _theorem_globals(engines: Engines, out: SuiteResult) -> int:
         if not ok:      # detail: a message, or a function formatting it
             text = detail() if callable(detail) else detail
             out.hard(_entry(name, error=text or "identity fails"))
+            del out.hard_failures[HARD_FAILURE_LIST_CAP:]     # up to |W|^2 checks fail
 
     try:
         check(csm.completeness_check(), "completeness",

@@ -1,6 +1,7 @@
 import pytest
 
 from csmverify.cohomology import CohomologyClass
+from csmverify.richardson import RichardsonCalculator
 from csmverify.verify import build_engines, materialize_tables
 
 _STACKS = {}
@@ -19,6 +20,48 @@ def engines():
         return _STACKS[key]
 
     return get
+
+
+@pytest.fixture(autouse=True)
+def _drop_held_rows():
+    """Drop the held Richardson row of every shared stack when a test ends,
+    so that no test reads a row filled under another test's monkeypatch."""
+    yield
+    for stack in _STACKS.values():
+        stack.rich._rows.clear()
+
+
+@pytest.fixture
+def class_fault(monkeypatch):
+    """inject(u, v, coeff=1, term=None, mirror=True) adds coeff eps^term
+    (term a word, w0's by default: the point class) to the Richardson class
+    of the pair of words (u, v), inside the held row's operators: to
+    L_u . csm(w0 v) after the product, and, when mirror, to M_u . seg(w0 v)
+    as well, so that the mirror product agrees with the faulty class and
+    the checks made after the mirror comparison see the fault."""
+
+    def inject(u, v, coeff=1, term=None, mirror=True):
+        real = RichardsonCalculator._row
+
+        def faulty(self, ui):
+            rec = real(self, ui)
+            g, csm = self.group, self.csm
+            if ui != g.parse(u).index:
+                return rec
+            times_seg, times_csm, *held = rec
+            vi = g.parse(v)
+            extra = coeff * self.coh.schubert_class(g.longest if term is None else g.parse(term))
+
+            def shifted(op, arg):
+                return lambda a: op(a) + extra if a == arg else op(a)
+
+            return (shifted(times_seg, csm.csm_opposite_cell(vi)),
+                    shifted(times_csm, csm.segre_opposite_cell(vi)) if mirror else times_csm,
+                    *held)
+
+        monkeypatch.setattr(RichardsonCalculator, "_row", faulty)
+
+    return inject
 
 
 @pytest.fixture(scope="session")

@@ -255,50 +255,17 @@ def test_raised_constant_breaks_the_symmetry_of_triple_integrals(tmp_path, monke
     assert not cache.exists()
 
 
-def test_odd_parity_term_fails_richardson_pair(tmp_path, monkeypatch):
+def test_odd_parity_term_fails_richardson_pair(tmp_path, class_fault):
     """The class of (s1, e) with eps^{w0} ([X_e]) added has a term of the
     wrong parity: the pair block records the raise as richardson-pair, at
     the pair and at its orbit's copies, under the computed pair's words."""
-    real = RichardsonCalculator.csm_richardson
-
-    def odd(self, u, v):
-        out = real(self, u, v)
-        if u.word == (1,) and v.length == 0:
-            return out + self.coh.schubert_class(self.group.longest)
-        return out
-
-    monkeypatch.setattr(RichardsonCalculator, "csm_richardson", odd)
+    class_fault("s1", "e")
     rc, report = _run(tmp_path, "theorem-invariants")
     assert rc == 2
     assert _checks(report, "theorem-invariants") == {"richardson-pair"}
     assert {"check": "richardson-pair", "u": "s1", "v": "e",
             "error": "odd-parity coefficient in Richardson cell (s1, e)"} \
         in report["suites"]["theorem-invariants"]["hard_failures"]
-
-
-def _same_parity_fault(monkeypatch, blind_mirror: bool) -> None:
-    """+2 eps^{w0} in the class of (s1 s2 s1, s1) on A3, a term of the pair's
-    parity: added to L_u . csm(w0 v) after the product and before the mirror
-    comparison, and, when blind_mirror, to M_u . seg(w0 v) as well, so that
-    the mirror product agrees with the faulty class."""
-    real = RichardsonCalculator._row
-
-    def faulty(self, ui):
-        rec = real(self, ui)
-        g, csm = self.group, self.csm
-        if ui != g.parse("s1 s2 s1").index:
-            return rec
-        times_seg, times_csm, *held = rec
-        v0, top = g.simple_reflection(1), 2 * self.coh.schubert_class(g.longest)
-
-        def shifted(op, arg):
-            return lambda a: op(a) + top if a == arg else op(a)
-
-        return (shifted(times_seg, csm.csm_opposite_cell(v0)),
-                shifted(times_csm, csm.segre_opposite_cell(v0)) if blind_mirror
-                else times_csm, *held)
-
-    monkeypatch.setattr(RichardsonCalculator, "_row", faulty)
 
 
 def _run_a3_all(tmp_path):
@@ -308,14 +275,17 @@ def _run_a3_all(tmp_path):
     return rc, json.loads(out.read_text())
 
 
-def test_same_parity_class_fault_is_seen_by_the_mirror_alone(tmp_path, monkeypatch):
+def test_same_parity_class_fault_is_seen_by_the_mirror_alone(tmp_path, monkeypatch,
+                                                               class_fault):
     """A fault in one Richardson class that keeps its parity is caught by the
     mirror product and by nothing else.  With the mirror, verify --suite all
     on A3 exits 2: theorem-invariants names richardson-pair, and every hard
     failure of every suite is the mirror's raise, recorded by the steps that
     read the class.  With the mirror product given the same fault, every
-    suite passes with no finding, so no other check guards it."""
-    _same_parity_fault(monkeypatch, blind_mirror=False)
+    suite passes with no finding, so no other check guards it.  The fault is
+    +2 eps^{w0} in the class of (s1 s2 s1, s1), a term of the pair's
+    parity, given to the mirror product too in the second run."""
+    class_fault("s1 s2 s1", "s1", coeff=2, mirror=False)
     rc, report = _run_a3_all(tmp_path)
     assert rc == 2
     assert _checks(report, "theorem-invariants") == {"richardson-pair"}
@@ -325,7 +295,7 @@ def test_same_parity_class_fault_is_seen_by_the_mirror_alone(tmp_path, monkeypat
         == {"mirror product mismatch for Richardson cell (s1 s2 s1, s1)"}
 
     monkeypatch.undo()
-    _same_parity_fault(monkeypatch, blind_mirror=True)
+    class_fault("s1 s2 s1", "s1", coeff=2)
     rc, report = _run_a3_all(tmp_path)
     assert rc == 0
     assert all(s["status"] == "PASS" for s in report["suites"].values())
@@ -374,27 +344,13 @@ def test_wrong_column_entry_fails_csm_segre_duality(tmp_path, monkeypatch):
          "error": "CSM and Segre cell classes break AMSS duality at the cell of s1"}]
 
 
-def _extra_term(monkeypatch, label: str) -> None:
-    """The class of (s1, e) on A2 given eps^label in addition, a term the
-    pair block would see but a conjC run does not run."""
-    real = RichardsonCalculator.csm_richardson
-
-    def extra(self, u, v):
-        out = real(self, u, v)
-        if u.word == (1,) and v.length == 0:
-            return out + self.coh.schubert_class(self.group.parse(label))
-        return out
-
-    monkeypatch.setattr(RichardsonCalculator, "csm_richardson", extra)
-
-
-def test_term_beyond_the_filter_fails_csm_basis_expansion(tmp_path, monkeypatch):
+def test_term_beyond_the_filter_fails_csm_basis_expansion(tmp_path, class_fault):
     """Under --max-length 1 the duality is checked on the cells of length at
     most 1, and the class of (s1, e) lives in the Schubert variety of s1.
     Given eps^e, [X_w0], a term of the pair's parity beyond the filter, it
     is refused by conjC's read: a hard failure at the pair and its sigma
     copy (s2, e), and no finding."""
-    _extra_term(monkeypatch, "e")
+    class_fault("s1", "e", term="e")
     argv = ["verify", "--type", "A", "--rank", "2", "--suite", "conjC", "--max-length", "1",
             "--output", str(tmp_path / "report.json")]
     assert cli.main(argv) == 2
@@ -406,11 +362,11 @@ def test_term_beyond_the_filter_fails_csm_basis_expansion(tmp_path, monkeypatch)
         {"check": "csm-basis-expansion", "u": u, "v": "e", "error": error} for u in ("s1", "s2")]
 
 
-def test_wrong_parity_term_fails_csm_basis_expansion(tmp_path, monkeypatch):
+def test_wrong_parity_term_fails_csm_basis_expansion(tmp_path, class_fault):
     """The class of (s1, e) given eps^{w0}, the point class, a term of the
-    wrong parity: conjC alone refuses it in its read, at the pair and its
-    copies."""
-    _extra_term(monkeypatch, "s1 s2 s1")
+    wrong parity: the class refuses it where conjC's read makes it, at the
+    pair and its copies."""
+    class_fault("s1", "e")
     rc, report = _run(tmp_path, "conjC")
     assert rc == 2
     assert _checks(report, "conjC") == {"csm-basis-expansion"}

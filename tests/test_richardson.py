@@ -175,14 +175,26 @@ def test_parity_exhaustive(engines, key):
                     assert (g.elements[w].length + u.length + v.length) % 2 == 0
 
 
-def test_parity_violation_raises(engines, monkeypatch):
+def test_parity_violation_raises(engines, class_fault):
     rich = _rich(engines, "A", 1)
     g = rich.group
     s, e = g.simple_reflection(1), g.identity
-    bad = rich.coh.from_dict({e: 1, s: 1})  # mixed parity coefficients
-    monkeypatch.setattr(rich, "csm_richardson", lambda u, v: bad)
+    class_fault("s1", "e")  # eps^e + eps^s: mixed parity coefficients
     with pytest.raises(ParityViolation):
         rich.richardson_coeffs(s, e)
+
+
+def test_failing_class_never_enters_the_row(engines, class_fault):
+    """A class of the wrong parity raises where it is made, and the row does
+    not keep it: the next read makes it again, and raises again."""
+    rich = _rich(engines, "A", 2)
+    g = rich.group
+    s1, e = g.simple_reflection(1), g.identity
+    class_fault("s1", "e")
+    for _ in range(2):
+        with pytest.raises(ParityViolation, match=r"Richardson cell \(s1, e\)"):
+            rich.csm_richardson(s1, e)
+        assert e.index not in rich._rows[s1.index][2]
 
 
 @pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("C", 2), ("G", 2), ("A", 3)])
