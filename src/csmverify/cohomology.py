@@ -51,6 +51,21 @@ def _slot_bits(l1: int, big: int) -> int:
     return (2 * l1 * big).bit_length() + 1
 
 
+def _pack(classes: list[dict[int, int]], k: int, order: int) -> list[int]:
+    """Classes given by their nonzero coefficients, packed into one int per
+    element index below order, the j-th class in the signed k-bit slot j:
+    out[y] = sum_j classes[j][y] 2^(k j), joined by halves, so that no int
+    grows slot by slot."""
+    if len(classes) == 1:
+        out = [0] * order
+        for y, c in classes[0].items():
+            out[y] = c
+        return out
+    half = len(classes) // 2
+    return [a + (b << k * half) for a, b in zip(_pack(classes[:half], k, order),
+                                                _pack(classes[half:], k, order))]
+
+
 def _pairs(by_length: list[list[int]], totals: range, least: int):
     """The index pairs u <= v with l(u) + l(v) in totals and l(u) >= least,
     in order of l(u) + l(v), then of l(u), from the indices by length."""
@@ -142,7 +157,10 @@ class Multiplier:
     l(u) + l(v) <= N, so a term eps^v of b longer than N minus the factor's
     least length (``reach``) contributes nothing and fills no column, and a
     column stops at the first factor term longer than N - l(v).  The
-    factor's terms are held sorted by length, as (l(u), u, c)."""
+    factor's terms are held sorted by length, as (l(u), u, c).  ``apply``
+    runs the same loop on bare coefficients, which may be classes packed
+    into one int per element (Kronecker substitution): each column entry
+    is then one multiply-add for every class at once."""
 
     __slots__ = ("coh", "factor", "terms", "reach", "columns")
 
@@ -158,11 +176,16 @@ class Multiplier:
 
     def __call__(self, b: CohomologyClass) -> CohomologyClass:
         """factor . b"""
+        self.coh._check(b)
+        return CohomologyClass(self.coh.group, self.apply(b.coeffs))
+
+    def apply(self, coeffs: dict[int, int]) -> dict[int, int]:
+        """factor . b on b's coefficients by element index; an entry of the
+        result may be 0."""
         coh, columns, terms, reach = self.coh, self.columns, self.terms, self.reach
-        coh._check(b)
         lengths = coh.group._lengths
         out: dict[int, int] = {}
-        for vi, cv in b.coeffs.items():
+        for vi, cv in coeffs.items():
             if lengths[vi] > reach:
                 continue
             col = columns.get(vi)
@@ -170,14 +193,15 @@ class Multiplier:
                 col = columns[vi] = coh._column(terms, vi)
             for wi, c in col.items():
                 out[wi] = out.get(wi, 0) + cv * c
-        return CohomologyClass(coh.group, out)
+        return out
 
 
 class FlagCohomology:
     """Multiplication engine for one flag manifold.
 
     The structure table ``_table`` is None or complete and checked: built
-    before the first product, and read by index as ``_table[u][v]``.  All
+    before the first product, and read by index as ``_table[u][v]``;
+    ``max_constant`` is its largest constant once built.  All
     tables are immutable once filled and may be read concurrently; the fill
     itself is single-threaded per instance.
     """
@@ -186,6 +210,7 @@ class FlagCohomology:
         self.group = group
         self._alpha: dict[int, list[dict[int, int]]] = {}
         self._table: list[list[dict[int, int]]] | None = None
+        self.max_constant = 0
 
     # -- basic class constructors ---------------------------------------------
 
@@ -293,12 +318,15 @@ class FlagCohomology:
         its eps^y term is the constant at y s_i.  A letter outside
         desc(u) | desc(v) has d_i(eps^u . eps^v) = 0, so it is no right
         descent of any w in the product; a nonzero term at a y that s_i
-        shortens raises.  Every empty pair shares one empty dict."""
+        shortens raises.  Every empty pair shares one empty dict.  The
+        largest constant is kept as ``max_constant``, found as each one is
+        written: the fill above T only copies constants, so no other pass
+        reads them."""
         group = self.group
         empty: dict[int, int] = {}
         table = [[empty] * group.order for _ in range(group.order)]
         n, lengths, right, els = group.num_positive, group._lengths, group._right, group.elements
-        top = 2 * n // 3
+        top, big = 2 * n // 3, 1      # the unit rows' constant
         alpha = [self._alpha_row(i) for i in range(group.rank)]
         descents = [{i: t for i, t in enumerate(right[x]) if lengths[t] < lengths[x]}
                     for x in range(group.order)]
@@ -330,10 +358,13 @@ class FlagCohomology:
                     if c < 0:
                         raise InternalInvariantError("negative cup structure constant at "
                                                      f"({els[ui]}, {els[vi]}, {els[w]})")
+                    if c > big:
+                        big = c
                     out[w] = c
             if out:
                 table[ui][vi] = table[vi][ui] = dict(sorted(out.items()))
         self._fill_upper(table, top)
+        self.max_constant = big
         return table
 
     def _fill_upper(self, table: list[list[dict[int, int]]], top: int) -> None:

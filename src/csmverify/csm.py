@@ -32,7 +32,7 @@ checked through that index, packed the same way (``segre_duality``).
 
 from __future__ import annotations
 
-from .cohomology import CohomologyClass, FlagCohomology, _slot_bits
+from .cohomology import CohomologyClass, FlagCohomology, _pack, _slot_bits
 from .errors import CalibrationFailure, InternalInvariantError
 from .rootdata import WeylElement, parity_sign
 
@@ -234,15 +234,8 @@ class CsmCalculator:
                   for u, cell in zip(todo, cells)]
         k = _slot_bits(max(sum(map(abs, c.values())) for c in (*cells, *twists)),
                        self._root_factors()[1])
-
-        def packed(classes):        # joined by halves, so that no int grows slot by slot
-            if len(classes) == 1:
-                return self._dense(classes[0])
-            half = len(classes) // 2
-            return [a + (b << k * half)
-                    for a, b in zip(packed(classes[:half]), packed(classes[half:]))]
-
-        whole = self._times_tangent(packed(twists)) == packed(cells)
+        whole = (self._times_tangent(_pack(twists, k, group.order))
+                 == _pack(cells, k, group.order))
         failed = []
         for u, seg, cell in zip(todo, twists, cells):
             if whole or self._times_tangent(self._dense(seg)) == self._dense(cell):

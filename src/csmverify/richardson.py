@@ -15,6 +15,14 @@ peeled expansions and triple sums of its pairs; only one row is held, the
 row of the current sweep unit, so memory grows with |W|, not with the
 pairs a run visits.
 
+A sweep unit also makes every class of its row at once (``pack_cells``,
+``packed_products``): the cell classes of the w0*v, v filtered, packed
+along v into one int per element, one signed slot per v (Kronecker
+substitution; D. Harvey, J. Symbolic Comput. 44, 2009), so the row's
+operators make all of its classes, mirror products and lemma-E products
+in one product each, on the pack cut to the slots the unit reads
+(``PackedCells.prefix``).
+
 A class has two CSM-basis expansions.  ``csm_basis_coeffs``, which conjC
 reads, takes it by AMSS duality (Aluffi, Mihalcea, Schuermann and Su,
 arXiv:1709.08697), the integral of csm(cell x) . seg(cell w0*z) being 1
@@ -37,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import CohomologyClass, Multiplier
+from .cohomology import CohomologyClass, Multiplier, _pack, _slot_bits
 from .csm import CsmCalculator
 from .errors import LemmaViolation, MirrorMismatch, ParityViolation, SingularSystem
 from .rootdata import WeylElement, parity_sign
@@ -52,6 +60,66 @@ class Coefficients:
 
     coeffs: dict[int, int]
     violations: list[tuple[int, int]]
+
+
+@dataclass
+class PackedCells:
+    """The classes csm(cell w0*v) and seg(cell w0*v) of a sweep's filtered
+    v, packed along v: csm[y] = sum_j csm(cell w0*v_j)[y] 2^(k j) and seg[y]
+    the same from seg(cell w0*v_j), nonzero entries by element index, the
+    class of v in the signed k-bit slot slot[v].  bias holds 2^(k-1) in
+    every slot.  reach is the length up to which the triple sums of the
+    classes read the cell columns (``CsmCalculator.dual_reach``), or None
+    when the width k does not provide for them."""
+
+    k: int
+    slot: dict[int, int]
+    csm: dict[int, int]
+    seg: dict[int, int]
+    bias: int
+    reach: int | None
+
+    def read(self, packed: int, j: int) -> int:
+        """Slot j of a packed int each of whose slots is below 2^(k-1) in
+        size.  With the bias added every slot holds x + 2^(k-1), in
+        [0, 2^k), so no slot borrows from the next."""
+        k = self.k
+        return ((packed + self.bias) >> k * j & (1 << k) - 1) - (1 << k - 1)
+
+    def unpack(self, packed: dict[int, int], vs) -> list[dict[int, int]]:
+        """The slots of the v in vs of a dict of packed ints, each as the
+        dict of its nonzero entries, read as ``read`` reads them."""
+        k, bias = self.k, self.bias
+        full, shifts = (1 << k) - 1, [k * self.slot[v] for v in vs]
+        out: list[dict[int, int]] = [{} for _ in shifts]
+        for y, x in packed.items():
+            x += bias
+            for d, shift in zip(out, shifts):
+                if val := (x >> shift & full) - (1 << k - 1):
+                    d[y] = val
+        return out
+
+    def prefix(self, m: int) -> PackedCells:
+        """The pack cut to its first m slots.  Slot j of a packed int x,
+        for j < m, is exact in the low k m bits of x + bias, since each
+        slot there holds x_j + 2^(k-1), in [0, 2^k); so the cut is that,
+        less the bias, and each product on the cut pack costs what m slots
+        cost."""
+        low = (1 << self.k * m) - 1
+        bias = self.bias & low
+
+        def cut(packed):
+            return {y: c for y, x in packed.items() if (c := ((x & low) + bias & low) - bias)}
+
+        return PackedCells(self.k, {v: j for v, j in self.slot.items() if j < m},
+                           cut(self.csm), cut(self.seg), bias, self.reach)
+
+    def mask(self, vs) -> int:
+        """The bits of the slots of the v in vs."""
+        k, full, out = self.k, (1 << self.k) - 1, 0
+        for v in vs:
+            out |= full << k * self.slot[v]
+        return out
 
 
 class RichardsonCalculator:
@@ -102,6 +170,76 @@ class RichardsonCalculator:
         if any((lengths[w0[y]] + u.length + v.length) & 1 for y in out.coeffs):
             raise ParityViolation(f"odd-parity coefficient in Richardson cell ({u}, {v})")
         classes[v.index] = out
+        return out
+
+    def pack_cells(self, filtered: list[int], reach: int | None) -> PackedCells:
+        """Pack the classes of the cells w0*v, v in filtered, for the
+        products ``packed_products`` makes on the rows u in filtered, and,
+        unless reach is None, for their triple sums up to reach.
+        Every class is read through the cell API, so a class that fails
+        its check raises here as it would for a pair made alone.
+
+        The width k.  A slot of A = L_u . Q is
+        sum_y sum_u1 seg(cell u)[u1] c_{u1,y}^w Q_j[y], so it is at most
+        b = l1_in l1_row cmax in size, where l1_in is the largest L1 norm
+        of the packed classes, l1_row that of seg(cell u) and csm(cell u)
+        over the rows, and cmax the largest structure constant
+        (``FlagCohomology.max_constant``); so is a slot of B = M_u . S and
+        of C = L_u . S.  A slot of a triple sum, sum_y A[y] c over the
+        entries c of the cell columns up to reach, is at most |W| big b in
+        size, big the largest entry of those columns.  With
+        k = ``_slot_bits(b, |W| big)`` (big = 1 without sums) every slot
+        of these, faulty inputs or not, and every slot of a difference of
+        two of them, is below 2^(k-1) in size: two such packed ints are
+        equal exactly when every slot is, and each slot reads back exactly
+        (``PackedCells.read``)."""
+        csm, group = self.csm, self.group
+        els = [group.elements[x] for x in filtered]
+        cells = [csm.csm_opposite_cell(v).coeffs for v in els]
+        twists = [csm.segre_opposite_cell(v).coeffs for v in els]
+        l1_in = max(sum(map(abs, c.values())) for c in (*cells, *twists))
+        l1_row = max(sum(map(abs, c.coeffs.values())) for u in els
+                     for c in (csm.segre_schubert_cell(u), csm.csm_schubert_cell(u)))
+        big = 1
+        if reach is not None:
+            entries = max((max(map(abs, cs)) for _, cs in csm.cell_columns(reach) if cs),
+                          default=0)
+            big = group.order * max(entries, 1)
+        k = _slot_bits(l1_in * l1_row * self.coh.max_constant, big)
+        q, s = (_pack(classes, k, group.order) for classes in (cells, twists))
+        return PackedCells(k, {v: j for j, v in enumerate(filtered)},
+                           {y: c for y, c in enumerate(q) if c},
+                           {y: c for y, c in enumerate(s) if c},
+                           sum(1 << k * j + k - 1 for j in range(len(filtered))), reach)
+
+    def packed_products(self, ui: int, pack: PackedCells, lemma: bool):
+        """Row u's products with every packed class at once, through the
+        row record's operators: A = L_u . Q, whose slot of v is the class
+        of (u, v); B = M_u . S, its mirror product; C = L_u . S, the product
+        lemma E twists, when lemma (else None); and T, the triple sums of A
+        (``_column_sums``), when pack.reach is set (else {}).  Each is
+        a dict of its nonzero packed entries by element index."""
+        times_seg, times_csm = self._row(ui)[:2]
+
+        def nonzero(out):
+            return {w: c for w, c in out.items() if c}
+
+        a = nonzero(times_seg.apply(pack.csm))
+        return (a, nonzero(times_csm.apply(pack.seg)),
+                nonzero(times_seg.apply(pack.seg)) if lemma else None,
+                {} if pack.reach is None else self._column_sums(a, pack.reach))
+
+    def _column_sums(self, cls: dict[int, int], reach: int | None) -> dict[int, int]:
+        """sum_y cls[y] c over the entries (w, c) of the column at w0*y of
+        ``CsmCalculator.cell_columns(reach)``, by w, entries that are 0
+        included.  On classes packed along v (``packed_products``) slot j
+        is the unsigned triple sum of the class in slot j, which
+        ``_triple_sum`` signs and keys by w0*w."""
+        columns, w0 = self.csm.cell_columns(reach), self.group._w0
+        out: dict[int, int] = {}
+        for y, x in cls.items():
+            for w, c in zip(*columns[w0[y]]):
+                out[w] = out.get(w, 0) + x * c
         return out
 
     def richardson_coeffs(self, u: WeylElement, v: WeylElement) -> Coefficients:
@@ -172,20 +310,21 @@ class RichardsonCalculator:
         at N first if no run has asked for it); a term beyond it raises here,
         at each read, since a chi row may have made the sum at full reach.
         R lives in the Schubert variety of u, so under a length filter its
-        terms stay within it."""
+        terms stay within it.  R is read once, and handed to the sum."""
         csm, group = self.csm, self.group
         if csm.dual_reach is None:
             csm.segre_duality()
         reach, lengths, w0 = csm.dual_reach, group._lengths, group._w0
-        for y in self.csm_richardson(u, v).coeffs:
+        cls = self.csm_richardson(u, v)
+        for y in cls.coeffs:
             if lengths[w0[y]] > reach:
                 raise SingularSystem(f"Richardson cell ({u}, {v}) has a term at "
                                      f"[X_{group.elements[w0[y]]}], beyond the duality "
                                      f"check's length {reach}")
-        return self._triple_sum(u, v, reach)
+        return self._triple_sum(u, v, reach, cls)
 
-    def _triple_sum(self, u: WeylElement, v: WeylElement,
-                    reach: int | None = None) -> dict[int, int]:
+    def _triple_sum(self, u: WeylElement, v: WeylElement, reach: int | None = None,
+                    cls: CohomologyClass | None = None) -> dict[int, int]:
         """The triple sum of the Richardson class R of (u, v), signed and
         keyed as a CSM-basis expansion: at x, (-1)^(l(u) + l(v) - l(x)) times
         the sum over the terms y of R of R[y] c, c the coefficient at
@@ -194,17 +333,14 @@ class RichardsonCalculator:
         l(w0*y) <= reach; nonzero entries by x.  Relabelled by x -> w0*x it
         is the chi row's triple-sum row, whose dimension sign is this one.
         Kept in the row record, where conjC's read and the chi row share
-        it; R is read from the row only to make it."""
+        it; R, unless the caller has read it (cls), is read from the row
+        only to make it."""
         sums = self._row(u.index)[4]
         out = sums.get(v.index)
         if out is None:
-            cls = self.csm_richardson(u, v).coeffs
-            group, columns = self.group, self.csm.cell_columns(reach)
-            w0, lengths, base = group._w0, group._lengths, u.length + v.length
-            acc: dict[int, int] = {}
-            for y, r in cls.items():
-                for w, c in zip(*columns[w0[y]]):
-                    acc[w] = acc.get(w, 0) + r * c
+            cls = self.csm_richardson(u, v) if cls is None else cls
+            acc = self._column_sums(cls.coeffs, reach)
+            w0, lengths, base = self.group._w0, self.group._lengths, u.length + v.length
             out = sums[v.index] = {w0[w]: parity_sign(base - lengths[w0[w]]) * c
                                    for w, c in acc.items() if c}
         return out

@@ -6,8 +6,9 @@ Suite semantics
   implementation bug; it is recorded as a hard failure and maps to exit
   code 2.  For a correct product, the Segre twist and the ring map phi
   make the mirror check on each Richardson class follow from parity, but
-  as a guard against faults it is the only per-pair recomputation of the
-  class: a same-parity fault in one class passes every other check.  Its
+  as a guard against faults it is the only recomputation of the class, by
+  the other operator: a same-parity fault in one class passes every other
+  check.  Its
   element block computes each cell's CSM and Segre classes, which check
   their invariants and the sign twist where they are computed, and expands
   the cell class in the CSM basis; the opposite-cell class is by definition
@@ -54,7 +55,23 @@ otherwise), when a suite reads triple sums; and, when conjC or conjD
 reads the duality, it checks AMSS duality on the cells of length at most
 L (``CsmCalculator.segre_duality``), once per run: a failure is a
 ``csm-segre-duality`` hard failure of each of those suites and adds no
-instance.  So no worker builds what every unit reads.
+instance.  When a pair suite runs, the parent then packs the classes
+csm(cell w0*v) and seg(cell w0*v) of the filtered v along v
+(``RichardsonCalculator.pack_cells``).  So no worker builds what every
+unit reads.
+
+A unit lists the pairs each kind computes once, and hands the list to
+each of that kind's steps.  Its pair suites first run as one packed pass
+(``_packed_pairs``): the row's operators make every class, mirror product
+and lemma-E product of the row in one product each, and, when conjC
+runs, every triple sum in one more, and each check of the three suites
+is a mask over the slots of the pairs computed.  When every mask holds,
+no step would record an entry, and the unit only counts instances.  When
+one fails, or the products cannot be made, or the cells could not be
+packed, the unit runs the per-pair steps, which report as they always
+have; so a passing unit and a failing one report what the per-pair steps
+would.  The chi suites always run pair by pair, on the classes and triple
+sums the packed pass has unpacked into the row record.
 
 Every pair-level suite computes one pair of each symmetry orbit: the
 least kept Richardson pair, by (row, column) index, and records its
@@ -87,7 +104,10 @@ other than the identity; a table that is not equivariant heads every
 suite's hard failures.  Entries merge in (u, v) order after the sweep, so
 the report does not depend on jobs.
 ``timings.per_suite_s`` is each suite's record-step time summed over units
-(worker time in a pool), plus theorem-invariants' element and global blocks.
+(worker time in a pool), plus theorem-invariants' element and global
+blocks; the packed pass, shared by the pair suites, is booked to the first
+of them in SUITE_NAMES order that runs (theorem-invariants, else conjB,
+else conjC), so the others read 0 where every unit passes.
 
 A witness (u, v, w), or a prefix of it, is held as element indices from the
 record step through the copies, the pool and the merge; ``_run_suites``
@@ -111,10 +131,10 @@ from operator import itemgetter
 from . import __version__
 from .boxproduct import BoxCalculator
 from .cache import FORMAT_VERSION, chunks_checksum, csm_chunks, structure_chunks
-from .cohomology import FlagCohomology
+from .cohomology import CohomologyClass, FlagCohomology
 from .csm import CONVENTION, CsmCalculator
 from .errors import InternalInvariantError, UsageError
-from .richardson import RichardsonCalculator
+from .richardson import PackedCells, RichardsonCalculator
 from .rootdata import MAX_ORDER, CartanDatum, WeylGroup, parity_sign, weyl_order
 
 SCHEMA_VERSION = 1
@@ -310,7 +330,9 @@ class _Sweep:
     u and v are filtered.  The k-th automorphism sigma, maps[k], takes
     (r, v) to (sigma r, sigma v) and, with f = flipped[k] = w0*sigma, to the
     partner (f[v], f[r]).  Every witness is an element index here, so a
-    copy maps w through sigma directly."""
+    copy maps w through sigma directly.  pack, when set, holds the cell
+    classes of the filtered w0*v packed along v, for the units' packed
+    pass (``_packed_pairs``)."""
 
     names: list[str]
     filtered: list[int]
@@ -318,6 +340,7 @@ class _Sweep:
     us: dict[bool, Sequence[int]]
     maps: tuple[tuple[int, ...], ...]
     flipped: list[tuple[int, ...]]
+    pack: PackedCells | None = None
 
     @classmethod
     def of(cls, group: WeylGroup, names, filtered: list[int]) -> "_Sweep":
@@ -405,31 +428,131 @@ _WORKER_ENGINES: Engines | None = None
 _WORKER_SWEEP: _Sweep | None = None
 
 
+def _packed_pairs(engines: Engines, sweep: _Sweep, r: int, pairs: dict) -> bool:
+    """The pair suites' checks on every pair (r, v) that unit r computes, as
+    masks over the slots of the row's packed products on ``sweep.pack``, cut
+    to the slots up to the last v the unit computes (``PackedCells.prefix``:
+    a pair is computed only if its partner (w0*v, w0*r) does not come
+    first, so a long r computes only short v, in the first slots): A, the
+    classes; B, their mirror products; C, the lemma-E products, when
+    theorem-invariants runs; and, when conjC runs, the triple sums
+    T[w] = sum_y A[y] c over the entries (w, c) of the cell column at w0*y
+    (``RichardsonCalculator.packed_products`` makes all four).  The two
+    sign factors of conjC's read, of the duality and of the sign
+    pattern, cancel, so conjC fails at x exactly where T is negative at
+    w0*x.  A slot is read only with the bias added, which puts x + 2^(k-1)
+    in every slot with no borrow; a negative slot would borrow from the
+    next one up, which testing the raw bits would miss.  The masks:
+      * mirror: A = B;
+      * parity: the slot of v is 0 at y where l(w0*y) + l(r) + l(v) is odd;
+      * empty-cell: the slot of v is 0 where v is not below r;
+      * diagonal-point: the slot of v = r is the point class;
+      * conjB: every slot of A has its top bit set (is nonnegative);
+      * lemma E: so does (-1)^(l(w) + l(w0*r) + l(v)) C[w];
+      * conjC: the slots are 0 at y with l(w0*y) beyond the duality's
+        reach, and every slot of T has its top bit set.
+    Mirror, parity and the reach also cover the pairs the chi rows compute.
+    True when every mask holds, so that no pair step would record an entry;
+    the classes of the chi rows' pairs, and their triple sums when T was
+    made, are then unpacked into the row record, signed and keyed as
+    ``RichardsonCalculator._triple_sum`` keeps them, so no chi step makes
+    them again.  False when some mask fails or the products cannot be
+    made."""
+    group, rich = engines.group, engines.rich
+    lengths, w0, point = group._lengths, group._w0, group.longest.index
+    theorem = "theorem-invariants" in sweep.names
+    own = [vi for vi, _ in pairs[False]]
+    chi = [vi for vi, _ in pairs.get(True, ())]
+    pack = sweep.pack.prefix(1 + max(sweep.pack.slot[vi] for vi in (*own, *chi)))
+    try:
+        a, b, c, t = rich.packed_products(r, pack, theorem)
+    except InternalInvariantError:
+        return False
+    if a != b:
+        return False
+    keep, checked = pack.mask(own), pack.mask({*own, *chi})
+    # with the bias added, a slot that is 0 holds its sign bit alone, and a
+    # slot that is nonnegative has its sign bit set
+    bias = pack.bias
+    tops = keep & bias
+    # odd[p], the slots whose l(r) + l(v) has parity p
+    odd = [pack.mask(vi for vi in {*own, *chi} if (lengths[r] + lengths[vi]) & 1 == p)
+           for p in (0, 1)]
+    empty = diag = 0
+    if theorem:
+        empty = pack.mask(vi for vi in own if not group._bruhat_leq_idx(vi, r))
+        diag = pack.mask([r]) if r in own else 0
+    signs = tops if "conjB" in sweep.names else 0
+    for y, x in a.items():
+        zero = odd[lengths[w0[y]] & 1 ^ 1] | empty | (diag if y != point else 0)
+        if pack.reach is not None and lengths[w0[y]] > pack.reach:
+            zero |= checked
+        x += bias
+        if x & zero != bias & zero or x & signs != signs:
+            return False
+    if diag and pack.read(a.get(point, 0), pack.slot[r]) != 1:
+        return False
+    if c is not None:
+        # half[p], the sign bits of the slots whose l(w0*r) + l(v) has parity p
+        half = [pack.mask(vi for vi in own if (lengths[w0[r]] + lengths[vi]) & 1 == p) & bias
+                for p in (0, 1)]
+        for w, x in c.items():
+            pos, neg = half[lengths[w] & 1], half[lengths[w] & 1 ^ 1]
+            if (x + bias) & pos != pos or (bias - x) & neg != neg:
+                return False
+    if any((x + bias) & tops != tops for x in t.values()):
+        return False
+    rec = rich._row(r)
+    classes, sums = rec[2], rec[4]
+    todo = [vi for vi in chi if vi not in classes]
+    for vi, cls in zip(todo, pack.unpack(a, todo)):
+        classes[vi] = CohomologyClass(group, cls)
+    if pack.reach is not None:
+        todo = [vi for vi in chi if vi not in sums]
+        for vi, acc in zip(todo, pack.unpack(t, todo)):
+            base = lengths[r] + lengths[vi]
+            sums[vi] = {w0[w]: parity_sign(base - lengths[w0[w]]) * c for w, c in acc.items()}
+    return True
+
+
 def _sweep_unit(engines: Engines, sweep: _Sweep, r: int) -> dict[str, SuiteResult]:
     """Every named record step on the Richardson pairs (r, v), v filtered,
     on one pair of each orbit (``_Sweep.copies``): the pair suites' steps
-    at (r, v), the chi rows' at (w0*r, v).  The computed pair is counted
-    once for each kept member of its orbit, and each member gets its
-    entries, relabelled.  Returns {suite: tally}: the instances, the
+    at (r, v), the chi rows' at (w0*r, v).  The unit lists the pairs each
+    kind computes once and hands the list to every step of that kind.  With
+    ``sweep.pack`` set, the pair suites first run as one packed pass over
+    the unit's pairs (``_packed_pairs``); when it holds, their steps would
+    record nothing, and only the instances are counted.  Else, and always
+    for the chi suites, each step runs pair by pair.  The computed pair is
+    counted once for each kept member of its orbit, and each member gets
+    its entries, relabelled.  Returns {suite: tally}: the instances, the
     hard-failure count, the record-step time and the entries, whose
     witnesses are still indices, in (u, v) order, with the hard failures
     after the first HARD_FAILURE_LIST_CAP of the unit dropped (no later
-    one is reported)."""
+    one is reported).  The packed pass's time is booked to the first pair
+    suite in SUITE_NAMES order."""
     els, clock = engines.group.elements, time.perf_counter
-    steps = [(name, _RECORD_STEPS[name], name in _TRIPLE_SUITES) for name in sweep.names]
-    kinds, out = sweep.kinds, {name: SuiteResult(name) for name in sweep.names}
-    for vi in sweep.filtered:
-        plans = {triple: sweep.copies((r, vi), triple) for triple in kinds}
-        for name, step, triple in steps:
-            copies = plans[triple]
-            if copies is None:
-                continue        # recorded by the least member of its orbit
-            us, tally, pair = sweep.us[triple], out[name], SuiteResult(name)
+    out = {name: SuiteResult(name) for name in sweep.names}
+    pairs = {triple: [(vi, copies) for vi in sweep.filtered
+                      if (copies := sweep.copies((r, vi), triple)) is not None]
+             for triple in sweep.kinds}
+    packed = False
+    if sweep.pack is not None and pairs.get(False):
+        start = clock()
+        packed = _packed_pairs(engines, sweep, r, pairs)
+        out[next(name for name in SUITE_NAMES if name in out)].elapsed += clock() - start
+    for name in sweep.names:
+        triple = name in _TRIPLE_SUITES
+        step, us, tally = _RECORD_STEPS[name], sweep.us[triple], out[name]
+        for vi, copies in pairs[triple]:
+            n = 1 + len(copies)
+            tally.instances += n * (len(els) if triple else 1)
+            if packed and not triple:
+                continue
+            pair = SuiteResult(name)
             start = clock()
             step(engines, pair, els[us[r]], els[vi])
             tally.elapsed += clock() - start
-            n = 1 + len(copies)
-            tally.instances += n * (len(els) if triple else 1)
             tally.hard_failure_count += n * pair.hard_failure_count
             if pair.violations or pair.hard_failures:
                 for (x, y), k in [((r, vi), 0), *copies.items()]:
@@ -495,6 +618,12 @@ def _run_suites(engines: Engines, names, max_length: int | None,
     elif "cross-paths" in requested:
         with suppress(InternalInvariantError):      # left to the steps that read it
             engines.csm.cell_columns(reach)
+    if requested - _TRIPLE_SUITES:
+        # the cell classes the units' packed pass reads; when they cannot be
+        # packed, every pair is made alone
+        with suppress(InternalInvariantError):
+            sweep.pack = engines.rich.pack_cells(
+                filtered, engines.csm.dual_reach if "conjC" in requested else None)
     workers = pool_size(jobs, len(units))
     ctx = None
     if workers > 1:

@@ -416,10 +416,11 @@ def test_associativity_builds_no_degree_empty_row(engines, monkeypatch):
 def test_associativity_holds_no_box_rows(engines):
     """The box rows associativity reads live only inside the call: the
     calculator keeps no state of its own, the Richardson calculator one
-    row, and the engine no triple-integral memo."""
+    row, and the engine no triple-integral memo (its one scalar besides
+    the tables is the largest structure constant)."""
     stack = engines("B", 2)
     box = BoxCalculator(stack.rich)
     assert box.associativity_status() == (0, stack.group.order ** 3)
     assert set(vars(box)) == {"rich", "csm", "coh", "group"}
     assert len(stack.rich._rows) == 1
-    assert set(vars(stack.coh)) == {"group", "_alpha", "_table"}
+    assert set(vars(stack.coh)) == {"group", "_alpha", "_table", "max_constant"}

@@ -443,6 +443,19 @@ def test_table_matches_localization_oracle(key):
     assert all(list(d) == sorted(d) for row in coh._table for d in row)
 
 
+@pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3),
+                                 ("A", 4), ("D", 4),
+                                 *(pytest.param(k, marks=pytest.mark.long)
+                                   for k in [("B", 4), ("A", 5)])],
+                         ids=lambda key: f"{key[0]}{key[1]}")
+def test_build_records_the_largest_constant(engines, key):
+    """The build keeps its largest structure constant, found as the
+    recursion writes each one; the fill above 2N/3 only copies constants,
+    so it equals a scan of the whole table."""
+    coh = engines(*key).coh
+    assert coh.max_constant == max(c for row in coh._table for d in row for c in d.values())
+
+
 def test_table_build_runs_no_localization(monkeypatch):
     """The build path reads no fixed-point data: with every localization
     entry point raising, the B3 and A4 tables still build and check."""
@@ -457,7 +470,7 @@ def test_table_build_runs_no_localization(monkeypatch):
         stack = build_engines(*key)
         materialize_tables(stack)
         assert stack.coh._table is not None
-        assert set(vars(stack.coh)) == {"group", "_alpha", "_table"}
+        assert set(vars(stack.coh)) == {"group", "_alpha", "_table", "max_constant"}
 
 
 def test_recursion_stops_at_two_thirds_of_the_dimension(monkeypatch):

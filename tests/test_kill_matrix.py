@@ -49,18 +49,11 @@ def _stopped(tmp_path, capsys, message: str) -> None:
     assert not (tmp_path / "report.json").exists()
 
 
-def test_nonzero_empty_cell_fails_empty_cell(tmp_path, monkeypatch):
+def test_nonzero_empty_cell_fails_empty_cell(tmp_path, class_fault):
     """The cell of (e, s1) is empty, so its class must vanish.  Made eps^e
     instead, whose only coefficient is at [X_w0], of the pair's parity, it
-    passes the parity check and fails empty-cell."""
-    real = RichardsonCalculator.csm_richardson
-
-    def nonzero(self, u, v):
-        if u.length == 0 and v.word == (1,):
-            return self.coh.unit()
-        return real(self, u, v)
-
-    monkeypatch.setattr(RichardsonCalculator, "csm_richardson", nonzero)
+    passes the mirror and parity checks and fails empty-cell."""
+    class_fault("e", "s1", term="e")
     rc, report = _run(tmp_path, "theorem-invariants")
     assert rc == 2
     assert {"check": "empty-cell", "u": "e", "v": "s1",
@@ -130,8 +123,11 @@ def test_uncounted_pair_fails_the_instance_guard(tmp_path, monkeypatch):
 
 def test_sign_break_with_conjb_passing_fails_b_implies_c(tmp_path, monkeypatch):
     """conjB implies conjC, so one conjC sign break while conjB passes
-    makes the b-implies-c meta-check FAIL."""
-    real = RichardsonCalculator.csm_basis_coeffs
+    makes the b-implies-c meta-check FAIL.  The break is at (e, e), whose
+    expansion gains the entry -1 at e: in conjC's read of the pair, and in
+    the packed triple sums of row e, as -1 in the slot of v = e at w0*e."""
+    real, real_products = RichardsonCalculator.csm_basis_coeffs, \
+        RichardsonCalculator.packed_products
 
     def broken(self, u, v):
         out = real(self, u, v)
@@ -139,7 +135,15 @@ def test_sign_break_with_conjb_passing_fails_b_implies_c(tmp_path, monkeypatch):
             return Coefficients(out.coeffs, out.violations + [(u.index, -1)])
         return out
 
+    def broken_products(self, ui, pack, lemma):
+        a, b, c, t = real_products(self, ui, pack, lemma)
+        if ui == 0:
+            w, j = self.group.longest.index, pack.slot[0]
+            t = {**t, w: t.get(w, 0) - (pack.read(t.get(w, 0), j) + 1 << pack.k * j)}
+        return a, b, c, t
+
     monkeypatch.setattr(RichardsonCalculator, "csm_basis_coeffs", broken)
+    monkeypatch.setattr(RichardsonCalculator, "packed_products", broken_products)
     rc, report = _run(tmp_path, "conjB", "conjC")
     assert rc == 2
     assert report["suites"]["conjB"]["status"] == "PASS"
@@ -304,15 +308,24 @@ def test_same_parity_class_fault_is_seen_by_the_mirror_alone(tmp_path, monkeypat
 def test_failed_expansion_fails_csm_basis_expansion(tmp_path, monkeypatch):
     """A CSM-basis expansion of the point class that fails, in conjC's
     duality read, fails conjC alone through csm-basis-expansion, at the
-    pairs whose class it is: (u, u) for every u."""
-    real = RichardsonCalculator._dual_expansion
+    pairs whose class it is: (u, u) for every u.  It fails in the packed
+    triple sums too, of every row whose slots hold the point class (the
+    slot of v = u)."""
+    real, real_products = RichardsonCalculator._dual_expansion, \
+        RichardsonCalculator.packed_products
 
     def failing(self, u, v):
         if self.csm_richardson(u, v) == self.coh.schubert_class(self.group.longest):
             raise SingularSystem("CSM-basis expansion residual is nonzero")
         return real(self, u, v)
 
+    def failing_products(self, ui, pack, lemma):
+        if pack.reach is not None and ui in pack.slot:
+            raise SingularSystem("CSM-basis expansion residual is nonzero")
+        return real_products(self, ui, pack, lemma)
+
     monkeypatch.setattr(RichardsonCalculator, "_dual_expansion", failing)
+    monkeypatch.setattr(RichardsonCalculator, "packed_products", failing_products)
     rc, report = _run(tmp_path, "conjC")
     assert rc == 2
     words = ["e", "s1", "s2", "s1 s2", "s2 s1", "s1 s2 s1"]

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from csmverify import cli
-from csmverify.cohomology import CohomologyClass
 from csmverify.errors import (
     GroupMismatch,
     LemmaViolation,
@@ -121,18 +120,17 @@ def test_second_row_drops_the_first(engines):
     assert rich._rows[g._w0[3]][2:] == ({}, {}, {})
 
 
-def test_corrupt_mirror_operator_is_caught(monkeypatch, tmp_path, capsys):
+def test_corrupt_mirror_operator_is_caught(pair_fault, tmp_path, capsys):
     """A wrong M_u fails every Richardson class: the mirror check is not
-    vacuous, in process or through the command."""
-    real = RichardsonCalculator._row
+    vacuous, in process or through the command, where the sweep's packed
+    mirror products B are wrong too."""
 
-    def corrupted(self, ui):
-        times_seg, times_csm, *held = real(self, ui)
-        off = CohomologyClass(self.group, {self.group.longest.index: 7})
+    def corrupted(u, v, coeffs):
         # every mirror product M_u . seg(w0 v) gains 7 eps^{w0}
-        return times_seg, lambda b: times_csm(b) + off, *held
+        top = u.group.longest.index
+        return {**coeffs, top: coeffs.get(top, 0) + 7}
 
-    monkeypatch.setattr(RichardsonCalculator, "_row", corrupted)
+    pair_fault(corrupted, ("mirror",))
     stack = build_engines("A", 2)
     materialize_tables(stack)
     g = stack.group

@@ -9,7 +9,6 @@ from csmverify.boxproduct import BoxCalculator
 from csmverify.cohomology import FlagCohomology
 from csmverify.csm import CsmCalculator
 from csmverify.errors import PathDisagreement
-from csmverify.richardson import RichardsonCalculator
 from csmverify.rootdata import (CartanDatum, WeylGroup, canonical_cartan_matrix,
                                 diagram_automorphisms)
 from csmverify.verify import (
@@ -109,20 +108,32 @@ def test_orbit_rule_covers_every_pair_once(series, rank, max_length, computed):
 def test_each_orbit_computed_once_across_kinds(key, computed, monkeypatch):
     """A sweep of every suite computes one Richardson class per orbit, as
     many as a sweep of either kind alone: the pair suites and the chi rows
-    share one orbit rule and its representatives.  Each class computed
-    reads one opposite cell."""
+    share one orbit rule and its representatives.  Each class computed is
+    a slot of its unit's packed products, which the row record then holds
+    for the chi rows, so no class is made alone: the opposite cell classes
+    are read once each, to pack them."""
+    import csmverify.verify as verify_mod
+
     stack = build_engines(*key)
     materialize_tables(stack)
-    calls = []
-    real = CsmCalculator.csm_opposite_cell
+    calls, held = [], set()
+    real, real_unit = CsmCalculator.csm_opposite_cell, verify_mod._sweep_unit
 
     def counted(self, v):
-        calls.append(v)
+        calls.append(v.index)
         return real(self, v)
 
+    def unit(engines, sweep, r):
+        out = real_unit(engines, sweep, r)
+        if r in engines.rich._rows:         # a unit that computes no pair makes no row
+            held.update((r, v) for v in engines.rich._rows[r][2])
+        return out
+
     monkeypatch.setattr(CsmCalculator, "csm_opposite_cell", counted)
+    monkeypatch.setattr(verify_mod, "_sweep_unit", unit)
     _run_suites(stack, SUITE_NAMES, None, 1)
-    assert len(calls) == computed
+    assert len(held) == computed
+    assert sorted(calls) == list(range(stack.group.order))
 
 
 def _every_pair(stack):
@@ -174,7 +185,7 @@ def test_copies_equal_computed_long(key):
     _check_copies(build_engines(*key))
 
 
-def _findings_everywhere(monkeypatch):
+def _findings_everywhere(monkeypatch, pair_fault):
     """Findings in every suite, on sets of pairs closed under sigma, the
     partner map and the swap: the Richardson classes of the pairs with
     l(u) + l(v) odd are negated, which breaks conjB and conjC and adds
@@ -182,12 +193,10 @@ def _findings_everywhere(monkeypatch):
     lengths {1, 2} is raised by 1 at each w of length 2, which fails
     cross-paths there (and not the box products, which read the row from
     length 3 up)."""
-    real = RichardsonCalculator.csm_richardson
     real_row = BoxCalculator.chi_row
 
-    def negated(self, u, v):
-        out = real(self, u, v)
-        return -1 * out if (u.length + v.length) % 2 else out
+    def negated(u, v, coeffs):
+        return {y: -c for y, c in coeffs.items()} if (u.length + v.length) % 2 else coeffs
 
     def raised(self, u, v):
         row = real_row(self, u, v)
@@ -196,11 +205,11 @@ def _findings_everywhere(monkeypatch):
                                                    for w in self.group.indices_of_length(2)}}
         return row
 
-    monkeypatch.setattr(RichardsonCalculator, "csm_richardson", negated)
+    pair_fault(negated)
     monkeypatch.setattr(BoxCalculator, "chi_row", raised)
 
 
-def _check_against_every_pair(series, rank, max_length, monkeypatch):
+def _check_against_every_pair(series, rank, max_length, monkeypatch, pair_fault):
     """The suites' results, serial and under --jobs 2, against each record
     step run on every filtered pair in (row, column) order: the same
     entries, the copies' witnesses included, and one instance per pair, or
@@ -209,7 +218,7 @@ def _check_against_every_pair(series, rank, max_length, monkeypatch):
     witnesses are written as words before they are compared."""
     import csmverify.verify as verify_mod
 
-    _findings_everywhere(monkeypatch)
+    _findings_everywhere(monkeypatch, pair_fault)
     monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1})
     names = ["conjB", "conjC", *CHI_SUITES]
     stack = build_engines(series, rank)
@@ -241,7 +250,8 @@ def _check_against_every_pair(series, rank, max_length, monkeypatch):
 @pytest.mark.parametrize("series,rank,max_length,unreadable", [
     pytest.param("A", 3, None, False, id="A-3-None"), pytest.param("D", 4, 2, False, id="D-4-2"),
     pytest.param("D", 4, 1, True, id="D-4-1-unreadable")])
-def test_copied_witnesses_equal_computed(series, rank, max_length, unreadable, monkeypatch):
+def test_copied_witnesses_equal_computed(series, rank, max_length, unreadable, monkeypatch,
+                                        pair_fault):
     """Every relabelled witness is the one its own pair would record.  With
     unreadable, the chi rows of the pairs of lengths {0, 1} cannot be built,
     so on D4 each of those pairs fails cross-paths at all 192 w, more than
@@ -256,15 +266,16 @@ def test_copied_witnesses_equal_computed(series, rank, max_length, unreadable, m
 
     if unreadable:
         monkeypatch.setattr(BoxCalculator, "chi_row", failing)
-    _check_against_every_pair(series, rank, max_length, monkeypatch)
+    _check_against_every_pair(series, rank, max_length, monkeypatch, pair_fault)
 
 
 @pytest.mark.long
 @pytest.mark.parametrize("series,rank,max_length", [("A", 4, None), ("D", 4, 3)])
-def test_copied_witnesses_equal_computed_long(series, rank, max_length, monkeypatch):
+def test_copied_witnesses_equal_computed_long(series, rank, max_length, monkeypatch,
+                                             pair_fault):
     """As above, on every pair of A4, and on D4 up to length 3, where a
     pair has up to 12 images under S3 and the partner map or the swap."""
-    _check_against_every_pair(series, rank, max_length, monkeypatch)
+    _check_against_every_pair(series, rank, max_length, monkeypatch, pair_fault)
 
 
 @pytest.mark.long
@@ -283,7 +294,7 @@ def test_pair_suites_pool_equals_serial(key, monkeypatch):
     assert reports[0]["exit_code"] == 0
 
 
-def test_units_return_index_witnesses(monkeypatch):
+def test_units_return_index_witnesses(monkeypatch, pair_fault):
     """A unit returns one tally per suite and no other count: its witnesses
     are element indices, in (u, v) order, its hard failures within the list
     cap, and a forked worker returns the same as the unit in process.  Words
@@ -293,7 +304,7 @@ def test_units_return_index_witnesses(monkeypatch):
 
     import csmverify.verify as verify_mod
 
-    _findings_everywhere(monkeypatch)
+    _findings_everywhere(monkeypatch, pair_fault)
     names = list(SUITE_NAMES)
     stack = build_engines("A", 3)
     materialize_tables(stack)

@@ -211,17 +211,17 @@ def test_one_pool_per_run(monkeypatch):
     assert set(pooled.timings["per_suite_s"]) == set(SUITE_NAMES)
 
 
-def test_hard_failure_cap_across_units(monkeypatch):
+def test_hard_failure_cap_across_units(monkeypatch, reader_fault):
     """576 failing pairs on A3, split over pool workers: the report keeps
     the first HARD_FAILURE_LIST_CAP in pair order and counts them all."""
     import csmverify.verify as verify_mod
 
-    def faulty(self, u, v):
+    def faulty(u, v):
         raise ParityViolation(f"injected at ({u}, {v})")
 
     monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1})
     # forked workers inherit the patched class
-    monkeypatch.setattr(RichardsonCalculator, "richardson_coeffs", faulty)
+    reader_fault("richardson_coeffs", faulty)
     serial, pooled = (run_verification("A", 3, suites=["conjB", "conjC"], jobs=jobs)
                       for jobs in (1, 2))
     words = [str(w) for w in WeylGroup(CartanDatum.from_series("A", 3))]
@@ -327,26 +327,38 @@ def test_unbuilt_segre_class_fails_the_same_pairs(tmp_path, monkeypatch, jobs):
 def test_pair_suite_computes_each_class_once(monkeypatch):
     """conjB on A3 computes one Richardson class per orbit of the partner
     map (u, v) -> (w0*v, w0*u) and the diagram flip sigma: by Burnside,
-    (576 + 24 + 64 + 24) / 4 = 172 main products, each reading the
-    opposite-cell class of its v once, and still counts 576 instances.
-    The partner fixes the 24 pairs (u, w0*u), sigma the 8^2 pairs of its
-    8 fixed elements, and the partner through sigma 24 pairs."""
+    (576 + 24 + 64 + 24) / 4 = 172 classes, each a slot that its unit's
+    packed pass checks, and still counts 576 instances.  The partner fixes
+    the 24 pairs (u, w0*u), sigma the 8^2 pairs of its 8 fixed elements,
+    and the partner through sigma 24 pairs.  The opposite-cell class of
+    each v is read once, when the cells are packed."""
+    import csmverify.verify as verify_mod
     from csmverify.csm import CsmCalculator
+
     real, calls = CsmCalculator.csm_opposite_cell, []
+    real_pass, checked = verify_mod._packed_pairs, []
 
     def counted(self, v):
         calls.append(v.index)
         return real(self, v)
 
+    def packed(engines, sweep, r, pairs):
+        held = real_pass(engines, sweep, r, pairs)
+        assert held
+        checked.extend((r, vi) for vi, _ in pairs[False])
+        return held
+
     monkeypatch.setattr(CsmCalculator, "csm_opposite_cell", counted)
+    monkeypatch.setattr(verify_mod, "_packed_pairs", packed)
     report = run_verification("A", 3, suites=["conjB"])
     assert report.exit_code == 0
     assert report.suites["conjB"].instances == 576
-    assert len(calls) == 172
+    assert len(checked) == len(set(checked)) == 172
+    assert sorted(calls) == list(range(24))
 
 
 @pytest.mark.parametrize("max_length", [None, 1, 3])
-def test_partners_under_filter_and_pool(monkeypatch, max_length):
+def test_partners_under_filter_and_pool(monkeypatch, pair_fault, max_length):
     """The pair suites on A3, exhaustive, with every partner filtered out
     (length <= 1) and with some partners kept (length <= 3: pairs with
     l(u) = l(v) = 3): the pooled report equals the serial one, every pair
@@ -356,13 +368,12 @@ def test_partners_under_filter_and_pool(monkeypatch, max_length):
     length <= 3 the partners kept are those of the diagonal pairs."""
     import csmverify.verify as verify_mod
 
-    real = RichardsonCalculator.csm_richardson
+    def negated(u, v, coeffs):
+        if u == v or (u.length + v.length) % 2:
+            return {y: -c for y, c in coeffs.items()}
+        return coeffs
 
-    def negated(self, u, v):
-        out = real(self, u, v)
-        return -1 * out if u == v or (u.length + v.length) % 2 else out
-
-    monkeypatch.setattr(RichardsonCalculator, "csm_richardson", negated)
+    pair_fault(negated)
     monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1})
     suites = ["theorem-invariants", "conjB", "conjC"]
     serial, pooled = (run_verification("A", 3, suites=suites, max_length=max_length, jobs=jobs)
@@ -399,18 +410,16 @@ def test_global_failure_messages(monkeypatch):
         for v, w in (("s1", "s1"), ("s2", "s2"), ("s1", "s1 s2"))]
 
 
-def test_injected_fault_gives_internal_failure(monkeypatch):
+def test_injected_fault_gives_internal_failure(reader_fault):
     """A richardson_coeffs failure at the representative (e, e) on A1 is a
     hard failure there and at its partner (s1, s1), under each pair's own
     words, in row order."""
-    real = RichardsonCalculator.richardson_coeffs
 
-    def faulty(self, u, v):
+    def faulty(u, v):
         if u.length == 0 and v.length == 0:
             raise ParityViolation("injected fault")
-        return real(self, u, v)
 
-    monkeypatch.setattr(RichardsonCalculator, "richardson_coeffs", faulty)
+    reader_fault("richardson_coeffs", faulty)
     report = run_verification("A", 1, suites=["conjB"])
     assert report.exit_code == 2
     suite = report.suites["conjB"]
@@ -628,19 +637,17 @@ def test_reach_one_degree_short_fails_poincare_duality(monkeypatch):
     assert "poincare-duality" in {f["check"] for f in failures}
 
 
-def test_violation_exit_code(monkeypatch):
+def test_violation_exit_code(pair_fault):
     """A conjecture violation is a finding (exit 1), not a crash.  The
     class is negated at the representative (e, e) on A1, and the finding
     shows there and at its partner (s1, s1), in row order."""
-    real = RichardsonCalculator.csm_richardson
 
-    def negated(self, u, v):
-        out = real(self, u, v)
-        if u == self.group.identity and v == self.group.identity:
-            return -1 * out
-        return out
+    def negated(u, v, coeffs):
+        if u.length == 0 and v.length == 0:
+            return {y: -c for y, c in coeffs.items()}
+        return coeffs
 
-    monkeypatch.setattr(RichardsonCalculator, "csm_richardson", negated)
+    pair_fault(negated)
     report = run_verification("A", 1, suites=["conjB"])
     assert report.exit_code == 1
     suite = report.suites["conjB"]
@@ -649,18 +656,17 @@ def test_violation_exit_code(monkeypatch):
         {"check": "conjB", "u": w, "v": w, "w": "e", "value": -1} for w in ("e", "s1")]
 
 
-def test_report_witnesses_use_words(monkeypatch):
+def test_report_witnesses_use_words(pair_fault):
     """Witnesses name elements by reduced words.  The classes negated at
     the representatives (s1, e) and (s2, e) on A2 break conjB there and at
     their partners (w0, w0*s1) and (w0, w0*s2), which live in another row
     and another unit, with the same w and values under their own words."""
-    real = RichardsonCalculator.csm_richardson
+    def negated(u, v, coeffs):
+        if (u.length, v.length) == (1, 0):
+            return {y: -c for y, c in coeffs.items()}
+        return coeffs
 
-    def negated(self, u, v):
-        out = real(self, u, v)
-        return -1 * out if (u.length, v.length) == (1, 0) else out
-
-    monkeypatch.setattr(RichardsonCalculator, "csm_richardson", negated)
+    pair_fault(negated)
     report = run_verification("A", 2, suites=["conjB"])
     plain = build_engines("A", 2).rich
     g, found = plain.group, {}
@@ -796,19 +802,17 @@ def test_cli_verify_csv(tmp_path):
     assert summary[0][3] == "conjB" and summary[0][8] == "PASS"
 
 
-def test_cli_csv_names_every_hard_failure(tmp_path, monkeypatch):
+def test_cli_csv_names_every_hard_failure(tmp_path, reader_fault):
     """A failing run's CSV has one hard-failure row per listed hard failure,
     with its error in the value column: richardson_coeffs raising at the
     pairs (u, e), l(u) = 1, on A2 fails conjB at those two pairs and at
     their two partners."""
-    real = RichardsonCalculator.richardson_coeffs
 
-    def faulty(self, u, v):
+    def faulty(u, v):
         if u.length == 1 and v.length == 0:
             raise ParityViolation(f"injected fault at ({u}, {v})")
-        return real(self, u, v)
 
-    monkeypatch.setattr(RichardsonCalculator, "richardson_coeffs", faulty)
+    reader_fault("richardson_coeffs", faulty)
     out_path = tmp_path / "report.csv"
     rc = cli.main(["verify", "--type", "A", "--rank", "2", "--suite", "conjB",
                    "--output", str(out_path), "--format", "csv"])
@@ -1026,13 +1030,11 @@ def test_cli_max_length(tmp_path, capsys):
     assert "conjD: 72/72" in out  # (1 + 2 short elements)^2 * 8
 
 
-def test_cli_verify_internal_failure_exit(tmp_path, monkeypatch, capsys):
-    real = RichardsonCalculator.richardson_coeffs
-
-    def faulty(self, u, v):
+def test_cli_verify_internal_failure_exit(tmp_path, reader_fault, capsys):
+    def faulty(u, v):
         raise ParityViolation("injected")
 
-    monkeypatch.setattr(RichardsonCalculator, "richardson_coeffs", faulty)
+    reader_fault("richardson_coeffs", faulty)
     rc = cli.main(["verify", "--type", "A", "--rank", "1", "--suite", "conjB",
                    "--cache-dir", str(tmp_path)])
     out = capsys.readouterr().out
