@@ -104,7 +104,9 @@ class PackedCells:
         for j < m, is exact in the low k m bits of x + bias, since each
         slot there holds x_j + 2^(k-1), in [0, 2^k); so the cut is that,
         less the bias, and each product on the cut pack costs what m slots
-        cost."""
+        cost.  Cut to all of its slots, the pack is itself."""
+        if m == len(self.slot):
+            return self
         low = (1 << self.k * m) - 1
         bias = self.bias & low
 
@@ -172,10 +174,10 @@ class RichardsonCalculator:
         classes[v.index] = out
         return out
 
-    def pack_cells(self, filtered: list[int], reach: int | None) -> PackedCells:
+    def pack_cells(self, filtered: list[int], rows, reach: int | None) -> PackedCells:
         """Pack the classes of the cells w0*v, v in filtered, for the
-        products ``packed_products`` makes on the rows u in filtered, and,
-        unless reach is None, for their triple sums up to reach.
+        products ``packed_products`` makes on the given rows u, and, unless
+        reach is None, for their triple sums up to reach.
         Every class is read through the cell API, so a class that fails
         its check raises here as it would for a pair made alone.
 
@@ -183,23 +185,23 @@ class RichardsonCalculator:
         sum_y sum_u1 seg(cell u)[u1] c_{u1,y}^w Q_j[y], so it is at most
         b = l1_in l1_row cmax in size, where l1_in is the largest L1 norm
         of the packed classes, l1_row that of seg(cell u) and csm(cell u)
-        over the rows, and cmax the largest structure constant
-        (``FlagCohomology.max_constant``); so is a slot of B = M_u . S and
-        of C = L_u . S.  A slot of a triple sum, sum_y A[y] c over the
-        entries c of the cell columns up to reach, is at most |W| big b in
-        size, big the largest entry of those columns.  With
+        over the rows (a sweep's units: under a length filter the row w0*u
+        of a chi pair lies outside it), and cmax the largest structure
+        constant (``FlagCohomology.max_constant``); so is a slot of
+        B = M_u . S and of C = L_u . S.  A slot of a triple sum,
+        sum_y A[y] c over the entries c of the cell columns up to reach, is
+        at most |W| big b in size, big the largest entry of those columns.  With
         k = ``_slot_bits(b, |W| big)`` (big = 1 without sums) every slot
         of these, faulty inputs or not, and every slot of a difference of
         two of them, is below 2^(k-1) in size: two such packed ints are
         equal exactly when every slot is, and each slot reads back exactly
         (``PackedCells.read``)."""
-        csm, group = self.csm, self.group
-        els = [group.elements[x] for x in filtered]
-        cells = [csm.csm_opposite_cell(v).coeffs for v in els]
-        twists = [csm.segre_opposite_cell(v).coeffs for v in els]
+        csm, group, els = self.csm, self.group, self.group.elements
+        cells = [csm.csm_opposite_cell(els[v]).coeffs for v in filtered]
+        twists = [csm.segre_opposite_cell(els[v]).coeffs for v in filtered]
         l1_in = max(sum(map(abs, c.values())) for c in (*cells, *twists))
-        l1_row = max(sum(map(abs, c.coeffs.values())) for u in els
-                     for c in (csm.segre_schubert_cell(u), csm.csm_schubert_cell(u)))
+        l1_row = max(sum(map(abs, c.coeffs.values())) for u in rows for c in
+                     (csm.segre_schubert_cell(els[u]), csm.csm_schubert_cell(els[u])))
         big = 1
         if reach is not None:
             entries = max((max(map(abs, cs)) for _, cs in csm.cell_columns(reach) if cs),
@@ -229,12 +231,24 @@ class RichardsonCalculator:
                 nonzero(times_seg.apply(pack.seg)) if lemma else None,
                 {} if pack.reach is None else self._column_sums(a, pack.reach))
 
+    def hold_packed(self, ui: int, pack: PackedCells, a: dict, t: dict, vs) -> None:
+        """Hold in row u's record the classes of the pairs (u, v), v in vs,
+        off the slots of A, and, when pack.reach is set, their triple sums
+        off T, as ``_triple_sum`` keeps them: for products whose mirror and
+        parity masks held, so each class is the one ``csm_richardson`` makes."""
+        _, _, classes, _, sums = self._row(ui)
+        for vi, cls in zip(vs, pack.unpack(a, vs)):
+            classes[vi] = CohomologyClass(self.group, cls)
+        if pack.reach is not None:
+            for vi, acc in zip(vs, pack.unpack(t, vs)):
+                sums[vi] = self._signed_sum(ui, vi, acc)
+
     def _column_sums(self, cls: dict[int, int], reach: int | None) -> dict[int, int]:
         """sum_y cls[y] c over the entries (w, c) of the column at w0*y of
         ``CsmCalculator.cell_columns(reach)``, by w, entries that are 0
         included.  On classes packed along v (``packed_products``) slot j
         is the unsigned triple sum of the class in slot j, which
-        ``_triple_sum`` signs and keys by w0*w."""
+        ``_signed_sum`` signs and keys by w0*w."""
         columns, w0 = self.csm.cell_columns(reach), self.group._w0
         out: dict[int, int] = {}
         for y, x in cls.items():
@@ -339,11 +353,16 @@ class RichardsonCalculator:
         out = sums.get(v.index)
         if out is None:
             cls = self.csm_richardson(u, v) if cls is None else cls
-            acc = self._column_sums(cls.coeffs, reach)
-            w0, lengths, base = self.group._w0, self.group._lengths, u.length + v.length
-            out = sums[v.index] = {w0[w]: parity_sign(base - lengths[w0[w]]) * c
-                                   for w, c in acc.items() if c}
+            out = sums[v.index] = self._signed_sum(u.index, v.index,
+                                                   self._column_sums(cls.coeffs, reach))
         return out
+
+    def _signed_sum(self, ui: int, vi: int, acc: dict[int, int]) -> dict[int, int]:
+        """An unsigned triple sum acc of (u, v), by w, as ``_triple_sum``
+        keeps it: (-1)^(l(u) + l(v) - l(x)) acc[w] at x = w0*w, if nonzero."""
+        w0, lengths = self.group._w0, self.group._lengths
+        base = lengths[ui] + lengths[vi]
+        return {w0[w]: parity_sign(base - lengths[w0[w]]) * c for w, c in acc.items() if c}
 
     def _expansion(self, u: WeylElement, v: WeylElement) -> dict[int, int]:
         """The peeled expansion of the Richardson class of (u, v), kept in

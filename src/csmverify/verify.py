@@ -46,32 +46,30 @@ Richardson row r, the chi steps at u = w0*r; with jobs above 1 the units
 go to one fork pool.  Both the structure and the CSM table are computed in
 process before the sweep, so workers inherit them; no run reads a table
 from disk.  A unit holds one Richardson row and nothing else; box
-associativity builds its own table of box rows.  Before the sweep the
-parent builds the Segre classes the units read in one batch
-(``CsmCalculator.segre_cells``), seg(cell r) for every unit row r and
-seg(cell w0*v) for every filtered v; the CSM cell table by column, for
-the columns of length at most L (the filter when no chi suite runs, N
-otherwise), when a suite reads triple sums; and, when conjC or conjD
-reads the duality, it checks AMSS duality on the cells of length at most
-L (``CsmCalculator.segre_duality``), once per run: a failure is a
-``csm-segre-duality`` hard failure of each of those suites and adds no
-instance.  When a pair suite runs, the parent then packs the classes
-csm(cell w0*v) and seg(cell w0*v) of the filtered v along v
-(``RichardsonCalculator.pack_cells``).  So no worker builds what every
-unit reads.
+associativity builds its own table of box rows.  Before the sweep, and
+before theorem-invariants' element block, the parent builds the Segre
+classes the run reads in one batch (``CsmCalculator.segre_cells``),
+seg(cell r) for every unit row r, the filtered cells among them when a
+pair suite runs, and seg(cell w0*v) for every filtered v.  When conjC or
+conjD reads the duality, it checks AMSS duality on the cells of length
+at most L (``CsmCalculator.segre_duality``), once per run: a failure is
+a ``csm-segre-duality`` hard failure of each of those suites and adds no
+instance.  For every sweep it then packs the classes csm(cell w0*v) and
+seg(cell w0*v) of the filtered v along v
+(``RichardsonCalculator.pack_cells``), with the CSM cell table by column,
+for the columns of length at most L (the filter when no chi suite runs,
+N otherwise), when a suite reads triple sums.  So no worker builds what
+every unit reads.
 
 A unit lists the pairs each kind computes once, and hands the list to
-each of that kind's steps.  Its pair suites first run as one packed pass
-(``_packed_pairs``): the row's operators make every class, mirror product
-and lemma-E product of the row in one product each, and, when conjC
-runs, every triple sum in one more, and each check of the three suites
-is a mask over the slots of the pairs computed.  When every mask holds,
-no step would record an entry, and the unit only counts instances.  When
-one fails, or the products cannot be made, or the cells could not be
-packed, the unit runs the per-pair steps, which report as they always
-have; so a passing unit and a failing one report what the per-pair steps
-would.  The chi suites always run pair by pair, on the classes and triple
-sums the packed pass has unpacked into the row record.
+each of that kind's steps.  A unit that computes any pair, of either
+kind, first checks them all as masks over the slots of its row's packed
+products (``_packed_pairs``).  When every mask holds, the pair suites
+only count instances, and the chi steps run pair by pair on the classes
+and triple sums the pass hands them; so a run of conjD or cross-paths
+alone makes its classes as a pair suite's does.  When one fails, or the
+cells could not be packed, the unit runs every per-pair step; so a
+passing unit and a failing one report what the per-pair steps would.
 
 Every pair-level suite computes one pair of each symmetry orbit: the
 least kept Richardson pair, by (row, column) index, and records its
@@ -105,9 +103,9 @@ suite's hard failures.  Entries merge in (u, v) order after the sweep, so
 the report does not depend on jobs.
 ``timings.per_suite_s`` is each suite's record-step time summed over units
 (worker time in a pool), plus theorem-invariants' element and global
-blocks; the packed pass, shared by the pair suites, is booked to the first
-of them in SUITE_NAMES order that runs (theorem-invariants, else conjB,
-else conjC), so the others read 0 where every unit passes.
+blocks; the packed pass, shared by every suite, is booked to the first
+requested suite in SUITE_NAMES order, so the other pair suites read 0
+where every unit passes.
 
 A witness (u, v, w), or a prefix of it, is held as element indices from the
 record step through the copies, the pool and the merge; ``_run_suites``
@@ -131,7 +129,7 @@ from operator import itemgetter
 from . import __version__
 from .boxproduct import BoxCalculator
 from .cache import FORMAT_VERSION, chunks_checksum, csm_chunks, structure_chunks
-from .cohomology import CohomologyClass, FlagCohomology
+from .cohomology import FlagCohomology
 from .csm import CONVENTION, CsmCalculator
 from .errors import InternalInvariantError, UsageError
 from .richardson import PackedCells, RichardsonCalculator
@@ -429,13 +427,14 @@ _WORKER_SWEEP: _Sweep | None = None
 
 
 def _packed_pairs(engines: Engines, sweep: _Sweep, r: int, pairs: dict) -> bool:
-    """The pair suites' checks on every pair (r, v) that unit r computes, as
-    masks over the slots of the row's packed products on ``sweep.pack``, cut
-    to the slots up to the last v the unit computes (``PackedCells.prefix``:
-    a pair is computed only if its partner (w0*v, w0*r) does not come
-    first, so a long r computes only short v, in the first slots): A, the
-    classes; B, their mirror products; C, the lemma-E products, when
-    theorem-invariants runs; and, when conjC runs, the triple sums
+    """The checks on every pair (r, v) that unit r computes, of either kind,
+    as masks over the slots of the row's packed products on ``sweep.pack``,
+    cut to the slots up to the last v the unit computes
+    (``PackedCells.prefix``: a pair is computed only if its partner
+    (w0*v, w0*r) does not come first, so a long r computes only short v, in
+    the first slots): A, the classes; B, their mirror products; C, the
+    lemma-E products, when theorem-invariants runs on pairs of the unit;
+    and, when a suite reads them (pack.reach is set), the triple sums
     T[w] = sum_y A[y] c over the entries (w, c) of the cell column at w0*y
     (``RichardsonCalculator.packed_products`` makes all four).  The two
     sign factors of conjC's read, of the duality and of the sign
@@ -449,20 +448,19 @@ def _packed_pairs(engines: Engines, sweep: _Sweep, r: int, pairs: dict) -> bool:
       * diagonal-point: the slot of v = r is the point class;
       * conjB: every slot of A has its top bit set (is nonnegative);
       * lemma E: so does (-1)^(l(w) + l(w0*r) + l(v)) C[w];
-      * conjC: the slots are 0 at y with l(w0*y) beyond the duality's
-        reach, and every slot of T has its top bit set.
+      * reach: the slots are 0 at y with l(w0*y) beyond the reach of T;
+      * conjC, when it runs: every slot of T has its top bit set.
     Mirror, parity and the reach also cover the pairs the chi rows compute.
     True when every mask holds, so that no pair step would record an entry;
     the classes of the chi rows' pairs, and their triple sums when T was
-    made, are then unpacked into the row record, signed and keyed as
-    ``RichardsonCalculator._triple_sum`` keeps them, so no chi step makes
-    them again.  False when some mask fails or the products cannot be
-    made."""
+    made, are then held in the row record
+    (``RichardsonCalculator.hold_packed``), so no chi step makes them
+    again.  False when some mask fails or the products cannot be made."""
     group, rich = engines.group, engines.rich
     lengths, w0, point = group._lengths, group._w0, group.longest.index
-    theorem = "theorem-invariants" in sweep.names
-    own = [vi for vi, _ in pairs[False]]
+    own = [vi for vi, _ in pairs.get(False, ())]
     chi = [vi for vi, _ in pairs.get(True, ())]
+    theorem = bool(own) and "theorem-invariants" in sweep.names
     pack = sweep.pack.prefix(1 + max(sweep.pack.slot[vi] for vi in (*own, *chi)))
     try:
         a, b, c, t = rich.packed_products(r, pack, theorem)
@@ -470,18 +468,15 @@ def _packed_pairs(engines: Engines, sweep: _Sweep, r: int, pairs: dict) -> bool:
         return False
     if a != b:
         return False
-    keep, checked = pack.mask(own), pack.mask({*own, *chi})
     # with the bias added, a slot that is 0 holds its sign bit alone, and a
     # slot that is nonnegative has its sign bit set
-    bias = pack.bias
-    tops = keep & bias
+    bias, checked = pack.bias, pack.mask({*own, *chi})
+    tops = pack.mask(own) & bias
     # odd[p], the slots whose l(r) + l(v) has parity p
     odd = [pack.mask(vi for vi in {*own, *chi} if (lengths[r] + lengths[vi]) & 1 == p)
            for p in (0, 1)]
-    empty = diag = 0
-    if theorem:
-        empty = pack.mask(vi for vi in own if not group._bruhat_leq_idx(vi, r))
-        diag = pack.mask([r]) if r in own else 0
+    empty = pack.mask(vi for vi in own if theorem and not group._bruhat_leq_idx(vi, r))
+    diag = pack.mask([r]) if theorem and r in own else 0
     signs = tops if "conjB" in sweep.names else 0
     for y, x in a.items():
         zero = odd[lengths[w0[y]] & 1 ^ 1] | empty | (diag if y != point else 0)
@@ -500,18 +495,9 @@ def _packed_pairs(engines: Engines, sweep: _Sweep, r: int, pairs: dict) -> bool:
             pos, neg = half[lengths[w] & 1], half[lengths[w] & 1 ^ 1]
             if (x + bias) & pos != pos or (bias - x) & neg != neg:
                 return False
-    if any((x + bias) & tops != tops for x in t.values()):
+    if "conjC" in sweep.names and any((x + bias) & tops != tops for x in t.values()):
         return False
-    rec = rich._row(r)
-    classes, sums = rec[2], rec[4]
-    todo = [vi for vi in chi if vi not in classes]
-    for vi, cls in zip(todo, pack.unpack(a, todo)):
-        classes[vi] = CohomologyClass(group, cls)
-    if pack.reach is not None:
-        todo = [vi for vi in chi if vi not in sums]
-        for vi, acc in zip(todo, pack.unpack(t, todo)):
-            base = lengths[r] + lengths[vi]
-            sums[vi] = {w0[w]: parity_sign(base - lengths[w0[w]]) * c for w, c in acc.items()}
+    rich.hold_packed(r, pack, a, t, chi)
     return True
 
 
@@ -520,24 +506,24 @@ def _sweep_unit(engines: Engines, sweep: _Sweep, r: int) -> dict[str, SuiteResul
     on one pair of each orbit (``_Sweep.copies``): the pair suites' steps
     at (r, v), the chi rows' at (w0*r, v).  The unit lists the pairs each
     kind computes once and hands the list to every step of that kind.  With
-    ``sweep.pack`` set, the pair suites first run as one packed pass over
-    the unit's pairs (``_packed_pairs``); when it holds, their steps would
-    record nothing, and only the instances are counted.  Else, and always
-    for the chi suites, each step runs pair by pair.  The computed pair is
-    counted once for each kept member of its orbit, and each member gets
-    its entries, relabelled.  Returns {suite: tally}: the instances, the
-    hard-failure count, the record-step time and the entries, whose
-    witnesses are still indices, in (u, v) order, with the hard failures
-    after the first HARD_FAILURE_LIST_CAP of the unit dropped (no later
-    one is reported).  The packed pass's time is booked to the first pair
-    suite in SUITE_NAMES order."""
+    ``sweep.pack`` set, a unit that computes any pair first runs the packed
+    pass over them (``_packed_pairs``); when it holds, the pair suites'
+    steps would record nothing, and only their instances are counted.
+    Else, and always for the chi suites, each step runs pair by pair.  The
+    computed pair is counted once for each kept member of its orbit, and
+    each member gets its entries, relabelled.  Returns {suite: tally}: the
+    instances, the hard-failure count, the record-step time and the
+    entries, whose witnesses are still indices, in (u, v) order, with the
+    hard failures after the first HARD_FAILURE_LIST_CAP of the unit
+    dropped (no later one is reported).  The packed pass's time is booked
+    to the first requested suite in SUITE_NAMES order."""
     els, clock = engines.group.elements, time.perf_counter
     out = {name: SuiteResult(name) for name in sweep.names}
     pairs = {triple: [(vi, copies) for vi in sweep.filtered
                       if (copies := sweep.copies((r, vi), triple)) is not None]
              for triple in sweep.kinds}
     packed = False
-    if sweep.pack is not None and pairs.get(False):
+    if sweep.pack is not None and any(pairs.values()):
         start = clock()
         packed = _packed_pairs(engines, sweep, r, pairs)
         out[next(name for name in SUITE_NAMES if name in out)].elapsed += clock() - start
@@ -591,21 +577,23 @@ def _run_suites(engines: Engines, names, max_length: int | None,
     for result in results.values():
         for error in equivariance:
             result.hard(_entry("diagram-equivariance", error=error))
+    sweep = _Sweep.of(group, names, filtered)
+    units = sweep.units()
+    # the Segre classes the units and the element block read, in one batch;
+    # a failing one is left to the steps, and the element loop, that read it
+    with suppress(InternalInvariantError):
+        engines.csm.segre_cells([*units, *(group._w0[v] for v in filtered)])
     theorem = results.get("theorem-invariants")
     if theorem is not None:
         # before any fork, so that workers inherit the per-element classes
         start = clock()
         _theorem_elements(engines, theorem, filtered)
         theorem.elapsed += clock() - start
-    sweep = _Sweep.of(group, names, filtered)
-    units = sweep.units()
-    # the Segre classes the units read, in one batch; a failing one is left to its steps
-    with suppress(InternalInvariantError):
-        engines.csm.segre_cells([*units, *(group._w0[v] for v in filtered)])
-    # the column index the triple sums read, up to L, and the duality check
-    # of the read, before any fork (see the module docstring); after the
-    # element block, so the index reuses the memory that block freed
-    # instead of adding to the peak
+    # the duality check, and the packed cells with the column index the
+    # triple sums read, up to L, before any fork (see the module docstring);
+    # after the element block, so the index reuses the memory that block
+    # freed instead of adding to the peak.  When the cells cannot be packed,
+    # every pair is made alone, and the steps that read the index build it
     requested = set(names)
     reach = group.num_positive if max_length is None or requested & _TRIPLE_SUITES \
         else min(max_length, group.num_positive)
@@ -615,15 +603,9 @@ def _run_suites(engines: Engines, names, max_length: int | None,
         except InternalInvariantError as exc:
             for name in requested & _DUALITY_SUITES:
                 results[name].hard(_entry("csm-segre-duality", error=str(exc)))
-    elif "cross-paths" in requested:
-        with suppress(InternalInvariantError):      # left to the steps that read it
-            engines.csm.cell_columns(reach)
-    if requested - _TRIPLE_SUITES:
-        # the cell classes the units' packed pass reads; when they cannot be
-        # packed, every pair is made alone
-        with suppress(InternalInvariantError):
-            sweep.pack = engines.rich.pack_cells(
-                filtered, engines.csm.dual_reach if "conjC" in requested else None)
+    with suppress(InternalInvariantError):
+        sweep.pack = engines.rich.pack_cells(
+            filtered, units, reach if requested & (_DUALITY_SUITES | _TRIPLE_SUITES) else None)
     workers = pool_size(jobs, len(units))
     ctx = None
     if workers > 1:
@@ -675,8 +657,6 @@ def run_suite(engines: Engines, name: str, max_length: int | None = None,
 def _theorem_elements(engines: Engines, out: SuiteResult, filtered: list[int]) -> None:
     """Cell-class identities on every filtered element, recorded into out."""
     group, csm, rich = engines.group, engines.csm, engines.rich
-    with suppress(InternalInvariantError):
-        csm.segre_cells(filtered)                # a failing class raises again below
     for ui in filtered:
         u = group.elements[ui]
         out.instances += 1

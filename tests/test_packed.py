@@ -2,8 +2,9 @@
 record steps it stands in for: the same tallies on every unit, every slot of
 the packed products equal to the class made alone, the classes and triple
 sums it unpacks for the chi rows equal to theirs, the per-pair steps' report
-where a mask fails, a slot width that tells cancelling faults apart, and a
-pack cut to its first slots that reads them exactly."""
+where a mask fails, a slot width that tells cancelling faults apart and
+bounds the products on every unit row, and a pack cut to its first slots
+that reads them exactly."""
 
 import json
 from dataclasses import replace
@@ -12,46 +13,51 @@ import pytest
 
 import csmverify.richardson as richardson_module
 import csmverify.verify as verify_mod
-from csmverify.cohomology import _pack
+from csmverify.cohomology import _pack, _slot_bits
 from csmverify.verify import SUITE_NAMES, build_engines, materialize_tables, run_verification
 
 PAIR_SUITES = ["theorem-invariants", "conjB", "conjC"]
+CHI_SUITES = [["conjD"], ["cross-paths"], ["conjD", "cross-paths"]]
 
 
 def _check_units(series, rank, names, max_length, monkeypatch):
     """Run the named suites on the group through _run_suites, and check
     each unit there, with the pack the run built: its tallies equal those
-    of the same unit read pair by pair; its packed pass holds wherever it
-    runs; every slot of A and of C that a computed pair reads is that
-    pair's class, resp. its lemma-E product L_u . seg(w0 v), made alone,
-    and every slot of T its unsigned triple sum; and the classes and sums
-    it leaves in the row record for the chi rows are the ones the chi rows
-    would make."""
+    of the same unit read pair by pair; its packed pass runs on every unit
+    that computes a pair of any kind, and holds; every slot of A and of C
+    that a computed pair reads is that pair's class, resp. its lemma-E
+    product L_u . seg(w0 v), made alone, and every slot of T its unsigned
+    triple sum; and the classes and sums the pass leaves in the row record,
+    before any step runs, are those of the chi rows' pairs, equal to the
+    ones the chi rows make pair by pair."""
     stack = build_engines(series, rank)
     materialize_tables(stack)
     g, rich = stack.group, stack.rich
     els, w0, lengths = g.elements, g._w0, g._lengths
     real_unit, real_pass = verify_mod._sweep_unit, verify_mod._packed_pairs
-    passes, units = [], []      # units: those whose pair suites compute a pair
+    passes, units = [], []      # units: those that compute a pair of any kind
+    held = {}                   # by unit: the row's classes and sums after its pass
 
     def packed_pass(engines, sweep, r, pairs):
-        held = real_pass(engines, sweep, r, pairs)
-        passes.append(held)
-        return held
+        ok = real_pass(engines, sweep, r, pairs)
+        passes.append(ok)
+        rec = rich._rows[r]
+        held[r] = dict(rec[2]), dict(rec[4])
+        return ok
 
     def unit(engines, sweep, r):
         got = real_unit(engines, sweep, r)
-        pack, rec = sweep.pack, rich._rows.get(r)
+        pack = sweep.pack
         chi = [v for v in sweep.filtered
                if True in sweep.kinds and sweep.copies((r, v), True) is not None]
         own = [v for v in sweep.filtered
                if False in sweep.kinds and sweep.copies((r, v), False) is not None]
-        unpacked = ({}, {}) if rec is None else (dict(rec[2]), dict(rec[4]))
         rich._rows.clear()
         plain = real_unit(engines, replace(sweep, pack=None), r)
         assert {n: t.to_dict() for n, t in got.items()} \
             == {n: t.to_dict() for n, t in plain.items()}, r
-        if pack is not None and own:
+        if pack is not None and (own or chi):
+            unpacked = held[r]
             assert set(unpacked[0]) == set(chi)
             assert set(unpacked[1]) == (set(chi) if pack.reach is not None else set())
             a, _, c, t = rich.packed_products(r, pack, True)
@@ -99,11 +105,59 @@ def test_packed_units_equal_per_pair_every_suite(series, rank, max_length, monke
     _check_units(series, rank, SUITE_NAMES, max_length, monkeypatch)
 
 
+@pytest.mark.parametrize("names", CHI_SUITES, ids=["conjD", "cross-paths", "conjD-cross-paths"])
+@pytest.mark.parametrize("series,rank,max_length", [
+    ("A", 3, None), ("B", 3, None), ("G", 2, None), ("C", 3, 2), ("D", 4, 1)],
+    ids=["A3", "B3", "G2", "C3-2", "D4-1"])
+def test_packed_units_equal_per_pair_chi_suites(series, rank, max_length, names, monkeypatch):
+    """The chi suites alone: every unit computes chi pairs only, whose row
+    w0*u lies outside a length filter, and its packed pass checks the
+    mirror, parity and reach and hands the chi rows their classes and
+    triple sums."""
+    _check_units(series, rank, names, max_length, monkeypatch)
+
+
 @pytest.mark.long
-@pytest.mark.parametrize("series,rank", [("A", 4), ("B", 4)], ids=["A4", "B4"])
-def test_packed_units_equal_per_pair_long(series, rank, monkeypatch):
-    """As above, the exhaustive pair suites of A4 and B4."""
-    _check_units(series, rank, PAIR_SUITES, None, monkeypatch)
+@pytest.mark.parametrize("series,rank,names", [
+    ("A", 4, PAIR_SUITES), ("B", 4, PAIR_SUITES), ("A", 4, ["conjD", "cross-paths"])],
+    ids=["A4", "B4", "A4-chi"])
+def test_packed_units_equal_per_pair_long(series, rank, names, monkeypatch):
+    """As above, the exhaustive pair suites of A4 and B4, and the chi
+    suites of A4."""
+    _check_units(series, rank, names, None, monkeypatch)
+
+
+def test_pack_width_bounds_every_unit_row(monkeypatch):
+    """D4 conjD --max-length 1: each unit's row is w0*u for a filtered u,
+    a long element outside the filter.  The slot width k of the run's pack
+    must bound the products on those rows, by the L1 norms of their seg
+    and csm cell classes; bounded over the filtered rows alone it would be
+    narrower."""
+    stack = build_engines("D", 4)
+    materialize_tables(stack)
+    real, sweeps = verify_mod._sweep_unit, []
+
+    def unit(engines, sweep, r):
+        sweeps.append(sweep)
+        return real(engines, sweep, r)
+
+    monkeypatch.setattr(verify_mod, "_sweep_unit", unit)
+    assert verify_mod._run_suites(stack, ["conjD"], 1, 1)["conjD"].status == "PASS"
+    sweep = sweeps[0]
+    pack, units, filtered = sweep.pack, sweep.units(), sweep.filtered
+    assert not set(units) & set(filtered)
+    csm, els = stack.csm, stack.group.elements
+
+    def l1(classes, xs):
+        return max(sum(map(abs, c(els[x]).coeffs.values())) for x in xs for c in classes)
+
+    l1_in = l1((csm.csm_opposite_cell, csm.segre_opposite_cell), filtered)
+    big = stack.group.order * max(max(map(abs, cs)) for _, cs in csm.cell_columns(pack.reach)
+                                  if cs)
+    rows = (csm.segre_schubert_cell, csm.csm_schubert_cell)
+    need = _slot_bits(l1_in * l1(rows, units) * stack.coh.max_constant, big)
+    assert pack.k >= need
+    assert _slot_bits(l1_in * l1(rows, filtered) * stack.coh.max_constant, big) < need
 
 
 def _per_pair(monkeypatch):
@@ -166,6 +220,35 @@ def test_packed_pass_fails_only_where_a_mask_does(class_fault, monkeypatch):
     assert _report("A", 2, PAIR_SUITES) == packed
 
 
+def test_chi_pair_fault_reads_as_per_pair(class_fault, monkeypatch):
+    """B3 cross-paths alone: eps^w0 planted in the class of (s1 s2, s1),
+    which the chi row of (w0 s1 s2, s1) reads, without its mirror
+    product.  That unit's mirror mask fails and it runs pair by pair, the
+    others hold; cross-paths reports chi-paths at every w of the pair and
+    of its swap (s1, w0 s1 s2), as a run with no packed pass does."""
+    g = build_engines("B", 3).group
+    real, units = verify_mod._packed_pairs, {}
+
+    def spied(engines, sweep, r, pairs):
+        units[r] = real(engines, sweep, r, pairs)
+        return units[r]
+
+    monkeypatch.setattr(verify_mod, "_packed_pairs", spied)
+    class_fault("s1 s2", "s1", mirror=False)
+    packed = _report("B", 3, ["cross-paths"])
+    assert packed["exit_code"] == 2
+    r = g.parse("s1 s2").index
+    assert [x for x, ok in units.items() if not ok] == [r]
+    u = str(g.w0_times(g.parse("s1 s2")))
+    hard = packed["suites"]["cross-paths"]["hard_failures"]
+    assert {e["check"] for e in hard} == {"chi-paths"}
+    every = {str(w) for w in g.elements}
+    for pair in ((u, "s1"), ("s1", u)):
+        assert {e["w"] for e in hard if (e["u"], e["v"]) == pair} == every
+    _per_pair(monkeypatch)
+    assert _report("B", 3, ["cross-paths"]) == packed
+
+
 def test_one_bit_narrower_pack_passes_cancelling_faults(class_fault, monkeypatch):
     """On A2, with the slot width k that ``pack_cells`` gives a conjB run,
     the class of (e, e) gaining 2^(k-1) eps^w0 and the class of (e, s1)
@@ -178,7 +261,7 @@ def test_one_bit_narrower_pack_passes_cancelling_faults(class_fault, monkeypatch
     materialize_tables(stack)
     g, every = stack.group, list(range(stack.group.order))
     stack.csm.segre_cells([*every])
-    pack = stack.rich.pack_cells(every, None)
+    pack = stack.rich.pack_cells(every, every, None)
     k, e, s1 = pack.k, g.identity.index, g.parse("s1").index
     assert (pack.slot[e], pack.slot[s1]) == (0, 1)
     class_fault("e", "e", coeff=2 ** (k - 1), mirror=False)
@@ -203,7 +286,8 @@ def test_prefix_is_the_pack_of_the_first_slots(series, rank):
     materialize_tables(stack)
     order, csm = stack.group.order, stack.csm
     every = list(range(order))
-    pack = stack.rich.pack_cells(every, None)
+    pack = stack.rich.pack_cells(every, every, None)
+    assert pack.prefix(order) is pack
     seg = [csm.segre_opposite_cell(stack.group.elements[v]).coeffs for v in every]
     assert any(c < 0 for cls in seg for c in cls.values())
     for m in range(1, order + 1):
